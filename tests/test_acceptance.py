@@ -7,6 +7,7 @@ is keyed by the frozen seeds below, so each criterion is reproducible bit
 for bit.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -65,6 +66,21 @@ _SMALL_CONFIGS = {
     "counterexample": "experiment = counterexample\nwalk_replicas = 1000\nenv_seeds = 3\npass_seeds = 2\n",
 }
 
+# SHA-256 of report_json for each small config (numpy 2.4.6). A change that
+# moves one of these must name its cause; a bit-preserving refactor must not.
+_GOLDEN_DIGESTS = {
+    "moments": "0f5a4ce4feae41db9140af2ad998159cb5f20cb7276794fdea5015263d2d114a",
+    "variance-scan": "98faec216b7a30767eea000fef5d68d3a2bf363ee66da72f9711271499c73157",
+    "phi-decay": "070141b32356ee7e63144773fdaa3e7d62fb6b18ef0a285dd1229de6947694bb",
+    "identity-check": "b4edf309c244c39f7c8a25ddf808342471c967ec51a08b4e3959730a27f3044e",
+    "fclt": "71ecc5da9b55e6c6b626755aef52a5a9553b2d81f6f1ed0e096ee8f22831ef47",
+    "max-drift": "94894733e6140e637824cb7329207b29c93d76c3640769ddfb179ad736a303fc",
+    "ychain-exit": "e664482f6fd67d5ab99b8f6a28c22f0bb673576553cb426e93f1f46e1e517a9f",
+    "ychain-excursion": "a6c11dcfc36a0eff876c4df11fbb2a4e18f125e9f64d00ce936f6ac6dec76348",
+    "occupation": "e75fd21201eae39bb80ef95476e1b2d81da2ba33adaff64fc42181eb19bab3d2",
+    "counterexample": "8a244d6f0289d4c091d91340ba6cfbcebcc0cc7bef3e6354fab4477900dfd0f8",
+}
+
 
 def test_criterion_1_determinism():
     t0 = time.time()
@@ -75,14 +91,15 @@ def test_criterion_1_determinism():
         first = report_json(run(cfg, workers=1))
         again = report_json(run(cfg, workers=1))
         wide = report_json(run(cfg, workers=8))
-        if not (first == again == wide):
+        digest = hashlib.sha256(first.encode()).hexdigest()
+        if not (first == again == wide) or digest != _GOLDEN_DIGESTS[name]:
             ok = False
             worst += f" {name}"
     _report(
         "criterion 1: determinism",
         ok,
-        f"double runs and workers in {{1,8}} byte-identical for all "
-        f"{len(_SMALL_CONFIGS)} experiment types{worst} ({time.time()-t0:.0f}s)",
+        f"double runs and workers in {{1,8}} byte-identical and matching the "
+        f"golden digests for all {len(_SMALL_CONFIGS)} experiment types{worst} ({time.time()-t0:.0f}s)",
     )
 
 
