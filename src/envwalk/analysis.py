@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffchain import SAME_ENV, batch_diff_positions
-from .environments import FINITE_RANGE, FULLY_CORRELATED, Environment, env_replica, query
+from .environments import Environment, env_replica, field_weights, query
 from .families import has_fixed_support
 from .jumplaws import law_mean
 from .stats import (
@@ -41,8 +41,6 @@ from .stats import (
 )
 from .streams import (
     TAG_DITHER,
-    TAG_ENV,
-    TAG_OFFSET,
     derive_seeds_vec,
     lanes_for_cells,
     seed_lanes,
@@ -59,6 +57,7 @@ from .walks import (
 __all__ = [
     "estimate_phi",
     "variance_scan",
+    "variance_from_curves",
     "IdentityReport",
     "variance_identity_check",
     "FcltReport",
@@ -78,29 +77,10 @@ def analytic_velocity(env: Environment) -> np.ndarray:
 
 
 def _replica_drift_grid(env: Environment, seeds: np.ndarray, x_grid: np.ndarray) -> np.ndarray:
-    """Local drifts at level 0 and offsets ``x_grid``, shape (m, G); d=1."""
-    fam = env.family
+    """Local drifts at level 0 and points ``x_grid`` of the (shifted) field, shape (m, G); d=1."""
     base = seed_lanes_vec(seeds)
-    m = seeds.shape[0]
-    base2d = (base[0][:, None], base[1][:, None])
-    if env.kind == FULLY_CORRELATED:
-        lanes = lanes_for_cells(base, 0, TAG_ENV, np.zeros((m, 0), dtype=np.int64))
-        u = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms))
-        drift = fam.weight_table(u) @ fam.support[:, 0].astype(float)
-        return np.broadcast_to(drift[:, None], (m, x_grid.size))
-    if env.kind == FINITE_RANGE:
-        cells = np.floor(x_grid / env.dependence_range + 0.5).astype(np.int64)
-        cells = np.broadcast_to(cells, (m, x_grid.size))
-    else:
-        if env.uniform_offset:
-            off_lanes = lanes_for_cells(base, 0, TAG_OFFSET, np.zeros((m, 0), dtype=np.int64))
-            u_off = uniforms_at(off_lanes, 0)
-        else:
-            u_off = np.zeros(m)
-        cells = np.floor(x_grid[None, :] + u_off[:, None]).astype(np.int64)
-    lanes = lanes_for_cells(base2d, 0, TAG_ENV, cells[:, :, None])
-    u = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms))
-    return fam.weight_table(u) @ fam.support[:, 0].astype(float)
+    w = field_weights(env, (base[0][:, None], base[1][:, None]), env.shift_level, x_grid + env.shift_point[0])
+    return w @ env.family.support[:, 0].astype(float)
 
 
 def estimate_phi(
@@ -170,18 +150,34 @@ def variance_scan(
     m = env_replicas
     if mean_method == "exact":
         curves = _exact_curves(env_template, int(n_grid.max()), m)
-        dev = curves[:, n_grid] - n_grid[None, :].astype(float) * v[0]
-        sq = dev**2
-    elif mean_method == "mc":
-        sq = np.empty((m, n_grid.size))
-        for i in range(m):
-            mc = quenched_mean_mc(env_replica(env_template, i), n_grid, mc_walks)
-            dev = mc.means[:, 0] - n_grid.astype(float) * v[0]
-            sq[i] = dev**2 - mc.standard_errors[:, 0] ** 2
-    else:
+        return variance_from_curves(env_template, n_grid, curves, v, bootstrap_resamples)
+    if mean_method != "mc":
         raise ValueError(f"unknown mean_method {mean_method!r}")
+    sq = np.empty((m, n_grid.size))
+    for i in range(m):
+        mc = quenched_mean_mc(env_replica(env_template, i), n_grid, mc_walks)
+        dev = mc.means[:, 0] - n_grid.astype(float) * v[0]
+        sq[i] = dev**2 - mc.standard_errors[:, 0] ** 2
+    return _squared_deviation_scan(env_template, n_grid, sq, bootstrap_resamples)
+
+
+def variance_from_curves(
+    env_template: Environment, n_grid, curves: np.ndarray, velocity=None, bootstrap_resamples: int = 200
+) -> ScanCurve:
+    """The exact-method :func:`variance_scan` from per-replica mean curves.
+
+    ``curves`` has shape (m, n_max + 1), as from :func:`exact_mean_curves`;
+    the grid is used in the order given.
+    """
+    n_grid = np.asarray(n_grid, dtype=np.int64)
+    v = analytic_velocity(env_template) if velocity is None else np.atleast_1d(np.asarray(velocity, dtype=float))
+    dev = curves[:, n_grid] - n_grid[None, :].astype(float) * v[0]
+    return _squared_deviation_scan(env_template, n_grid, dev**2, bootstrap_resamples)
+
+
+def _squared_deviation_scan(env_template: Environment, n_grid: np.ndarray, sq: np.ndarray, resamples: int) -> ScanCurve:
     est = sq.mean(axis=0)
-    ses = bootstrap_se_mean(sq, bootstrap_resamples, env_template.master_seed)
+    ses = bootstrap_se_mean(sq, resamples, env_template.master_seed)
     return with_fit(ScanCurve(n_grid.astype(float), est, ses))
 
 

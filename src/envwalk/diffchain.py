@@ -20,18 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import FULLY_CORRELATED, Environment, env_replica
-from .families import has_fixed_support
+from .environments import Environment, env_replica
 from .stats import InsufficientDataError, ScanCurve, with_fit
-from .streams import (
-    TAG_ENV,
-    TAG_WALK,
-    derive_seeds_vec,
-    lanes_for_cells,
-    seed_lanes_vec,
-    uniforms_at,
-)
-from .walks import _lattice_cells, _require_integer_shift, _row_atomic_index, simulate_quenched_path
+from .streams import derive_seeds_vec, seed_lanes_vec
+from .walks import _Walker, simulate_quenched_path
 
 __all__ = [
     "SAME_ENV",
@@ -126,7 +118,7 @@ def simulate_diff_chain(
     return DiffChainPath(values, kind, tuple(values[0]))
 
 
-class _PairWalker:
+class _PairWalker(_Walker):
     """Lockstep batch of (X, X~) pairs for d=1 fixed-support fields.
 
     Column 0 is the X walk (from 0), column 1 the X~ walk (from x0); all
@@ -134,23 +126,14 @@ class _PairWalker:
     """
 
     def __init__(self, env_template: Environment, replicas: np.ndarray, x0, kind: str):
-        fam = env_template.family
-        if env_template.d != 1 or not has_fixed_support(fam):
-            raise ValueError("batched difference chains need a d=1 fixed-support family")
-        self.env = env_template
-        self.fam = fam
-        self.support = fam.support[:, 0]
-        self.shift_level, shift_pt = _require_integer_shift(env_template)
-        self.shift_x = int(shift_pt[0])
         replicas = np.asarray(replicas, dtype=np.int64)
         seeds_a, seeds_b = _pair_seeds(env_template, replicas, kind)
         la, lb = seed_lanes_vec(seeds_a), seed_lanes_vec(seeds_b)
-        self.base = (np.stack([la[0], lb[0]], axis=1), np.stack([la[1], lb[1]], axis=1))
-        x0 = np.broadcast_to(np.asarray(x0, dtype=np.int64), replicas.shape)
-        self.pos = np.stack([np.zeros_like(replicas), x0], axis=1)
+        base = (np.stack([la[0], lb[0]], axis=1), np.stack([la[1], lb[1]], axis=1))
         which = np.broadcast_to(np.array([0, 1], dtype=np.int64), (replicas.size, 2))
-        self.wcells = np.stack([np.stack([replicas, replicas], axis=1), which], axis=2)
-        self.k = 0
+        wcells = np.stack([np.stack([replicas, replicas], axis=1), which], axis=2)
+        x0 = np.broadcast_to(np.asarray(x0, dtype=np.int64), replicas.shape)
+        super().__init__(env_template, base, wcells, np.stack([np.zeros_like(replicas), x0], axis=1))
 
     @property
     def y(self) -> np.ndarray:
@@ -162,20 +145,7 @@ class _PairWalker:
         self.wcells = self.wcells[keep]
 
     def step(self) -> np.ndarray:
-        env, fam = self.env, self.fam
-        level = self.k + self.shift_level
-        if env.kind == FULLY_CORRELATED:
-            cells = np.zeros(self.pos.shape + (0,), dtype=np.int64)
-        else:
-            cells = _lattice_cells(env, level, self.pos + self.shift_x)[..., None]
-        lanes = lanes_for_cells(self.base, level, TAG_ENV, cells)
-        u_env = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms))
-        w = fam.weight_table(u_env)
-        wl = lanes_for_cells(self.base, self.k, TAG_WALK, self.wcells)
-        u = uniforms_at(wl, 0)
-        idx = _row_atomic_index(np.cumsum(w, axis=-1), u)
-        self.pos = self.pos + self.support[idx]
-        self.k += 1
+        super().step()
         return self.y
 
 
@@ -193,25 +163,12 @@ def batch_diff_positions(
     With ``return_components`` also returns the (X, X~) positions of shape
     (len, M, 2).
     """
-    walker = _PairWalker(env_template, np.asarray(replicas, dtype=np.int64), x0, kind)
-    record = np.arange(n_steps + 1) if record_steps is None else np.asarray(record_steps)
-    wanted = {int(s): i for i, s in enumerate(record)}
-    m = walker.pos.shape[0]
-    out = np.empty((len(record), m), dtype=np.int64)
-    comps = np.empty((len(record), m, 2), dtype=np.int64) if return_components else None
-    if 0 in wanted:
-        out[wanted[0]] = walker.y
-        if comps is not None:
-            comps[wanted[0]] = walker.pos
-    for k in range(n_steps):
-        y = walker.step()
-        if k + 1 in wanted:
-            out[wanted[k + 1]] = y
-            if comps is not None:
-                comps[wanted[k + 1]] = walker.pos
+    walker = _PairWalker(env_template, replicas, x0, kind)
+    record, comps = walker.record(n_steps, record_steps)
+    y = comps[..., 1] - comps[..., 0]
     if return_components:
-        return record, out, comps
-    return record, out
+        return record, y, comps
+    return record, y
 
 
 # ---------------------------------------------------------------------------

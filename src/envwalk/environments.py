@@ -21,7 +21,9 @@ and no order sensitivity.  Four constructions:
                             reference model).
 
 Levels never share stream keys, so distinct time levels are independent by
-construction in every model.
+construction in every model.  ``field_weights`` is the batched twin of
+``query`` for d=1 fixed-support families: every vectorized path reads the
+field through it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import DiracSteps, LawFamily, has_fixed_support
+from .families import DiracSteps, LawFamily
 from .jumplaws import JumpLaw
 from .streams import (
     TAG_ENV,
@@ -38,7 +40,7 @@ from .streams import (
     StreamKey,
     derive_seed,
     derive_stream,
-    key_lanes,
+    lanes_for_cells,
     uniforms_at,
 )
 
@@ -52,6 +54,7 @@ __all__ = [
     "shift",
     "env_replica",
     "offset_vector",
+    "field_weights",
 ]
 
 LATTICE_PRODUCT = "lattice_product"
@@ -138,23 +141,6 @@ def cell_index(env: Environment, x_abs: np.ndarray) -> np.ndarray:
     return np.floor(x_abs + offset_vector(env)).astype(np.int64)
 
 
-def law_uniforms(env: Environment, n: int, cells: np.ndarray) -> np.ndarray:
-    """The family's uniforms for many cells at one level, shape (..., k).
-
-    ``cells`` has shape (..., d); a 1-d array is read as a list of d=1 cells.
-    """
-    k = env.family.n_uniforms
-    cells = np.asarray(cells)
-    lanes = key_lanes(env.master_seed, n, TAG_ENV, cells)
-    return uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(k))
-
-
-def level_uniforms(env: Environment, n: int) -> np.ndarray:
-    """Uniforms of the level-wide shared cell () -- fully correlated fields."""
-    lanes = StreamKey(env.master_seed, n, (), TAG_ENV).lanes()
-    return uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(env.family.n_uniforms))
-
-
 def query(env: Environment, n: int, x) -> JumpLaw:
     """The jump law at time ``n`` and point ``x`` (walk frame)."""
     n_abs, x_abs = absolute_coords(env, n, x)
@@ -181,30 +167,37 @@ def env_replica(env: Environment, *index: int) -> Environment:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized fast-path helpers (fixed-support families).
+# The batched field kernel (d=1 fixed-support families).
 # ---------------------------------------------------------------------------
 
+_NO_CELL = np.zeros((1, 0), dtype=np.int64)
 
-def weight_table_at(env: Environment, n: int, cells: np.ndarray) -> np.ndarray:
-    """Atom-weight rows for integer cells at one field-frame level.
 
-    ``cells`` has shape (..., d) (or (...,) treated as d=1); returns weights
-    of shape (..., n_atoms).  For fully correlated fields the single level
-    law is broadcast.
+def field_weights(env: Environment, base_lanes, level: int, positions) -> np.ndarray:
+    """Atom-weight rows of ``env`` at field-frame ``level`` and ``positions``.
+
+    ``base_lanes`` are the seed lanes of one field (``seed_lanes``) or of
+    one field per row (``seed_lanes_vec``); they must broadcast against
+    ``positions``.  Returns weights of shape broadcast(lanes, positions) +
+    (n_atoms,), entry by entry the weights :func:`query` gives in the
+    shifted frame.  Integer positions skip the grid offset, since
+    floor(x + U) = x; the level-correlated field hashes one cell per field
+    and broadcasts it.
     """
     fam = env.family
-    if not has_fixed_support(fam):
-        raise ValueError("weight tables need a fixed-support family")
+    positions = np.asarray(positions)
     if env.kind == FULLY_CORRELATED:
-        w = fam.weight_table(level_uniforms(env, n))
-        cells = np.asarray(cells)
-        lead = cells.shape[:-1] if cells.ndim > 1 else cells.shape
-        return np.broadcast_to(w, lead + w.shape[-1:])
-    u = law_uniforms(env, n, cells)
-    return fam.weight_table(u)
-
-
-def drift_table_at(env: Environment, n: int, cells: np.ndarray) -> np.ndarray:
-    """Local drifts (mean jumps) for integer cells at one level, shape (..., d)."""
-    w = weight_table_at(env, n, cells)
-    return w @ env.family.support.astype(float)
+        cells = _NO_CELL
+    elif env.kind == FINITE_RANGE:
+        cells = np.floor(positions / env.dependence_range + 0.5).astype(np.int64)[..., None]
+    elif positions.dtype.kind == "f":
+        if env.kind == LATTICE_PRODUCT and env.uniform_offset:
+            positions = positions + uniforms_at(lanes_for_cells(base_lanes, 0, TAG_OFFSET, _NO_CELL), 0)
+        cells = np.floor(positions).astype(np.int64)[..., None]
+    else:
+        cells = positions[..., None]
+    lanes = lanes_for_cells(base_lanes, level, TAG_ENV, cells)
+    w = fam.weight_table(uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms)))
+    if env.kind == FULLY_CORRELATED:
+        return np.broadcast_to(w, np.broadcast_shapes(lanes[0].shape, positions.shape) + w.shape[-1:])
+    return w

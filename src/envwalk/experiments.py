@@ -128,6 +128,7 @@ _EXPERIMENT_KEYS: dict[str, dict] = {
         "eta_prime_max": 1.0,
     },
     "counterexample": {
+        "model": "level-correlated",
         "epsilon": 2.0**-10,
         "time_points": [0.25, 0.5, 1.0],
         "walk_replicas": 10000,
@@ -322,15 +323,7 @@ def _run_variance_scan(env: Environment, v: dict, workers: int):
     m = int(v["env_replicas"])
     if v["mean_method"] == "exact" and env.d == 1:
         parts = _pmap(_curves_chunk, [(env, int(n_grid.max()), idx) for idx in _chunks(m)], workers)
-        curves = np.concatenate(parts, axis=0)
-        vel = analysis.analytic_velocity(env)[0]
-        dev = curves[:, n_grid] - n_grid[None, :].astype(float) * vel
-        sq = dev**2
-        from .stats import ScanCurve, bootstrap_se_mean, with_fit
-
-        est = sq.mean(axis=0)
-        ses = bootstrap_se_mean(sq, 200, env.master_seed)
-        curve = with_fit(ScanCurve(n_grid.astype(float), est, ses))
+        curve = analysis.variance_from_curves(env, n_grid, np.concatenate(parts, axis=0))
     else:
         curve = analysis.variance_scan(env, n_grid, m, mean_method=v["mean_method"])
     rows = _scan_rows("variance", curve)
@@ -519,21 +512,10 @@ def run(config: ExperimentConfig, seed: int | None = None, workers: int | None =
         values["seed"] = int(seed)
     if workers is not None:
         values["workers"] = int(workers)
-    if config.experiment == "counterexample" and "model" not in _explicit_keys(config):
-        values["model"] = "level-correlated"
     env = build_model(values, int(values["seed"]))
     rows, verdicts = _RUNNERS[config.experiment](env, values, int(values["workers"]))
     resolved = {k: v for k, v in sorted(values.items()) if k != "workers"}
     return ExperimentReport(config.experiment, config.text, resolved, VERSION, tuple(rows), tuple(verdicts))
-
-
-def _explicit_keys(config: ExperimentConfig) -> set:
-    keys = set()
-    for line in config.text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped and "=" in stripped:
-            keys.add(stripped.split("=", 1)[0].strip())
-    return keys
 
 
 # --- emission ---------------------------------------------------------------

@@ -164,17 +164,18 @@ def sample_uniform_count(law: JumpLaw) -> int:
 
 
 def gaussian_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Standard normals from uniform pairs via Box-Muller.
+    """Standard normals from uniform pairs via Box-Muller, along the last axis.
 
-    ``u`` has even length 2m; returns 2m normals.  log1p(-u) keeps u=0 safe
-    since uniforms live in [0,1).
+    The last axis of ``u`` has even length 2m; the result has u's shape,
+    entries 2i and 2i+1 being the cosine and sine normals of pair i.
+    log1p(-u) keeps u=0 safe since uniforms live in [0,1).
     """
     u = np.asarray(u, dtype=float)
-    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    theta = 2.0 * math.pi * u[1::2]
-    out = np.empty(u.size)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    theta = 2.0 * math.pi * u[..., 1::2]
+    out = np.empty(u.shape)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
     return out
 
 
@@ -219,11 +220,6 @@ def law_sample_batch(law: JumpLaw, stream: UniformStream, n: int) -> np.ndarray:
         return np.asarray(law.points, dtype=float)[idx]
     if isinstance(law, Gaussian):
         per = sample_uniform_count(law)
-        u = stream.take(n * per).reshape(n, per)
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-        theta = 2.0 * math.pi * u[:, 1::2]
-        z = np.empty((n, per))
-        z[:, 0::2] = r * np.cos(theta)
-        z[:, 1::2] = r * np.sin(theta)
+        z = gaussian_from_uniforms(stream.take(n * per).reshape(n, per))
         return np.asarray(law.mean) + z[:, : law.d] @ gaussian_factor(law).T
     return np.broadcast_to(np.asarray(law.point, dtype=float), (n, law.d)).copy()

@@ -1,6 +1,7 @@
 """Statistical machinery: scan curves, power-law fits, KS tests, bootstrap.
 
-Self-contained (no simulation imports) so every higher layer can use it.
+Free of simulation imports (only streams and the Box-Muller transform) so
+every higher layer can use it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 from scipy import special
 from scipy import stats as sps
 
+from .jumplaws import gaussian_from_uniforms
 from .streams import TAG_BOOT, lanes_for_cells, seed_lanes, uniforms_at, words_at
 
 __all__ = [
@@ -185,9 +187,7 @@ def ks_null_calibration(trials: int, n: int, seed: int, alpha: float = 0.01) -> 
     for t in range(trials):
         lanes = lanes_for_cells(seed_lanes(seed), t, TAG_BOOT, np.asarray([[0]]))
         u = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(2 * n))[0]
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        theta = 2.0 * math.pi * u[1::2]
-        z = r * np.cos(theta)
+        z = gaussian_from_uniforms(u)[0::2]
         if ks_gaussian_test(z, 0.0, 1.0).p_value < alpha:
             rejected += 1
     return rejected / trials
@@ -211,8 +211,7 @@ def exponent_fit_coverage(
     for t in range(trials):
         lanes = lanes_for_cells(seed_lanes(seed), t, TAG_BOOT, np.asarray([[1]]))
         u = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(2 * n_points))[0]
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        z = r * np.cos(2.0 * math.pi * u[1::2])
+        z = gaussian_from_uniforms(u)[0::2]
         truth = grid**exponent
         est = truth * (1.0 + rel_noise * z)
         se = truth * rel_noise

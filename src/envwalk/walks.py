@@ -1,10 +1,12 @@
 """Walk simulation and quenched-mean computation.
 
 Scalar reference paths (`simulate_quenched_path`) consume uniforms law by
-law; the batch walkers replay exactly the same draws vectorized over
-replicas, because both sides build atom choices from the same weight tables
-and the same per-(step, walker) stream keys.  Walk noise uses its own key
-tag, so walk randomness never touches environment randomness.
+law.  Every batched path (quenched, averaged and one-step walks here, the
+difference-chain pairs in `diffchain`) is one lockstep `_Walker` that reads
+the field through `environments.field_weights` and draws its noise from
+the same per-(step, walker) stream keys, so it replays the scalar draws
+exactly; parity tests pin each path to the scalar one.  Walk noise uses its
+own key tag, so walk randomness never touches environment randomness.
 
 Quenched means come in two dual forms that cross-check each other: a Monte
 Carlo mean over walks, and exact forward propagation of the full quenched
@@ -23,18 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environments import (
-    FINITE_RANGE,
     FULLY_CORRELATED,
     Environment,
     env_replica,
-    level_uniforms,
+    field_weights,
     query,
     shift as env_shift,
 )
 from .families import has_fixed_support
 from .jumplaws import Atomic, Dirac, law_mean, law_sample
 from .streams import (
-    TAG_ENV,
     TAG_WALK,
     StreamKey,
     derive_seeds_vec,
@@ -161,25 +161,66 @@ def local_drift(env: Environment) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _require_integer_shift(env: Environment) -> tuple[int, np.ndarray]:
-    pt = np.asarray(env.shift_point)
-    if not np.allclose(pt, np.round(pt)):
-        raise ValueError("batched lattice walks need an integer shift")
-    return env.shift_level, np.round(pt).astype(np.int64)
-
-
-def _lattice_cells(env: Environment, level_abs: int, pos_abs: np.ndarray) -> np.ndarray:
-    """Integer cells for integer absolute positions, per model kind."""
-    if env.kind == FINITE_RANGE:
-        return np.floor(pos_abs / env.dependence_range + 0.5).astype(np.int64)
-    # Unit cells: floor(x + U) == x for integral x and U in [0,1)^d.
-    return pos_abs
-
-
 def _row_atomic_index(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise inverse CDF matching :func:`jumplaws.atomic_index`."""
     idx = (cum_rows <= u[..., None]).sum(axis=-1)
     return np.minimum(idx, cum_rows.shape[-1] - 1)
+
+
+def _per_row(lanes):
+    """Per-row seed lanes as a column, to broadcast against (m, c) positions."""
+    return lanes[0][:, None], lanes[1][:, None]
+
+
+class _Walker:
+    """Lockstep batch of quenched walks for d=1 fixed-support fields.
+
+    Positions have shape (m, c): row i holds c walks, column j reading the
+    field through ``base_lanes`` (one shared field, or lanes broadcasting
+    to (m, c)) and drawing its step-k noise from the walk key
+    (field seed, level=k, cell=``walk_cells[i, j]``).  That is the key of
+    :func:`simulate_quenched_path`, so every column replays a scalar path
+    draw for draw.
+    """
+
+    def __init__(self, env: Environment, base_lanes, walk_cells: np.ndarray, x0, accumulate_drift: bool = False):
+        fam = env.family
+        if env.d != 1 or not has_fixed_support(fam):
+            raise ValueError("batched lattice walks need a d=1 fixed-support family")
+        self.env = env
+        self.support = fam.support[:, 0]
+        self.level0 = env.shift_level
+        # An integral shift keeps field positions integer, which lets the
+        # field kernel skip the grid offset.
+        x_shift = env.shift_point[0]
+        self.x_shift = int(x_shift) if float(x_shift).is_integer() else x_shift
+        self.base = base_lanes
+        self.wcells = walk_cells
+        self.pos = np.array(np.broadcast_to(np.asarray(x0, dtype=np.int64), walk_cells.shape[:-1]))
+        self.drift_sums = np.zeros(self.pos.shape[0]) if accumulate_drift else None
+        self.k = 0
+
+    def step(self) -> None:
+        w = field_weights(self.env, self.base, self.k + self.level0, self.pos + self.x_shift)
+        if self.drift_sums is not None:
+            self.drift_sums += w[:, 0] @ self.support.astype(float)
+        wl = lanes_for_cells(self.base, self.k, TAG_WALK, self.wcells)
+        idx = _row_atomic_index(np.cumsum(w, axis=-1), uniforms_at(wl, 0))
+        self.pos = self.pos + self.support[idx]
+        self.k += 1
+
+    def record(self, n_steps: int, record_steps=None) -> tuple[np.ndarray, np.ndarray]:
+        """Run ``n_steps`` steps; positions at ``record_steps``, shape (len, m, c)."""
+        record = np.arange(n_steps + 1) if record_steps is None else np.asarray(record_steps)
+        wanted = {int(s): i for i, s in enumerate(record)}
+        out = np.empty((len(record),) + self.pos.shape, dtype=np.int64)
+        if 0 in wanted:
+            out[wanted[0]] = self.pos
+        for k in range(n_steps):
+            self.step()
+            if k + 1 in wanted:
+                out[wanted[k + 1]] = self.pos
+        return record, out
 
 
 def batch_quenched_positions(
@@ -198,42 +239,11 @@ def batch_quenched_positions(
     per-walker sum of local drifts along the path (None unless requested).
     Draw-for-draw identical to :func:`simulate_quenched_path`.
     """
-    fam = env.family
-    if env.d != 1 or not has_fixed_support(fam):
-        raise ValueError("batched lattice walks need a d=1 fixed-support family")
-    support = fam.support[:, 0]
-    shift_level, shift_pt = _require_integer_shift(env)
     walk_seeds = np.asarray(walk_seeds, dtype=np.int64)
-    m = walk_seeds.shape[0]
-    record = np.arange(n_steps + 1) if record_steps is None else np.asarray(record_steps)
-    wanted = {int(s): i for i, s in enumerate(record)}
-
-    pos = np.full(m, int(x0), dtype=np.int64)
-    out = np.empty((len(record), m), dtype=np.int64)
-    if 0 in wanted:
-        out[wanted[0]] = pos
-    drift_sums = np.zeros(m) if accumulate_drift else None
-    env_base = seed_lanes(env.master_seed)
-    wcells = np.column_stack([walk_seeds] + [np.full(m, s, dtype=np.int64) for s in subcell])
-
-    for k in range(n_steps):
-        cells = _lattice_cells(env, k + shift_level, pos + shift_pt[0])
-        if env.kind == FULLY_CORRELATED:
-            w = fam.weight_table(level_uniforms(env, k + shift_level))
-            w = np.broadcast_to(w, (m, support.size))
-        else:
-            lanes = lanes_for_cells(env_base, k + shift_level, TAG_ENV, cells)
-            u_env = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms))
-            w = fam.weight_table(u_env)
-        if accumulate_drift:
-            drift_sums += w @ support.astype(float)
-        wl = lanes_for_cells(env_base, k, TAG_WALK, wcells)
-        u = uniforms_at(wl, 0)
-        idx = _row_atomic_index(np.cumsum(w, axis=-1), u)
-        pos = pos + support[idx]
-        if k + 1 in wanted:
-            out[wanted[k + 1]] = pos
-    return record, out, drift_sums
+    cells = np.column_stack([walk_seeds] + [np.full(walk_seeds.shape[0], s, dtype=np.int64) for s in subcell])
+    walker = _Walker(env, seed_lanes(env.master_seed), cells[:, None, :], x0, accumulate_drift)
+    record, pos = walker.record(n_steps, record_steps)
+    return record, pos[..., 0], walker.drift_sums
 
 
 def batch_averaged_positions(
@@ -248,38 +258,11 @@ def batch_averaged_positions(
     Draw-for-draw identical to :func:`simulate_averaged_path` per replica.
     d=1 fixed-support families only.
     """
-    fam = env_template.family
-    if env_template.d != 1 or not has_fixed_support(fam):
-        raise ValueError("batched lattice walks need a d=1 fixed-support family")
-    support = fam.support[:, 0]
-    shift_level, shift_pt = _require_integer_shift(env_template)
     replicas = np.asarray(replicas, dtype=np.int64)
-    m = replicas.shape[0]
-    seeds = derive_seeds_vec(env_template.master_seed, replicas)
-    seed_base = seed_lanes_vec(seeds)
-    record = np.arange(n_steps + 1) if record_steps is None else np.asarray(record_steps)
-    wanted = {int(s): i for i, s in enumerate(record)}
-
-    pos = np.full(m, int(x0), dtype=np.int64)
-    out = np.empty((len(record), m), dtype=np.int64)
-    if 0 in wanted:
-        out[wanted[0]] = pos
-
-    for k in range(n_steps):
-        cells = _lattice_cells(env_template, k + shift_level, pos + shift_pt[0])
-        if env_template.kind == FULLY_CORRELATED:
-            lanes = lanes_for_cells(seed_base, k + shift_level, TAG_ENV, np.zeros((m, 0), dtype=np.int64))
-        else:
-            lanes = lanes_for_cells(seed_base, k + shift_level, TAG_ENV, cells)
-        u_env = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms))
-        w = fam.weight_table(u_env)
-        wl = lanes_for_cells(seed_base, k, TAG_WALK, replicas[:, None])
-        u = uniforms_at(wl, 0)
-        idx = _row_atomic_index(np.cumsum(w, axis=-1), u)
-        pos = pos + support[idx]
-        if k + 1 in wanted:
-            out[wanted[k + 1]] = pos
-    return record, out
+    base = seed_lanes_vec(derive_seeds_vec(env_template.master_seed, replicas))
+    walker = _Walker(env_template, _per_row(base), replicas[:, None, None], x0)
+    record, pos = walker.record(n_steps, record_steps)
+    return record, pos[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +372,21 @@ def exact_mean_curves(
 
     if env_template.kind == FULLY_CORRELATED:
         drifts = np.empty((m, n_max))
-        empty = np.zeros((m, 0), dtype=np.int64)
         for k in range(n_max):
-            lanes = lanes_for_cells(base, k, TAG_ENV, empty)
-            u = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms))
-            drifts[:, k] = fam.weight_table(u) @ sup_f
+            drifts[:, k] = field_weights(env_template, base, k, 0) @ sup_f
         return np.concatenate([np.zeros((m, 1)), np.cumsum(drifts, axis=1)], axis=1)
 
     smax = int(np.abs(support).max())
     smin_off, smax_off = int(support.min()), int(support.max())
     st = 2 if bool(np.all(np.abs(support) % 2 == 1)) else 1
-    base2d = (base[0][:, None], base[1][:, None])
+    base2d = _per_row(base)
 
     means = np.zeros((m, n_max + 1))
     lo = hi = 0
     mass = np.ones((m, 1))
     for k in range(n_max):
         positions = np.arange(lo, hi + 1, st, dtype=np.int64)
-        cells = _lattice_cells(env_template, k, positions)
-        lanes = lanes_for_cells(base2d, k, TAG_ENV, cells[None, :, None])
-        u = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms))
-        w = fam.weight_table(u)  # (m, n_pos, n_atoms)
+        w = field_weights(env_template, base2d, k, positions)  # (m, n_pos, n_atoms)
 
         # Mean recursion: E[X_{k+1}] = E[X_k] + sum_x mass(x) * drift(x).
         drift = w @ sup_f
@@ -440,24 +417,13 @@ def exact_mean_curves(
 
 def _x1_samples(env_template: Environment, n_env: int, n_walk: int) -> np.ndarray:
     """One-step positions under the averaged law, shape (n_env * n_walk, d)."""
-    fam = env_template.family
-    if env_template.d == 1 and has_fixed_support(fam):
+    if env_template.d == 1 and has_fixed_support(env_template.family):
         env_idx = np.repeat(np.arange(n_env), n_walk)
         walk_idx = np.tile(np.arange(n_walk), n_env)
-        seeds = derive_seeds_vec(env_template.master_seed, env_idx)
-        base = seed_lanes_vec(seeds)
-        support = fam.support[:, 0]
-        if env_template.kind == FULLY_CORRELATED:
-            lanes = lanes_for_cells(base, 0, TAG_ENV, np.zeros((len(seeds), 0), dtype=np.int64))
-        else:
-            cells = _lattice_cells(env_template, 0, np.zeros(len(seeds), dtype=np.int64))
-            lanes = lanes_for_cells(base, 0, TAG_ENV, cells)
-        u_env = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms))
-        w = fam.weight_table(u_env)
-        wl = lanes_for_cells(base, 0, TAG_WALK, walk_idx[:, None])
-        u = uniforms_at(wl, 0)
-        idx = _row_atomic_index(np.cumsum(w, axis=-1), u)
-        return support[idx].astype(float)[:, None]
+        base = seed_lanes_vec(derive_seeds_vec(env_template.master_seed, env_idx))
+        walker = _Walker(env_template, _per_row(base), walk_idx[:, None, None], 0)
+        walker.step()
+        return walker.pos.astype(float)
     out = np.empty((n_env * n_walk, env_template.d))
     r = 0
     for i in range(n_env):

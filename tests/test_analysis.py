@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from envwalk.analysis import (
+    _replica_drift_grid,
     estimate_phi,
     fclt_check,
     max_drift_check,
@@ -18,9 +19,11 @@ from envwalk.environments import (
     make_fully_correlated,
     make_lattice_product,
     query,
+    shift,
 )
 from envwalk.families import ChoicePM1, DiracSteps, UniformPM1
 from envwalk.jumplaws import law_mean
+from envwalk.streams import derive_seeds_vec
 from envwalk.walks import batch_averaged_positions
 
 MIX = make_lattice_product(909, 1, UniformPM1())
@@ -46,6 +49,22 @@ def test_phi_fractional_separation_interpolates():
     curve = estimate_phi(MIX, [x], 40000)
     expected = (1 - x) / 3.0
     assert abs(curve.estimates[0] - expected) <= 4.0 * curve.standard_errors[0]
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        shift(make_lattice_product(5, 1, UniformPM1()), 3, 5),
+        shift(make_finite_range(5, 1, 2.0, UniformPM1()), 3, 5),
+    ],
+)
+def test_drift_grid_matches_scalar_on_shifted_template(env):
+    x_grid = np.array([0.0, 0.25, 1.0, 3.5])
+    fast = _replica_drift_grid(env, derive_seeds_vec(env.master_seed, np.arange(10)), x_grid)
+    for i in range(10):
+        replica = env_replica(env, i)
+        slow = [law_mean(query(replica, 0, x))[0] for x in x_grid]
+        assert np.allclose(fast[i], slow, rtol=0.0, atol=1e-12)
 
 
 def test_phi_constant_for_fully_correlated():

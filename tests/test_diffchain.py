@@ -12,8 +12,14 @@ from envwalk.diffchain import (
     occupation_time,
     simulate_diff_chain,
 )
-from envwalk.environments import env_replica, make_dirac, make_fully_correlated, make_lattice_product
-from envwalk.families import DiracSteps, UniformPM1
+from envwalk.environments import (
+    env_replica,
+    make_dirac,
+    make_finite_range,
+    make_fully_correlated,
+    make_lattice_product,
+)
+from envwalk.families import DiracSteps, FixedAtomic, UniformPM1
 from envwalk.stats import InsufficientDataError, ks_two_sample_critical, ks_two_sample_distance
 from envwalk.walks import simulate_quenched_path
 
@@ -21,6 +27,8 @@ MIX = make_lattice_product(606, 1, UniformPM1())
 FC = make_fully_correlated(606, 1, UniformPM1())
 DIRAC = make_dirac(606, 1, DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5)))
 CONSTANT_DIRAC = make_dirac(606, 1, DiracSteps(((1.0,),), (1.0,)))
+FAIR = make_lattice_product(606, 1, FixedAtomic(((1.0,), (-1.0,)), (0.5, 0.5)), uniform_offset=False)
+FR = make_finite_range(606, 1, 2.0, UniformPM1())
 
 
 def exact_exit_mean(r: int) -> float:
@@ -39,11 +47,12 @@ def exact_exit_mean(r: int) -> float:
     return float(np.linalg.solve(a, np.ones(len(states)))[index[0]])
 
 
-def test_scalar_matches_batch():
+@pytest.mark.parametrize("env", [MIX, FC, DIRAC, FAIR, FR])
+def test_scalar_matches_batch(env):
     for kind in (SAME_ENV, INDEPENDENT_ENV):
-        _, y = batch_diff_positions(MIX, 12, np.arange(4), x0=2, kind=kind)
+        _, y = batch_diff_positions(env, 12, np.arange(4), x0=2, kind=kind)
         for rep in range(4):
-            p = simulate_diff_chain(MIX, 2, 12, kind, replica=rep)
+            p = simulate_diff_chain(env, 2, 12, kind, replica=rep)
             assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
 
 

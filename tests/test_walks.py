@@ -4,6 +4,7 @@ import pytest
 from envwalk.environments import (
     env_replica,
     make_dirac,
+    make_finite_range,
     make_fully_correlated,
     make_lattice_product,
     query,
@@ -13,6 +14,7 @@ from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from envwalk.jumplaws import law_mean
 from envwalk.streams import StreamKey, derive_stream
 from envwalk.walks import (
+    _x1_samples,
     batch_averaged_positions,
     batch_quenched_positions,
     env_chain_observable,
@@ -31,6 +33,9 @@ MIX = make_lattice_product(404, 1, UniformPM1())
 FAIR = make_lattice_product(404, 1, FixedAtomic(((1.0,), (-1.0,)), (0.5, 0.5)), uniform_offset=False)
 DIRAC = make_dirac(404, 1, DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5)))
 FC = make_fully_correlated(404, 1, UniformPM1())
+FR = make_finite_range(404, 1, 2.0, UniformPM1())
+# Shifted templates: the batched paths must read the field in the shifted frame.
+SHIFTED = [shift(make_lattice_product(5, 1, UniformPM1()), 3, 5), shift(FR, 3, 5)]
 
 
 def test_zero_step_path():
@@ -59,7 +64,7 @@ def test_quenched_step_dirac_deterministic():
     assert quenched_step(DIRAC, 0, 0.0, s1) == quenched_step(DIRAC, 0, 0.0, s2)
 
 
-@pytest.mark.parametrize("env", [MIX, FC, DIRAC, FAIR])
+@pytest.mark.parametrize("env", [MIX, FC, DIRAC, FAIR, FR, *SHIFTED, shift(MIX, 2, 0.5)])
 def test_batch_quenched_matches_scalar(env):
     record, pos, _ = batch_quenched_positions(env, 24, np.arange(6))
     for w in range(6):
@@ -67,11 +72,21 @@ def test_batch_quenched_matches_scalar(env):
         assert np.array_equal(p.positions[:, 0], pos[:, w].astype(float))
 
 
-def test_batch_averaged_matches_scalar():
-    record, pos = batch_averaged_positions(MIX, 16, np.arange(5))
+@pytest.mark.parametrize("env", [MIX, FC, DIRAC, FAIR, FR])
+def test_batch_averaged_matches_scalar(env):
+    record, pos = batch_averaged_positions(env, 16, np.arange(5))
     for r in range(5):
-        p = simulate_averaged_path(MIX, 16, replica=r)
+        p = simulate_averaged_path(env, 16, replica=r)
         assert np.array_equal(p.positions[:, 0], pos[:, r].astype(float))
+
+
+@pytest.mark.parametrize("env", SHIFTED)
+def test_x1_samples_match_scalar(env):
+    fast = _x1_samples(env, 20, 3)
+    for i in range(20):
+        replica = env_replica(env, i)
+        for j in range(3):
+            assert fast[3 * i + j, 0] == simulate_quenched_path(replica, 1, walk_seed=j).positions[1, 0]
 
 
 def test_local_drift_values():
