@@ -1,17 +1,23 @@
 """Experiment orchestration: config parsing, runners, deterministic
 parallelism, CSV/JSON reports.
 
-A config is a flat ``key = value`` text file, one experiment per file;
-unknown keys are rejected so that typos cannot silently change a run.  The
-report is a pure function of (config, seed): replica work is cut into
-fixed-size chunks whose results are combined in index order, so the worker
-count changes wall-clock time only.  Wall-clock is therefore *not* part of
-the report; the CLI prints timing to stderr instead.
+A config is a flat ``key = value`` text file, one experiment per file.
+``_TABLE`` maps each experiment to its runner and its keys.  A :class:`Key`
+states the key's default, its type (integer, number or a word from a fixed
+set), whether it takes a comma-separated list and its bounds;
+:func:`parse_config` checks every value against its key, so an unknown key
+or a bad value ends in a ``ConfigError`` that names its line and key, and
+the runners use the typed values as they are.  The report is a pure
+function of (config, seed): replica work is cut into fixed-size chunks
+whose results are combined in index order, so the worker count changes
+wall-clock time only.  Wall-clock is therefore *not* part of the report;
+the CLI prints timing to stderr instead.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,19 +44,6 @@ __all__ = [
 VERSION = __version__
 CHUNK = 128  # replica chunk size; fixed so results never depend on workers
 
-EXPERIMENTS = (
-    "moments",
-    "variance-scan",
-    "phi-decay",
-    "identity-check",
-    "fclt",
-    "max-drift",
-    "ychain-exit",
-    "ychain-excursion",
-    "occupation",
-    "counterexample",
-)
-
 MODELS = ("mixing-lattice", "finite-range", "level-correlated", "dirac-field", "fixed-lattice")
 
 
@@ -58,84 +51,55 @@ class ConfigError(ValueError):
     """Raised for malformed, unknown or inconsistent configuration."""
 
 
-_COMMON_KEYS = {
-    "experiment": None,
-    "model": "mixing-lattice",
-    "seed": 20100308,
-    "workers": 1,
-    "p_low": 0.0,
-    "p_high": 1.0,
-    "dependence_range": 1.0,
-    "uniform_offset": 1,
-}
+@dataclass(frozen=True)
+class Key:
+    """One config key: its default, type, list-ness and bounds.
 
-_EXPERIMENT_KEYS: dict[str, dict] = {
-    "moments": {"env_replicas": 100000, "walks_per_env": 1},
-    "variance-scan": {
-        "n_grid": [2**k for k in range(4, 13)],
-        "env_replicas": 1000,
-        "mean_method": "exact",
-        "eta_min": None,
-        "eta_max": None,
-    },
-    "phi-decay": {
-        "x_grid": [0, 1, 2, 3, 4, 6, 8],
-        "replicas": 20000,
-        "independent_beyond": None,
-    },
-    "identity-check": {"n_list": [1, 4, 8], "env_replicas": 4000, "y_replicas": 4000},
-    "fclt": {
-        "epsilon": 2.0**-10,
-        "time_points": [0.25, 0.5, 1.0],
-        "walk_replicas": 10000,
-        "env_seeds": 10,
-        "pass_seeds": 8,
-        "centering": "velocity",
-        "expect_marginals": "pass",
-        "cov_se_factor": 5.0,
-    },
-    "max-drift": {
-        "n_lo": 2**6,
-        "n_hi": 2**12,
-        "env_replicas": 10,
-        "decay_factor": 0.5,
-        "expect_decay": 1,
-        "pass_fraction": 0.8,
-    },
-    "ychain-exit": {
-        "r_grid": [4, 8, 16, 32],
-        "replicas": 4000,
-        "step_cap": 1000000,
-        "kind": "same_env",
-        "slope_min": 1.6,
-        "slope_max": 2.4,
-        "slope_envelope": 13.0,
-        "symmetry_replicas": 10000,
-    },
-    "ychain-excursion": {
-        "horizon": 2**14,
-        "box_eps": 0.2,
-        "replicas": 1500,
-        "kind": "same_env",
-        "tail_min": 0.35,
-        "tail_max": 0.65,
-    },
-    "occupation": {
-        "n_grid": [2**k for k in range(4, 15)],
-        "box_eps": 0.2,
-        "replicas": 1000,
-        "kind": "same_env",
-        "eta_prime_max": 1.0,
-    },
-    "counterexample": {
-        "model": "level-correlated",
-        "epsilon": 2.0**-10,
-        "time_points": [0.25, 0.5, 1.0],
-        "walk_replicas": 10000,
-        "env_seeds": 10,
-        "pass_seeds": 8,
-    },
-}
+    ``kind`` is ``int``, ``float`` (a number; an integer literal stays an
+    int, so the report's ``resolved`` block echoes the config as written)
+    or a tuple of the allowed words.  A list key reads comma-separated
+    values, and one value is a list of one.  ``lo`` and ``hi`` are
+    inclusive bounds, ``above`` is an exclusive lower bound.
+    """
+
+    default: object
+    kind: type | tuple[str, ...]
+    many: bool = False
+    lo: float | None = None
+    hi: float | None = None
+    above: float | None = None
+
+    def parse(self, name: str, text: str, where: str = ""):
+        """The typed value of ``text``, or a ConfigError naming ``where`` and the key."""
+        words = [w.strip() for w in text.split(",")]
+        try:
+            if len(words) > 1 and not self.many:
+                raise ValueError(f"takes one value, got {text.strip()!r}")
+            values = [self._word(name, w) for w in words]
+        except ValueError as exc:
+            raise ConfigError(f"{where}{name}: {exc}") from None
+        return values if self.many else values[0]
+
+    def _word(self, name: str, word: str):
+        if isinstance(self.kind, tuple):
+            if word not in self.kind:
+                raise ValueError(f"unknown {name} {word!r}; known: {', '.join(self.kind)}")
+            return word
+        try:
+            x = int(word)
+        except ValueError:
+            if self.kind is int:
+                raise ValueError(f"{word!r} is not an integer") from None
+            x = float(word)
+            if not math.isfinite(x):
+                raise ValueError(f"{word!r} is not a finite number") from None
+        if self.lo is not None and x < self.lo:
+            raise ValueError(f"must be >= {self.lo}, got {word}")
+        if self.above is not None and x <= self.above:
+            raise ValueError(f"must be > {self.above}, got {word}")
+        if self.hi is not None and x > self.hi:
+            raise ValueError(f"must be <= {self.hi}, got {word}")
+        return x
 
 
 @dataclass(frozen=True)
@@ -179,24 +143,9 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
-    if "," in raw:
-        return [_parse_value(part) for part in raw.split(",")]
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a flat key=value config; unknown keys are rejected by name."""
-    values: dict = {}
+    """Parse a flat key=value config; every value is checked against its key."""
+    lines: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -205,43 +154,36 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key in values:
+        if key in lines:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(raw)
+        lines[key] = (lineno, raw)
 
-    if "experiment" not in values:
+    if "experiment" not in lines:
         raise ConfigError("missing required key 'experiment'")
-    experiment = values["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; known: {', '.join(EXPERIMENTS)}")
-    allowed = dict(_COMMON_KEYS)
-    allowed.update(_EXPERIMENT_KEYS[experiment])
-    for key in values:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} for experiment {experiment!r}")
-    resolved = {k: v for k, v in allowed.items() if k != "experiment"}
-    resolved.update({k: v for k, v in values.items() if k != "experiment"})
-    if resolved["model"] not in MODELS:
-        raise ConfigError(f"unknown model {resolved['model']!r}; known: {', '.join(MODELS)}")
-    return ExperimentConfig(experiment, resolved, text)
+    lineno, raw = lines.pop("experiment")
+    experiment = Key(None, EXPERIMENTS).parse("experiment", raw, f"line {lineno}: ")
+    keys = {**_COMMON_KEYS, **_TABLE[experiment][1]}
+    values = {name: key.default for name, key in keys.items()}
+    for name, (lineno, raw) in lines.items():
+        if name not in keys:
+            raise ConfigError(f"line {lineno}: unknown key {name!r} for experiment {experiment!r}")
+        values[name] = keys[name].parse(name, raw, f"line {lineno}: ")
+    return ExperimentConfig(experiment, values, text)
 
 
 def build_model(values: dict, seed: int) -> Environment:
-    """Environment template named by the config's model table."""
+    """Environment template named by the config's model table (values as parse_config checked them)."""
     name = values["model"]
-    if name == "mixing-lattice":
-        fam = UniformPM1(values["p_low"], values["p_high"])
-        return make_lattice_product(seed, 1, fam, uniform_offset=bool(values["uniform_offset"]))
-    if name == "finite-range":
-        fam = UniformPM1(values["p_low"], values["p_high"])
-        return make_finite_range(seed, 1, float(values["dependence_range"]), fam)
-    if name == "level-correlated":
-        return make_fully_correlated(seed, 1, UniformPM1(values["p_low"], values["p_high"]))
     if name == "dirac-field":
         return make_dirac(seed, 1, DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5)))
     if name == "fixed-lattice":
         return make_lattice_product(seed, 1, FixedAtomic(((1.0,), (-1.0,)), (0.5, 0.5)), uniform_offset=False)
-    raise ConfigError(f"unknown model {name!r}")
+    fam = UniformPM1(values["p_low"], values["p_high"])
+    if name == "finite-range":
+        return make_finite_range(seed, 1, values["dependence_range"], fam)
+    if name == "level-correlated":
+        return make_fully_correlated(seed, 1, fam)
+    return make_lattice_product(seed, 1, fam, uniform_offset=bool(values["uniform_offset"]))
 
 
 def _chunks(n: int) -> list[np.ndarray]:
@@ -265,18 +207,16 @@ def _curves_chunk(args):
 
 
 def _fclt_chunk(args):
-    env_template, seed_index, values, centering, cov, expect_dither = args
+    env_template, seed_index, values, centering, cov = args
     env = env_replica(env_template, seed_index)
-    fam = env.family
     return analysis.fclt_check(
         env,
-        float(values["epsilon"]),
+        values["epsilon"],
         values["time_points"],
-        int(values["walk_replicas"]),
+        values["walk_replicas"],
         cov,
-        velocity=fam.averaged_mean,
+        velocity=env.family.averaged_mean,
         centering=centering,
-        dither=expect_dither,
     )
 
 
@@ -289,10 +229,10 @@ def _fmt(x: float) -> str:
 
 def _run_moments(env: Environment, v: dict, workers: int):
     fam = env.family
-    vel, vel_se, cov, cov_se = velocity_and_covariance(env, int(v["env_replicas"]), int(v["walks_per_env"]))
+    vel, vel_se, cov, cov_se = velocity_and_covariance(env, v["env_replicas"], v["walks_per_env"])
     rows = [
-        Row("moments", "velocity", value=float(vel[0]), se=float(vel_se[0]), count=int(v["env_replicas"])),
-        Row("moments", "covariance", value=float(cov[0, 0]), se=float(cov_se[0, 0]), count=int(v["env_replicas"])),
+        Row("moments", "velocity", value=float(vel[0]), se=float(vel_se[0]), count=v["env_replicas"]),
+        Row("moments", "covariance", value=float(cov[0, 0]), se=float(cov_se[0, 0]), count=v["env_replicas"]),
     ]
     verdicts = []
     v_true = float(fam.averaged_mean[0])
@@ -320,31 +260,27 @@ def _scan_rows(section: str, curve) -> list[Row]:
 
 def _run_variance_scan(env: Environment, v: dict, workers: int):
     n_grid = np.asarray(v["n_grid"], dtype=np.int64)
-    m = int(v["env_replicas"])
     if v["mean_method"] == "exact" and env.d == 1:
-        parts = _pmap(_curves_chunk, [(env, int(n_grid.max()), idx) for idx in _chunks(m)], workers)
+        parts = _pmap(_curves_chunk, [(env, int(n_grid.max()), idx) for idx in _chunks(v["env_replicas"])], workers)
         curve = analysis.variance_from_curves(env, n_grid, np.concatenate(parts, axis=0))
     else:
-        curve = analysis.variance_scan(env, n_grid, m, mean_method=v["mean_method"])
+        curve = analysis.variance_scan(env, n_grid, v["env_replicas"], mean_method=v["mean_method"])
     rows = _scan_rows("variance", curve)
     verdicts = []
     if curve.fit is not None:
         if v["eta_min"] is not None:
-            verdicts.append(Verdict("eta_at_least", curve.fit.exponent >= float(v["eta_min"]),
+            verdicts.append(Verdict("eta_at_least", curve.fit.exponent >= v["eta_min"],
                                     curve.fit.exponent, f">= {v['eta_min']}"))
         if v["eta_max"] is not None:
-            verdicts.append(Verdict("eta_at_most", curve.fit.exponent <= float(v["eta_max"]),
+            verdicts.append(Verdict("eta_at_most", curve.fit.exponent <= v["eta_max"],
                                     curve.fit.exponent, f"<= {v['eta_max']}"))
     return rows, verdicts
 
 
 def _run_phi_decay(env: Environment, v: dict, workers: int):
     grid = np.asarray(v["x_grid"], dtype=float)
-    curve = analysis.estimate_phi(env, grid, int(v["replicas"]))
-    rows = [
-        Row("phi", "estimate", grid=float(g), value=float(e), se=float(s))
-        for g, e, s in zip(curve.grid, curve.estimates, curve.standard_errors)
-    ]
+    curve = analysis.estimate_phi(env, grid, v["replicas"])
+    rows = _scan_rows("phi", curve)
     verdicts = []
     fam = env.family
     if 0.0 in grid.tolist() and getattr(fam, "drift_variance", None) is not None:
@@ -352,7 +288,7 @@ def _run_phi_decay(env: Environment, v: dict, workers: int):
         dev = abs(curve.estimates[j] - fam.drift_variance) / curve.standard_errors[j]
         verdicts.append(Verdict("phi0_matches_drift_variance", dev <= 4.0, float(dev), "<= 4 SE"))
     if v["independent_beyond"] is not None:
-        far = grid >= float(v["independent_beyond"])
+        far = grid >= v["independent_beyond"]
         devs = np.abs(curve.estimates[far]) / curve.standard_errors[far]
         if devs.size:
             verdicts.append(Verdict("phi_vanishes_beyond_range", bool((devs <= 4.0).all()),
@@ -363,7 +299,7 @@ def _run_phi_decay(env: Environment, v: dict, workers: int):
 def _run_identity(env: Environment, v: dict, workers: int):
     rows, verdicts = [], []
     for n in v["n_list"]:
-        rep = analysis.variance_identity_check(env, int(n), int(v["env_replicas"]), int(v["y_replicas"]))
+        rep = analysis.variance_identity_check(env, n, v["env_replicas"], v["y_replicas"])
         rows += [
             Row("identity", "lhs", grid=float(n), value=rep.lhs, se=rep.lhs_se),
             Row("identity", "rhs", grid=float(n), value=rep.rhs, se=rep.rhs_se),
@@ -377,68 +313,66 @@ def _run_identity(env: Environment, v: dict, workers: int):
     return rows, verdicts
 
 
-def _run_fclt(env: Environment, v: dict, workers: int, centering: str = None, expect: str = None):
-    centering = centering or v["centering"]
-    expect = expect or v["expect_marginals"]
+def _run_fclt(env: Environment, v: dict, workers: int):
+    centering = v["centering"]
     fam = env.family
     cov = fam.mean_step_cov if centering == "quenched_mean" else fam.averaged_cov
-    jobs = [(env, s, v, centering, cov, True) for s in range(int(v["env_seeds"]))]
+    jobs = [(env, s, v, centering, cov) for s in range(v["env_seeds"])]
     reports = _pmap(_fclt_chunk, jobs, workers)
-    rows, n_pass, cov_ok = [], 0, True
-    label = "velocity" if centering == "velocity" else "quenched_mean"
+    rows, n_pass = [], 0
     max_cov_dev = 0.0
     for s, rep in enumerate(reports):
         ok = rep.all_marginals_pass()
         n_pass += ok
         for t, res in rep.tests:
-            rows.append(Row(f"fclt_{label}", "ks_p", grid=t, replica=s, value=res.p_value,
+            rows.append(Row(f"fclt_{centering}", "ks_p", grid=t, replica=s, value=res.p_value,
                             note=f"stat={_fmt(res.statistic)}"))
         for s_t, t_t, emp, expd, se in rep.cov_rows:
             dev = abs(emp - expd) / se
             max_cov_dev = max(max_cov_dev, dev)
-            rows.append(Row(f"fclt_{label}", "cov", grid=s_t, replica=s, value=emp, se=se,
+            rows.append(Row(f"fclt_{centering}", "cov", grid=s_t, replica=s, value=emp, se=se,
                             note=f"t={_fmt(t_t)} expected={_fmt(expd)}"))
-    thresh = int(v["pass_seeds"])
-    total = int(v["env_seeds"])
+    thresh = v["pass_seeds"]
+    total = v["env_seeds"]
     verdicts = []
-    if expect == "pass":
-        verdicts.append(Verdict(f"{label}_marginals_gaussian", n_pass >= thresh, n_pass, f">= {thresh} of {total} seeds"))
-        verdicts.append(Verdict(f"{label}_cov_within_se", max_cov_dev <= float(v.get("cov_se_factor", 5.0)),
-                                max_cov_dev, f"<= {v.get('cov_se_factor', 5.0)} SE"))
+    if v["expect_marginals"] == "pass":
+        verdicts.append(Verdict(f"{centering}_marginals_gaussian", n_pass >= thresh, n_pass, f">= {thresh} of {total} seeds"))
+        verdicts.append(Verdict(f"{centering}_cov_within_se", max_cov_dev <= v["cov_se_factor"],
+                                max_cov_dev, f"<= {v['cov_se_factor']} SE"))
     else:
         n_fail = total - n_pass
-        verdicts.append(Verdict(f"{label}_marginals_rejected", n_fail >= thresh, n_fail, f">= {thresh} of {total} seeds"))
+        verdicts.append(Verdict(f"{centering}_marginals_rejected", n_fail >= thresh, n_fail, f">= {thresh} of {total} seeds"))
     return rows, verdicts
 
 
 def _run_max_drift(env: Environment, v: dict, workers: int):
-    n_lo, n_hi = int(v["n_lo"]), int(v["n_hi"])
-    m = int(v["env_replicas"])
+    n_lo, n_hi = v["n_lo"], v["n_hi"]
+    m = v["env_replicas"]
     report = analysis.max_drift_check(env, m, [n_lo, n_hi])
     rows = [
         Row("max_drift", "scaled_max", grid=float(n), replica=i, value=float(report.curves[i, j]))
         for i in range(m)
         for j, n in enumerate(report.n_grid)
     ]
-    frac = report.decay_fraction(n_lo, n_hi, float(v["decay_factor"]))
-    if int(v["expect_decay"]):
-        verdicts = [Verdict("scaled_max_halves", frac >= float(v["pass_fraction"]), frac,
+    frac = report.decay_fraction(n_lo, n_hi, v["decay_factor"])
+    if v["expect_decay"]:
+        verdicts = [Verdict("scaled_max_halves", frac >= v["pass_fraction"], frac,
                             f">= {v['pass_fraction']} of replicas")]
     else:
-        verdicts = [Verdict("scaled_max_does_not_halve", frac < float(v["pass_fraction"]), frac,
+        verdicts = [Verdict("scaled_max_does_not_halve", frac < v["pass_fraction"], frac,
                             f"< {v['pass_fraction']} of replicas")]
     return rows, verdicts
 
 
 def _run_ychain_exit(env: Environment, v: dict, workers: int):
-    scan = diffchain.exit_time_scan(env, v["r_grid"], int(v["replicas"]),
-                                    step_cap=int(v["step_cap"]), kind=v["kind"])
+    scan = diffchain.exit_time_scan(env, v["r_grid"], v["replicas"],
+                                    step_cap=v["step_cap"], kind=v["kind"])
     rows = _scan_rows("exit_time", scan.curve)
     rows += [
         Row("exit_time", "capped_fraction", grid=float(r), value=float(c))
         for r, c in zip(scan.curve.grid, scan.capped_fraction)
     ]
-    m_sym = int(v["symmetry_replicas"])
+    m_sym = v["symmetry_replicas"]
     verdicts = []
     for kind in (diffchain.SAME_ENV, diffchain.INDEPENDENT_ENV):
         _, y1 = diffchain.batch_diff_positions(env, 1, np.arange(m_sym), 0, kind, record_steps=[1])
@@ -448,16 +382,15 @@ def _run_ychain_exit(env: Environment, v: dict, workers: int):
         verdicts.append(Verdict(f"first_step_symmetric_{kind}", d < crit, d, f"< {_fmt(crit)}"))
     if scan.curve.fit is not None:
         sl = scan.curve.fit.exponent
-        verdicts.append(Verdict("exit_slope_in_window", float(v["slope_min"]) <= sl <= float(v["slope_max"]),
+        verdicts.append(Verdict("exit_slope_in_window", v["slope_min"] <= sl <= v["slope_max"],
                                 sl, f"in [{v['slope_min']}, {v['slope_max']}]"))
-        verdicts.append(Verdict("exit_slope_below_envelope", sl <= float(v["slope_envelope"]),
+        verdicts.append(Verdict("exit_slope_below_envelope", sl <= v["slope_envelope"],
                                 sl, f"<= {v['slope_envelope']}"))
     return rows, verdicts
 
 
 def _run_ychain_excursion(env: Environment, v: dict, workers: int):
-    scan = diffchain.excursion_scan(env, int(v["horizon"]), float(v["box_eps"]),
-                                    int(v["replicas"]), kind=v["kind"])
+    scan = diffchain.excursion_scan(env, v["horizon"], v["box_eps"], v["replicas"], kind=v["kind"])
     rows = [
         Row("excursion", "survival", grid=float(a), value=float(sv), se=float(se))
         for a, sv, se in zip(scan.survival_curve.grid, scan.survival_curve.estimates,
@@ -467,71 +400,136 @@ def _run_ychain_excursion(env: Environment, v: dict, workers: int):
                     note=f"ci=({_fmt(scan.tail_ci[0])},{_fmt(scan.tail_ci[1])})"))
     rows.append(Row("excursion", "complete_count", value=float(scan.lengths.size),
                     count=scan.n_incomplete, note="count column = incomplete"))
-    verdicts = [Verdict("excursion_tail_exponent", float(v["tail_min"]) <= scan.tail_exponent <= float(v["tail_max"]),
+    verdicts = [Verdict("excursion_tail_exponent", v["tail_min"] <= scan.tail_exponent <= v["tail_max"],
                         scan.tail_exponent, f"in [{v['tail_min']}, {v['tail_max']}]")]
     return rows, verdicts
 
 
 def _run_occupation(env: Environment, v: dict, workers: int):
-    curve = diffchain.occupation_time(env, v["n_grid"], float(v["box_eps"]),
-                                      int(v["replicas"]), kind=v["kind"])
+    curve = diffchain.occupation_time(env, v["n_grid"], v["box_eps"], v["replicas"], kind=v["kind"])
     rows = _scan_rows("occupation", curve)
     verdicts = []
     if curve.fit is not None:
-        verdicts.append(Verdict("occupation_sublinear", curve.fit.exponent < float(v["eta_prime_max"]),
+        verdicts.append(Verdict("occupation_sublinear", curve.fit.exponent < v["eta_prime_max"],
                                 curve.fit.exponent, f"< {v['eta_prime_max']}"))
     return rows, verdicts
 
 
 def _run_counterexample(env: Environment, v: dict, workers: int):
-    vv = dict(v)
-    vv.setdefault("cov_se_factor", 5.0)
-    rows_b, verd_b = _run_fclt(env, vv, workers, centering="velocity", expect="fail")
-    rows_t, verd_t = _run_fclt(env, vv, workers, centering="quenched_mean", expect="pass")
-    return rows_b + rows_t, list(verd_b) + list(verd_t)
+    """fclt twice on one field: velocity centering must fail, quenched-mean centering pass."""
+    fclt = dict(v, cov_se_factor=_COV_SE_FACTOR.default)
+    rows_b, verd_b = _run_fclt(env, dict(fclt, centering="velocity", expect_marginals="fail"), workers)
+    rows_t, verd_t = _run_fclt(env, dict(fclt, centering="quenched_mean", expect_marginals="pass"), workers)
+    return rows_b + rows_t, verd_b + verd_t
 
 
-_RUNNERS = {
-    "moments": _run_moments,
-    "variance-scan": _run_variance_scan,
-    "phi-decay": _run_phi_decay,
-    "identity-check": _run_identity,
-    "fclt": _run_fclt,
-    "max-drift": _run_max_drift,
-    "ychain-exit": _run_ychain_exit,
-    "ychain-excursion": _run_ychain_excursion,
-    "occupation": _run_occupation,
-    "counterexample": _run_counterexample,
+# --- the experiment table ---------------------------------------------------
+
+
+_COMMON_KEYS = {
+    "model": Key("mixing-lattice", MODELS),
+    "seed": Key(20100308, int, lo=0, hi=2**64 - 1),
+    "workers": Key(1, int, lo=1),
+    "p_low": Key(0.0, float, lo=0, hi=1),
+    "p_high": Key(1.0, float, lo=0, hi=1),
+    "dependence_range": Key(1.0, float, above=0),
+    "uniform_offset": Key(1, int, lo=0, hi=1),
 }
+_KIND = Key(diffchain.SAME_ENV, (diffchain.SAME_ENV, diffchain.INDEPENDENT_ENV))
+_BOX_EPS = Key(0.2, float, above=0)
+# fclt's covariance band, which the counterexample applies without the key
+_COV_SE_FACTOR = Key(5.0, float, lo=0)
+# the rescaled-walk keys of fclt and counterexample; fclt_check needs 1/epsilon >= 64
+_WALK_KEYS = {
+    "epsilon": Key(2.0**-10, float, above=0, hi=2.0**-6),
+    "time_points": Key([0.25, 0.5, 1.0], float, many=True, above=0),
+    "walk_replicas": Key(10000, int, lo=2),
+    "env_seeds": Key(10, int, lo=1),
+    "pass_seeds": Key(8, int, lo=0),
+}
+
+# experiment -> (runner, its keys besides _COMMON_KEYS)
+_TABLE = {
+    "moments": (_run_moments, {"env_replicas": Key(100000, int, lo=2), "walks_per_env": Key(1, int, lo=1)}),
+    "variance-scan": (_run_variance_scan, {
+        "n_grid": Key([2**k for k in range(4, 13)], int, many=True, lo=1),
+        "env_replicas": Key(1000, int, lo=2),
+        "mean_method": Key("exact", ("exact", "mc")),
+        "eta_min": Key(None, float),
+        "eta_max": Key(None, float),
+    }),
+    "phi-decay": (_run_phi_decay, {
+        "x_grid": Key([0, 1, 2, 3, 4, 6, 8], float, many=True),
+        "replicas": Key(20000, int, lo=2),
+        "independent_beyond": Key(None, float),
+    }),
+    "identity-check": (_run_identity, {
+        "n_list": Key([1, 4, 8], int, many=True, lo=1),
+        "env_replicas": Key(4000, int, lo=2),
+        "y_replicas": Key(4000, int, lo=1),
+    }),
+    "fclt": (_run_fclt, {
+        **_WALK_KEYS,
+        "centering": Key("velocity", ("velocity", "quenched_mean")),
+        "expect_marginals": Key("pass", ("pass", "fail")),
+        "cov_se_factor": _COV_SE_FACTOR,
+    }),
+    "max-drift": (_run_max_drift, {
+        "n_lo": Key(2**6, int, lo=1),
+        "n_hi": Key(2**12, int, lo=1),
+        "env_replicas": Key(10, int, lo=1),
+        "decay_factor": Key(0.5, float, lo=0),
+        "expect_decay": Key(1, int, lo=0, hi=1),
+        "pass_fraction": Key(0.8, float, lo=0, hi=1),
+    }),
+    "ychain-exit": (_run_ychain_exit, {
+        "r_grid": Key([4, 8, 16, 32], float, many=True, above=0),
+        "replicas": Key(4000, int, lo=2),
+        "step_cap": Key(1000000, int, lo=1),
+        "kind": _KIND,
+        "slope_min": Key(1.6, float),
+        "slope_max": Key(2.4, float),
+        "slope_envelope": Key(13.0, float),
+        "symmetry_replicas": Key(10000, int, lo=1),
+    }),
+    "ychain-excursion": (_run_ychain_excursion, {
+        "horizon": Key(2**14, int, lo=1),
+        "box_eps": _BOX_EPS,
+        "replicas": Key(1500, int, lo=1),
+        "kind": _KIND,
+        "tail_min": Key(0.35, float),
+        "tail_max": Key(0.65, float),
+    }),
+    "occupation": (_run_occupation, {
+        "n_grid": Key([2**k for k in range(4, 15)], int, many=True, lo=1),
+        "box_eps": _BOX_EPS,
+        "replicas": Key(1000, int, lo=2),
+        "kind": _KIND,
+        "eta_prime_max": Key(1.0, float),
+    }),
+    "counterexample": (_run_counterexample, {"model": Key("level-correlated", MODELS), **_WALK_KEYS}),
+}
+
+EXPERIMENTS = tuple(_TABLE)
 
 
 def run(config: ExperimentConfig, seed: int | None = None, workers: int | None = None) -> ExperimentReport:
-    """Execute one experiment; the report is a pure function of (config, seed)."""
+    """Execute one experiment; the report is a pure function of (config, seed).
+
+    ``seed`` and ``workers`` override the config's values and are checked
+    against the same keys.
+    """
     values = dict(config.values)
-    if seed is not None:
-        values["seed"] = int(seed)
-    if workers is not None:
-        values["workers"] = int(workers)
-    env = build_model(values, int(values["seed"]))
-    rows, verdicts = _RUNNERS[config.experiment](env, values, int(values["workers"]))
+    for name, override in (("seed", seed), ("workers", workers)):
+        if override is not None:
+            values[name] = _COMMON_KEYS[name].parse(name, str(override))
+    env = build_model(values, values["seed"])
+    rows, verdicts = _TABLE[config.experiment][0](env, values, values["workers"])
     resolved = {k: v for k, v in sorted(values.items()) if k != "workers"}
     return ExperimentReport(config.experiment, config.text, resolved, VERSION, tuple(rows), tuple(verdicts))
 
 
 # --- emission ---------------------------------------------------------------
-
-
-def _row_dict(r: Row) -> dict:
-    return {
-        "section": r.section,
-        "name": r.name,
-        "grid": r.grid,
-        "replica": r.replica,
-        "value": r.value,
-        "se": r.se,
-        "count": r.count,
-        "note": r.note,
-    }
 
 
 def _json_default(o):
@@ -550,7 +548,7 @@ def report_json(report: ExperimentReport) -> str:
         "experiment": report.experiment,
         "config_text": report.config_text,
         "resolved": report.resolved,
-        "rows": [_row_dict(r) for r in report.rows],
+        "rows": [vars(r) for r in report.rows],  # a Row's fields; asdict would deep-copy each
         "verdicts": [
             {"name": v.name, "passed": bool(v.passed), "observed": float(v.observed), "threshold": v.threshold}
             for v in report.verdicts

@@ -223,11 +223,6 @@ class UniformStream:
     def at(self, start: int, n: int = 1) -> np.ndarray:
         return uniforms_at(self._lanes, np.arange(start, start + n))
 
-    def words(self, n: int) -> np.ndarray:
-        out = words_at(self._lanes, np.arange(self._pos, self._pos + n))
-        self._pos += n
-        return out
-
     def reset(self) -> None:
         self._pos = 0
 

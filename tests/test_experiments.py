@@ -1,9 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envwalk.cli import main as cli_main
 from envwalk.experiments import (
+    EXPERIMENTS,
+    MODELS,
     ConfigError,
     emit,
     parse_config,
@@ -47,6 +51,73 @@ def test_missing_experiment_and_bad_lines():
         parse_config("experiment = moments\nseed = 1\nseed = 2\n")
 
 
+@pytest.mark.parametrize(
+    "experiment, line",
+    [
+        ("moments", "env_replicas = 1"),
+        ("variance-scan", "env_replicas = 1"),
+        ("phi-decay", "replicas = 1"),
+        ("moments", "walks_per_env = 0"),
+        ("moments", "seed = 1.5"),
+        ("fclt", "epsilon = abc"),
+        ("fclt", "expect_marginals = fial"),
+        ("occupation", "kind = same"),
+    ],
+)
+def test_bad_value_rejected_by_line_and_key(experiment, line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=rf"^line 2: {key}: "):
+        parse_config(f"experiment = {experiment}\n{line}\n")
+
+
+def _text(value) -> str:
+    return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_default_round_trips(experiment):
+    defaults = parse_config(f"experiment = {experiment}\n").values
+    for key, value in defaults.items():
+        if value is None:  # optional: absent unless given
+            continue
+        parsed = parse_config(f"experiment = {experiment}\n{key} = {_text(value)}\n").values[key]
+        assert repr(parsed) == repr(value), key
+
+
+_KEYS = {e: sorted(parse_config(f"experiment = {e}\n").values) + ["bogus"] for e in EXPERIMENTS}
+_WORDS = (*EXPERIMENTS, *MODELS, "exact", "mc", "velocity", "quenched_mean", "pass", "fail", "same_env", "independent_env")
+_VALUE = st.one_of(
+    st.sampled_from(_WORDS),
+    st.integers(0, 64).map(str),
+    st.floats(0, 1).map(repr),
+    st.one_of(st.integers(-(2**70), 2**70).map(str), st.floats().map(repr), st.text(max_size=6)),
+)
+
+
+@st.composite
+def _config_text(draw):
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    lines = [f"experiment = {experiment}"]
+    for key in draw(st.lists(st.sampled_from(_KEYS[experiment]), max_size=4, unique=True)):
+        lines.append(f"{key} = {', '.join(draw(st.lists(_VALUE, min_size=1, max_size=2)))}")
+    lines += draw(st.lists(st.sampled_from(["", "# note"]), max_size=2))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), _config_text()))
+def test_any_text_parses_or_raises_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    # what parses is typed: each value reads back unchanged
+    for key, value in cfg.values.items():
+        if value is not None:
+            again = parse_config(f"experiment = {cfg.experiment}\n{key} = {_text(value)}\n").values[key]
+            assert repr(again) == repr(value)
+
+
 SMALL_VARIANCE = "experiment = variance-scan\nn_grid = 16, 32, 64, 128\nenv_replicas = 300\n"
 
 
@@ -70,6 +141,8 @@ def test_seed_override_changes_report():
     b = report_json(run(cfg, seed=777))
     assert a != b
     assert json.loads(b)["resolved"]["seed"] == 777
+    with pytest.raises(ConfigError, match="^seed: must be <= 18446744073709551615"):
+        run(cfg, seed=2**64)
 
 
 def test_report_carries_config_and_metadata(tmp_path):
@@ -119,6 +192,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("experiment = moments\nbogus_key = 1\n")
     assert cli_main(["--config", str(bad), "--out", str(tmp_path)]) == 1
     assert "bogus_key" in capsys.readouterr().err
+
+    # a value outside its key's bounds is an input error, not a NaN verdict
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text("experiment = moments\nenv_replicas = 1\n")
+    assert cli_main(["--config", str(tiny), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: env_replicas")
+
+    # one value on a list key is a list of one
+    single = tmp_path / "single.cfg"
+    single.write_text("experiment = identity-check\nn_list = 4\nenv_replicas = 300\ny_replicas = 300\n")
+    assert cli_main(["--config", str(single), "--out", str(tmp_path)]) == 0
+    assert "identity_within_4se_n4" in capsys.readouterr().out
 
     # an impossible verdict: eta of the mixing model is ~0.5, demand >= 2
     failing = tmp_path / "fail.cfg"
