@@ -14,11 +14,13 @@ from those where it does not:
                                  difference chain on the other.
 * ``fclt_check``              -- KS Gaussianity of the rescaled walk at
                                  fixed times plus Brownian increment
-                                 covariance.
+                                 covariance, under each centering.
 * ``max_drift_check``         -- decay of n^{-1/2} max_k |quenched mean - kv|.
 
-Estimators center with the family's closed-form velocity when it has one;
-pass ``velocity`` explicitly otherwise.
+Every centering constant comes from the field's family: estimators center
+with its closed-form velocity ``averaged_mean``, and :func:`limit_variance`
+is the one place that says which family covariance each centering of the
+rescaled walk converges to.
 """
 
 from __future__ import annotations
@@ -60,20 +62,16 @@ __all__ = [
     "variance_from_curves",
     "IdentityReport",
     "variance_identity_check",
+    "CENTERINGS",
+    "limit_variance",
     "FcltReport",
     "fclt_check",
     "MaxDriftReport",
     "max_drift_check",
-    "analytic_velocity",
 ]
 
-
-def analytic_velocity(env: Environment) -> np.ndarray:
-    """The family's closed-form annealed one-step mean."""
-    v = getattr(env.family, "averaged_mean", None)
-    if v is None:
-        raise ValueError("family has no closed-form velocity; pass one explicitly")
-    return np.asarray(v, dtype=float)
+BOOTSTRAP_RESAMPLES = 200  # bootstrap draws behind every variance-scan standard error
+CENTERINGS = ("velocity", "quenched_mean")
 
 
 def _replica_drift_grid(env: Environment, seeds: np.ndarray, x_grid: np.ndarray) -> np.ndarray:
@@ -83,9 +81,7 @@ def _replica_drift_grid(env: Environment, seeds: np.ndarray, x_grid: np.ndarray)
     return w @ env.family.support[:, 0].astype(float)
 
 
-def estimate_phi(
-    env_template: Environment, x_grid, replicas: int, velocity=None
-) -> ScanCurve:
+def estimate_phi(env_template: Environment, x_grid, replicas: int) -> ScanCurve:
     """Drift covariance phi(x) = E[g(field) . g(field shifted by x)].
 
     ``g`` is the local drift at the origin minus the velocity; the estimate
@@ -94,7 +90,7 @@ def estimate_phi(
     beyond the dependence range.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    v = analytic_velocity(env_template) if velocity is None else np.atleast_1d(np.asarray(velocity, dtype=float))
+    v = env_template.family.averaged_mean
     m = replicas
     seeds = derive_seeds_vec(env_template.master_seed, np.arange(m))
     if env_template.d == 1 and has_fixed_support(env_template.family):
@@ -133,8 +129,6 @@ def variance_scan(
     n_grid,
     env_replicas: int,
     mean_method: str = "exact",
-    velocity=None,
-    bootstrap_resamples: int = 200,
     mc_walks: int = 1000,
 ) -> ScanCurve:
     """E|E^w_0[X_n] - n v|^2 versus n, with its fitted growth exponent.
@@ -146,38 +140,34 @@ def variance_scan(
     replicas.
     """
     n_grid = np.sort(np.asarray(n_grid, dtype=np.int64))
-    v = analytic_velocity(env_template) if velocity is None else np.atleast_1d(np.asarray(velocity, dtype=float))
     m = env_replicas
     if mean_method == "exact":
-        curves = _exact_curves(env_template, int(n_grid.max()), m)
-        return variance_from_curves(env_template, n_grid, curves, v, bootstrap_resamples)
+        return variance_from_curves(env_template, n_grid, _exact_curves(env_template, int(n_grid.max()), m))
     if mean_method != "mc":
         raise ValueError(f"unknown mean_method {mean_method!r}")
+    v = env_template.family.averaged_mean
     sq = np.empty((m, n_grid.size))
     for i in range(m):
         mc = quenched_mean_mc(env_replica(env_template, i), n_grid, mc_walks)
         dev = mc.means[:, 0] - n_grid.astype(float) * v[0]
         sq[i] = dev**2 - mc.standard_errors[:, 0] ** 2
-    return _squared_deviation_scan(env_template, n_grid, sq, bootstrap_resamples)
+    return _squared_deviation_scan(env_template, n_grid, sq)
 
 
-def variance_from_curves(
-    env_template: Environment, n_grid, curves: np.ndarray, velocity=None, bootstrap_resamples: int = 200
-) -> ScanCurve:
+def variance_from_curves(env_template: Environment, n_grid, curves: np.ndarray) -> ScanCurve:
     """The exact-method :func:`variance_scan` from per-replica mean curves.
 
     ``curves`` has shape (m, n_max + 1), as from :func:`exact_mean_curves`;
     the grid is used in the order given.
     """
     n_grid = np.asarray(n_grid, dtype=np.int64)
-    v = analytic_velocity(env_template) if velocity is None else np.atleast_1d(np.asarray(velocity, dtype=float))
-    dev = curves[:, n_grid] - n_grid[None, :].astype(float) * v[0]
-    return _squared_deviation_scan(env_template, n_grid, dev**2, bootstrap_resamples)
+    dev = curves[:, n_grid] - n_grid[None, :].astype(float) * env_template.family.averaged_mean[0]
+    return _squared_deviation_scan(env_template, n_grid, dev**2)
 
 
-def _squared_deviation_scan(env_template: Environment, n_grid: np.ndarray, sq: np.ndarray, resamples: int) -> ScanCurve:
+def _squared_deviation_scan(env_template: Environment, n_grid: np.ndarray, sq: np.ndarray) -> ScanCurve:
     est = sq.mean(axis=0)
-    ses = bootstrap_se_mean(sq, resamples, env_template.master_seed)
+    ses = bootstrap_se_mean(sq, BOOTSTRAP_RESAMPLES, env_template.master_seed)
     return with_fit(ScanCurve(n_grid.astype(float), est, ses))
 
 
@@ -202,11 +192,7 @@ class IdentityReport:
 
 
 def variance_identity_check(
-    env_template: Environment,
-    n: int,
-    env_replicas: int,
-    y_replicas: int,
-    velocity=None,
+    env_template: Environment, n: int, env_replicas: int, y_replicas: int
 ) -> IdentityReport:
     """Cross-check E|E^w_0[X_n] - nv|^2 == sum_{k<n} E[phi(Y_k)].
 
@@ -214,9 +200,8 @@ def variance_identity_check(
     the left is a quenched-law propagation, the right composes the
     difference chain with the estimated drift covariance.
     """
-    v = analytic_velocity(env_template) if velocity is None else np.atleast_1d(np.asarray(velocity, dtype=float))
     curves = _exact_curves(env_template, n, env_replicas)
-    dev = curves[:, n] - float(n) * v[0]
+    dev = curves[:, n] - float(n) * env_template.family.averaged_mean[0]
     sq = dev * dev
     lhs, lhs_se = float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(env_replicas))
 
@@ -224,7 +209,7 @@ def variance_identity_check(
         env_template, max(n - 1, 0), np.arange(y_replicas), x0=0, kind=SAME_ENV
     )
     xs = np.unique(y)
-    phi = estimate_phi(env_template, xs.astype(float), env_replicas, velocity=v)
+    phi = estimate_phi(env_template, xs.astype(float), env_replicas)
     idx = np.searchsorted(xs, y)
     phi_vals = np.asarray(phi.estimates)
     counts = np.bincount(idx.ravel(), minlength=xs.size) / y_replicas
@@ -261,70 +246,72 @@ def _lattice_span(env: Environment) -> int:
     return max(span, 1)
 
 
+def limit_variance(family, centering: str) -> float:
+    """Per-unit-time variance of the rescaled walk's Gaussian limit under ``centering``; d=1.
+
+    Velocity centering keeps the drift fluctuations in the limit, so its
+    variance is the annealed step variance; quenched-mean centering removes
+    them and leaves the mean quenched step variance.
+    """
+    if centering == "velocity":
+        return float(family.averaged_cov[0, 0])
+    if centering == "quenched_mean":
+        return float(family.mean_step_cov[0, 0])
+    raise ValueError(f"unknown centering {centering!r}; known: {', '.join(CENTERINGS)}")
+
+
 def fclt_check(
-    env: Environment,
-    epsilon: float,
-    time_points,
-    walk_replicas: int,
-    cov_matrix,
-    velocity=None,
-    centering: str = "velocity",
-    dither: bool = True,
-) -> FcltReport:
+    env: Environment, epsilon: float, time_points, walk_replicas: int, centerings
+) -> tuple[FcltReport, ...]:
     """Gaussianity checks of B(t) = sqrt(eps)(X_[t/eps] - centering) at fixed t.
 
-    For each requested t the marginal sample over ``walk_replicas`` walks in
-    the single fixed field is KS-tested against Normal(0, t * cov); all
-    pairs (s, t) get an empirical Cov(B(s), B(t)) row against min(s, t) *
-    cov.  ``centering`` subtracts either [t/eps] * velocity or the exact
-    quenched mean.
+    One batch of ``walk_replicas`` walks in the single fixed field serves
+    every word of ``centerings`` (from :data:`CENTERINGS`), and the result
+    holds one report per word, in the order given.  "velocity" subtracts
+    [t/eps] * velocity, "quenched_mean" the field's exact quenched mean.
+    For each requested t the marginal sample is KS-tested against
+    Normal(0, t * limit_variance); all pairs (s, t) get an empirical
+    Cov(B(s), B(t)) row against min(s, t) * limit_variance.
 
     Lattice walks put B(t) on a grid of spacing sqrt(eps) * span, which a
     KS test at large sample sizes resolves even when the law is as Gaussian
     as a lattice law can be; weak convergence is therefore checked after a
-    deterministic uniform dither of +- half a lattice cell (``dither``,
-    default on).
+    deterministic uniform dither of +- half a lattice cell, the same draw
+    under every centering.
     """
     times = np.sort(np.asarray(time_points, dtype=float))
     ks = np.floor(times / epsilon).astype(np.int64)
     if np.floor(1.0 / epsilon) < 64:
         raise ValueError("epsilon too coarse: need floor(1/eps) >= 64")
-    v = analytic_velocity(env) if velocity is None else np.atleast_1d(np.asarray(velocity, dtype=float))
-    dvar = float(np.atleast_2d(np.asarray(cov_matrix, dtype=float))[0, 0])
+    dvars = [limit_variance(env.family, c) for c in centerings]
     n_max = int(ks.max())
     _, pos, _ = batch_quenched_positions(env, n_max, np.arange(walk_replicas), record_steps=ks)
-    if centering == "velocity":
-        center = ks.astype(float) * v[0]
-    elif centering == "quenched_mean":
-        curve = exact_mean_curves(env, n_max, np.asarray([env.master_seed], dtype=np.uint64))[0]
-        center = curve[ks]
-    else:
-        raise ValueError(f"unknown centering {centering!r}")
-    b = math.sqrt(epsilon) * (pos.astype(float) - center[:, None])
-    if dither:
-        span = _lattice_span(env)
-        lanes = lanes_for_cells(
-            seed_lanes(env.master_seed), 0, TAG_DITHER, np.arange(walk_replicas)[:, None]
-        )
-        u = uniforms_at((lanes[0][None, :], lanes[1][None, :]), np.arange(len(ks))[:, None])
-        b = b + math.sqrt(epsilon) * span * (u - 0.5)
-
-    tests = []
-    for j, t in enumerate(times):
-        tests.append((float(t), ks_gaussian_test(b[j], 0.0, float(t) * dvar)))
-    cov_rows = []
-    centered = b - b.mean(axis=1, keepdims=True)
-    for i in range(len(times)):
-        for j in range(i + 1, len(times)):
-            prods = centered[i] * centered[j]
-            emp = float(prods.sum() / (walk_replicas - 1))
-            se = float(prods.std(ddof=1) / math.sqrt(walk_replicas))
-            expected = float(min(times[i], times[j]) * dvar)
-            cov_rows.append((float(times[i]), float(times[j]), emp, expected, se))
-    return FcltReport(
-        float(epsilon), centering, walk_replicas, env.master_seed,
-        tuple(tests), tuple(cov_rows),
+    lanes = lanes_for_cells(
+        seed_lanes(env.master_seed), 0, TAG_DITHER, np.arange(walk_replicas)[:, None]
     )
+    u = uniforms_at((lanes[0][None, :], lanes[1][None, :]), np.arange(len(ks))[:, None])
+    dither = math.sqrt(epsilon) * _lattice_span(env) * (u - 0.5)
+
+    reports = []
+    for centering, dvar in zip(centerings, dvars):
+        if centering == "velocity":
+            center = ks.astype(float) * env.family.averaged_mean[0]
+        else:
+            curve = exact_mean_curves(env, n_max, np.asarray([env.master_seed], dtype=np.uint64))[0]
+            center = curve[ks]
+        b = math.sqrt(epsilon) * (pos.astype(float) - center[:, None]) + dither
+        tests = tuple((float(t), ks_gaussian_test(b[j], 0.0, float(t) * dvar)) for j, t in enumerate(times))
+        cov_rows = []
+        centered = b - b.mean(axis=1, keepdims=True)
+        for i in range(len(times)):
+            for j in range(i + 1, len(times)):
+                prods = centered[i] * centered[j]
+                emp = float(prods.sum() / (walk_replicas - 1))
+                se = float(prods.std(ddof=1) / math.sqrt(walk_replicas))
+                expected = float(min(times[i], times[j]) * dvar)
+                cov_rows.append((float(times[i]), float(times[j]), emp, expected, se))
+        reports.append(FcltReport(float(epsilon), centering, walk_replicas, env.master_seed, tests, tuple(cov_rows)))
+    return tuple(reports)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,9 +328,7 @@ class MaxDriftReport:
         return float((self.curves[:, j] < factor * self.curves[:, i]).mean())
 
 
-def max_drift_check(
-    env_template: Environment, env_replicas: int, n_grid, velocity=None
-) -> MaxDriftReport:
+def max_drift_check(env_template: Environment, env_replicas: int, n_grid) -> MaxDriftReport:
     """The scaled running maximum of the quenched-mean drift, per replica.
 
     Vanishing of this curve as n grows is the almost-sure centering
@@ -351,10 +336,9 @@ def max_drift_check(
     model keeps it of constant order.
     """
     n_grid = np.sort(np.asarray(n_grid, dtype=np.int64))
-    v = analytic_velocity(env_template) if velocity is None else np.atleast_1d(np.asarray(velocity, dtype=float))
     curves = _exact_curves(env_template, int(n_grid.max()), env_replicas)
     ks = np.arange(curves.shape[1], dtype=float)
-    dev = np.abs(curves - ks[None, :] * v[0])
+    dev = np.abs(curves - ks[None, :] * env_template.family.averaged_mean[0])
     runmax = np.maximum.accumulate(dev, axis=1)
     out = runmax[:, n_grid] / np.sqrt(n_grid.astype(float))
     return MaxDriftReport(n_grid, out)

@@ -363,10 +363,8 @@ def occupation_time(
     counts = np.zeros((len(n_grid), replicas), dtype=np.int64)
     y = walker.y
     for k in range(int(n_grid.max())):
-        ay = np.abs(y)
         live = n_grid > k
-        for j in np.nonzero(live)[0]:
-            counts[j] += ay <= radii[j]
+        counts[live] += np.abs(y) <= radii[live, None]
         y = walker.step()
     est = counts.mean(axis=1)
     ses = counts.std(axis=1, ddof=1) / math.sqrt(replicas)

@@ -168,6 +168,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if name not in keys:
             raise ConfigError(f"line {lineno}: unknown key {name!r} for experiment {experiment!r}")
         values[name] = keys[name].parse(name, raw, f"line {lineno}: ")
+    if values["p_low"] > values["p_high"]:
+        lineno = max(lines.get(name, (0,))[0] for name in ("p_low", "p_high"))
+        raise ConfigError(f"line {lineno}: p_high: must be >= p_low = {values['p_low']}, got {values['p_high']}")
     return ExperimentConfig(experiment, values, text)
 
 
@@ -207,17 +210,9 @@ def _curves_chunk(args):
 
 
 def _fclt_chunk(args):
-    env_template, seed_index, values, centering, cov = args
+    env_template, seed_index, values, centerings = args
     env = env_replica(env_template, seed_index)
-    return analysis.fclt_check(
-        env,
-        values["epsilon"],
-        values["time_points"],
-        values["walk_replicas"],
-        cov,
-        velocity=env.family.averaged_mean,
-        centering=centering,
-    )
+    return analysis.fclt_check(env, values["epsilon"], values["time_points"], values["walk_replicas"], centerings)
 
 
 # --- runners ----------------------------------------------------------------
@@ -225,6 +220,13 @@ def _fclt_chunk(args):
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _in_se(diff, se):
+    """|diff| in standard errors: 0 when diff and se are both 0, inf when only se is."""
+    diff = np.abs(diff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(diff == 0, 0.0, diff / se)
 
 
 def _run_moments(env: Environment, v: dict, workers: int):
@@ -236,14 +238,14 @@ def _run_moments(env: Environment, v: dict, workers: int):
     ]
     verdicts = []
     v_true = float(fam.averaged_mean[0])
-    d_true = float(fam.averaged_cov[0, 0])
+    d_true = analysis.limit_variance(fam, "velocity")  # the annealed step variance
     verdicts.append(
         Verdict("velocity_within_4se", abs(vel[0] - v_true) <= 4 * vel_se[0],
-                float(abs(vel[0] - v_true) / vel_se[0]), f"|v - {v_true}| <= 4 SE")
+                float(_in_se(vel[0] - v_true, vel_se[0])), f"|v - {v_true}| <= 4 SE")
     )
     verdicts.append(
         Verdict("covariance_within_4se", abs(cov[0, 0] - d_true) <= 4 * cov_se[0, 0],
-                float(abs(cov[0, 0] - d_true) / cov_se[0, 0]), f"|D - {d_true}| <= 4 SE")
+                float(_in_se(cov[0, 0] - d_true, cov_se[0, 0])), f"|D - {d_true}| <= 4 SE")
     )
     return rows, verdicts
 
@@ -285,11 +287,11 @@ def _run_phi_decay(env: Environment, v: dict, workers: int):
     fam = env.family
     if 0.0 in grid.tolist() and getattr(fam, "drift_variance", None) is not None:
         j = grid.tolist().index(0.0)
-        dev = abs(curve.estimates[j] - fam.drift_variance) / curve.standard_errors[j]
+        dev = _in_se(curve.estimates[j] - fam.drift_variance, curve.standard_errors[j])
         verdicts.append(Verdict("phi0_matches_drift_variance", dev <= 4.0, float(dev), "<= 4 SE"))
     if v["independent_beyond"] is not None:
         far = grid >= v["independent_beyond"]
-        devs = np.abs(curve.estimates[far]) / curve.standard_errors[far]
+        devs = _in_se(curve.estimates[far], curve.standard_errors[far])
         if devs.size:
             verdicts.append(Verdict("phi_vanishes_beyond_range", bool((devs <= 4.0).all()),
                                     float(devs.max()), "<= 4 SE beyond range"))
@@ -308,41 +310,44 @@ def _run_identity(env: Environment, v: dict, workers: int):
         if n == 1:
             verdicts.append(Verdict("identity_exact_n1", rep.residual == 0.0, rep.residual, "== 0"))
         else:
-            dev = abs(rep.residual) / rep.combined_se
+            dev = _in_se(rep.residual, rep.combined_se)
             verdicts.append(Verdict(f"identity_within_4se_n{n}", dev <= 4.0, float(dev), "<= 4 combined SE"))
     return rows, verdicts
 
 
-def _run_fclt(env: Environment, v: dict, workers: int):
-    centering = v["centering"]
-    fam = env.family
-    cov = fam.mean_step_cov if centering == "quenched_mean" else fam.averaged_cov
-    jobs = [(env, s, v, centering, cov) for s in range(v["env_seeds"])]
-    reports = _pmap(_fclt_chunk, jobs, workers)
-    rows, n_pass = [], 0
-    max_cov_dev = 0.0
-    for s, rep in enumerate(reports):
-        ok = rep.all_marginals_pass()
-        n_pass += ok
-        for t, res in rep.tests:
-            rows.append(Row(f"fclt_{centering}", "ks_p", grid=t, replica=s, value=res.p_value,
-                            note=f"stat={_fmt(res.statistic)}"))
-        for s_t, t_t, emp, expd, se in rep.cov_rows:
-            dev = abs(emp - expd) / se
-            max_cov_dev = max(max_cov_dev, dev)
-            rows.append(Row(f"fclt_{centering}", "cov", grid=s_t, replica=s, value=emp, se=se,
-                            note=f"t={_fmt(t_t)} expected={_fmt(expd)}"))
-    thresh = v["pass_seeds"]
-    total = v["env_seeds"]
-    verdicts = []
-    if v["expect_marginals"] == "pass":
-        verdicts.append(Verdict(f"{centering}_marginals_gaussian", n_pass >= thresh, n_pass, f">= {thresh} of {total} seeds"))
-        verdicts.append(Verdict(f"{centering}_cov_within_se", max_cov_dev <= v["cov_se_factor"],
-                                max_cov_dev, f"<= {v['cov_se_factor']} SE"))
-    else:
-        n_fail = total - n_pass
-        verdicts.append(Verdict(f"{centering}_marginals_rejected", n_fail >= thresh, n_fail, f">= {thresh} of {total} seeds"))
+def _fclt_runs(env: Environment, v: dict, workers: int, expectations, cov_se_factor: float):
+    """The FCLT check on ``env_seeds`` fields, one walk batch per field, under
+    each (centering, expected marginals) pair of ``expectations``."""
+    centerings = tuple(c for c, _ in expectations)
+    per_field = _pmap(_fclt_chunk, [(env, s, v, centerings) for s in range(v["env_seeds"])], workers)
+    thresh, total = v["pass_seeds"], v["env_seeds"]
+    rows, verdicts = [], []
+    for k, (centering, expect) in enumerate(expectations):
+        n_pass, max_cov_dev = 0, 0.0
+        for s, reports in enumerate(per_field):
+            rep = reports[k]
+            n_pass += rep.all_marginals_pass()
+            for t, res in rep.tests:
+                rows.append(Row(f"fclt_{centering}", "ks_p", grid=t, replica=s, value=res.p_value,
+                                note=f"stat={_fmt(res.statistic)}"))
+            for s_t, t_t, emp, expd, se in rep.cov_rows:
+                max_cov_dev = max(max_cov_dev, float(_in_se(emp - expd, se)))
+                rows.append(Row(f"fclt_{centering}", "cov", grid=s_t, replica=s, value=emp, se=se,
+                                note=f"t={_fmt(t_t)} expected={_fmt(expd)}"))
+        if expect == "pass":
+            verdicts.append(Verdict(f"{centering}_marginals_gaussian", n_pass >= thresh, n_pass,
+                                    f">= {thresh} of {total} seeds"))
+            verdicts.append(Verdict(f"{centering}_cov_within_se", max_cov_dev <= cov_se_factor,
+                                    max_cov_dev, f"<= {cov_se_factor} SE"))
+        else:
+            n_fail = total - n_pass
+            verdicts.append(Verdict(f"{centering}_marginals_rejected", n_fail >= thresh, n_fail,
+                                    f">= {thresh} of {total} seeds"))
     return rows, verdicts
+
+
+def _run_fclt(env: Environment, v: dict, workers: int):
+    return _fclt_runs(env, v, workers, ((v["centering"], v["expect_marginals"]),), v["cov_se_factor"])
 
 
 def _run_max_drift(env: Environment, v: dict, workers: int):
@@ -416,11 +421,8 @@ def _run_occupation(env: Environment, v: dict, workers: int):
 
 
 def _run_counterexample(env: Environment, v: dict, workers: int):
-    """fclt twice on one field: velocity centering must fail, quenched-mean centering pass."""
-    fclt = dict(v, cov_se_factor=_COV_SE_FACTOR.default)
-    rows_b, verd_b = _run_fclt(env, dict(fclt, centering="velocity", expect_marginals="fail"), workers)
-    rows_t, verd_t = _run_fclt(env, dict(fclt, centering="quenched_mean", expect_marginals="pass"), workers)
-    return rows_b + rows_t, verd_b + verd_t
+    """One walk batch per field, centered twice: velocity centering must fail, quenched-mean centering pass."""
+    return _fclt_runs(env, v, workers, (("velocity", "fail"), ("quenched_mean", "pass")), _COV_SE_FACTOR.default)
 
 
 # --- the experiment table ---------------------------------------------------
@@ -470,7 +472,7 @@ _TABLE = {
     }),
     "fclt": (_run_fclt, {
         **_WALK_KEYS,
-        "centering": Key("velocity", ("velocity", "quenched_mean")),
+        "centering": Key("velocity", analysis.CENTERINGS),
         "expect_marginals": Key("pass", ("pass", "fail")),
         "cov_se_factor": _COV_SE_FACTOR,
     }),

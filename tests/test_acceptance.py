@@ -183,21 +183,15 @@ def test_criterion_5_dichotomy():
 def test_criterion_6_quenched_fclt():
     t0 = time.time()
     eps, times, m = 2.0**-10, [0.25, 0.5, 1.0], 10000
-    fam = WEAK_MIXING.family
     mix_pass, cov_dev = 0, 0.0
     for s in range(10):
-        rep = fclt_check(env_replica(WEAK_MIXING, s), eps, times, m,
-                         fam.averaged_cov, velocity=fam.averaged_mean)
+        (rep,) = fclt_check(env_replica(WEAK_MIXING, s), eps, times, m, ["velocity"])
         mix_pass += rep.all_marginals_pass()
         cov_dev = max(cov_dev, max(abs(e - x) / se for _, _, e, x, se in rep.cov_rows))
-    famc = COUNTEREXAMPLE.family
     b_fail, bt_pass = 0, 0
     for s in range(10):
-        env = env_replica(COUNTEREXAMPLE, s)
-        b = fclt_check(env, eps, times, m, famc.averaged_cov, velocity=famc.averaged_mean)
+        b, bt = fclt_check(env_replica(COUNTEREXAMPLE, s), eps, times, m, ["velocity", "quenched_mean"])
         b_fail += not b.all_marginals_pass()
-        bt = fclt_check(env, eps, times, m, famc.mean_step_cov,
-                        velocity=famc.averaged_mean, centering="quenched_mean")
         bt_pass += bt.all_marginals_pass()
     _report(
         "criterion 6: quenched FCLT",

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from envwalk.analysis import (
+    CENTERINGS,
     _replica_drift_grid,
     estimate_phi,
     fclt_check,
+    limit_variance,
     max_drift_check,
     variance_identity_check,
     variance_scan,
@@ -192,46 +194,59 @@ def test_fclt_weak_disorder_marginals_pass():
     template = make_lattice_product(5150, 1, fam)
     passes = 0
     for s in range(4):
-        rep = fclt_check(env_replica(template, s), 2.0**-8, [0.5, 1.0], 4000,
-                         fam.averaged_cov, velocity=fam.averaged_mean)
+        (rep,) = fclt_check(env_replica(template, s), 2.0**-8, [0.5, 1.0], 4000, ["velocity"])
         passes += rep.all_marginals_pass()
     assert passes >= 3
 
 
 def test_fclt_counterexample_dichotomy_small():
-    fam = UniformPM1()
-    template = make_fully_correlated(5150, 1, fam)
+    template = make_fully_correlated(5150, 1, UniformPM1())
     b_fail, bt_pass = 0, 0
     for s in range(4):
-        env = env_replica(template, s)
-        b = fclt_check(env, 2.0**-8, [0.5, 1.0], 4000, fam.averaged_cov,
-                       velocity=fam.averaged_mean)
+        b, bt = fclt_check(env_replica(template, s), 2.0**-8, [0.5, 1.0], 4000, CENTERINGS)
+        assert (b.centering, bt.centering) == CENTERINGS
         b_fail += not b.all_marginals_pass()
-        bt = fclt_check(env, 2.0**-8, [0.5, 1.0], 4000, fam.mean_step_cov,
-                        velocity=fam.averaged_mean, centering="quenched_mean")
         bt_pass += bt.all_marginals_pass()
     assert b_fail >= 3
     assert bt_pass >= 3
 
 
+@pytest.mark.parametrize("env", [MIX, FC], ids=["mixing", "level-correlated"])
+def test_fclt_one_pass_matches_each_centering_alone(env):
+    def fields(rep):
+        return rep.centering, [(t, vars(res)) for t, res in rep.tests], rep.cov_rows
+
+    both = fclt_check(env, 2.0**-7, [0.5, 1.0], 500, ["velocity", "quenched_mean"])
+    for centering, rep in zip(CENTERINGS, both):
+        (alone,) = fclt_check(env, 2.0**-7, [0.5, 1.0], 500, [centering])
+        assert rep.centering == centering
+        assert fields(rep) == fields(alone)
+    swapped = fclt_check(env, 2.0**-7, [0.5, 1.0], 500, ["quenched_mean", "velocity"])
+    assert [fields(r) for r in swapped] == [fields(both[1]), fields(both[0])]
+
+
 def test_fclt_increment_covariance_brownian():
     fam = UniformPM1(0.49, 0.51)
     env = env_replica(make_lattice_product(5150, 1, fam), 0)
-    rep = fclt_check(env, 2.0**-8, [0.25, 0.5, 1.0], 8000, fam.averaged_cov,
-                     velocity=fam.averaged_mean)
+    (rep,) = fclt_check(env, 2.0**-8, [0.25, 0.5, 1.0], 8000, ["velocity"])
     for s, t, emp, expected, se in rep.cov_rows:
-        assert expected == min(s, t) * 1.0
+        assert expected == min(s, t) * limit_variance(fam, "velocity")
         assert abs(emp - expected) <= 5.0 * se
 
 
 def test_fclt_epsilon_validation():
     with pytest.raises(ValueError):
-        fclt_check(MIX, 0.5, [1.0], 100, [[1.0]], velocity=[0.0])
+        fclt_check(MIX, 0.5, [1.0], 100, ["velocity"])
+
+
+def test_fclt_unknown_centering_rejected():
+    with pytest.raises(ValueError, match="unknown centering 'drift'"):
+        fclt_check(MIX, 2.0**-7, [1.0], 100, ["velocity", "drift"])
 
 
 def test_max_drift_deterministic_field_is_zero():
     env = make_dirac(3, 1, DiracSteps(((1.0,),), (1.0,)))
-    rep = max_drift_check(env, 5, [4, 16, 64], velocity=[1.0])
+    rep = max_drift_check(env, 5, [4, 16, 64])
     assert np.all(rep.curves == 0.0)
 
 

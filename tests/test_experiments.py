@@ -214,6 +214,38 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_p_low_above_p_high_rejected(model, tmp_path, capsys):
+    text = f"experiment = moments\nmodel = {model}\np_high = 0.2\np_low = 0.9\n"
+    with pytest.raises(ConfigError, match=r"^line 4: p_high: must be >= p_low"):
+        parse_config(text)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(text)
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 4: p_high: must be >= p_low")
+
+
+# a nonrandom field has zero standard errors where a random one has none
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = identity-check\nmodel = fixed-lattice\nn_list = 1, 4\nenv_replicas = 50\ny_replicas = 50\n",
+        "experiment = phi-decay\nmodel = fixed-lattice\nreplicas = 200\n",
+        "experiment = phi-decay\nmodel = dirac-field\nreplicas = 200\n",
+    ],
+    ids=["identity-fixed-lattice", "phi-fixed-lattice", "phi-dirac-field"],
+)
+def test_nonrandom_field_verdicts_are_numbers(text, tmp_path):
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text(text)
+    code = cli_main(["--config", str(cfg), "--out", str(tmp_path)])
+    report = next(tmp_path.glob("*_report.json")).read_text()
+    assert code != 1
+    assert "NaN" not in report
+    if "phi-decay" in text and "fixed-lattice" in text:
+        assert code == 0
+
+
 def test_cli_csv_format(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("experiment = moments\nenv_replicas = 2000\n")
