@@ -260,6 +260,15 @@ def limit_variance(family, centering: str) -> float:
     raise ValueError(f"unknown centering {centering!r}; known: {', '.join(CENTERINGS)}")
 
 
+def _centering(env: Environment, centering: str, ks: np.ndarray) -> tuple[np.ndarray, float]:
+    """The curve B(t) subtracts at steps ``ks`` under ``centering``, and its limit variance."""
+    dvar = limit_variance(env.family, centering)  # the one check of the word
+    if centering == "velocity":
+        return ks.astype(float) * env.family.averaged_mean[0], dvar
+    curve = exact_mean_curves(env, int(ks.max()), np.asarray([env.master_seed], dtype=np.uint64))[0]
+    return curve[ks], dvar
+
+
 def fclt_check(
     env: Environment, epsilon: float, time_points, walk_replicas: int, centerings
 ) -> tuple[FcltReport, ...]:
@@ -283,9 +292,8 @@ def fclt_check(
     ks = np.floor(times / epsilon).astype(np.int64)
     if np.floor(1.0 / epsilon) < 64:
         raise ValueError("epsilon too coarse: need floor(1/eps) >= 64")
-    dvars = [limit_variance(env.family, c) for c in centerings]
-    n_max = int(ks.max())
-    _, pos, _ = batch_quenched_positions(env, n_max, np.arange(walk_replicas), record_steps=ks)
+    centers = [_centering(env, c, ks) for c in centerings]
+    _, pos, _ = batch_quenched_positions(env, int(ks.max()), np.arange(walk_replicas), record_steps=ks)
     lanes = lanes_for_cells(
         seed_lanes(env.master_seed), 0, TAG_DITHER, np.arange(walk_replicas)[:, None]
     )
@@ -293,12 +301,7 @@ def fclt_check(
     dither = math.sqrt(epsilon) * _lattice_span(env) * (u - 0.5)
 
     reports = []
-    for centering, dvar in zip(centerings, dvars):
-        if centering == "velocity":
-            center = ks.astype(float) * env.family.averaged_mean[0]
-        else:
-            curve = exact_mean_curves(env, n_max, np.asarray([env.master_seed], dtype=np.uint64))[0]
-            center = curve[ks]
+    for centering, (center, dvar) in zip(centerings, centers):
         b = math.sqrt(epsilon) * (pos.astype(float) - center[:, None]) + dither
         tests = tuple((float(t), ks_gaussian_test(b[j], 0.0, float(t) * dvar)) for j, t in enumerate(times))
         cov_rows = []

@@ -230,8 +230,16 @@ def test_fclt_increment_covariance_brownian():
     env = env_replica(make_lattice_product(5150, 1, fam), 0)
     (rep,) = fclt_check(env, 2.0**-8, [0.25, 0.5, 1.0], 8000, ["velocity"])
     for s, t, emp, expected, se in rep.cov_rows:
-        assert expected == min(s, t) * limit_variance(fam, "velocity")
+        assert expected == min(s, t) * 1.0
         assert abs(emp - expected) <= 5.0 * se
+
+
+def test_limit_variance_closed_forms():
+    # steps +-1 with P(+1) = p, p ~ U[0, 1]: annealed variance 1 - 0^2, mean quenched 1 - E(2p - 1)^2
+    assert limit_variance(UniformPM1(), "velocity") == 1.0
+    assert limit_variance(UniformPM1(), "quenched_mean") == pytest.approx(2.0 / 3.0, rel=1e-12)
+    with pytest.raises(ValueError, match="unknown centering 'drift'"):
+        limit_variance(UniformPM1(), "drift")
 
 
 def test_fclt_epsilon_validation():
