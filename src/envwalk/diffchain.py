@@ -125,7 +125,7 @@ class _PairWalker(_Walker):
     stream keys match the scalar :func:`simulate_diff_chain` draw for draw.
     """
 
-    def __init__(self, env_template: Environment, replicas: np.ndarray, x0, kind: str):
+    def __init__(self, env_template: Environment, replicas: np.ndarray, x0, kind: str, n_steps: int):
         replicas = np.asarray(replicas, dtype=np.int64)
         seeds_a, seeds_b = _pair_seeds(env_template, replicas, kind)
         la, lb = seed_lanes_vec(seeds_a), seed_lanes_vec(seeds_b)
@@ -133,16 +133,20 @@ class _PairWalker(_Walker):
         which = np.broadcast_to(np.array([0, 1], dtype=np.int64), (replicas.size, 2))
         wcells = np.stack([np.stack([replicas, replicas], axis=1), which], axis=2)
         x0 = np.broadcast_to(np.asarray(x0, dtype=np.int64), replicas.shape)
-        super().__init__(env_template, base, wcells, np.stack([np.zeros_like(replicas), x0], axis=1))
+        super().__init__(env_template, base, wcells, np.stack([np.zeros_like(replicas), x0], axis=1), n_steps)
 
     @property
     def y(self) -> np.ndarray:
         return self.pos[:, 1] - self.pos[:, 0]
 
     def restrict(self, keep: np.ndarray) -> None:
+        """Drop the pairs not in ``keep``, from the walker and from its current block."""
         self.base = (self.base[0][keep], self.base[1][keep])
         self.pos = self.pos[keep]
         self.wcells = self.wcells[keep]
+        self.noise = self.noise[:, keep]
+        if self.weights is not None:
+            self.weights = self.weights[:, keep]
 
     def step(self) -> np.ndarray:
         super().step()
@@ -163,8 +167,8 @@ def batch_diff_positions(
     With ``return_components`` also returns the (X, X~) positions of shape
     (len, M, 2).
     """
-    walker = _PairWalker(env_template, replicas, x0, kind)
-    record, comps = walker.record(n_steps, record_steps)
+    walker = _PairWalker(env_template, replicas, x0, kind, n_steps)
+    record, comps = walker.record(record_steps)
     y = comps[..., 1] - comps[..., 0]
     if return_components:
         return record, y, comps
@@ -214,21 +218,16 @@ def exit_time_scan(
     ``step_cap``.
     """
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
-    walker = _PairWalker(env_template, np.arange(replicas), x0, kind)
+    walker = _PairWalker(env_template, np.arange(replicas), x0, kind, step_cap)
     alive = np.arange(replicas)
-    exit_steps = np.full((len(r_grid), replicas), -1, dtype=np.int64)
-    y0 = walker.y
-    for j, r in enumerate(r_grid):
-        exit_steps[j, np.abs(y0) > r] = 0
+    radii = r_grid[:, None]
+    exit_steps = np.where(np.abs(walker.y) > radii, 0, -1)
     k = 0
     while alive.size and k < step_cap:
         y = walker.step()
         k += 1
-        ay = np.abs(y)
-        for j, r in enumerate(r_grid):
-            pending = exit_steps[j, alive] < 0
-            newly = pending & (ay > r)
-            exit_steps[j, alive[newly]] = k
+        prev = exit_steps[:, alive]
+        exit_steps[:, alive] = np.where((prev < 0) & (np.abs(y) > radii), k, prev)
         if k % 64 == 0:
             done = exit_steps[-1, alive] >= 0
             if done.any():
@@ -310,7 +309,7 @@ def excursion_scan(
     radius = float(horizon) ** eps
     if tail_fit_max is None:
         tail_fit_max = math.sqrt(horizon)
-    walker = _PairWalker(env_template, np.arange(replicas), 0, kind)
+    walker = _PairWalker(env_template, np.arange(replicas), 0, kind, horizon)
     outside = np.zeros(replicas, dtype=bool)
     out_step = np.zeros(replicas, dtype=np.int64)
     lengths: list[np.ndarray] = []
@@ -359,7 +358,7 @@ def occupation_time(
         raise ValueError("eps must be positive")
     n_grid = np.sort(np.asarray(n_grid, dtype=np.int64))
     radii = n_grid.astype(float) ** eps
-    walker = _PairWalker(env_template, np.arange(replicas), 0, kind)
+    walker = _PairWalker(env_template, np.arange(replicas), 0, kind, int(n_grid.max()))
     counts = np.zeros((len(n_grid), replicas), dtype=np.int64)
     y = walker.y
     for k in range(int(n_grid.max())):
@@ -413,7 +412,7 @@ def exit_escape_probability(
     if per < 1:
         raise ValueError(f"need at least {starts.size} replicas (one per shell point)")
     x0 = np.repeat(starts, per)
-    walker = _PairWalker(env_template, np.arange(starts.size * per), x0, kind)
+    walker = _PairWalker(env_template, np.arange(starts.size * per), x0, kind, time_budget)
     start_of_row = np.repeat(np.arange(starts.size), per)
     escaped = np.zeros(x0.size, dtype=bool)
     failed = np.zeros(x0.size, dtype=bool)

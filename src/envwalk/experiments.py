@@ -160,8 +160,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "experiment" not in lines:
         raise ConfigError("missing required key 'experiment'")
-    lineno, raw = lines.pop("experiment")
-    experiment = Key(None, EXPERIMENTS).parse("experiment", raw, f"line {lineno}: ")
+    experiment_line, raw = lines.pop("experiment")
+    experiment = Key(None, EXPERIMENTS).parse("experiment", raw, f"line {experiment_line}: ")
     keys = {**_COMMON_KEYS, **_TABLE[experiment][1]}
     values = {name: key.default for name, key in keys.items()}
     for name, (lineno, raw) in lines.items():
@@ -171,6 +171,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if values["p_low"] > values["p_high"]:
         lineno = max(lines.get(name, (0,))[0] for name in ("p_low", "p_high"))
         raise ConfigError(f"line {lineno}: p_high: must be >= p_low = {values['p_low']}, got {values['p_high']}")
+    # The counterexample always centers at the quenched mean, fclt when asked to.
+    quenched_mean = experiment == "counterexample" or values.get("centering") == "quenched_mean"
+    if values["model"] == "dirac-field" and quenched_mean:
+        lineno = max(lines["model"][0], lines["centering"][0] if experiment == "fclt" else experiment_line)
+        raise ConfigError(f"line {lineno}: model: dirac-field walks are deterministic given the field, "
+                          "so quenched_mean centering has no Gaussian limit")
     return ExperimentConfig(experiment, values, text)
 
 

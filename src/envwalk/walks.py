@@ -7,6 +7,10 @@ the field through `environments.field_weights` and draws its noise from
 the same per-(step, walker) stream keys, so it replays the scalar draws
 exactly; parity tests pin each path to the scalar one.  Walk noise uses its
 own key tag, so walk randomness never touches environment randomness.
+Walk noise and the level-correlated field do not depend on position, so the
+walker draws them per block of steps, one hash call for the whole batch
+(``_BLOCK_ELEMENTS`` walker-steps a block); since every variate is a pure
+function of its address, the blocks change no draw.
 
 Quenched means come in two dual forms that cross-check each other: a Monte
 Carlo mean over walks, and exact forward propagation of the full quenched
@@ -69,6 +73,11 @@ SUPPORT_CAP = 10**7
 # Dense propagation window: Azuma gives P(|X_k| > c*smax*sqrt(k)) < 1e-15
 # for c = sqrt(2*ln(2e15)) ~ 8.4; pad a little.
 _WINDOW_C = 8.6
+
+# Walker-steps per block of position-free draws: a batch of w walkers draws
+# its walk noise (and a level-correlated field) for max(1, this // w) steps
+# at a time.  Larger blocks save little call overhead and cost memory.
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +189,13 @@ class _Walker:
     to (m, c)) and drawing its step-k noise from the walk key
     (field seed, level=k, cell=``walk_cells[i, j]``).  That is the key of
     :func:`simulate_quenched_path`, so every column replays a scalar path
-    draw for draw.
+    draw for draw.  The walk runs at most ``n_steps`` steps: draws that do
+    not depend on position are made per block of steps up to that horizon.
     """
 
-    def __init__(self, env: Environment, base_lanes, walk_cells: np.ndarray, x0, accumulate_drift: bool = False):
+    def __init__(
+        self, env: Environment, base_lanes, walk_cells: np.ndarray, x0, n_steps: int, accumulate_drift: bool = False
+    ):
         fam = env.family
         if env.d != 1 or not has_fixed_support(fam):
             raise ValueError("batched lattice walks need a d=1 fixed-support family")
@@ -198,25 +210,45 @@ class _Walker:
         self.wcells = walk_cells
         self.pos = np.array(np.broadcast_to(np.asarray(x0, dtype=np.int64), walk_cells.shape[:-1]))
         self.drift_sums = np.zeros(self.pos.shape[0]) if accumulate_drift else None
+        self.n_steps = n_steps
         self.k = 0
+        # The current block: walk uniforms (b, m, c), the level-correlated
+        # field's weights (b, ., ., n_atoms) or None, and the row to read next.
+        self.noise = np.empty((0,) + self.pos.shape)
+        self.weights = None
+        self.row = 0
+
+    def _refill(self) -> None:
+        """Draw walk noise, and a level-correlated field, for the next block of steps."""
+        b = max(1, _BLOCK_ELEMENTS // max(1, self.pos.size))
+        levels = np.arange(self.k, min(self.k + b, self.n_steps))[:, None, None]
+        self.noise = uniforms_at(lanes_for_cells(self.base, levels, TAG_WALK, self.wcells), 0)
+        if self.env.kind == FULLY_CORRELATED:
+            self.weights = field_weights(self.env, self.base, levels + self.level0, 0)
+        self.row = 0
 
     def step(self) -> None:
-        w = field_weights(self.env, self.base, self.k + self.level0, self.pos + self.x_shift)
+        if self.row == len(self.noise):
+            self._refill()
+        if self.weights is None:
+            w = field_weights(self.env, self.base, self.k + self.level0, self.pos + self.x_shift)
+        else:  # in the shape a per-step read gives, for the same drift arithmetic
+            w = np.broadcast_to(self.weights[self.row], self.pos.shape + self.weights.shape[-1:])
         if self.drift_sums is not None:
             self.drift_sums += w[:, 0] @ self.support.astype(float)
-        wl = lanes_for_cells(self.base, self.k, TAG_WALK, self.wcells)
-        idx = _row_atomic_index(np.cumsum(w, axis=-1), uniforms_at(wl, 0))
+        idx = _row_atomic_index(np.cumsum(w, axis=-1), self.noise[self.row])
         self.pos = self.pos + self.support[idx]
+        self.row += 1
         self.k += 1
 
-    def record(self, n_steps: int, record_steps=None) -> tuple[np.ndarray, np.ndarray]:
-        """Run ``n_steps`` steps; positions at ``record_steps``, shape (len, m, c)."""
-        record = np.arange(n_steps + 1) if record_steps is None else np.asarray(record_steps)
+    def record(self, record_steps=None) -> tuple[np.ndarray, np.ndarray]:
+        """Run all ``n_steps`` steps; positions at ``record_steps``, shape (len, m, c)."""
+        record = np.arange(self.n_steps + 1) if record_steps is None else np.asarray(record_steps)
         wanted = {int(s): i for i, s in enumerate(record)}
         out = np.empty((len(record),) + self.pos.shape, dtype=np.int64)
         if 0 in wanted:
             out[wanted[0]] = self.pos
-        for k in range(n_steps):
+        for k in range(self.n_steps):
             self.step()
             if k + 1 in wanted:
                 out[wanted[k + 1]] = self.pos
@@ -241,8 +273,8 @@ def batch_quenched_positions(
     """
     walk_seeds = np.asarray(walk_seeds, dtype=np.int64)
     cells = np.column_stack([walk_seeds] + [np.full(walk_seeds.shape[0], s, dtype=np.int64) for s in subcell])
-    walker = _Walker(env, seed_lanes(env.master_seed), cells[:, None, :], x0, accumulate_drift)
-    record, pos = walker.record(n_steps, record_steps)
+    walker = _Walker(env, seed_lanes(env.master_seed), cells[:, None, :], x0, n_steps, accumulate_drift)
+    record, pos = walker.record(record_steps)
     return record, pos[..., 0], walker.drift_sums
 
 
@@ -260,8 +292,8 @@ def batch_averaged_positions(
     """
     replicas = np.asarray(replicas, dtype=np.int64)
     base = seed_lanes_vec(derive_seeds_vec(env_template.master_seed, replicas))
-    walker = _Walker(env_template, _per_row(base), replicas[:, None, None], x0)
-    record, pos = walker.record(n_steps, record_steps)
+    walker = _Walker(env_template, _per_row(base), replicas[:, None, None], x0, n_steps)
+    record, pos = walker.record(record_steps)
     return record, pos[..., 0]
 
 
@@ -371,10 +403,8 @@ def exact_mean_curves(
     base = seed_lanes_vec(seeds)
 
     if env_template.kind == FULLY_CORRELATED:
-        drifts = np.empty((m, n_max))
-        for k in range(n_max):
-            drifts[:, k] = field_weights(env_template, base, k, 0) @ sup_f
-        return np.concatenate([np.zeros((m, 1)), np.cumsum(drifts, axis=1)], axis=1)
+        drifts = field_weights(env_template, base, np.arange(n_max)[:, None], 0) @ sup_f  # (n_max, m)
+        return np.concatenate([np.zeros((m, 1)), np.cumsum(drifts.T, axis=1)], axis=1)
 
     smax = int(np.abs(support).max())
     smin_off, smax_off = int(support.min()), int(support.max())
@@ -421,7 +451,7 @@ def _x1_samples(env_template: Environment, n_env: int, n_walk: int) -> np.ndarra
         env_idx = np.repeat(np.arange(n_env), n_walk)
         walk_idx = np.tile(np.arange(n_walk), n_env)
         base = seed_lanes_vec(derive_seeds_vec(env_template.master_seed, env_idx))
-        walker = _Walker(env_template, _per_row(base), walk_idx[:, None, None], 0)
+        walker = _Walker(env_template, _per_row(base), walk_idx[:, None, None], 0, 1)
         walker.step()
         return walker.pos.astype(float)
     out = np.empty((n_env * n_walk, env_template.d))

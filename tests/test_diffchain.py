@@ -18,6 +18,7 @@ from envwalk.environments import (
     make_finite_range,
     make_fully_correlated,
     make_lattice_product,
+    shift,
 )
 from envwalk.families import DiracSteps, FixedAtomic, UniformPM1
 from envwalk.stats import InsufficientDataError, ks_two_sample_critical, ks_two_sample_distance
@@ -54,6 +55,41 @@ def test_scalar_matches_batch(env):
         for rep in range(4):
             p = simulate_diff_chain(env, 2, 12, kind, replica=rep)
             assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
+
+
+@pytest.mark.parametrize("env", [MIX, FC, DIRAC, shift(MIX, 3, 5)])
+def test_blocked_pairs_match_scalar(env, small_blocks):
+    for kind in (SAME_ENV, INDEPENDENT_ENV):
+        _, y = batch_diff_positions(env, 23, np.arange(4), x0=2, kind=kind)
+        for rep in range(4):
+            p = simulate_diff_chain(env, 2, 23, kind, replica=rep)
+            assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
+
+
+# Six pairs take 3-step blocks under ``small_blocks``, so ``restrict`` drops
+# settled pairs mid-block: the scans must still follow every scalar chain.
+@pytest.mark.parametrize("env", [MIX, FC])
+@pytest.mark.parametrize("kind", [SAME_ENV, INDEPENDENT_ENV])
+def test_blocked_exit_scan_matches_scalar(env, kind, small_blocks):
+    # Pairs leave the widest box between steps 16 and 278, or not by the cap.
+    r_grid = [2.0, 5.0, 12.0]
+    scan = exit_time_scan(env, r_grid, 6, step_cap=400, kind=kind, x0=1)
+    for rep in range(6):
+        y = np.abs(simulate_diff_chain(env, 1, 400, kind, replica=rep).values[:, 0])
+        for j, r in enumerate(r_grid):
+            out = np.flatnonzero(y > r)
+            assert scan.exit_steps[j, rep] == (out[0] if out.size else -1)
+
+
+@pytest.mark.parametrize("env", [MIX, FC])
+@pytest.mark.parametrize("kind", [SAME_ENV, INDEPENDENT_ENV])
+def test_blocked_escape_matches_scalar(env, kind, small_blocks):
+    # Shell 1 < |y| <= 4: six starts with one pair each.
+    est = exit_escape_probability(env, 4, 1, 200, 6, kind=kind)
+    for rep, y0 in enumerate(est.starts.tolist()):
+        y = np.abs(simulate_diff_chain(env, y0, 200, kind, replica=rep).values[:, 0])
+        settled = np.flatnonzero((y > 4) | (y <= 1))
+        assert est.probs[rep] == float(settled.size > 0 and y[settled[0]] > 4)
 
 
 def test_dirac_same_env_coincides():

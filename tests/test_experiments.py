@@ -225,6 +225,38 @@ def test_p_low_above_p_high_rejected(model, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 4: p_high: must be >= p_low")
 
 
+# Dirac-field walks are deterministic given the field: quenched-mean
+# centering leaves nothing to be Gaussian, so the config is rejected at the
+# later of the two lines that combine it.
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("experiment = counterexample\nmodel = dirac-field\n", 2),
+        ("model = dirac-field\nwalk_replicas = 300\nexperiment = counterexample\n", 3),
+        ("experiment = fclt\nmodel = dirac-field\ncentering = quenched_mean\n", 3),
+        ("experiment = fclt\ncentering = quenched_mean\nmodel = dirac-field\nenv_seeds = 2\n", 3),
+    ],
+    ids=["counterexample", "counterexample-experiment-last", "fclt", "fclt-model-last"],
+)
+def test_quenched_mean_centering_on_dirac_field_rejected(text, line, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=rf"^line {line}: model: dirac-field"):
+        parse_config(text)
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(text)
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {line}: model: dirac-field")
+
+
+def test_velocity_centering_on_dirac_field_runs(tmp_path):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(
+        "experiment = fclt\nmodel = dirac-field\ncentering = velocity\nexpect_marginals = fail\n"
+        "epsilon = 0.015625\nwalk_replicas = 200\nenv_seeds = 2\npass_seeds = 1\n"
+    )
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fclt_report.json").exists()
+
+
 # a nonrandom field has zero standard errors where a random one has none
 @pytest.mark.parametrize(
     "text",

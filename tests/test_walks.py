@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from envwalk import walks
+from envwalk.diffchain import SAME_ENV, batch_diff_positions, simulate_diff_chain
 from envwalk.environments import (
     env_replica,
     make_dirac,
@@ -87,6 +91,74 @@ def test_x1_samples_match_scalar(env):
         replica = env_replica(env, i)
         for j in range(3):
             assert fast[3 * i + j, 0] == simulate_quenched_path(replica, 1, walk_seed=j).positions[1, 0]
+
+
+# Block-boundary parity: with the ``small_blocks`` budget each run below
+# crosses several blocks of position-free draws.
+BLOCK_FIELDS = [MIX, FC, DIRAC, *SHIFTED, shift(FC, 3, 5), shift(MIX, 2, 0.5)]
+
+
+@pytest.mark.parametrize("env", BLOCK_FIELDS)
+def test_blocked_quenched_matches_scalar(env, small_blocks):
+    _, pos, drift = batch_quenched_positions(env, 25, np.arange(6), accumulate_drift=True)
+    for w in range(6):
+        p = simulate_quenched_path(env, 25, walk_seed=w)
+        assert np.array_equal(p.positions[:, 0], pos[:, w].astype(float))
+        drifts = [law_mean(query(env, k, p.positions[k]))[0] for k in range(25)]
+        assert drift[w] == sum(drifts)
+
+
+@pytest.mark.parametrize("env", BLOCK_FIELDS)
+def test_blocked_averaged_matches_scalar(env, small_blocks):
+    _, pos = batch_averaged_positions(env, 25, np.arange(5))
+    for r in range(5):
+        p = simulate_averaged_path(env, 25, replica=r)
+        assert np.array_equal(p.positions[:, 0], pos[:, r].astype(float))
+
+
+def test_level_correlated_curves_match_per_level_laws():
+    # All levels are read in one call; each curve is the running sum of the
+    # scalar per-level drifts, bit for bit, and the dictionary propagator
+    # (which sums mass-weighted drifts over its support) agrees to rounding.
+    seeds = np.asarray([404, 7, 2**63 + 5], dtype=np.uint64)
+    fast = exact_mean_curves(FC, 40, seeds)
+    for i, seed in enumerate(seeds.tolist()):
+        env = make_fully_correlated(seed, 1, UniformPM1())
+        drifts = [law_mean(query(env, k, 0.0))[0] for k in range(40)]
+        assert np.array_equal(fast[i], np.concatenate([[0.0], np.cumsum(drifts)]))
+        assert np.allclose(fast[i], quenched_mean_exact(env, 40).means[:, 0], rtol=0, atol=1e-12)
+
+
+_PROPERTY_FIELDS = {
+    "mixing": lambda fam: make_lattice_product(31, 1, fam),
+    "mixing-no-offset": lambda fam: make_lattice_product(31, 1, fam, uniform_offset=False),
+    "finite-range": lambda fam: make_finite_range(31, 1, 1.5, fam),
+    "level-correlated": lambda fam: make_fully_correlated(31, 1, fam),
+    "dirac": lambda fam: DIRAC,
+}
+
+
+@given(
+    model=st.sampled_from(sorted(_PROPERTY_FIELDS)),
+    p=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    level=st.integers(0, 6),
+    point=st.one_of(st.integers(-6, 6), st.floats(-6.0, 6.0)),
+    walkers=st.integers(1, 9),
+    steps=st.integers(1, 20),
+)
+def test_batched_paths_match_scalar_property(model, p, level, point, walkers, steps):
+    env = shift(_PROPERTY_FIELDS[model](UniformPM1(*p)), level, point)
+    with pytest.MonkeyPatch.context() as mp:
+        # 16 walker-steps per block: 1 to 16 steps a block, so the walks
+        # straddle block boundaries at most walker and step counts.
+        mp.setattr(walks, "_BLOCK_ELEMENTS", 16)
+        _, quenched, _ = batch_quenched_positions(env, steps, np.arange(walkers))
+        _, averaged = batch_averaged_positions(env, steps, np.arange(walkers))
+        _, y = batch_diff_positions(env, steps, np.arange(walkers), x0=1, kind=SAME_ENV)
+    for w in range(walkers):
+        assert np.array_equal(simulate_quenched_path(env, steps, walk_seed=w).positions[:, 0], quenched[:, w])
+        assert np.array_equal(simulate_averaged_path(env, steps, replica=w).positions[:, 0], averaged[:, w])
+        assert np.array_equal(simulate_diff_chain(env, 1, steps, SAME_ENV, replica=w).values[:, 0], y[:, w])
 
 
 def test_local_drift_values():
