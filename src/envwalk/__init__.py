@@ -70,14 +70,12 @@ from .stats import (
 from .streams import StreamKey, derive_seed, derive_stream
 from .walks import (
     QuenchedMeanCurve,
-    ScaledPath,
     WalkPath,
     env_chain_observable,
     local_drift,
     quenched_mean_exact,
     quenched_mean_mc,
     quenched_step,
-    scaled_path,
     simulate_averaged_path,
     simulate_quenched_path,
     velocity_and_covariance,

@@ -17,10 +17,10 @@ from those where it does not:
                                  covariance, under each centering.
 * ``max_drift_check``         -- decay of n^{-1/2} max_k |quenched mean - kv|.
 
-Every centering constant comes from the field's family: estimators center
-with its closed-form velocity ``averaged_mean``, and :func:`limit_variance`
-is the one place that says which family covariance each centering of the
-rescaled walk converges to.
+Every centering constant comes from the field: estimators center with its
+family's closed-form velocity ``averaged_mean``, and :func:`limit_variance`
+is the one place that says which variance each centering of the rescaled
+walk converges to.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffchain import SAME_ENV, batch_diff_positions
-from .environments import Environment, env_replica, field_weights, query
+from .environments import DIRAC_FIELD, FULLY_CORRELATED, Environment, env_replica, field_weights, query
 from .families import has_fixed_support
 from .jumplaws import law_mean
 from .stats import (
@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 BOOTSTRAP_RESAMPLES = 200  # bootstrap draws behind every variance-scan standard error
+MARGINAL_ALPHA = 0.01  # KS level at which an FCLT marginal counts as Gaussian
 CENTERINGS = ("velocity", "quenched_mean")
 
 
@@ -113,15 +114,12 @@ def estimate_phi(env_template: Environment, x_grid, replicas: int) -> ScanCurve:
     return ScanCurve(x_grid, est, ses)
 
 
-def _exact_curves(env_template: Environment, n_max: int, m: int) -> np.ndarray:
-    """Per-replica exact quenched-mean curves, shape (m, n_max+1); d=1."""
+def _exact_curves(env_template: Environment, n_max: int, replicas: np.ndarray) -> np.ndarray:
+    """Exact quenched-mean curves of the given replica fields, shape (len(replicas), n_max+1); d=1."""
     if env_template.d == 1 and has_fixed_support(env_template.family):
-        seeds = derive_seeds_vec(env_template.master_seed, np.arange(m))
+        seeds = derive_seeds_vec(env_template.master_seed, replicas)
         return exact_mean_curves(env_template, n_max, seeds)
-    out = np.empty((m, n_max + 1))
-    for i in range(m):
-        out[i] = quenched_mean_exact(env_replica(env_template, i), n_max).means[:, 0]
-    return out
+    return np.stack([quenched_mean_exact(env_replica(env_template, int(i)), n_max).means[:, 0] for i in replicas])
 
 
 def variance_scan(
@@ -142,7 +140,7 @@ def variance_scan(
     n_grid = np.sort(np.asarray(n_grid, dtype=np.int64))
     m = env_replicas
     if mean_method == "exact":
-        return variance_from_curves(env_template, n_grid, _exact_curves(env_template, int(n_grid.max()), m))
+        return variance_from_curves(env_template, n_grid, _exact_curves(env_template, int(n_grid.max()), np.arange(m)))
     if mean_method != "mc":
         raise ValueError(f"unknown mean_method {mean_method!r}")
     v = env_template.family.averaged_mean
@@ -200,7 +198,7 @@ def variance_identity_check(
     the left is a quenched-law propagation, the right composes the
     difference chain with the estimated drift covariance.
     """
-    curves = _exact_curves(env_template, n, env_replicas)
+    curves = _exact_curves(env_template, n, np.arange(env_replicas))
     dev = curves[:, n] - float(n) * env_template.family.averaged_mean[0]
     sq = dev * dev
     lhs, lhs_se = float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(env_replicas))
@@ -233,8 +231,8 @@ class FcltReport:
     tests: tuple[tuple[float, GofTestResult], ...]
     cov_rows: tuple[tuple[float, float, float, float, float], ...]
 
-    def all_marginals_pass(self, alpha: float = 0.01) -> bool:
-        return all(res.p_value > alpha for _, res in self.tests)
+    def all_marginals_pass(self) -> bool:
+        return all(res.p_value > MARGINAL_ALPHA for _, res in self.tests)
 
 
 def _lattice_span(env: Environment) -> int:
@@ -246,23 +244,28 @@ def _lattice_span(env: Environment) -> int:
     return max(span, 1)
 
 
-def limit_variance(family, centering: str) -> float:
+def limit_variance(env: Environment, centering: str) -> float:
     """Per-unit-time variance of the rescaled walk's Gaussian limit under ``centering``; d=1.
 
     Velocity centering keeps the drift fluctuations in the limit, so its
-    variance is the annealed step variance; quenched-mean centering removes
-    them and leaves the mean quenched step variance.
+    variance is the annealed step variance.  Under quenched-mean centering
+    the annealed identity E[Var^w X_n] = n * averaged_cov - V(n), with
+    V(n) = E|E^w X_n - nv|^2, gives the limit.  Where every walker of one
+    field collects the same drift (the level-correlated field, and the Dirac
+    field, whose walkers share one path) V(n) = n * drift_variance; on the
+    other field kinds V(n) = o(n).
     """
-    if centering == "velocity":
-        return float(family.averaged_cov[0, 0])
-    if centering == "quenched_mean":
-        return float(family.mean_step_cov[0, 0])
-    raise ValueError(f"unknown centering {centering!r}; known: {', '.join(CENTERINGS)}")
+    if centering not in CENTERINGS:
+        raise ValueError(f"unknown centering {centering!r}; known: {', '.join(CENTERINGS)}")
+    fam = env.family
+    if centering == "quenched_mean" and env.kind in (FULLY_CORRELATED, DIRAC_FIELD):
+        return float(fam.averaged_cov[0, 0] - fam.drift_variance)
+    return float(fam.averaged_cov[0, 0])
 
 
 def _centering(env: Environment, centering: str, ks: np.ndarray) -> tuple[np.ndarray, float]:
     """The curve B(t) subtracts at steps ``ks`` under ``centering``, and its limit variance."""
-    dvar = limit_variance(env.family, centering)  # the one check of the word
+    dvar = limit_variance(env, centering)  # the one check of the word
     if centering == "velocity":
         return ks.astype(float) * env.family.averaged_mean[0], dvar
     curve = exact_mean_curves(env, int(ks.max()), np.asarray([env.master_seed], dtype=np.uint64))[0]
@@ -339,7 +342,7 @@ def max_drift_check(env_template: Environment, env_replicas: int, n_grid) -> Max
     model keeps it of constant order.
     """
     n_grid = np.sort(np.asarray(n_grid, dtype=np.int64))
-    curves = _exact_curves(env_template, int(n_grid.max()), env_replicas)
+    curves = _exact_curves(env_template, int(n_grid.max()), np.arange(env_replicas))
     ks = np.arange(curves.shape[1], dtype=float)
     dev = np.abs(curves - ks[None, :] * env_template.family.averaged_mean[0])
     runmax = np.maximum.accumulate(dev, axis=1)

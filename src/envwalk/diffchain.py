@@ -293,22 +293,18 @@ def excursion_scan(
     eps: float,
     replicas: int,
     kind: str = SAME_ENV,
-    tail_fit_max: float | None = None,
 ) -> ExcursionScan:
     """Excursion-length statistics for the box of radius horizon**eps.
 
     Runs every chain for ``horizon`` steps from Y_0 = 0, collects complete
     excursion lengths (exit to next entrance), and fits the survival tail
-    on dyadic lengths up to ``tail_fit_max`` (default sqrt(horizon):
-    dropping still-open excursions censors longer lengths and would bias
-    the tail steep).  Fewer than 10 complete excursions raises
-    InsufficientDataError.
+    on dyadic lengths up to sqrt(horizon): dropping still-open excursions
+    censors longer lengths and would bias the tail steep.  Fewer than 10
+    complete excursions raises InsufficientDataError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     radius = float(horizon) ** eps
-    if tail_fit_max is None:
-        tail_fit_max = math.sqrt(horizon)
     walker = _PairWalker(env_template, np.arange(replicas), 0, kind, horizon)
     outside = np.zeros(replicas, dtype=bool)
     out_step = np.zeros(replicas, dtype=np.int64)
@@ -329,7 +325,7 @@ def excursion_scan(
             f"only {all_lengths.size} complete excursions (need >= 10); "
             f"radius={radius:.3g}, horizon={horizon}"
         )
-    a_max = min(float(all_lengths.max()), float(tail_fit_max))
+    a_max = min(float(all_lengths.max()), math.sqrt(horizon))
     a_grid = 2 ** np.arange(0, max(2, int(math.log2(a_max)) + 1))
     n = all_lengths.size
     surv = np.array([(all_lengths >= a).mean() for a in a_grid])
@@ -358,13 +354,16 @@ def occupation_time(
         raise ValueError("eps must be positive")
     n_grid = np.sort(np.asarray(n_grid, dtype=np.int64))
     radii = n_grid.astype(float) ** eps
-    walker = _PairWalker(env_template, np.arange(replicas), 0, kind, int(n_grid.max()))
+    # Y_0 .. Y_{n_max - 1} are read: n_max - 1 steps.
+    n_max = int(n_grid.max())
+    walker = _PairWalker(env_template, np.arange(replicas), 0, kind, n_max - 1)
     counts = np.zeros((len(n_grid), replicas), dtype=np.int64)
     y = walker.y
-    for k in range(int(n_grid.max())):
+    for k in range(n_max):
+        if k:
+            y = walker.step()
         live = n_grid > k
         counts[live] += np.abs(y) <= radii[live, None]
-        y = walker.step()
     est = counts.mean(axis=1)
     ses = counts.std(axis=1, ddof=1) / math.sqrt(replicas)
     return with_fit(ScanCurve(n_grid.astype(float), est, ses))

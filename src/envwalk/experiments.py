@@ -28,8 +28,7 @@ from . import __version__, analysis, diffchain
 from .environments import Environment, env_replica, make_dirac, make_fully_correlated, make_lattice_product, make_finite_range
 from .families import DiracSteps, FixedAtomic, UniformPM1
 from .stats import ks_two_sample_critical, ks_two_sample_distance
-from .streams import derive_seeds_vec
-from .walks import exact_mean_curves, velocity_and_covariance
+from .walks import velocity_and_covariance
 
 __all__ = [
     "EXPERIMENTS",
@@ -211,8 +210,7 @@ def _pmap(fn, jobs: list, workers: int) -> list:
 
 def _curves_chunk(args):
     env, n_max, idx = args
-    seeds = derive_seeds_vec(env.master_seed, idx)
-    return exact_mean_curves(env, n_max, seeds)
+    return analysis._exact_curves(env, n_max, idx)
 
 
 def _fclt_chunk(args):
@@ -244,7 +242,7 @@ def _run_moments(env: Environment, v: dict, workers: int):
     ]
     verdicts = []
     v_true = float(fam.averaged_mean[0])
-    d_true = analysis.limit_variance(fam, "velocity")  # the annealed step variance
+    d_true = analysis.limit_variance(env, "velocity")  # the annealed step variance
     verdicts.append(
         Verdict("velocity_within_4se", abs(vel[0] - v_true) <= 4 * vel_se[0],
                 float(_in_se(vel[0] - v_true, vel_se[0])), f"|v - {v_true}| <= 4 SE")

@@ -31,6 +31,8 @@ __all__ = [
     "exponent_fit_coverage",
 ]
 
+FIT_CONFIDENCE = 0.95  # coverage of every exponent fit's confidence interval
+
 
 class InsufficientDataError(ValueError):
     """Raised when a scan or fit has too little usable data to report."""
@@ -57,12 +59,13 @@ class ScanCurve:
     fit: ExponentFit | None = None
 
 
-def fit_exponent(curve: ScanCurve, confidence: float = 0.95) -> ExponentFit:
+def fit_exponent(curve: ScanCurve) -> ExponentFit:
     """Fit the growth exponent of a scan curve on log-log scale.
 
     Uses only grid points with a positive, finite estimate exceeding three
-    standard errors; needs at least four such points.  The confidence
-    interval comes from the residual variance via the Student-t quantile.
+    standard errors; needs at least four such points.  The
+    ``FIT_CONFIDENCE`` interval comes from the residual variance via the
+    Student-t quantile.
     """
     grid = np.asarray(curve.grid, dtype=float)
     est = np.asarray(curve.estimates, dtype=float)
@@ -80,16 +83,16 @@ def fit_exponent(curve: ScanCurve, confidence: float = 0.95) -> ExponentFit:
     resid = ly - intercept - slope * lx
     if n > 2:
         s2 = float(resid @ resid) / (n - 2)
-        half = float(sps.t.ppf(0.5 + confidence / 2.0, n - 2)) * math.sqrt(s2 / sxx)
+        half = float(sps.t.ppf(0.5 + FIT_CONFIDENCE / 2.0, n - 2)) * math.sqrt(s2 / sxx)
     else:
         half = 0.0
     return ExponentFit(slope, slope - half, slope + half, n)
 
 
-def with_fit(curve: ScanCurve, confidence: float = 0.95) -> ScanCurve:
+def with_fit(curve: ScanCurve) -> ScanCurve:
     """Curve with its exponent fit attached (None when unfittable)."""
     try:
-        return replace(curve, fit=fit_exponent(curve, confidence))
+        return replace(curve, fit=fit_exponent(curve))
     except InsufficientDataError:
         return replace(curve, fit=None)
 

@@ -16,9 +16,11 @@ Quenched means come in two dual forms that cross-check each other: a Monte
 Carlo mean over walks, and exact forward propagation of the full quenched
 law over its reachable lattice support (dense vectorized version for d=1
 fixed-support fields, dictionary version for any lattice field).  Exact
-propagation prunes mass below ``PRUNE_MASS`` and renormalizes; the dense
-window is sized by an Azuma tail bound so the discarded mass stays below the
-pruning threshold for every environment realization.
+propagation prunes mass below ``PRUNE_MASS`` and renormalizes.  The dense
+version keeps a window centred at the origin, sized by an Azuma tail bound:
+driftless fields drop no mass outside it, and a field whose mass leaves the
+window (one with a drift) ends with a ``ValueError`` rather than a clipped
+curve.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .streams import (
 __all__ = [
     "WalkPath",
     "QuenchedMeanCurve",
-    "ScaledPath",
     "quenched_step",
     "simulate_quenched_path",
     "simulate_averaged_path",
@@ -60,7 +61,6 @@ __all__ = [
     "quenched_mean_mc",
     "quenched_mean_exact",
     "velocity_and_covariance",
-    "scaled_path",
     "env_chain_observable",
     "batch_quenched_positions",
     "batch_averaged_positions",
@@ -106,22 +106,6 @@ class QuenchedMeanCurve:
     means: np.ndarray
     standard_errors: np.ndarray
     method: str
-
-    def mean_at(self, n: int) -> np.ndarray:
-        idx = np.searchsorted(self.n_grid, n)
-        if idx >= len(self.n_grid) or self.n_grid[idx] != n:
-            raise ValueError(f"mean curve has no entry for n={n}")
-        return self.means[idx]
-
-
-@dataclass(frozen=True, eq=False)
-class ScaledPath:
-    """Diffusively rescaled path observations sqrt(eps)*(X_[t/eps] - centering)."""
-
-    epsilon: float
-    times: np.ndarray
-    values: np.ndarray
-    centering: str
 
 
 def _walk_stream(env_seed: int, step: int, walk_seed: int, subcell: tuple[int, ...] = ()):
@@ -337,23 +321,15 @@ def _integer_atoms(law) -> tuple[np.ndarray, np.ndarray]:
     return rounded.astype(np.int64), w
 
 
-def quenched_mean_exact(
-    env: Environment,
-    n_max: int,
-    x0=None,
-    prune: float = PRUNE_MASS,
-    support_cap: int = SUPPORT_CAP,
-) -> QuenchedMeanCurve:
-    """Exact quenched means by propagating the full quenched law.
+def quenched_mean_exact(env: Environment, n_max: int, support_cap: int = SUPPORT_CAP) -> QuenchedMeanCurve:
+    """Exact quenched means from the origin by propagating the full quenched law.
 
     Works for any dimension and any environment whose queried laws are
-    atomic on the integer lattice.  Mass below ``prune`` is dropped and the
-    law renormalized; exceeding ``support_cap`` lattice points raises.
+    atomic on the integer lattice.  Mass below ``PRUNE_MASS`` is dropped and
+    the law renormalized; exceeding ``support_cap`` lattice points raises.
     """
-    x = np.zeros(env.d, dtype=np.int64) if x0 is None else np.atleast_1d(np.asarray(x0)).astype(np.int64)
-    state: dict[tuple[int, ...], float] = {tuple(int(v) for v in x): 1.0}
-    means = np.empty((n_max + 1, env.d))
-    means[0] = x.astype(float)
+    state: dict[tuple[int, ...], float] = {(0,) * env.d: 1.0}
+    means = np.zeros((n_max + 1, env.d))
     for k in range(n_max):
         new: dict[tuple[int, ...], float] = {}
         drift = np.zeros(env.d)
@@ -366,8 +342,7 @@ def quenched_mean_exact(
                 tgt = tuple(int(v) for v in (np.asarray(site) + p))
                 new[tgt] = new.get(tgt, 0.0) + mass * wt
         means[k + 1] = means[k] + drift
-        if prune > 0.0:
-            new = {s: v for s, v in new.items() if v >= prune}
+        new = {s: v for s, v in new.items() if v >= PRUNE_MASS}
         if len(new) > support_cap:
             raise ValueError(f"exact propagation support exceeded cap ({support_cap})")
         total = sum(new.values())
@@ -376,20 +351,17 @@ def quenched_mean_exact(
     return QuenchedMeanCurve(grid, means, np.zeros_like(means), "exact")
 
 
-def exact_mean_curves(
-    env_template: Environment,
-    n_max: int,
-    replica_seeds: np.ndarray,
-    prune: float = PRUNE_MASS,
-) -> np.ndarray:
+def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.ndarray) -> np.ndarray:
     """Exact quenched-mean curves for many environment replicas at once.
 
     Returns means of shape (n_replicas, n_max + 1) for d=1 fixed-support
     fields starting at 0: the dense-window twin of
-    :func:`quenched_mean_exact`, vectorized across replicas.  The window is
-    clipped by the Azuma bound so clipped mass stays below the pruning
-    threshold for every realization; fully correlated fields collapse to a
-    cumulative sum of per-level drifts.
+    :func:`quenched_mean_exact`, vectorized across replicas.  Each step
+    scatters the law onto its full next support and keeps the slice inside
+    an Azuma window centred at the origin.  Driftless fields drop no mass
+    there; if the window would drop more than ``PRUNE_MASS`` of a replica's
+    law (a field with a drift), this raises ``ValueError`` naming the step.
+    Fully correlated fields collapse to a cumulative sum of per-level drifts.
     """
     fam = env_template.family
     if env_template.d != 1 or not has_fixed_support(fam):
@@ -407,41 +379,42 @@ def exact_mean_curves(
         return np.concatenate([np.zeros((m, 1)), np.cumsum(drifts.T, axis=1)], axis=1)
 
     smax = int(np.abs(support).max())
-    smin_off, smax_off = int(support.min()), int(support.max())
+    s_lo = int(support.min())
+    # Positions at step k have the parity of k when every atom is odd.
     st = 2 if bool(np.all(np.abs(support) % 2 == 1)) else 1
+    offsets = ((support - s_lo) // st).tolist()
+    span = max(offsets)
     base2d = _per_row(base)
 
     means = np.zeros((m, n_max + 1))
-    lo = hi = 0
+    lo = 0
     mass = np.ones((m, 1))
     for k in range(n_max):
-        positions = np.arange(lo, hi + 1, st, dtype=np.int64)
-        w = field_weights(env_template, base2d, k, positions)  # (m, n_pos, n_atoms)
+        n_pos = mass.shape[1]
+        w = field_weights(env_template, base2d, k, lo + st * np.arange(n_pos))  # (m, n_pos, n_atoms)
 
         # Mean recursion: E[X_{k+1}] = E[X_k] + sum_x mass(x) * drift(x).
         drift = w @ sup_f
         means[:, k + 1] = means[:, k] + (mass * drift).sum(axis=1)
 
+        # Scatter onto the full next support, lo + s_lo + st * j, atoms in support order.
+        full = np.zeros((m, n_pos + span))
+        for a, off in enumerate(offsets):
+            full[:, off : off + n_pos] += mass * w[:, :, a]
+        # Slice out the window [-window, window] on that grid.
         window = min(smax * (k + 1), int(_WINDOW_C * smax * math.sqrt(k + 1)) + smax + 2)
-        lo_new, hi_new = max(lo + smin_off, -window), min(hi + smax_off, window)
-        if st == 2:
-            # Keep the lattice parity (positions at step k+1 have parity k+1).
-            if (lo_new - (lo + smin_off)) % 2:
-                lo_new += 1
-            if (hi_new - (lo + smin_off)) % 2:
-                hi_new -= 1
-        new_mass = np.zeros((m, (hi_new - lo_new) // st + 1))
-        for a, s in enumerate(support.tolist()):
-            p_min, p_max = max(lo, lo_new - s), min(hi, hi_new - s)
-            if p_min > p_max:
-                continue
-            j0, j1 = (p_min - lo) // st, (p_max - lo) // st + 1
-            t0 = (p_min + s - lo_new) // st
-            new_mass[:, t0 : t0 + (j1 - j0)] += mass[:, j0:j1] * w[:, j0:j1, a]
-        if prune > 0.0:
-            new_mass[new_mass < prune] = 0.0
-        new_mass /= new_mass.sum(axis=1, keepdims=True)
-        lo, hi, mass = lo_new, hi_new, new_mass
+        full_lo = lo + s_lo
+        i0, i1 = max(0, -((window + full_lo) // st)), min(n_pos + span, (window - full_lo) // st + 1)
+        dropped = full[:, :i0].sum(axis=1) + full[:, i1:].sum(axis=1)
+        if dropped.max() > PRUNE_MASS:
+            raise ValueError(
+                f"exact propagation: step {k + 1} drops mass {dropped.max():.3g} outside the window "
+                f"|x| <= {window} centred at the origin; the field's drift carries its law out of it"
+            )
+        mass = full[:, i0:i1]
+        mass[mass < PRUNE_MASS] = 0.0
+        mass /= mass.sum(axis=1, keepdims=True)
+        lo = full_lo + st * i0
     return means
 
 
@@ -486,38 +459,6 @@ def velocity_and_covariance(env_template: Environment, n_env: int, n_walk: int =
     second_order = (np.outer(diag, diag) + cov**2) / n**2
     cov_se = np.sqrt(prods.var(axis=0, ddof=1) / n + second_order)
     return v, v_se, cov, cov_se
-
-
-def scaled_path(
-    path: WalkPath,
-    epsilon: float,
-    times,
-    centering: str = "velocity",
-    velocity=None,
-    mean_curve: QuenchedMeanCurve | None = None,
-) -> ScaledPath:
-    """Diffusive rescaling sqrt(eps) * (X_[t/eps] - centering([t/eps])).
-
-    ``centering`` is "velocity" (subtract [t/eps] * v) or "quenched_mean"
-    (subtract E^w_0[X_[t/eps]] read from ``mean_curve``).
-    """
-    times = np.asarray(times, dtype=float)
-    ks = np.floor(times / epsilon).astype(np.int64)
-    if ks.max() > path.n_steps:
-        raise ValueError(f"path of {path.n_steps} steps cannot cover t/eps = {ks.max()}")
-    pos = path.positions[ks]
-    if centering == "velocity":
-        if velocity is None:
-            raise ValueError("velocity centering needs the velocity")
-        center = ks[:, None] * np.atleast_1d(np.asarray(velocity, dtype=float))
-    elif centering == "quenched_mean":
-        if mean_curve is None:
-            raise ValueError("quenched_mean centering needs a mean curve")
-        center = np.stack([mean_curve.mean_at(int(k)) for k in ks])
-    else:
-        raise ValueError(f"unknown centering {centering!r}")
-    values = math.sqrt(epsilon) * (pos - center)
-    return ScaledPath(float(epsilon), times, values, centering)
 
 
 def env_chain_observable(

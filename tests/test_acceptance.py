@@ -33,7 +33,6 @@ from envwalk.walks import (
     batch_quenched_positions,
     quenched_mean_exact,
     quenched_mean_mc,
-    scaled_path,
     simulate_quenched_path,
     velocity_and_covariance,
 )
@@ -259,10 +258,12 @@ def test_criterion_9_degenerate_regimes():
     quenched_var = pos.astype(float).var(axis=1)
     var_zero = bool(np.all(quenched_var == 0.0))
 
-    curve = quenched_mean_exact(env, 32)
-    path = simulate_quenched_path(env, 32, walk_seed=0)
-    bt = scaled_path(path, 2.0**-5, [0.25, 0.5, 1.0], centering="quenched_mean", mean_curve=curve)
-    bt_zero = bool(np.all(bt.values == 0.0))
+    # sqrt(eps) * (X_k - E^w X_k) at t = k * eps in {0.25, 0.5, 1}
+    eps = 2.0**-5
+    ks = np.floor(np.array([0.25, 0.5, 1.0]) / eps).astype(np.int64)
+    curve = quenched_mean_exact(env, 32).means[:, 0]
+    path = simulate_quenched_path(env, 32, walk_seed=0).positions[:, 0]
+    bt_zero = bool(np.all(np.sqrt(eps) * (path[ks] - curve[ks]) == 0.0))
 
     diffusive = True
     for n in range(1, 9):

@@ -23,13 +23,14 @@ from envwalk.environments import (
     query,
     shift,
 )
-from envwalk.families import ChoicePM1, DiracSteps, UniformPM1
+from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, UniformPM1
 from envwalk.jumplaws import law_mean
 from envwalk.streams import derive_seeds_vec
-from envwalk.walks import batch_averaged_positions
+from envwalk.walks import batch_averaged_positions, batch_quenched_positions, exact_mean_curves
 
 MIX = make_lattice_product(909, 1, UniformPM1())
 FC = make_fully_correlated(909, 1, UniformPM1())
+FR = make_finite_range(909, 1, 2.0, UniformPM1())
 DIRAC = make_dirac(909, 1, DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5)))
 
 
@@ -235,11 +236,37 @@ def test_fclt_increment_covariance_brownian():
 
 
 def test_limit_variance_closed_forms():
-    # steps +-1 with P(+1) = p, p ~ U[0, 1]: annealed variance 1 - 0^2, mean quenched 1 - E(2p - 1)^2
-    assert limit_variance(UniformPM1(), "velocity") == 1.0
-    assert limit_variance(UniformPM1(), "quenched_mean") == pytest.approx(2.0 / 3.0, rel=1e-12)
+    # Steps +-1 with P(+1) = p, p ~ U[0, 1]: annealed variance 1 - 0^2, drift variance E(2p - 1)^2 = 1/3.
+    # Quenched-mean centering removes the drift variance only where every walker of
+    # a field collects the same drift: the level-correlated and Dirac fields.
+    fixed = make_lattice_product(909, 1, FixedAtomic(((1.0,), (-1.0,)), (0.5, 0.5)), uniform_offset=False)
+    for env in (MIX, FR, FC, DIRAC, fixed):
+        assert limit_variance(env, "velocity") == 1.0
+    for env in (MIX, FR, fixed):
+        assert limit_variance(env, "quenched_mean") == 1.0
+    assert limit_variance(FC, "quenched_mean") == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert limit_variance(FC, "quenched_mean") == float(FC.family.mean_step_cov[0, 0])
+    assert limit_variance(DIRAC, "quenched_mean") == 0.0
     with pytest.raises(ValueError, match="unknown centering 'drift'"):
-        limit_variance(UniformPM1(), "drift")
+        limit_variance(MIX, "drift")
+
+
+@pytest.mark.parametrize("env", [MIX, FC], ids=["mixing", "level-correlated"])
+def test_quenched_variance_identity_at_n16(env):
+    # E[Var^w X_n] = n * averaged_cov - V(n), V(n) = E|E^w X_n - nv|^2, on 400 fields x 500 walkers.
+    n, fields, walkers = 16, 400, 500
+    qvar = np.array([
+        batch_quenched_positions(env_replica(env, i), n, np.arange(walkers), record_steps=[n])[1][0].var(ddof=1)
+        for i in range(fields)
+    ])
+    curves = exact_mean_curves(env, n, derive_seeds_vec(env.master_seed, np.arange(fields)))
+    sq = curves[:, n] ** 2  # the velocity is 0
+    lhs, lhs_se = qvar.mean(), qvar.std(ddof=1) / math.sqrt(fields)
+    rhs, rhs_se = n * env.family.averaged_cov[0, 0] - sq.mean(), sq.std(ddof=1) / math.sqrt(fields)
+    assert abs(lhs - rhs) <= 4.0 * math.hypot(lhs_se, rhs_se)
+    # on the level-correlated field V(n) = n * drift_variance, so the identity reads n * limit_variance
+    if env is FC:
+        assert abs(lhs - n * limit_variance(env, "quenched_mean")) <= 4.0 * lhs_se
 
 
 def test_fclt_epsilon_validation():

@@ -225,6 +225,17 @@ def test_p_low_above_p_high_rejected(model, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 4: p_high: must be >= p_low")
 
 
+def test_drifting_field_exact_means_end_in_error(tmp_path, capsys):
+    # The dense window is centred at the origin; a drift carries the law out of it.
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text(
+        "experiment = variance-scan\np_low = 0.6\np_high = 0.9\nn_grid = 16, 32, 64, 128\nenv_replicas = 4\n"
+    )
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: exact propagation: step ")
+    assert not (tmp_path / "variance-scan_report.json").exists()
+
+
 # Dirac-field walks are deterministic given the field: quenched-mean
 # centering leaves nothing to be Gaussian, so the config is rejected at the
 # later of the two lines that combine it.

@@ -27,7 +27,6 @@ from envwalk.walks import (
     quenched_mean_exact,
     quenched_mean_mc,
     quenched_step,
-    scaled_path,
     simulate_averaged_path,
     simulate_quenched_path,
     velocity_and_covariance,
@@ -202,6 +201,16 @@ def test_fast_curves_match_generic_exact(env):
     assert np.allclose(fast, generic, atol=1e-10)
 
 
+def test_drifting_field_window_drop_raises():
+    # v = 0.5: the law leaves the window at step 80, where the window first
+    # binds (|x| <= 79), while the dictionary propagator keeps all of it.
+    env = make_lattice_product(404, 1, UniformPM1(0.6, 0.9))
+    seeds = np.asarray([env.master_seed], dtype=np.uint64)
+    assert np.allclose(exact_mean_curves(env, 79, seeds)[0], quenched_mean_exact(env, 79).means[:, 0], atol=1e-10)
+    with pytest.raises(ValueError, match=r"^exact propagation: step 80 drops mass \S+ outside the window \|x\| <= 79"):
+        exact_mean_curves(env, 80, seeds)
+
+
 def test_nonrandom_fair_env_has_zero_quenched_mean():
     exact = quenched_mean_exact(FAIR, 16)
     assert np.allclose(exact.means, 0.0, atol=1e-15)
@@ -235,37 +244,6 @@ def test_velocity_and_covariance_fixed_gaussian():
     v, v_se, cov, cov_se = velocity_and_covariance(env, 400, 25)
     assert abs(v[0]) <= 4 * v_se[0]
     assert abs(cov[0, 0] - 2.0) <= 4 * cov_se[0, 0]
-
-
-def test_scaled_path_velocity_centering():
-    p = simulate_quenched_path(MIX, 8, walk_seed=2)
-    sp = scaled_path(p, 1.0, [1.0], centering="velocity", velocity=[0.25])
-    assert sp.values[0, 0] == p.positions[1, 0] - 0.25
-
-
-def test_scaled_path_dirac_quenched_mean_centering_vanishes():
-    curve = quenched_mean_exact(DIRAC, 16)
-    p = simulate_quenched_path(DIRAC, 16, walk_seed=0)
-    sp = scaled_path(p, 0.25, [0.5, 1.0, 4.0], centering="quenched_mean", mean_curve=curve)
-    assert np.all(sp.values == 0.0)
-
-
-def test_scaled_path_centering_difference_identity():
-    env = env_replica(MIX, 3)
-    curve = quenched_mean_exact(env, 16)
-    p = simulate_quenched_path(env, 16, walk_seed=0)
-    t, eps, v = 1.0, 0.25, 0.0
-    b = scaled_path(p, eps, [t], centering="velocity", velocity=[v])
-    bt = scaled_path(p, eps, [t], centering="quenched_mean", mean_curve=curve)
-    k = int(np.floor(t / eps))
-    lhs = b.values[0, 0] - bt.values[0, 0]
-    assert lhs == pytest.approx(np.sqrt(eps) * (curve.means[k, 0] - k * v))
-
-
-def test_scaled_path_missing_centering_data():
-    p = simulate_quenched_path(MIX, 4, walk_seed=0)
-    with pytest.raises(ValueError):
-        scaled_path(p, 0.25, [2.0], centering="velocity", velocity=[0.0])
 
 
 def test_env_chain_observable_constant_function():
