@@ -119,13 +119,16 @@ def simulate_diff_chain(
 
 
 class _PairWalker(_Walker):
-    """Lockstep batch of (X, X~) pairs for d=1 fixed-support fields.
+    """Lockstep batch of (X, X~) pairs for d=1 fields.
 
     Column 0 is the X walk (from 0), column 1 the X~ walk (from x0); all
     stream keys match the scalar :func:`simulate_diff_chain` draw for draw.
+    The scans read Y = X~ - X as a scalar, so the pairs are one-dimensional.
     """
 
     def __init__(self, env_template: Environment, replicas: np.ndarray, x0, kind: str, n_steps: int):
+        if env_template.d != 1:
+            raise ValueError(f"difference chains are one-dimensional; the field has d={env_template.d}")
         replicas = np.asarray(replicas, dtype=np.int64)
         seeds_a, seeds_b = _pair_seeds(env_template, replicas, kind)
         la, lb = seed_lanes_vec(seeds_a), seed_lanes_vec(seeds_b)
@@ -133,11 +136,11 @@ class _PairWalker(_Walker):
         which = np.broadcast_to(np.array([0, 1], dtype=np.int64), (replicas.size, 2))
         wcells = np.stack([np.stack([replicas, replicas], axis=1), which], axis=2)
         x0 = np.broadcast_to(np.asarray(x0, dtype=np.int64), replicas.shape)
-        super().__init__(env_template, base, wcells, np.stack([np.zeros_like(replicas), x0], axis=1), n_steps)
+        super().__init__(env_template, base, wcells, np.stack([np.zeros_like(replicas), x0], axis=1)[..., None], n_steps)
 
     @property
     def y(self) -> np.ndarray:
-        return self.pos[:, 1] - self.pos[:, 0]
+        return self.pos[:, 1, 0] - self.pos[:, 0, 0]
 
     def restrict(self, keep: np.ndarray) -> None:
         """Drop the pairs not in ``keep``, from the walker and from its current block."""
@@ -145,8 +148,8 @@ class _PairWalker(_Walker):
         self.pos = self.pos[keep]
         self.wcells = self.wcells[keep]
         self.noise = self.noise[:, keep]
-        if self.weights is not None:
-            self.weights = self.weights[:, keep]
+        if self.rows is not None:
+            self.rows = self.rows[:, keep]
 
     def step(self) -> np.ndarray:
         super().step()
@@ -169,6 +172,7 @@ def batch_diff_positions(
     """
     walker = _PairWalker(env_template, replicas, x0, kind, n_steps)
     record, comps = walker.record(record_steps)
+    comps = comps[..., 0]
     y = comps[..., 1] - comps[..., 0]
     if return_components:
         return record, y, comps

@@ -22,7 +22,7 @@ and no order sensitivity.  Four constructions:
 
 Levels never share stream keys, so distinct time levels are independent by
 construction in every model.  ``field_weights`` is the batched twin of
-``query`` for d=1 fixed-support families: every vectorized path reads the
+``query`` for every family and dimension: every vectorized path reads the
 field through it.
 """
 
@@ -167,37 +167,41 @@ def env_replica(env: Environment, *index: int) -> Environment:
 
 
 # ---------------------------------------------------------------------------
-# The batched field kernel (d=1 fixed-support families).
+# The batched field kernel.
 # ---------------------------------------------------------------------------
 
 _NO_CELL = np.zeros((1, 0), dtype=np.int64)
 
 
 def field_weights(env: Environment, base_lanes, level: int, positions) -> np.ndarray:
-    """Atom-weight rows of ``env`` at field-frame ``level`` and ``positions``.
+    """The family's table rows of ``env`` at field-frame ``level`` and ``positions``.
 
-    ``base_lanes`` are the seed lanes of one field (``seed_lanes``) or of
-    one field per row (``seed_lanes_vec``); they must broadcast against
-    ``positions``.  Returns weights of shape broadcast(lanes, positions) +
-    (n_atoms,), entry by entry the weights :func:`query` gives in the
-    shifted frame.  Integer positions skip the grid offset, since
-    floor(x + U) = x; the level-correlated field hashes one cell per field
-    and broadcasts it.
+    ``positions`` has shape (..., d).  ``base_lanes`` are the seed lanes of
+    one field (``seed_lanes``) or of one field per row (``seed_lanes_vec``);
+    they must broadcast against ``positions[..., 0]``.  Returns rows of
+    shape broadcast(lanes, positions[..., 0]) + (row length,): atom weights
+    (``weight_table``) for fixed-support families, drift vectors
+    (``mean_table``) for ``GaussianDrift``; entry by entry the law
+    :func:`query` gives in the shifted frame.  Integer positions skip the
+    grid offset, since floor(x + U) = x; the level-correlated field hashes
+    one cell per field and broadcasts it.
     """
     fam = env.family
     positions = np.asarray(positions)
     if env.kind == FULLY_CORRELATED:
         cells = _NO_CELL
     elif env.kind == FINITE_RANGE:
-        cells = np.floor(positions / env.dependence_range + 0.5).astype(np.int64)[..., None]
+        cells = np.floor(positions / env.dependence_range + 0.5).astype(np.int64)
     elif positions.dtype.kind == "f":
         if env.kind == LATTICE_PRODUCT and env.uniform_offset:
-            positions = positions + uniforms_at(lanes_for_cells(base_lanes, 0, TAG_OFFSET, _NO_CELL), 0)
-        cells = np.floor(positions).astype(np.int64)[..., None]
+            offset = lanes_for_cells(base_lanes, 0, TAG_OFFSET, _NO_CELL)
+            positions = positions + uniforms_at((offset[0][..., None], offset[1][..., None]), np.arange(env.d))
+        cells = np.floor(positions).astype(np.int64)
     else:
-        cells = positions[..., None]
+        cells = positions
     lanes = lanes_for_cells(base_lanes, level, TAG_ENV, cells)
-    w = fam.weight_table(uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms)))
+    table = fam.weight_table if hasattr(fam, "weight_table") else fam.mean_table
+    rows = table(uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms)))
     if env.kind == FULLY_CORRELATED:
-        return np.broadcast_to(w, np.broadcast_shapes(lanes[0].shape, positions.shape) + w.shape[-1:])
-    return w
+        return np.broadcast_to(rows, np.broadcast_shapes(lanes[0].shape, positions.shape[:-1]) + rows.shape[-1:])
+    return rows

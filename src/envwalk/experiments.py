@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,9 +168,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if name not in keys:
             raise ConfigError(f"line {lineno}: unknown key {name!r} for experiment {experiment!r}")
         values[name] = keys[name].parse(name, raw, f"line {lineno}: ")
-    if values["p_low"] > values["p_high"]:
-        lineno = max(lines.get(name, (0,))[0] for name in ("p_low", "p_high"))
-        raise ConfigError(f"line {lineno}: p_high: must be >= p_low = {values['p_low']}, got {values['p_high']}")
+    for lo, hi, word, holds in (("p_low", "p_high", ">=", operator.ge), ("n_lo", "n_hi", ">", operator.gt)):
+        if hi in values and not holds(values[hi], values[lo]):
+            lineno = max(lines.get(name, (0,))[0] for name in (lo, hi))
+            raise ConfigError(f"line {lineno}: {hi}: must be {word} {lo} = {values[lo]}, got {values[hi]}")
     # The counterexample always centers at the quenched mean, fclt when asked to.
     quenched_mean = experiment == "counterexample" or values.get("centering") == "quenched_mean"
     if values["model"] == "dirac-field" and quenched_mean:
@@ -266,7 +268,7 @@ def _scan_rows(section: str, curve) -> list[Row]:
 
 def _run_variance_scan(env: Environment, v: dict, workers: int):
     n_grid = np.asarray(v["n_grid"], dtype=np.int64)
-    if v["mean_method"] == "exact" and env.d == 1:
+    if v["mean_method"] == "exact":
         parts = _pmap(_curves_chunk, [(env, int(n_grid.max()), idx) for idx in _chunks(v["env_replicas"])], workers)
         curve = analysis.variance_from_curves(env, n_grid, np.concatenate(parts, axis=0))
     else:
@@ -449,7 +451,7 @@ _COV_SE_FACTOR = Key(5.0, float, lo=0)
 _WALK_KEYS = {
     "epsilon": Key(2.0**-10, float, above=0, hi=2.0**-6),
     "time_points": Key([0.25, 0.5, 1.0], float, many=True, above=0),
-    "walk_replicas": Key(10000, int, lo=2),
+    "walk_replicas": Key(10000, int, lo=50),  # the KS test needs 50 samples
     "env_seeds": Key(10, int, lo=1),
     "pass_seeds": Key(8, int, lo=0),
 }

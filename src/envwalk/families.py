@@ -4,7 +4,8 @@ A family is the measurable map from a cell's uniform variates to the
 jump law stored there.  ``make`` is the scalar constructor; families whose
 laws share one fixed atom support additionally expose ``support`` /
 ``weight_table`` so that walking, drift lookup and exact distribution
-propagation can run vectorized over many cells at once.  ``make`` is built
+propagation can run vectorized over many cells at once; ``GaussianDrift``
+exposes its drift vectors the same way through ``mean_table``.  ``make`` is built
 from ``weight_table`` wherever both exist, so scalar and batched code see
 bit-identical laws.
 
@@ -29,6 +30,7 @@ __all__ = [
     "GaussianDrift",
     "LawFamily",
     "has_fixed_support",
+    "row_drifts",
 ]
 
 
@@ -300,3 +302,9 @@ LawFamily = UniformPM1 | ChoicePM1 | FixedAtomic | DiracSteps | GaussianDrift
 def has_fixed_support(family) -> bool:
     """Whether the family supports vectorized weight-table evaluation."""
     return hasattr(family, "support") and hasattr(family, "weight_table")
+
+
+def row_drifts(family, rows: np.ndarray) -> np.ndarray:
+    """Local drift vectors, shape (..., d), from the family's table rows: atom
+    weights (``weight_table``) or drift vectors (``mean_table``)."""
+    return rows @ family.support.astype(float) if has_fixed_support(family) else rows

@@ -198,6 +198,19 @@ def gaussian_factor(law: Gaussian) -> np.ndarray:
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
+def gaussian_step(mean, factor: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draws ``mean + factor @ z``, z the Box-Muller normals of each draw's uniforms (last axis of ``u``).
+
+    Summed column by column in one fixed order, so one draw and a batch give
+    the same bits (a BLAS ``L @ z`` and a batched ``Z @ L.T`` need not).
+    """
+    z = gaussian_from_uniforms(u)
+    noise = z[..., :1] * factor[:, 0]
+    for j in range(1, factor.shape[1]):
+        noise = noise + z[..., j : j + 1] * factor[:, j]
+    return mean + noise
+
+
 def law_sample(law: JumpLaw, stream: UniformStream) -> np.ndarray:
     """One draw from the measure, consuming uniforms from ``stream``."""
     if isinstance(law, Atomic):
@@ -205,9 +218,7 @@ def law_sample(law: JumpLaw, stream: UniformStream) -> np.ndarray:
         idx = int(atomic_index(np.cumsum(law.weights), u))
         return np.asarray(law.points[idx], dtype=float)
     if isinstance(law, Gaussian):
-        u = stream.take(sample_uniform_count(law))
-        z = gaussian_from_uniforms(u)[: law.d]
-        return np.asarray(law.mean) + gaussian_factor(law) @ z
+        return gaussian_step(np.asarray(law.mean), gaussian_factor(law), stream.take(sample_uniform_count(law)))
     return np.asarray(law.point, dtype=float)
 
 
@@ -220,6 +231,5 @@ def law_sample_batch(law: JumpLaw, stream: UniformStream, n: int) -> np.ndarray:
         return np.asarray(law.points, dtype=float)[idx]
     if isinstance(law, Gaussian):
         per = sample_uniform_count(law)
-        z = gaussian_from_uniforms(stream.take(n * per).reshape(n, per))
-        return np.asarray(law.mean) + z[:, : law.d] @ gaussian_factor(law).T
+        return gaussian_step(np.asarray(law.mean), gaussian_factor(law), stream.take(n * per).reshape(n, per))
     return np.broadcast_to(np.asarray(law.point, dtype=float), (n, law.d)).copy()

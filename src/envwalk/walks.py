@@ -5,7 +5,10 @@ law.  Every batched path (quenched, averaged and one-step walks here, the
 difference-chain pairs in `diffchain`) is one lockstep `_Walker` that reads
 the field through `environments.field_weights` and draws its noise from
 the same per-(step, walker) stream keys, so it replays the scalar draws
-exactly; parity tests pin each path to the scalar one.  Walk noise uses its
+exactly; parity tests pin each path to the scalar one.  The walker serves
+every law family in any dimension d, with positions of shape (..., d):
+lattice steps on a fixed integer support, Gaussian steps around each
+cell's drift vector (the difference-chain pairs stay d=1).  Walk noise uses its
 own key tag, so walk randomness never touches environment randomness.
 Walk noise and the level-correlated field do not depend on position, so the
 walker draws them per block of steps, one hash call for the whole batch
@@ -38,8 +41,8 @@ from .environments import (
     query,
     shift as env_shift,
 )
-from .families import has_fixed_support
-from .jumplaws import Atomic, Dirac, law_mean, law_sample
+from .families import has_fixed_support, row_drifts
+from .jumplaws import Atomic, Dirac, gaussian_factor, gaussian_step, law_mean, law_sample, sample_uniform_count
 from .streams import (
     TAG_WALK,
     StreamKey,
@@ -139,14 +142,14 @@ def simulate_quenched_path(
     return WalkPath(positions, env.master_seed, walk_seed, tuple(positions[0]))
 
 
-def simulate_averaged_path(env_template: Environment, n_steps: int, replica: int, x0=None) -> WalkPath:
-    """A walk under the averaged law: fresh environment per replica."""
-    return simulate_quenched_path(env_replica(env_template, replica), n_steps, replica, x0=x0)
+def simulate_averaged_path(env_template: Environment, n_steps: int, replica: int) -> WalkPath:
+    """A walk from the origin under the averaged law: fresh environment per replica."""
+    return simulate_quenched_path(env_replica(env_template, replica), n_steps, replica)
 
 
 def local_drift(env: Environment) -> np.ndarray:
     """Mean one-step jump at the origin of the (possibly shifted) field."""
-    return law_mean(query(env, 0, 0 if env.d == 1 else np.zeros(env.d)))
+    return law_mean(query(env, 0, np.zeros(env.d)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +157,15 @@ def local_drift(env: Environment) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _row_atomic_index(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise inverse CDF matching :func:`jumplaws.atomic_index`."""
-    idx = (cum_rows <= u[..., None]).sum(axis=-1)
-    return np.minimum(idx, cum_rows.shape[-1] - 1)
+def _row_atomic_index(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise inverse CDF of weight rows, matching :func:`jumplaws.atomic_index`; sums
+    ``np.cumsum``'s way, atom by atom, since numpy reduces a short last axis slowly."""
+    cum = rows[..., 0]
+    idx = (cum <= u).astype(np.intp)
+    for a in range(1, rows.shape[-1] - 1):
+        cum = cum + rows[..., a]
+        idx += cum <= u
+    return idx
 
 
 def _per_row(lanes):
@@ -166,70 +174,78 @@ def _per_row(lanes):
 
 
 class _Walker:
-    """Lockstep batch of quenched walks for d=1 fixed-support fields.
+    """Lockstep batch of quenched walks, for every law family and dimension.
 
-    Positions have shape (m, c): row i holds c walks, column j reading the
-    field through ``base_lanes`` (one shared field, or lanes broadcasting
-    to (m, c)) and drawing its step-k noise from the walk key
+    Positions have shape (m, c, d): row i holds c walks, column j reading
+    the field through ``base_lanes`` (one shared field, or lanes
+    broadcasting to (m, c)) and drawing its step-k noise from the walk key
     (field seed, level=k, cell=``walk_cells[i, j]``).  That is the key of
     :func:`simulate_quenched_path`, so every column replays a scalar path
-    draw for draw.  The walk runs at most ``n_steps`` steps: draws that do
-    not depend on position are made per block of steps up to that horizon.
+    draw for draw.  The step rule is chosen once per walker: a fixed-support
+    family steps by inverse CDF on its integer support, a Gaussian family
+    around the cell's drift vector.  The walker runs at most ``n_steps``
+    steps: draws that do not depend on position are made per block of steps.
     """
 
     def __init__(
         self, env: Environment, base_lanes, walk_cells: np.ndarray, x0, n_steps: int, accumulate_drift: bool = False
     ):
         fam = env.family
-        if env.d != 1 or not has_fixed_support(fam):
-            raise ValueError("batched lattice walks need a d=1 fixed-support family")
+        if has_fixed_support(fam):  # one uniform a step (a Dirac row is one-hot: any u picks its atom)
+            self.factor, self.support, dtype, self.n_uniforms = None, fam.support, np.int64, 1
+        else:  # Gaussian laws, one covariance for every cell
+            law = fam.make(np.zeros(fam.n_uniforms))
+            self.factor, dtype, self.n_uniforms = gaussian_factor(law), float, sample_uniform_count(law)
         self.env = env
-        self.support = fam.support[:, 0]
         self.level0 = env.shift_level
-        # An integral shift keeps field positions integer, which lets the
-        # field kernel skip the grid offset.
-        x_shift = env.shift_point[0]
-        self.x_shift = int(x_shift) if float(x_shift).is_integer() else x_shift
+        # An integral shift keeps lattice field positions integer, which
+        # lets the field kernel skip the grid offset.
+        x_shift = np.asarray(env.shift_point)
+        self.x_shift = x_shift.astype(np.int64) if np.all(x_shift == np.floor(x_shift)) else x_shift
         self.base = base_lanes
         self.wcells = walk_cells
-        self.pos = np.array(np.broadcast_to(np.asarray(x0, dtype=np.int64), walk_cells.shape[:-1]))
-        self.drift_sums = np.zeros(self.pos.shape[0]) if accumulate_drift else None
+        self.pos = np.array(np.broadcast_to(np.asarray(x0, dtype=dtype), walk_cells.shape[:-1] + (env.d,)))
+        self.drift_sums = np.zeros((self.pos.shape[0], env.d)) if accumulate_drift else None
         self.n_steps = n_steps
         self.k = 0
-        # The current block: walk uniforms (b, m, c), the level-correlated
-        # field's weights (b, ., ., n_atoms) or None, and the row to read next.
-        self.noise = np.empty((0,) + self.pos.shape)
-        self.weights = None
+        # The current block: walk uniforms (b, m, c, n_uniforms), the level-correlated
+        # field's rows (b, ., ., row length) or None, and the row to read next.
+        self.noise = np.empty((0,) + walk_cells.shape[:-1])
+        self.rows = None
         self.row = 0
 
     def _refill(self) -> None:
         """Draw walk noise, and a level-correlated field, for the next block of steps."""
-        b = max(1, _BLOCK_ELEMENTS // max(1, self.pos.size))
+        b = max(1, _BLOCK_ELEMENTS // max(1, self.wcells[..., 0].size))
         levels = np.arange(self.k, min(self.k + b, self.n_steps))[:, None, None]
-        self.noise = uniforms_at(lanes_for_cells(self.base, levels, TAG_WALK, self.wcells), 0)
+        lanes = lanes_for_cells(self.base, levels, TAG_WALK, self.wcells)
+        self.noise = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(self.n_uniforms))
         if self.env.kind == FULLY_CORRELATED:
-            self.weights = field_weights(self.env, self.base, levels + self.level0, 0)
+            self.rows = field_weights(self.env, self.base, levels + self.level0, np.zeros(self.env.d, np.int64))
         self.row = 0
 
     def step(self) -> None:
         if self.row == len(self.noise):
             self._refill()
-        if self.weights is None:
-            w = field_weights(self.env, self.base, self.k + self.level0, self.pos + self.x_shift)
+        if self.rows is None:
+            rows = field_weights(self.env, self.base, self.k + self.level0, self.pos + self.x_shift)
         else:  # in the shape a per-step read gives, for the same drift arithmetic
-            w = np.broadcast_to(self.weights[self.row], self.pos.shape + self.weights.shape[-1:])
+            rows = np.broadcast_to(self.rows[self.row], self.pos.shape[:-1] + self.rows.shape[-1:])
         if self.drift_sums is not None:
-            self.drift_sums += w[:, 0] @ self.support.astype(float)
-        idx = _row_atomic_index(np.cumsum(w, axis=-1), self.noise[self.row])
-        self.pos = self.pos + self.support[idx]
+            self.drift_sums += row_drifts(self.env.family, rows[:, 0])
+        u = self.noise[self.row]
+        if self.factor is None:
+            self.pos = self.pos + np.take(self.support, _row_atomic_index(rows, u[..., 0]), axis=0)
+        else:
+            self.pos = self.pos + gaussian_step(rows, self.factor, u)
         self.row += 1
         self.k += 1
 
     def record(self, record_steps=None) -> tuple[np.ndarray, np.ndarray]:
-        """Run all ``n_steps`` steps; positions at ``record_steps``, shape (len, m, c)."""
+        """Run all ``n_steps`` steps; positions at ``record_steps``, shape (len, m, c, d)."""
         record = np.arange(self.n_steps + 1) if record_steps is None else np.asarray(record_steps)
         wanted = {int(s): i for i, s in enumerate(record)}
-        out = np.empty((len(record),) + self.pos.shape, dtype=np.int64)
+        out = np.empty((len(record),) + self.pos.shape, dtype=self.pos.dtype)
         if 0 in wanted:
             out[wanted[0]] = self.pos
         for k in range(self.n_steps):
@@ -248,37 +264,33 @@ def batch_quenched_positions(
     accumulate_drift: bool = False,
     subcell: tuple[int, ...] = (),
 ):
-    """Vectorized quenched walks for d=1 fixed-support families.
+    """Vectorized quenched walks, every coordinate starting at ``x0``.
 
     Returns (record_steps, positions, drift_sums): positions has shape
-    (len(record_steps), M) of integer walker positions; drift_sums is the
-    per-walker sum of local drifts along the path (None unless requested).
-    Draw-for-draw identical to :func:`simulate_quenched_path`.
+    (len(record_steps), M, d), the layout of :attr:`WalkPath.positions`
+    (integers on a lattice, floats for a Gaussian family); drift_sums is
+    the per-walker sum of local drifts along the path, shape (M, d), or
+    None unless requested.  Draw-for-draw identical to
+    :func:`simulate_quenched_path`.
     """
     walk_seeds = np.asarray(walk_seeds, dtype=np.int64)
     cells = np.column_stack([walk_seeds] + [np.full(walk_seeds.shape[0], s, dtype=np.int64) for s in subcell])
     walker = _Walker(env, seed_lanes(env.master_seed), cells[:, None, :], x0, n_steps, accumulate_drift)
     record, pos = walker.record(record_steps)
-    return record, pos[..., 0], walker.drift_sums
+    return record, pos[:, :, 0], walker.drift_sums
 
 
-def batch_averaged_positions(
-    env_template: Environment,
-    n_steps: int,
-    replicas: np.ndarray,
-    x0: int = 0,
-    record_steps=None,
-):
-    """Vectorized averaged walks: replica i walks in its own fresh field.
+def batch_averaged_positions(env_template: Environment, n_steps: int, replicas: np.ndarray, record_steps=None):
+    """Vectorized averaged walks from the origin: replica i walks in its own fresh field.
 
-    Draw-for-draw identical to :func:`simulate_averaged_path` per replica.
-    d=1 fixed-support families only.
+    Positions have shape (len(record_steps), M, d); draw-for-draw identical
+    to :func:`simulate_averaged_path` per replica.
     """
     replicas = np.asarray(replicas, dtype=np.int64)
     base = seed_lanes_vec(derive_seeds_vec(env_template.master_seed, replicas))
-    walker = _Walker(env_template, _per_row(base), replicas[:, None, None], x0, n_steps)
+    walker = _Walker(env_template, _per_row(base), replicas[:, None, None], 0, n_steps)
     record, pos = walker.record(record_steps)
-    return record, pos[..., 0]
+    return record, pos[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +301,9 @@ def batch_averaged_positions(
 def quenched_mean_mc(env: Environment, n_grid, n_walks: int) -> QuenchedMeanCurve:
     """Monte Carlo quenched means over ``n_walks`` independent walks."""
     n_grid = np.asarray(n_grid, dtype=np.int64)
-    n_max = int(n_grid.max())
-    if env.d == 1 and has_fixed_support(env.family):
-        _, positions, _ = batch_quenched_positions(
-            env, n_max, np.arange(n_walks), record_steps=n_grid
-        )
-        x = positions.astype(float)
-        means = x.mean(axis=1)[:, None]
-        ses = x.std(axis=1, ddof=1)[:, None] / math.sqrt(n_walks)
-        return QuenchedMeanCurve(n_grid, means, ses, "mc")
-    allpos = np.empty((len(n_grid), n_walks, env.d))
-    for i in range(n_walks):
-        path = simulate_quenched_path(env, n_max, walk_seed=i)
-        allpos[:, i, :] = path.positions[n_grid]
-    means = allpos.mean(axis=1)
-    ses = allpos.std(axis=1, ddof=1) / math.sqrt(n_walks)
-    return QuenchedMeanCurve(n_grid, means, ses, "mc")
+    _, positions, _ = batch_quenched_positions(env, int(n_grid.max()), np.arange(n_walks), record_steps=n_grid)
+    x = positions.astype(float)
+    return QuenchedMeanCurve(n_grid, x.mean(axis=1), x.std(axis=1, ddof=1) / math.sqrt(n_walks), "mc")
 
 
 def _integer_atoms(law) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +374,7 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     base = seed_lanes_vec(seeds)
 
     if env_template.kind == FULLY_CORRELATED:
-        drifts = field_weights(env_template, base, np.arange(n_max)[:, None], 0) @ sup_f  # (n_max, m)
+        drifts = field_weights(env_template, base, np.arange(n_max)[:, None], np.zeros(1, np.int64)) @ sup_f  # (n_max, m)
         return np.concatenate([np.zeros((m, 1)), np.cumsum(drifts.T, axis=1)], axis=1)
 
     smax = int(np.abs(support).max())
@@ -391,7 +390,7 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     mass = np.ones((m, 1))
     for k in range(n_max):
         n_pos = mass.shape[1]
-        w = field_weights(env_template, base2d, k, lo + st * np.arange(n_pos))  # (m, n_pos, n_atoms)
+        w = field_weights(env_template, base2d, k, (lo + st * np.arange(n_pos))[:, None])  # (m, n_pos, n_atoms)
 
         # Mean recursion: E[X_{k+1}] = E[X_k] + sum_x mass(x) * drift(x).
         drift = w @ sup_f
@@ -420,22 +419,12 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
 
 def _x1_samples(env_template: Environment, n_env: int, n_walk: int) -> np.ndarray:
     """One-step positions under the averaged law, shape (n_env * n_walk, d)."""
-    if env_template.d == 1 and has_fixed_support(env_template.family):
-        env_idx = np.repeat(np.arange(n_env), n_walk)
-        walk_idx = np.tile(np.arange(n_walk), n_env)
-        base = seed_lanes_vec(derive_seeds_vec(env_template.master_seed, env_idx))
-        walker = _Walker(env_template, _per_row(base), walk_idx[:, None, None], 0, 1)
-        walker.step()
-        return walker.pos.astype(float)
-    out = np.empty((n_env * n_walk, env_template.d))
-    r = 0
-    for i in range(n_env):
-        env = env_replica(env_template, i)
-        for j in range(n_walk):
-            stream = _walk_stream(env.master_seed, 0, j)
-            out[r] = quenched_step(env, 0, np.zeros(env.d), stream)
-            r += 1
-    return out
+    env_idx = np.repeat(np.arange(n_env), n_walk)
+    walk_idx = np.tile(np.arange(n_walk), n_env)
+    base = seed_lanes_vec(derive_seeds_vec(env_template.master_seed, env_idx))
+    walker = _Walker(env_template, _per_row(base), walk_idx[:, None, None], 0, 1)
+    walker.step()
+    return walker.pos[:, 0].astype(float)
 
 
 def velocity_and_covariance(env_template: Environment, n_env: int, n_walk: int = 1):
@@ -469,21 +458,9 @@ def env_chain_observable(
     Estimates the environment-chain stationarity observable: the law seen
     from the particle at time n.  Returns (estimate, standard error).
     """
-    fam = env_template.family
-    if env_template.d == 1 and has_fixed_support(fam) and n > 0:
-        _, pos = batch_averaged_positions(env_template, n, np.arange(replicas), record_steps=[n])
-        finals = pos[0]
-    elif n == 0:
-        finals = np.zeros(replicas, dtype=np.int64)
-    else:
-        finals = None
+    _, pos = batch_averaged_positions(env_template, n, np.arange(replicas), record_steps=[n])
     vals = np.empty(replicas)
     for i in range(replicas):
-        env = env_replica(env_template, i)
-        if finals is not None:
-            x_n = float(finals[i])
-        else:
-            x_n = simulate_quenched_path(env, n, walk_seed=i).positions[-1]
-        seen = env_shift(env, n, x_n)
-        vals[i] = f(query(seen, 0, 0 if env.d == 1 else np.zeros(env.d)))
+        seen = env_shift(env_replica(env_template, i), n, pos[0, i])
+        vals[i] = f(query(seen, 0, np.zeros(env_template.d)))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))

@@ -23,7 +23,7 @@ from envwalk.environments import (
     query,
     shift,
 )
-from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, UniformPM1
+from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from envwalk.jumplaws import law_mean
 from envwalk.streams import derive_seeds_vec
 from envwalk.walks import batch_averaged_positions, batch_quenched_positions, exact_mean_curves
@@ -63,11 +63,34 @@ def test_phi_fractional_separation_interpolates():
 )
 def test_drift_grid_matches_scalar_on_shifted_template(env):
     x_grid = np.array([0.0, 0.25, 1.0, 3.5])
-    fast = _replica_drift_grid(env, derive_seeds_vec(env.master_seed, np.arange(10)), x_grid)
+    fast = _replica_drift_grid(env, derive_seeds_vec(env.master_seed, np.arange(10)), x_grid[:, None])
     for i in range(10):
         replica = env_replica(env, i)
         slow = [law_mean(query(replica, 0, x))[0] for x in x_grid]
-        assert np.allclose(fast[i], slow, rtol=0.0, atol=1e-12)
+        assert np.allclose(fast[i, :, 0], slow, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        make_lattice_product(5, 2, GaussianDrift(2, 0.4, ((1.0, 0.2), (0.2, 0.5)))),
+        shift(make_finite_range(5, 2, 1.5, GaussianDrift(2, 0.4, ((1.0, 0.0), (0.0, 1.0)))), 2, (0.5, -1.0)),
+        make_lattice_product(5, 2, FixedAtomic(((1.0, 0.0), (0.0, -1.0)), (0.25, 0.75))),
+    ],
+    ids=["gaussian", "gaussian-finite-range-shifted", "fixed-lattice"],
+)
+def test_phi_matches_per_replica_query_drifts_in_two_dimensions(env):
+    x_grid = [0.0, 0.5, 1.0, 2.5]
+    curve = estimate_phi(env, x_grid, 40)
+    v = env.family.averaged_mean
+    prods = np.empty((40, len(x_grid)))
+    for i in range(40):
+        replica = env_replica(env, i)
+        g0 = law_mean(query(replica, 0, np.zeros(2))) - v
+        for j, x in enumerate(x_grid):
+            prods[i, j] = g0 @ (law_mean(query(replica, 0, np.full(2, x))) - v)
+    assert np.allclose(curve.estimates, prods.mean(axis=0), rtol=0.0, atol=1e-12)
+    assert np.allclose(curve.standard_errors, prods.std(axis=0, ddof=1) / math.sqrt(40), rtol=0.0, atol=1e-12)
 
 
 def test_phi_constant_for_fully_correlated():
@@ -183,8 +206,8 @@ def test_cross_terms_vanish():
     prods = np.empty(m)
     for i in range(m):
         env = env_replica(MIX, i)
-        gk = law_mean(query(env, k, float(pos[0, i])))[0]
-        gl = law_mean(query(env, l, float(pos[1, i])))[0]
+        gk = law_mean(query(env, k, pos[0, i]))[0]
+        gl = law_mean(query(env, l, pos[1, i]))[0]
         prods[i] = gk * gl
     se = prods.std(ddof=1) / math.sqrt(m)
     assert abs(prods.mean()) <= 4.0 * se

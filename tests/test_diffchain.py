@@ -92,6 +92,12 @@ def test_blocked_escape_matches_scalar(env, kind, small_blocks):
         assert est.probs[rep] == float(settled.size > 0 and y[settled[0]] > 4)
 
 
+def test_pairs_reject_fields_beyond_one_dimension():
+    env = make_lattice_product(606, 2, FixedAtomic(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5)))
+    with pytest.raises(ValueError, match="difference chains are one-dimensional; the field has d=2"):
+        batch_diff_positions(env, 4, np.arange(3))
+
+
 def test_dirac_same_env_coincides():
     p = simulate_diff_chain(DIRAC, 0, 30, SAME_ENV, replica=1)
     assert np.all(p.values == 0.0)

@@ -60,6 +60,8 @@ def test_missing_experiment_and_bad_lines():
         ("moments", "walks_per_env = 0"),
         ("moments", "seed = 1.5"),
         ("fclt", "epsilon = abc"),
+        ("fclt", "walk_replicas = 49"),
+        ("counterexample", "walk_replicas = 10"),
         ("fclt", "expect_marginals = fial"),
         ("occupation", "kind = same"),
     ],
@@ -225,6 +227,26 @@ def test_p_low_above_p_high_rejected(model, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 4: p_high: must be >= p_low")
 
 
+# n_hi <= n_lo is rejected at the later of the two lines, like p_low > p_high.
+@pytest.mark.parametrize(
+    "text, line, n_lo",
+    [
+        ("experiment = max-drift\nn_lo = 64\nn_hi = 32\n", 3, 64),
+        ("experiment = max-drift\nn_hi = 32\nn_lo = 64\n", 3, 64),
+        ("experiment = max-drift\nn_hi = 64\n", 2, 64),
+        ("n_lo = 16\nexperiment = max-drift\nn_hi = 16\nenv_replicas = 2\n", 3, 16),
+    ],
+    ids=["n_hi-last", "n_lo-last", "default-n_lo", "equal"],
+)
+def test_max_drift_n_hi_not_above_n_lo_rejected(text, line, n_lo, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=rf"^line {line}: n_hi: must be > n_lo = {n_lo}, got "):
+        parse_config(text)
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(text)
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {line}: n_hi: must be > n_lo = {n_lo}, got ")
+
+
 def test_drifting_field_exact_means_end_in_error(tmp_path, capsys):
     # The dense window is centred at the origin; a drift carries the law out of it.
     cfg = tmp_path / "drift.cfg"
@@ -275,8 +297,9 @@ def test_velocity_centering_on_dirac_field_runs(tmp_path):
         "experiment = identity-check\nmodel = fixed-lattice\nn_list = 1, 4\nenv_replicas = 50\ny_replicas = 50\n",
         "experiment = phi-decay\nmodel = fixed-lattice\nreplicas = 200\n",
         "experiment = phi-decay\nmodel = dirac-field\nreplicas = 200\n",
+        "experiment = max-drift\nmodel = fixed-lattice\nn_lo = 16\nn_hi = 64\nenv_replicas = 4\n",
     ],
-    ids=["identity-fixed-lattice", "phi-fixed-lattice", "phi-dirac-field"],
+    ids=["identity-fixed-lattice", "phi-fixed-lattice", "phi-dirac-field", "max-drift-fixed-lattice"],
 )
 def test_nonrandom_field_verdicts_are_numbers(text, tmp_path):
     cfg = tmp_path / "n.cfg"
@@ -285,7 +308,7 @@ def test_nonrandom_field_verdicts_are_numbers(text, tmp_path):
     report = next(tmp_path.glob("*_report.json")).read_text()
     assert code != 1
     assert "NaN" not in report
-    if "phi-decay" in text and "fixed-lattice" in text:
+    if "fixed-lattice" in text and "identity-check" not in text:
         assert code == 0
 
 

@@ -83,6 +83,9 @@ def test_batch_matches_sequential_sampling():
     for law in (
         Atomic(((1.0,), (0.0,), (-2.0,)), (0.3, 0.45, 0.25)),
         Gaussian((0.5,), ((2.0,),)),
+        # d >= 2: one draw and a batch share gaussian_step's order of sums
+        Gaussian((0.3, -0.2), ((1.5, 0.4), (0.4, 0.8))),
+        Gaussian((0.1, 0.0, -0.4), ((1.0, 0.3, 0.1), (0.3, 0.7, 0.2), (0.1, 0.2, 0.9))),
         Dirac((1.0,)),
     ):
         batch = law_sample_batch(law, stream(seed=11), 16)

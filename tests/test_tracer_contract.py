@@ -4,10 +4,12 @@
 their parameter names; ``perfbench/run.py`` prints every ``PER_LAYER``
 metric of a traced run as a number.  A renamed hook fails when the tracer
 installs, and a metric that is not a finite number fails here, in a run
-small enough for the unit suite.
+small enough for the unit suite.  The fixed-size kernel probes, which call
+the batched walkers directly, must give finite positive rates.
 """
 
 import importlib
+import json
 import math
 import sys
 from pathlib import Path
@@ -49,3 +51,16 @@ def test_traced_run_gives_finite_per_layer_metrics(perfbench, name):
     bad = {key: value for key, value in reported.items()
            if not isinstance(value, (int, float)) or not math.isfinite(value)}
     assert not bad
+    # the benchmark's last line carries these metrics as strict JSON
+    json.dumps({key: {"value": value, "unit": run.PER_LAYER[key]} for key, value in reported.items()},
+               allow_nan=False)
+
+
+def test_fixed_kernel_probes_give_positive_rates(perfbench):
+    # The probes call the batched walkers directly, outside any experiment.
+    from envwalk import experiments
+
+    _, run = perfbench
+    rates = run.fixed_rates(experiments)
+    assert set(rates) == set(run.FIXED_NOTES)
+    assert all(isinstance(r, float) and math.isfinite(r) and r > 0 for r in rates.values())

@@ -72,7 +72,7 @@ def test_batch_quenched_matches_scalar(env):
     record, pos, _ = batch_quenched_positions(env, 24, np.arange(6))
     for w in range(6):
         p = simulate_quenched_path(env, 24, walk_seed=w)
-        assert np.array_equal(p.positions[:, 0], pos[:, w].astype(float))
+        assert np.array_equal(p.positions, pos[:, w].astype(float))
 
 
 @pytest.mark.parametrize("env", [MIX, FC, DIRAC, FAIR, FR])
@@ -80,7 +80,7 @@ def test_batch_averaged_matches_scalar(env):
     record, pos = batch_averaged_positions(env, 16, np.arange(5))
     for r in range(5):
         p = simulate_averaged_path(env, 16, replica=r)
-        assert np.array_equal(p.positions[:, 0], pos[:, r].astype(float))
+        assert np.array_equal(p.positions, pos[:, r].astype(float))
 
 
 @pytest.mark.parametrize("env", SHIFTED)
@@ -102,9 +102,9 @@ def test_blocked_quenched_matches_scalar(env, small_blocks):
     _, pos, drift = batch_quenched_positions(env, 25, np.arange(6), accumulate_drift=True)
     for w in range(6):
         p = simulate_quenched_path(env, 25, walk_seed=w)
-        assert np.array_equal(p.positions[:, 0], pos[:, w].astype(float))
+        assert np.array_equal(p.positions, pos[:, w].astype(float))
         drifts = [law_mean(query(env, k, p.positions[k]))[0] for k in range(25)]
-        assert drift[w] == sum(drifts)
+        assert drift[w, 0] == sum(drifts)
 
 
 @pytest.mark.parametrize("env", BLOCK_FIELDS)
@@ -112,7 +112,68 @@ def test_blocked_averaged_matches_scalar(env, small_blocks):
     _, pos = batch_averaged_positions(env, 25, np.arange(5))
     for r in range(5):
         p = simulate_averaged_path(env, 25, replica=r)
-        assert np.array_equal(p.positions[:, 0], pos[:, r].astype(float))
+        assert np.array_equal(p.positions, pos[:, r].astype(float))
+
+
+# Every family in any dimension walks through the same batched walker.
+_G2 = GaussianDrift(2, 0.4, ((1.0, 0.2), (0.2, 0.5)))
+_LAT2 = FixedAtomic(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)), (0.4, 0.1, 0.3, 0.2))
+D_FIELDS = {
+    "gauss-d1": make_lattice_product(21, 1, GaussianDrift(1, 0.5, ((1.5,),))),
+    "gauss-d2": make_lattice_product(21, 2, _G2),
+    "gauss-d3": make_lattice_product(
+        21, 3, GaussianDrift(3, 0.3, ((1.0, 0.2, 0.0), (0.2, 0.5, 0.1), (0.0, 0.1, 0.8)))
+    ),
+    "lattice-d2": make_lattice_product(21, 2, _LAT2),
+    "lattice-d2-no-offset": make_lattice_product(21, 2, _LAT2, uniform_offset=False),
+    "dirac-d2": make_dirac(21, 2, DiracSteps(((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)), (0.3, 0.3, 0.4))),
+    "gauss-finite-range": make_finite_range(21, 2, 1.5, _G2),
+    "gauss-level-correlated": make_fully_correlated(21, 2, _G2),
+    "gauss-fractional-shift": shift(make_lattice_product(21, 2, _G2), 3, (0.5, -1.25)),
+    "lattice-fractional-shift": shift(make_lattice_product(21, 2, _LAT2), 2, (0.25, 3.0)),
+}
+
+
+@pytest.fixture(params=["default-blocks", "small-blocks"])
+def blocks(request):
+    if request.param == "small-blocks":
+        request.getfixturevalue("small_blocks")
+
+
+@pytest.mark.parametrize("env", D_FIELDS.values(), ids=D_FIELDS)
+def test_batched_paths_match_scalar_in_any_dimension(env, blocks):
+    _, pos, drift = batch_quenched_positions(env, 17, np.arange(6), accumulate_drift=True)
+    _, averaged = batch_averaged_positions(env, 17, np.arange(5))
+    one_step = _x1_samples(env, 4, 3)
+    assert pos.shape == (18, 6, env.d) and drift.shape == (6, env.d)
+    for w in range(6):
+        p = simulate_quenched_path(env, 17, walk_seed=w)
+        assert np.array_equal(p.positions, pos[:, w])
+        total = np.zeros(env.d)
+        for k in range(17):
+            total = total + law_mean(query(env, k, p.positions[k]))
+        assert np.array_equal(drift[w], total)
+    for r in range(5):
+        assert np.array_equal(simulate_averaged_path(env, 17, replica=r).positions, averaged[:, r])
+    for i in range(4):
+        replica = env_replica(env, i)
+        for j in range(3):
+            assert np.array_equal(one_step[3 * i + j], simulate_quenched_path(replica, 1, walk_seed=j).positions[1])
+
+
+def test_quenched_mean_mc_and_env_chain_in_two_dimensions():
+    env = D_FIELDS["gauss-d2"]
+    curve = quenched_mean_mc(env, [1, 5, 9], 40)
+    paths = np.stack([simulate_quenched_path(env, 9, walk_seed=w).positions[[1, 5, 9]] for w in range(40)], axis=1)
+    assert curve.means.shape == curve.standard_errors.shape == (3, 2)
+    assert np.allclose(curve.means, paths.mean(axis=1), rtol=0, atol=1e-12)
+    assert np.allclose(curve.standard_errors, paths.std(axis=1, ddof=1) / np.sqrt(40), rtol=0, atol=1e-12)
+    f = lambda law: float(law_mean(law) @ law_mean(law))
+    est, _ = env_chain_observable(env, 4, f, 30)
+    _, pos = batch_averaged_positions(env, 4, np.arange(30), record_steps=[4])
+    seen = [shift(env_replica(env, i), 4, simulate_averaged_path(env, 4, replica=i).positions[4]) for i in range(30)]
+    assert np.array_equal(pos[0], [s.shift_point for s in seen])
+    assert est == float(np.mean([f(query(s, 0, np.zeros(2))) for s in seen]))
 
 
 def test_level_correlated_curves_match_per_level_laws():
@@ -155,8 +216,8 @@ def test_batched_paths_match_scalar_property(model, p, level, point, walkers, st
         _, averaged = batch_averaged_positions(env, steps, np.arange(walkers))
         _, y = batch_diff_positions(env, steps, np.arange(walkers), x0=1, kind=SAME_ENV)
     for w in range(walkers):
-        assert np.array_equal(simulate_quenched_path(env, steps, walk_seed=w).positions[:, 0], quenched[:, w])
-        assert np.array_equal(simulate_averaged_path(env, steps, replica=w).positions[:, 0], averaged[:, w])
+        assert np.array_equal(simulate_quenched_path(env, steps, walk_seed=w).positions, quenched[:, w])
+        assert np.array_equal(simulate_averaged_path(env, steps, replica=w).positions, averaged[:, w])
         assert np.array_equal(simulate_diff_chain(env, 1, steps, SAME_ENV, replica=w).values[:, 0], y[:, w])
 
 
