@@ -31,7 +31,7 @@ b = derive_stream(StreamKey(2024, 0, (5,), 1)).take(1000)  # tag differs
 print(f"corr across tags over 1000 variates: {np.corrcoef(a, b)[0, 1]:+.4f}")
 
 # First variates across 100k cells: flat histogram, mean 1/2, sd 1/sqrt(12).
-lanes = key_lanes(2024, 0, 0, np.arange(100000))
+lanes = key_lanes(2024, 0, 0, np.arange(100000)[:, None])
 u = uniforms_at(lanes, 0)
 print(f"100k cells, first variate: mean={u.mean():.5f} (1/2), sd={u.std():.5f} "
       f"({1/np.sqrt(12):.5f})")

@@ -18,7 +18,6 @@ from .diffchain import (
     SAME_ENV,
     DiffChainPath,
     ExcursionRecord,
-    ExitRecord,
     excursion_record,
     excursion_scan,
     exit_escape_probability,

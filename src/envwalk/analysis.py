@@ -226,6 +226,8 @@ class FcltReport:
 def _lattice_span(env: Environment) -> int:
     """Sub-lattice spacing of the walk's position at a fixed time."""
     support = env.family.support[:, 0]
+    if support.dtype.kind != "i":
+        raise ValueError("the lattice span needs integer atoms")
     span = 0
     for s in support.tolist():
         span = math.gcd(span, int(s - support.min()))

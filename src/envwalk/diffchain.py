@@ -10,17 +10,20 @@ does far from the origin.
 The analytics quantify how long Y lingers near coincidence: first exit
 times from centered boxes, lengths of excursions away from a box, total
 occupation time of slowly growing boxes, and the probability of escaping a
-box without first falling into an inner one.
+box without first falling into an inner one.  Each is one loop over a batch
+of pairs, ``for k, y in walker``: the pair walker yields Y after every step
+and retires the pairs a scan has settled.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .environments import Environment, env_replica
+from .environments import Environment
 from .stats import InsufficientDataError, ScanCurve, with_fit
 from .streams import derive_seeds_vec, seed_lanes_vec
 from .walks import _Walker, simulate_quenched_path
@@ -29,7 +32,6 @@ __all__ = [
     "SAME_ENV",
     "INDEPENDENT_ENV",
     "DiffChainPath",
-    "ExitRecord",
     "ExcursionRecord",
     "ExitTimeScan",
     "ExcursionScan",
@@ -54,15 +56,6 @@ class DiffChainPath:
     values: np.ndarray
     kind: str
     start: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ExitRecord:
-    """First exit of one replica from the box [-r, r]^d."""
-
-    r: float
-    steps: int
-    capped: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,15 +87,6 @@ def _pair_seeds(env_template: Environment, replicas: np.ndarray, kind: str):
     raise ValueError(f"unknown difference-chain kind {kind!r}")
 
 
-def _replica_envs(env_template: Environment, replica: int, kind: str):
-    if kind == SAME_ENV:
-        env = env_replica(env_template, replica)
-        return env, env
-    if kind == INDEPENDENT_ENV:
-        return env_replica(env_template, replica, 0), env_replica(env_template, replica, 1)
-    raise ValueError(f"unknown difference-chain kind {kind!r}")
-
-
 def simulate_diff_chain(
     env_template: Environment, x0, n_steps: int, kind: str, replica: int
 ) -> DiffChainPath:
@@ -111,7 +95,8 @@ def simulate_diff_chain(
     Replica ``i`` uses its own fresh field(s); the two walks draw disjoint
     noise streams even when they share the field.
     """
-    env_a, env_b = _replica_envs(env_template, replica, kind)
+    seed_a, seed_b = _pair_seeds(env_template, np.array([replica]), kind)
+    env_a, env_b = (replace(env_template, master_seed=int(s[0])) for s in (seed_a, seed_b))
     pa = simulate_quenched_path(env_a, n_steps, walk_seed=replica, subcell=(0,))
     pb = simulate_quenched_path(env_b, n_steps, walk_seed=replica, subcell=(1,), x0=x0)
     values = pb.positions - pa.positions
@@ -124,6 +109,8 @@ class _PairWalker(_Walker):
     Column 0 is the X walk (from 0), column 1 the X~ walk (from x0); all
     stream keys match the scalar :func:`simulate_diff_chain` draw for draw.
     The scans read Y = X~ - X as a scalar, so the pairs are one-dimensional.
+    Stepping yields Y of the live pairs; ``alive`` holds their row numbers
+    in the batch, and :meth:`retire` drops the pairs a scan has settled.
     """
 
     def __init__(self, env_template: Environment, replicas: np.ndarray, x0, kind: str, n_steps: int):
@@ -137,19 +124,23 @@ class _PairWalker(_Walker):
         wcells = np.stack([np.stack([replicas, replicas], axis=1), which], axis=2)
         x0 = np.broadcast_to(np.asarray(x0, dtype=np.int64), replicas.shape)
         super().__init__(env_template, base, wcells, np.stack([np.zeros_like(replicas), x0], axis=1)[..., None], n_steps)
+        self.alive = np.arange(replicas.size)
 
     @property
     def y(self) -> np.ndarray:
         return self.pos[:, 1, 0] - self.pos[:, 0, 0]
 
-    def restrict(self, keep: np.ndarray) -> None:
-        """Drop the pairs not in ``keep``, from the walker and from its current block."""
-        self.base = (self.base[0][keep], self.base[1][keep])
-        self.pos = self.pos[keep]
-        self.wcells = self.wcells[keep]
-        self.noise = self.noise[:, keep]
+    def retire(self, done: np.ndarray) -> None:
+        """Drop the live pairs flagged in ``done``, from the walker and from its current block."""
+        if not done.any():
+            return
+        # ``np.take``: indexing by a mask or an index array copies these arrays several times slower.
+        keep = np.flatnonzero(~done)
+        self.alive, self.pos, self.wcells = (np.take(a, keep, axis=0) for a in (self.alive, self.pos, self.wcells))
+        self.base = tuple(np.take(lane, keep, axis=0) for lane in self.base)
+        self.noise = np.take(self.noise, keep, axis=1)
         if self.rows is not None:
-            self.rows = self.rows[:, keep]
+            self.rows = np.take(self.rows, keep, axis=1)
 
     def step(self) -> np.ndarray:
         super().step()
@@ -198,14 +189,6 @@ class ExitTimeScan:
     exit_steps: np.ndarray
     step_cap: int
 
-    def records(self) -> list[ExitRecord]:
-        out = []
-        for j, r in enumerate(np.asarray(self.curve.grid)):
-            for s in self.exit_steps[j]:
-                capped = s < 0
-                out.append(ExitRecord(float(r), int(self.step_cap if capped else s), bool(capped)))
-        return out
-
 
 def exit_time_scan(
     env_template: Environment,
@@ -218,25 +201,17 @@ def exit_time_scan(
     """First-exit times of Y from [-r, r] over a radius grid.
 
     One batch of chains serves every radius (exits from nested boxes are
-    ordered); stepping stops once all replicas left the largest box or hit
-    ``step_cap``.
+    ordered): a pair retires once it left the largest box, and stepping
+    stops when none is left or at ``step_cap``.
     """
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
     walker = _PairWalker(env_template, np.arange(replicas), x0, kind, step_cap)
-    alive = np.arange(replicas)
     radii = r_grid[:, None]
     exit_steps = np.where(np.abs(walker.y) > radii, 0, -1)
-    k = 0
-    while alive.size and k < step_cap:
-        y = walker.step()
-        k += 1
-        prev = exit_steps[:, alive]
-        exit_steps[:, alive] = np.where((prev < 0) & (np.abs(y) > radii), k, prev)
-        if k % 64 == 0:
-            done = exit_steps[-1, alive] >= 0
-            if done.any():
-                walker.restrict(~done)
-                alive = alive[~done]
+    for k, y in walker:
+        prev = np.take(exit_steps, walker.alive, axis=1)
+        steps = exit_steps[:, walker.alive] = np.where((prev < 0) & (np.abs(y) > radii), k, prev)
+        walker.retire(steps[-1] >= 0)
 
     means = np.full(len(r_grid), np.nan)
     ses = np.full(len(r_grid), np.nan)
@@ -313,8 +288,7 @@ def excursion_scan(
     outside = np.zeros(replicas, dtype=bool)
     out_step = np.zeros(replicas, dtype=np.int64)
     lengths: list[np.ndarray] = []
-    for k in range(1, horizon + 1):
-        y = walker.step()
+    for k, y in walker:
         ay = np.abs(y)
         leaving = ~outside & (ay > radius)
         returning = outside & (ay <= radius)
@@ -358,14 +332,11 @@ def occupation_time(
         raise ValueError("eps must be positive")
     n_grid = np.sort(np.asarray(n_grid, dtype=np.int64))
     radii = n_grid.astype(float) ** eps
-    # Y_0 .. Y_{n_max - 1} are read: n_max - 1 steps.
+    # Y_0 .. Y_{n_max - 1} are read: Y_0, then n_max - 1 steps.
     n_max = int(n_grid.max())
     walker = _PairWalker(env_template, np.arange(replicas), 0, kind, n_max - 1)
     counts = np.zeros((len(n_grid), replicas), dtype=np.int64)
-    y = walker.y
-    for k in range(n_max):
-        if k:
-            y = walker.step()
+    for k, y in itertools.chain([(0, walker.y)], walker):
         live = n_grid > k
         counts[live] += np.abs(y) <= radii[live, None]
     est = counts.mean(axis=1)
@@ -404,7 +375,7 @@ def exit_escape_probability(
     Starts are the integer points y with r0 < |y| <= r in ascending order;
     ``replicas`` is split evenly across them.  Boxes are closed: escape
     means |Y| > r, falling back means |Y| <= r0, both checked at integer
-    steps; a start already outside the outer box escapes at time 0.
+    steps.
     """
     if not r0 < r:
         raise ValueError("need r0 < r")
@@ -415,34 +386,14 @@ def exit_escape_probability(
     if per < 1:
         raise ValueError(f"need at least {starts.size} replicas (one per shell point)")
     x0 = np.repeat(starts, per)
-    walker = _PairWalker(env_template, np.arange(starts.size * per), x0, kind, time_budget)
-    start_of_row = np.repeat(np.arange(starts.size), per)
+    walker = _PairWalker(env_template, np.arange(x0.size), x0, kind, time_budget)
     escaped = np.zeros(x0.size, dtype=bool)
-    failed = np.zeros(x0.size, dtype=bool)
-    alive = np.arange(x0.size)
-    y0 = walker.y
-    escaped[np.abs(y0) > r] = True
-    k = 0
-    while alive.size and k < time_budget:
-        y = walker.step()
-        k += 1
+    for _, y in walker:
         ay = np.abs(y)
-        esc = ay > r
-        fail = ~esc & (ay <= r0)
-        escaped[alive[esc]] = True
-        failed[alive[fail]] = True
-        settled = esc | fail
-        if settled.any():
-            walker.restrict(~settled)
-            alive = alive[~settled]
-
-    probs = np.empty(starts.size)
-    ses = np.empty(starts.size)
-    for i in range(starts.size):
-        rows = escaped[start_of_row == i]
-        p = rows.mean()
-        probs[i] = p
-        ses[i] = math.sqrt(max(p * (1.0 - p), 1.0 / per) / per)
+        escaped[walker.alive[ay > r]] = True
+        walker.retire((ay > r) | (ay <= r0))
+    probs = escaped.reshape(starts.size, per).mean(axis=1)
+    ses = np.sqrt(np.maximum(probs * (1.0 - probs), 1.0 / per) / per)
     return EscapeEstimate(
         float(r), float(r0), int(time_budget), starts, probs, ses,
         float(probs.min()), float(probs.mean()),

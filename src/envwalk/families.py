@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jumplaws import Atomic, Dirac, Gaussian, JumpLaw, atomic_index
+from .jumplaws import Atomic, Dirac, Gaussian, JumpLaw, atomic_index, atomic_mean
 
 __all__ = [
     "UniformPM1",
@@ -138,6 +138,12 @@ class ChoicePM1:
         return np.array([[1.0 - v * v - self.drift_variance]])
 
 
+def _support(points) -> np.ndarray:
+    """Atoms as rows: integers when every atom is a lattice point, floats otherwise."""
+    pts = np.asarray(points, dtype=float)
+    return np.round(pts).astype(int) if np.allclose(pts, np.round(pts)) else pts
+
+
 @dataclass(frozen=True)
 class FixedAtomic:
     """The same atomic law in every cell: a nonrandom environment."""
@@ -158,10 +164,7 @@ class FixedAtomic:
 
     @property
     def support(self) -> np.ndarray:
-        pts = np.asarray(self.points)
-        if not np.allclose(pts, np.round(pts)):
-            raise ValueError("fixed-support fast paths need integer atoms")
-        return np.round(pts).astype(int)
+        return _support(self.points)
 
     def weight_table(self, u: np.ndarray) -> np.ndarray:
         shape = np.asarray(u).shape[:-1] + (len(self.weights),)
@@ -213,10 +216,7 @@ class DiracSteps:
 
     @property
     def support(self) -> np.ndarray:
-        pts = np.asarray(self.points)
-        if not np.allclose(pts, np.round(pts)):
-            raise ValueError("fixed-support fast paths need integer atoms")
-        return np.round(pts).astype(int)
+        return _support(self.points)
 
     def weight_table(self, u: np.ndarray) -> np.ndarray:
         cum = np.cumsum(self.probs)
@@ -307,4 +307,4 @@ def has_fixed_support(family) -> bool:
 def row_drifts(family, rows: np.ndarray) -> np.ndarray:
     """Local drift vectors, shape (..., d), from the family's table rows: atom
     weights (``weight_table``) or drift vectors (``mean_table``)."""
-    return rows @ family.support.astype(float) if has_fixed_support(family) else rows
+    return atomic_mean(rows, family.support) if has_fixed_support(family) else rows

@@ -120,10 +120,22 @@ class Dirac:
 JumpLaw = Union[Atomic, Gaussian, Dirac]
 
 
+def atomic_mean(weights, points) -> np.ndarray:
+    """Mean of the atoms ``points`` (n_atoms, d) under weight rows (..., n_atoms), shape (..., d).
+
+    Summed atom by atom in one fixed order, so one law and a batch of rows
+    give the same bits (a BLAS ``w @ points`` need not off the lattice).
+    """
+    weights, points = np.asarray(weights), np.asarray(points, dtype=float)
+    total = weights[..., :1] * points[0]
+    for a in range(1, len(points)):
+        total = total + weights[..., a : a + 1] * points[a]
+    return total
+
+
 def law_mean(law: JumpLaw) -> np.ndarray:
     if isinstance(law, Atomic):
-        pts = np.asarray(law.points)
-        return np.asarray(law.weights) @ pts
+        return atomic_mean(law.weights, law.points)
     if isinstance(law, Gaussian):
         return np.asarray(law.mean, dtype=float)
     return np.asarray(law.point, dtype=float)

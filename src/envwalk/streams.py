@@ -162,14 +162,11 @@ def lanes_for_cells(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lane pairs for cells under shared or per-row base lanes.
 
-    ``cells`` has shape (..., d) with d >= 0; a 1-d array is read as a list
-    of d=1 cells.  ``base_lanes`` must broadcast against ``cells[..., j]``.
-    Entry by entry the result is bit-identical to
-    ``StreamKey(seed, level, cell, tag).lanes()``.
+    ``cells`` has shape (..., d) with d >= 0: a 1-d array is one cell.
+    ``base_lanes`` must broadcast against ``cells[..., j]``.  Entry by entry
+    the result is bit-identical to ``StreamKey(seed, level, cell, tag).lanes()``.
     """
     cells = np.asarray(cells)
-    if cells.ndim == 1:
-        cells = cells[:, None]
     d = cells.shape[-1]
     lanes = absorb(base_lanes, tag)
     lanes = absorb(lanes, level)

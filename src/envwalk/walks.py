@@ -5,11 +5,14 @@ law.  Every batched path (quenched, averaged and one-step walks here, the
 difference-chain pairs in `diffchain`) is one lockstep `_Walker` that reads
 the field through `environments.field_weights` and draws its noise from
 the same per-(step, walker) stream keys, so it replays the scalar draws
-exactly; parity tests pin each path to the scalar one.  The walker serves
-every law family in any dimension d, with positions of shape (..., d):
-lattice steps on a fixed integer support, Gaussian steps around each
-cell's drift vector (the difference-chain pairs stay d=1).  Walk noise uses its
-own key tag, so walk randomness never touches environment randomness.
+exactly; parity tests pin each path to the scalar one.  Iterating a walker
+is the one stepping loop: it yields (k, result of step k) until the last
+step or the last walker.  The walker serves every law family in any
+dimension d, with positions of shape (..., d): steps on a fixed atom
+support (integer positions when every atom is a lattice point), Gaussian
+steps around each cell's drift vector (the difference-chain pairs stay
+d=1).  Walk noise uses its own key tag, so walk randomness never touches
+environment randomness.
 Walk noise and the level-correlated field do not depend on position, so the
 walker draws them per block of steps, one hash call for the whole batch
 (``_BLOCK_ELEMENTS`` walker-steps a block); since every variate is a pure
@@ -182,9 +185,10 @@ class _Walker:
     (field seed, level=k, cell=``walk_cells[i, j]``).  That is the key of
     :func:`simulate_quenched_path`, so every column replays a scalar path
     draw for draw.  The step rule is chosen once per walker: a fixed-support
-    family steps by inverse CDF on its integer support, a Gaussian family
-    around the cell's drift vector.  The walker runs at most ``n_steps``
-    steps: draws that do not depend on position are made per block of steps.
+    family steps by inverse CDF on its support, with positions of the
+    support's dtype, a Gaussian family around the cell's drift vector.
+    Iterating runs at most ``n_steps`` steps: draws that do not depend on
+    position are made per block of steps.
     """
 
     def __init__(
@@ -192,7 +196,8 @@ class _Walker:
     ):
         fam = env.family
         if has_fixed_support(fam):  # one uniform a step (a Dirac row is one-hot: any u picks its atom)
-            self.factor, self.support, dtype, self.n_uniforms = None, fam.support, np.int64, 1
+            self.factor, self.support, self.n_uniforms = None, fam.support, 1
+            dtype = self.support.dtype
         else:  # Gaussian laws, one covariance for every cell
             law = fam.make(np.zeros(fam.n_uniforms))
             self.factor, dtype, self.n_uniforms = gaussian_factor(law), float, sample_uniform_count(law)
@@ -224,7 +229,8 @@ class _Walker:
             self.rows = field_weights(self.env, self.base, levels + self.level0, np.zeros(self.env.d, np.int64))
         self.row = 0
 
-    def step(self) -> None:
+    def step(self) -> np.ndarray:
+        """Take step ``k`` -> ``k + 1``; returns the positions."""
         if self.row == len(self.noise):
             self._refill()
         if self.rows is None:
@@ -240,6 +246,14 @@ class _Walker:
             self.pos = self.pos + gaussian_step(rows, self.factor, u)
         self.row += 1
         self.k += 1
+        return self.pos
+
+    def __iter__(self):
+        """The one stepping loop: yields (k, result of step k) for k = 1 .. ``n_steps``
+        while any walker is left."""
+        while self.k < self.n_steps and len(self.pos):
+            out = self.step()
+            yield self.k, out
 
     def record(self, record_steps=None) -> tuple[np.ndarray, np.ndarray]:
         """Run all ``n_steps`` steps; positions at ``record_steps``, shape (len, m, c, d)."""
@@ -248,10 +262,9 @@ class _Walker:
         out = np.empty((len(record),) + self.pos.shape, dtype=self.pos.dtype)
         if 0 in wanted:
             out[wanted[0]] = self.pos
-        for k in range(self.n_steps):
-            self.step()
-            if k + 1 in wanted:
-                out[wanted[k + 1]] = self.pos
+        for k, _ in self:
+            if k in wanted:
+                out[wanted[k]] = self.pos
         return record, out
 
 
@@ -268,7 +281,7 @@ def batch_quenched_positions(
 
     Returns (record_steps, positions, drift_sums): positions has shape
     (len(record_steps), M, d), the layout of :attr:`WalkPath.positions`
-    (integers on a lattice, floats for a Gaussian family); drift_sums is
+    (integers on an integer support, floats otherwise); drift_sums is
     the per-walker sum of local drifts along the path, shape (M, d), or
     None unless requested.  Draw-for-draw identical to
     :func:`simulate_quenched_path`.
@@ -363,8 +376,8 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     Fully correlated fields collapse to a cumulative sum of per-level drifts.
     """
     fam = env_template.family
-    if env_template.d != 1 or not has_fixed_support(fam):
-        raise ValueError("exact mean curves need a d=1 fixed-support family")
+    if env_template.d != 1 or not has_fixed_support(fam) or fam.support.dtype.kind != "i":
+        raise ValueError("exact mean curves need a d=1 fixed-support family with integer atoms")
     if env_template.shift_level != 0 or any(env_template.shift_point):
         raise ValueError("exact mean curves expect an unshifted template")
     support = fam.support[:, 0]

@@ -18,6 +18,6 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Blocks of 45 walker-steps: 6 walkers take 7 steps per block, 5 take 9
-    and 4 pairs 5, and none of these divides 64 (the exit scan's restrict
-    period) or the step counts the parity tests use."""
+    and 4 pairs 5, and none of these divides the step counts the parity
+    tests use."""
     monkeypatch.setattr(walks, "_BLOCK_ELEMENTS", 45)

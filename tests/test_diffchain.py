@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from envwalk import diffchain
 from envwalk.diffchain import (
     INDEPENDENT_ENV,
     SAME_ENV,
@@ -66,7 +67,7 @@ def test_blocked_pairs_match_scalar(env, small_blocks):
             assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
 
 
-# Six pairs take 3-step blocks under ``small_blocks``, so ``restrict`` drops
+# Six pairs take 3-step blocks under ``small_blocks``, so ``retire`` drops
 # settled pairs mid-block: the scans must still follow every scalar chain.
 @pytest.mark.parametrize("env", [MIX, FC])
 @pytest.mark.parametrize("kind", [SAME_ENV, INDEPENDENT_ENV])
@@ -169,8 +170,7 @@ def test_exit_scan_dirac_all_capped():
     assert np.all(scan.capped_fraction == 1.0)
     assert np.all(np.isnan(scan.curve.estimates))
     assert scan.curve.fit is None
-    recs = scan.records()
-    assert all(rec.capped for rec in recs)
+    assert np.all(scan.exit_steps < 0)
 
 
 def test_exit_records_start_inside():
@@ -195,12 +195,17 @@ def test_excursion_record_interleaving():
 def test_excursion_scan_matches_per_path_records():
     horizon, eps, m = 512, 0.2, 40
     scan = excursion_scan(MIX, horizon, eps, m)
-    lengths = []
-    for rep in range(m):
-        p = simulate_diff_chain(MIX, 0, horizon, SAME_ENV, replica=rep)
-        lengths.append(excursion_record(p.values, scan.box_radius).lengths)
+    _, y = batch_diff_positions(MIX, horizon, np.arange(m))
+    lengths = [excursion_record(y[:, rep], scan.box_radius).lengths for rep in range(m)]
     expected = np.sort(np.concatenate(lengths))
     assert np.array_equal(np.sort(scan.lengths), expected)
+
+
+def test_long_scalar_chains_match_batch():
+    _, y = batch_diff_positions(MIX, 512, np.arange(2))
+    for rep in range(2):
+        p = simulate_diff_chain(MIX, 0, 512, SAME_ENV, replica=rep)
+        assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
 
 
 def test_excursion_scan_dirac_insufficient():
@@ -211,6 +216,20 @@ def test_excursion_scan_dirac_insufficient():
 def test_occupation_first_step():
     curve = occupation_time(MIX, [1], 0.2, 50)
     assert curve.estimates[0] == 1.0  # Y_0 = 0 is inside any box
+
+
+@pytest.mark.parametrize("kind", [SAME_ENV, INDEPENDENT_ENV])
+def test_blocked_occupation_matches_chains(kind, small_blocks, monkeypatch):
+    # Y_0 .. Y_{n-1} are counted for grid point n, so the walker steps n_max - 1 times.
+    n_grid, eps, m = np.array([1, 5, 9, 23]), 0.3, 6
+    steps, step = [], diffchain._PairWalker.step
+    monkeypatch.setattr(diffchain._PairWalker, "step", lambda walker: steps.append(walker.k) or step(walker))
+    curve = occupation_time(MIX, n_grid, eps, m, kind=kind)
+    assert steps == list(range(n_grid.max() - 1))
+    _, y = batch_diff_positions(MIX, int(n_grid.max()), np.arange(m), kind=kind)
+    inside = np.abs(y) <= n_grid[:, None, None] ** eps  # (grid, step, replica)
+    counts = [inside[j, :n].sum(axis=0) for j, n in enumerate(n_grid)]
+    assert np.array_equal(curve.estimates, np.mean(counts, axis=1))
 
 
 def test_occupation_sublinear_exponent():

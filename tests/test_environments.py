@@ -3,6 +3,7 @@ import pytest
 
 from envwalk.environments import (
     env_replica,
+    field_weights,
     make_dirac,
     make_finite_range,
     make_fully_correlated,
@@ -11,8 +12,9 @@ from envwalk.environments import (
     query,
     shift,
 )
-from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
+from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1, row_drifts
 from envwalk.jumplaws import Dirac, law_mean
+from envwalk.streams import seed_lanes
 from envwalk.walks import simulate_quenched_path
 
 
@@ -144,3 +146,20 @@ def test_dimension_mismatch_rejected():
     env = make_lattice_product(1, 2, GaussianDrift(2, 0.5, ((1.0, 0.0), (0.0, 1.0))))
     law = query(env, 0, (0.3, -0.7))
     assert len(law.mean) == 2
+
+
+_DIRAC2 = DiracSteps(((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)), (0.3, 0.3, 0.4))
+
+
+@pytest.mark.parametrize(
+    "env",
+    [mixing_env(31), make_lattice_product(31, 2, _DIRAC2), make_finite_range(31, 2, 1.5, _DIRAC2)],
+    ids=["lattice-d1", "dirac-d2", "finite-range-d2"],
+)
+def test_field_weights_of_one_point_match_query(env):
+    # A (d,) position is one point: one table row, the law query gives there.
+    n_atoms = len(env.family.support)
+    for point in (np.zeros(env.d), np.full(env.d, 2.6), np.arange(env.d) - 1.4, np.arange(env.d) - 3):
+        rows = field_weights(env, seed_lanes(env.master_seed), 3, point)
+        assert rows.shape == (n_atoms,)
+        assert np.array_equal(row_drifts(env.family, rows), law_mean(query(env, 3, point)))

@@ -80,7 +80,7 @@ def test_derive_seed_scalar_vs_vector():
 
 def test_first_variates_uniform_chi_square():
     # 10^4 distinct cells, first variate each: chi-square GOF at level 0.001.
-    lanes = key_lanes(2718, 0, 0, np.arange(10000))
+    lanes = key_lanes(2718, 0, 0, np.arange(10000)[:, None])
     u = uniforms_at(lanes, 0)
     counts, _ = np.histogram(u, bins=50, range=(0.0, 1.0))
     stat = ((counts - 200.0) ** 2 / 200.0).sum()

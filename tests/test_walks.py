@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from envwalk import walks
+from envwalk.analysis import _lattice_span
 from envwalk.diffchain import SAME_ENV, batch_diff_positions, simulate_diff_chain
 from envwalk.environments import (
     env_replica,
@@ -131,6 +132,10 @@ D_FIELDS = {
     "gauss-level-correlated": make_fully_correlated(21, 2, _G2),
     "gauss-fractional-shift": shift(make_lattice_product(21, 2, _G2), 3, (0.5, -1.25)),
     "lattice-fractional-shift": shift(make_lattice_product(21, 2, _LAT2), 2, (0.25, 3.0)),
+    # Atoms off the lattice: the walker keeps float positions, as the scalar path does.
+    "non-integer-atoms-d1": make_lattice_product(21, 1, FixedAtomic(((0.5,), (-1.25,)), (0.6, 0.4))),
+    "non-integer-atoms-d2": make_lattice_product(21, 2, FixedAtomic(((0.5, 0.0), (-0.5, 0.25)), (0.5, 0.5))),
+    "non-integer-dirac-d2": make_dirac(21, 2, DiracSteps(((0.5, 0.0), (0.0, -1.5), (-0.5, 0.5)), (0.3, 0.3, 0.4))),
 }
 
 
@@ -159,6 +164,14 @@ def test_batched_paths_match_scalar_in_any_dimension(env, blocks):
         replica = env_replica(env, i)
         for j in range(3):
             assert np.array_equal(one_step[3 * i + j], simulate_quenched_path(replica, 1, walk_seed=j).positions[1])
+
+
+def test_exact_paths_reject_non_integer_atoms():
+    env = D_FIELDS["non-integer-atoms-d1"]
+    with pytest.raises(ValueError, match="integer atoms"):
+        exact_mean_curves(env, 4, np.arange(2, dtype=np.uint64))
+    with pytest.raises(ValueError, match="integer atoms"):
+        _lattice_span(env)
 
 
 def test_quenched_mean_mc_and_env_chain_in_two_dimensions():
