@@ -208,10 +208,17 @@ def exit_time_scan(
     walker = _PairWalker(env_template, np.arange(replicas), x0, kind, step_cap)
     radii = r_grid[:, None]
     exit_steps = np.where(np.abs(walker.y) > radii, 0, -1)
+    # The live pairs' columns, in walker order; a column goes back to
+    # exit_steps when its pair retires, the survivors' at the cap.
+    steps = exit_steps.copy()
     for k, y in walker:
-        prev = np.take(exit_steps, walker.alive, axis=1)
-        steps = exit_steps[:, walker.alive] = np.where((prev < 0) & (np.abs(y) > radii), k, prev)
-        walker.retire(steps[-1] >= 0)
+        steps = np.where((steps < 0) & (np.abs(y) > radii), k, steps)
+        done = steps[-1] >= 0
+        if done.any():
+            exit_steps[:, walker.alive[done]] = steps[:, done]
+            steps = np.take(steps, np.flatnonzero(~done), axis=1)
+            walker.retire(done)
+    exit_steps[:, walker.alive] = steps
 
     means = np.full(len(r_grid), np.nan)
     ses = np.full(len(r_grid), np.nan)

@@ -11,7 +11,9 @@ import hashlib
 import time
 
 import numpy as np
+import pytest
 
+from envwalk import streams
 from envwalk.analysis import (
     fclt_check,
     max_drift_check,
@@ -100,6 +102,14 @@ def test_criterion_1_determinism():
         f"double runs and workers in {{1,8}} byte-identical and matching the "
         f"golden digests for all {len(_SMALL_CONFIGS)} experiment types{worst} ({time.time()-t0:.0f}s)",
     )
+
+
+@pytest.mark.parametrize("name", ["variance-scan", "counterexample"])
+def test_criterion_1_digests_without_compiled_kernel(name, monkeypatch):
+    # The numpy mixers serve every call where no C compiler is present.
+    monkeypatch.setattr(streams, "_LIB", None)
+    digest = hashlib.sha256(report_json(run(parse_config(_SMALL_CONFIGS[name]), workers=1)).encode()).hexdigest()
+    _report("criterion 1: numpy fall-back", digest == _GOLDEN_DIGESTS[name], f"{name} report matches its golden digest")
 
 
 # -- 2. moments --------------------------------------------------------------
