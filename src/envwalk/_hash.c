@@ -1,16 +1,26 @@
-/* The keyed two-lane hash of envwalk.streams, for its batched hot paths.
+/* The compiled hot paths of envwalk: the keyed two-lane hash of
+ * envwalk.streams and the dense propagation step of
+ * walks.exact_mean_curves.
  *
- * Bit for bit the numpy mixers of streams.py (_mix1, _mix2, absorb,
- * words_at, uniforms_at): the same constants and the same wrapping 64-bit
- * arithmetic.  Plain C99 with no Python headers; streams.py builds it with
- * `cc -O3 -shared -fPIC` on first import and calls it through ctypes.
+ * The hash is bit for bit the numpy mixers of streams.py (_mix1, _mix2,
+ * absorb, words_at, uniforms_at): the same constants and the same wrapping
+ * 64-bit arithmetic.  The propagation step is bit for bit the numpy step
+ * of walks.py: the same products and sums in the same order, with numpy's
+ * pairwise summation for every row sum.  Plain C99 with no Python
+ * headers; streams.py builds it with `cc -O3 -ffp-contract=off -shared
+ * -fPIC` on first import and calls it through ctypes.  Floating-point
+ * contraction is off because a fused multiply-add (which GCC otherwise
+ * forms from `t += x * w` in the AVX-512 clone) rounds once where numpy
+ * rounds twice, and moves the propagated curves in their last bits; the
+ * hash is integer arithmetic plus one exact scaling, which the flag does
+ * not change.
  *
- * Each entry point fills a grid of n0 rows by n1 columns.  Every input is
- * addressed by an (outer, inner) element stride, 0 along an axis where it
- * is broadcast, so a broadcast is never copied.  streams.py collapses the
- * broadcast shape to this grid and hands in contiguous operands, so the
- * inner strides are 0 or 1 (d for cells); the loops below are shaped so
- * that those cases vectorize.
+ * Each hash entry point fills a grid of n0 rows by n1 columns.  Every
+ * input is addressed by an (outer, inner) element stride, 0 along an axis
+ * where it is broadcast, so a broadcast is never copied.  streams.py
+ * collapses the broadcast shape to this grid and hands in contiguous
+ * operands, so the inner strides are 0 or 1 (d for cells); the loops below
+ * are shaped so that those cases vectorize.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -179,4 +189,119 @@ void envwalk_uniforms(size_t n0, size_t n1, const u64 *h1, const u64 *h2, stride
                       const u64 *index, stride_t is0, stride_t is1, double *out, stride_t os0, stride_t os1)
 {
     words_grid(n0, n1, h1, h2, hs0, hs1, index, is0, is1, out, os0, os1, 1);
+}
+
+/* numpy's pairwise summation of n contiguous doubles (DOUBLE_pairwise_sum):
+ * fewer than 8 terms in a plain loop from 0.0; up to 128 in 8 interleaved
+ * accumulators, combined in a fixed tree, then the tail; longer runs split
+ * at n/2 rounded down to a multiple of 8. */
+INLINE double pairwise_leaf(const double *restrict a, size_t n)
+{
+    if (n < 8) {
+        double s = 0.0;
+        for (size_t i = 0; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    double r[8];
+    for (size_t j = 0; j < 8; j++)
+        r[j] = a[j];
+    size_t i = 8;
+    for (; i < n - n % 8; i += 8)
+        for (size_t j = 0; j < 8; j++)
+            r[j] += a[i + j];
+    double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        s += a[i];
+    return s;
+}
+
+VECTOR_CLONES
+static double pairwise_sum(const double *a, size_t n)
+{
+    if (n <= 128)
+        return pairwise_leaf(a, n);
+    size_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* np.add.reduce of a row: the identity 0.0 plus the pairwise sum. */
+INLINE double row_sum(const double *a, size_t n)
+{
+    return 0.0 + (n <= 128 ? pairwise_leaf(a, n) : pairwise_sum(a, n));
+}
+
+/* One replica row of envwalk_propagate.  Inlined with constant atom count
+ * and strides where the weight rows are contiguous pairs, so that the
+ * strided loops vectorize. */
+INLINE double propagate_row(size_t n_pos, size_t n_atoms, const double *restrict x,
+                            const double *restrict w, stride_t ws1, stride_t ws2,
+                            const double *restrict support, const stride_t *restrict offset,
+                            size_t n_full, size_t i0, size_t i1, double prune,
+                            double *restrict f, double *restrict mean)
+{
+    /* The products mass * drift, in f as scratch; the drift atom by atom. */
+    for (size_t j = 0; j < n_pos; j++)
+        f[j] = w[j * ws1] * support[0];
+    for (size_t a = 1; a < n_atoms; a++)
+        for (size_t j = 0; j < n_pos; j++)
+            f[j] = f[j] + w[j * ws1 + a * ws2] * support[a];
+    for (size_t j = 0; j < n_pos; j++)
+        f[j] = x[j] * f[j];
+    mean[1] = mean[0] + row_sum(f, n_pos);
+
+    for (size_t j = 0; j < n_full; j++)
+        f[j] = 0.0;
+    for (size_t a = 0; a < n_atoms; a++) {
+        const double *restrict wa = w + a * ws2;
+        double *restrict t = f + offset[a];
+        for (size_t j = 0; j < n_pos; j++)
+            t[j] += x[j] * wa[j * ws1];
+    }
+
+    const double dropped = row_sum(f, i0) + row_sum(f + i1, n_full - i1);
+    double *restrict kept = f + i0;
+    const size_t n_kept = i1 - i0;
+    for (size_t j = 0; j < n_kept; j++)
+        kept[j] = kept[j] < prune ? 0.0 : kept[j];
+    const double total = row_sum(kept, n_kept);
+    for (size_t j = 0; j < n_kept; j++)
+        kept[j] /= total;
+    return dropped;
+}
+
+/* One step of walks.exact_mean_curves (walks._numpy_step) for m replica rows.
+ *
+ * Row r holds the law on n_pos sites (mass, row stride ms) and their weight
+ * rows w (element strides ws0 per row, ws1 per site, ws2 per atom).  The
+ * step writes, into the contiguous (m, n_full) array full:
+ *   - first, as scratch, the products mass * drift, the drift summed atom by
+ *     atom in support order (jumplaws.atomic_mean); their row sum moves the
+ *     mean, means[r * mstride + 1] = means[r * mstride] + sum;
+ *   - then the law of the next step on its full support, atom a's mass
+ *     added at site offset[a] + j in support order;
+ *   - then, inside the window [i0, i1), that law with sites below prune set
+ *     to 0 and the row divided by its sum.
+ * Returns the largest mass that falls outside the window in any row. */
+VECTOR_CLONES
+double envwalk_propagate(size_t m, size_t n_pos, size_t n_atoms,
+                         const double *mass, stride_t ms,
+                         const double *w, stride_t ws0, stride_t ws1, stride_t ws2,
+                         const double *support, const stride_t *offset,
+                         size_t n_full, size_t i0, size_t i1, double prune,
+                         double *full, double *means, stride_t mstride)
+{
+    const int contiguous_pairs = n_atoms == 2 && ws1 == 2 && ws2 == 1;
+    double worst = 0.0;
+    for (size_t r = 0; r < m; r++) {
+        const double *x = mass + r * ms, *wr = w + r * ws0;
+        double *f = full + r * n_full, *mean = means + r * mstride;
+        const double dropped =
+            contiguous_pairs ? propagate_row(n_pos, 2, x, wr, 2, 1, support, offset, n_full, i0, i1, prune, f, mean)
+                             : propagate_row(n_pos, n_atoms, x, wr, ws1, ws2, support, offset, n_full, i0, i1, prune, f, mean);
+        if (dropped > worst)
+            worst = dropped;
+    }
+    return worst;
 }

@@ -53,8 +53,12 @@ class UniformPM1:
         return np.array([[1], [-1]])
 
     def weight_table(self, u: np.ndarray) -> np.ndarray:
-        p = self.p_low + (self.p_high - self.p_low) * np.asarray(u)[..., 0]
-        return np.stack([p, 1.0 - p], axis=-1)
+        u = np.asarray(u)[..., 0]
+        out = np.empty(u.shape + (2,))
+        p = np.multiply(u, self.p_high - self.p_low, out=out[..., 0])
+        np.add(p, self.p_low, out=p)
+        np.subtract(1.0, p, out=out[..., 1])
+        return out
 
     def make(self, u: np.ndarray) -> JumpLaw:
         return Atomic(((1.0,), (-1.0,)), self.weight_table(u))
@@ -110,8 +114,11 @@ class ChoicePM1:
     def weight_table(self, u: np.ndarray) -> np.ndarray:
         cum = np.cumsum(self.probs)
         idx = atomic_index(cum, np.asarray(u)[..., 0])
-        p = np.asarray(self.p_values)[idx]
-        return np.stack([p, 1.0 - p], axis=-1)
+        p = np.take(np.asarray(self.p_values, dtype=float), idx)
+        out = np.empty(idx.shape + (2,))
+        out[..., 0] = p
+        np.subtract(1.0, p, out=out[..., 1])
+        return out
 
     def make(self, u: np.ndarray) -> JumpLaw:
         return Atomic(((1.0,), (-1.0,)), self.weight_table(u))

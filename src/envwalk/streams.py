@@ -17,7 +17,9 @@ Not cryptographic, and not meant to be.
 
 The batched hot paths, :func:`lanes_for_cells` and :func:`words_at` /
 :func:`uniforms_at`, run in a small C kernel (``_hash.c``), loaded with
-``ctypes``.  The first import compiles it with ``cc -O3 -shared -fPIC`` into
+``ctypes``; the same library holds the dense propagation step of
+:func:`walks.exact_mean_curves` (``_LIB.envwalk_propagate``).  The first
+import compiles it with ``cc -O3 -ffp-contract=off -shared -fPIC`` into
 ``__pycache__`` next to this file (or, where that cannot be written, into
 ``~/.cache/envwalk``) under a name that hashes the source, the flags and the
 platform, so every later interpreter loads the cached file.  The numpy
@@ -275,11 +277,14 @@ def derive_seed(master_seed: int, *words: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The compiled kernel (_hash.c) behind lanes_for_cells, words_at and uniforms_at.
+# The compiled kernel (_hash.c) behind lanes_for_cells, words_at and uniforms_at,
+# and behind the dense propagation step of walks.exact_mean_curves.
 # ---------------------------------------------------------------------------
 
 _KERNEL_SOURCE = Path(__file__).with_name("_hash.c")
-_CFLAGS = ("-O3", "-shared", "-fPIC")
+# No floating-point contraction: a fused multiply-add rounds once where numpy
+# rounds twice, and the propagation step must give numpy's bits.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _library_paths(name: str):
@@ -339,6 +344,10 @@ def _load_kernel():
     )
     for fn in (lib.envwalk_lanes, lib.envwalk_words, lib.envwalk_uniforms):
         fn.restype = None
+    lib.envwalk_propagate.argtypes = (
+        size, size, size, ptr, step, ptr, step, step, step, ptr, ptr, size, size, size, ctypes.c_double, ptr, ptr, step
+    )
+    lib.envwalk_propagate.restype = ctypes.c_double
     return lib
 
 

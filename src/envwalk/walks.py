@@ -26,7 +26,12 @@ propagation prunes mass below ``PRUNE_MASS`` and renormalizes.  The dense
 version keeps a window centred at the origin, sized by an Azuma tail bound:
 driftless fields drop no mass outside it, and a field whose mass leaves the
 window (one with a drift) ends with a ``ValueError`` rather than a clipped
-curve.
+curve.  Each dense step (drift products and their row sum, the scatter onto
+the next support, the mass outside the window, pruning and renormalization)
+runs in one compiled pass per replica row, ``envwalk_propagate`` in the
+library that ``streams`` builds from ``_hash.c``; the numpy step
+(:func:`_numpy_step`) is the path without that library and the reference
+the compiled step matches bit for bit, numpy's pairwise row sums included.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .environments import (
     FULLY_CORRELATED,
     Environment,
@@ -381,22 +387,23 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     if env_template.shift_level != 0 or any(env_template.shift_point):
         raise ValueError("exact mean curves expect an unshifted template")
     support = fam.support[:, 0]
-    sup_f = support.astype(float)
     seeds = np.asarray(replica_seeds, dtype=np.uint64)
     m = seeds.shape[0]
     base = seed_lanes_vec(seeds)
 
     if env_template.kind == FULLY_CORRELATED:
-        drifts = field_weights(env_template, base, np.arange(n_max)[:, None], np.zeros(1, np.int64)) @ sup_f  # (n_max, m)
+        rows = field_weights(env_template, base, np.arange(n_max)[:, None], np.zeros(1, np.int64))  # (n_max, m, atoms)
+        drifts = row_drifts(fam, rows)[..., 0]
         return np.concatenate([np.zeros((m, 1)), np.cumsum(drifts.T, axis=1)], axis=1)
 
     smax = int(np.abs(support).max())
     s_lo = int(support.min())
     # Positions at step k have the parity of k when every atom is odd.
     st = 2 if bool(np.all(np.abs(support) % 2 == 1)) else 1
-    offsets = ((support - s_lo) // st).tolist()
-    span = max(offsets)
+    offsets = ((support - s_lo) // st).astype(np.intp)
+    span = int(offsets.max())
     base2d = _per_row(base)
+    step = _numpy_step if streams._LIB is None else _kernel_step
 
     means = np.zeros((m, n_max + 1))
     lo = 0
@@ -404,30 +411,57 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     for k in range(n_max):
         n_pos = mass.shape[1]
         w = field_weights(env_template, base2d, k, (lo + st * np.arange(n_pos))[:, None])  # (m, n_pos, n_atoms)
-
-        # Mean recursion: E[X_{k+1}] = E[X_k] + sum_x mass(x) * drift(x).
-        drift = w @ sup_f
-        means[:, k + 1] = means[:, k] + (mass * drift).sum(axis=1)
-
-        # Scatter onto the full next support, lo + s_lo + st * j, atoms in support order.
-        full = np.zeros((m, n_pos + span))
-        for a, off in enumerate(offsets):
-            full[:, off : off + n_pos] += mass * w[:, :, a]
-        # Slice out the window [-window, window] on that grid.
+        # The window [-window, window] on the full next support, lo + s_lo + st * j.
         window = min(smax * (k + 1), int(_WINDOW_C * smax * math.sqrt(k + 1)) + smax + 2)
         full_lo = lo + s_lo
-        i0, i1 = max(0, -((window + full_lo) // st)), min(n_pos + span, (window - full_lo) // st + 1)
-        dropped = full[:, :i0].sum(axis=1) + full[:, i1:].sum(axis=1)
-        if dropped.max() > PRUNE_MASS:
+        # 0 <= i0 <= i1 <= n_full also where the law has left the window whole.
+        n_full = n_pos + span
+        i0 = min(n_full, max(0, -((window + full_lo) // st)))
+        i1 = max(i0, min(n_full, (window - full_lo) // st + 1))
+        mass, dropped = step(fam, mass, w, offsets, span, i0, i1, means[:, k:])
+        if dropped > PRUNE_MASS:
             raise ValueError(
-                f"exact propagation: step {k + 1} drops mass {dropped.max():.3g} outside the window "
+                f"exact propagation: step {k + 1} drops mass {dropped:.3g} outside the window "
                 f"|x| <= {window} centred at the origin; the field's drift carries its law out of it"
             )
-        mass = full[:, i0:i1]
-        mass[mass < PRUNE_MASS] = 0.0
-        mass /= mass.sum(axis=1, keepdims=True)
         lo = full_lo + st * i0
     return means
+
+
+def _numpy_step(fam, mass, w, offsets, span, i0, i1, means):
+    """One dense propagation step in numpy, and the reference for :func:`_kernel_step`.
+
+    ``mass`` (m, n_pos) is the law on the current sites and ``w`` their weight
+    rows.  Sets ``means[:, 1]`` from ``means[:, 0]``, scatters the law onto its
+    full next support, atoms in support order, and keeps columns [i0, i1)
+    pruned and renormalized.  Returns (that law, the largest mass outside it).
+    """
+    # Mean recursion: E[X_{k+1}] = E[X_k] + sum_x mass(x) * drift(x).
+    means[:, 1] = means[:, 0] + (mass * row_drifts(fam, w)[..., 0]).sum(axis=1)
+    m, n_pos = mass.shape
+    full = np.zeros((m, n_pos + span))
+    for a, off in enumerate(offsets.tolist()):
+        full[:, off : off + n_pos] += mass * w[:, :, a]
+    dropped = full[:, :i0].sum(axis=1) + full[:, i1:].sum(axis=1)
+    mass = full[:, i0:i1]
+    mass[mass < PRUNE_MASS] = 0.0
+    mass /= mass.sum(axis=1, keepdims=True)
+    return mass, dropped.max()
+
+
+def _kernel_step(fam, mass, w, offsets, span, i0, i1, means):
+    """:func:`_numpy_step` in one compiled pass per replica row (``envwalk_propagate``
+    in ``_hash.c``), bit for bit."""
+    m, n_pos = mass.shape
+    w = np.asarray(w, dtype=np.float64)
+    support = np.ascontiguousarray(fam.support[:, 0], dtype=np.float64)
+    full = np.empty((m, n_pos + span))
+    dropped = streams._LIB.envwalk_propagate(
+        m, n_pos, w.shape[-1], mass.ctypes.data, mass.strides[0] // 8, w.ctypes.data, *(s // 8 for s in w.strides),
+        support.ctypes.data, offsets.ctypes.data, n_pos + span, i0, i1, PRUNE_MASS,
+        full.ctypes.data, means.ctypes.data, means.strides[0] // 8,
+    )
+    return full[:, i0:i1], dropped
 
 
 def _x1_samples(env_template: Environment, n_env: int, n_walk: int) -> np.ndarray:

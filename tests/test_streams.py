@@ -164,6 +164,7 @@ def test_kernel_loaded_where_a_compiler_exists():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler: the numpy mixers serve every call")
     assert streams._LIB is not None
+    assert hasattr(streams._LIB, "envwalk_propagate")
 
 
 def _per_row(seeds):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from envwalk import walks
+from envwalk import streams, walks
 from envwalk.analysis import _lattice_span
 from envwalk.diffchain import SAME_ENV, batch_diff_positions, simulate_diff_chain
 from envwalk.environments import (
@@ -15,7 +15,7 @@ from envwalk.environments import (
     query,
     shift,
 )
-from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
+from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from envwalk.jumplaws import law_mean
 from envwalk.streams import StreamKey, derive_stream
 from envwalk.walks import (
@@ -275,14 +275,90 @@ def test_fast_curves_match_generic_exact(env):
     assert np.allclose(fast, generic, atol=1e-10)
 
 
-def test_drifting_field_window_drop_raises():
+needs_kernel = pytest.mark.skipif(streams._LIB is None, reason="no compiled kernel: the numpy step serves every call")
+
+
+def each_step_path(monkeypatch):
+    """Yield on the compiled propagation step (where it loads), then on the numpy fall-back."""
+    for lib in dict.fromkeys([streams._LIB, None]):
+        monkeypatch.setattr(streams, "_LIB", lib)
+        yield
+
+
+def test_drifting_field_window_drop_raises(monkeypatch):
     # v = 0.5: the law leaves the window at step 80, where the window first
     # binds (|x| <= 79), while the dictionary propagator keeps all of it.
+    # Both steps raise with the same message.
     env = make_lattice_product(404, 1, UniformPM1(0.6, 0.9))
     seeds = np.asarray([env.master_seed], dtype=np.uint64)
-    assert np.allclose(exact_mean_curves(env, 79, seeds)[0], quenched_mean_exact(env, 79).means[:, 0], atol=1e-10)
-    with pytest.raises(ValueError, match=r"^exact propagation: step 80 drops mass \S+ outside the window \|x\| <= 79"):
-        exact_mean_curves(env, 80, seeds)
+    for _ in each_step_path(monkeypatch):
+        assert np.allclose(exact_mean_curves(env, 79, seeds)[0], quenched_mean_exact(env, 79).means[:, 0], atol=1e-10)
+        with pytest.raises(ValueError, match=r"^exact propagation: step 80 drops mass 2\.08e-11 outside the window \|x\| <= 79"):
+            exact_mean_curves(env, 80, seeds)
+
+
+@pytest.mark.parametrize("atom", [-10.0, 10.0])
+def test_law_leaving_the_window_whole_raises(atom, monkeypatch):
+    # A pointmass moving 10 sites a step leaves the window in one step at
+    # step 77; the window then lies wholly on one side of the support.
+    env = make_lattice_product(404, 1, FixedAtomic(((atom,),), (1.0,)), uniform_offset=False)
+    for _ in each_step_path(monkeypatch):
+        with pytest.raises(ValueError, match=r"^exact propagation: step 77 drops mass 1 outside the window \|x\| <= 766"):
+            exact_mean_curves(env, 100, np.arange(3, dtype=np.uint64))
+
+
+def assert_same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# Fields for the compiled step: each d=1 fixed-support family, on the
+# parity-2 grid (odd atoms) and the step-1 grid with broadcast weight rows
+# (a 3-atom FixedAtomic; the drifting one makes the atom order of the drift
+# sum show in its last bits).  n_max is where the rows have passed 256 sites,
+# so the pairwise row sums split at least twice.
+_STEP_FIELDS = {
+    "mixing": (MIX, 1000),
+    "choice": (make_lattice_product(404, 1, ChoicePM1((0.2, 0.5, 0.8))), 1000),
+    "finite-range": (FR, 1000),
+    "fixed-lattice": (FAIR, 1000),
+    "dirac": (DIRAC, 1000),
+    "three-atom": (make_lattice_product(404, 1, FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (1 / 3, 1 / 3, 1 / 3))), 300),
+    "three-atom-drift": (make_lattice_product(404, 1, FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.3, 0.2, 0.5))), 300),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", sorted(_STEP_FIELDS))
+def test_compiled_step_matches_numpy_step(name, monkeypatch):
+    env, n_max = _STEP_FIELDS[name]
+    seeds = np.asarray([3, 2**63 + 5], dtype=np.uint64)
+    compiled = exact_mean_curves(env, n_max, seeds)
+    monkeypatch.setattr(streams, "_LIB", None)
+    assert_same_bits(compiled, exact_mean_curves(env, n_max, seeds))
+
+
+@needs_kernel
+def test_compiled_step_matches_numpy_step_on_every_row_length():
+    # Random laws and weight rows, some sites below PRUNE_MASS, a window
+    # cut on either side, and a non-contiguous law: the mean, the next law
+    # and the dropped mass agree bit for bit at every row length.
+    rng = np.random.default_rng(15)
+    fam = FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (1 / 3, 1 / 3, 1 / 3))
+    offsets = np.array([3, 0, 0])
+    for n_pos in [*range(1, 600), 1024, 2000, 4097]:
+        mass = (rng.random((3, n_pos + 2)) * 10.0 ** rng.integers(-18, 0, (3, n_pos + 2)))[:, 1:-1]
+        w = rng.random((3, n_pos, 3))
+        i0, i1 = int(rng.integers(0, 3)), n_pos + 3 - int(rng.integers(0, 3))
+        start = rng.random((3, 2))
+        means = [start.copy(), start.copy()]
+        with np.errstate(invalid="ignore"):  # a short row can be pruned to 0 / 0, on both paths
+            want = walks._numpy_step(fam, mass, w, offsets, 3, i0, i1, means[0])
+        got = walks._kernel_step(fam, mass, w, offsets, 3, i0, i1, means[1])
+        assert_same_bits(means[1], means[0])
+        assert_same_bits(got[0], want[0])
+        assert got[1] == want[1]
 
 
 def test_nonrandom_fair_env_has_zero_quenched_mean():
