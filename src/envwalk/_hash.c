@@ -1,19 +1,23 @@
 /* The compiled hot paths of envwalk: the keyed two-lane hash of
  * envwalk.streams and the dense propagation step of
- * walks.exact_mean_curves.
+ * walks.exact_mean_curves, which reads the field itself.
  *
  * The hash is bit for bit the numpy mixers of streams.py (_mix1, _mix2,
  * absorb, words_at, uniforms_at): the same constants and the same wrapping
- * 64-bit arithmetic.  The propagation step is bit for bit the numpy step
- * of walks.py: the same products and sums in the same order, with numpy's
- * pairwise summation for every row sum.  Plain C99 with no Python
- * headers; streams.py builds it with `cc -O3 -ffp-contract=off -shared
- * -fPIC` on first import and calls it through ctypes.  Floating-point
- * contraction is off because a fused multiply-add (which GCC otherwise
- * forms from `t += x * w` in the AVX-512 clone) rounds once where numpy
- * rounds twice, and moves the propagated curves in their last bits; the
- * hash is integer arithmetic plus one exact scaling, which the flag does
- * not change.
+ * 64-bit arithmetic.  The propagation step is bit for bit the numpy steps
+ * of walks.py: environments.field_weights, then the same products and sums
+ * in the same order, with numpy's pairwise summation for every row sum.
+ * Its field read (field_row) hashes each site's cell under the row's key
+ * prefix, takes uniform 0 and forms the site's weight row by one of three
+ * family kinds, each the arithmetic of the family's weight_table: affine
+ * (UniformPM1), threshold table (ChoicePM1, DiracSteps) and constant
+ * (FixedAtomic, no hash).  Plain C99 with no Python headers; streams.py
+ * builds it with `cc -O3 -ffp-contract=off -shared -fPIC` on first import
+ * and calls it through ctypes.  Floating-point contraction is off because
+ * a fused multiply-add (which GCC otherwise forms from `t += x * w` in the
+ * AVX-512 clone) rounds once where numpy rounds twice, and moves the
+ * propagated curves in their last bits; the hash is integer arithmetic
+ * plus one exact scaling, which the flag does not change.
  *
  * Each hash entry point fills a grid of n0 rows by n1 columns.  Every
  * input is addressed by an (outer, inner) element stride, 0 along an axis
@@ -232,21 +236,111 @@ INLINE double row_sum(const double *a, size_t n)
     return 0.0 + (n <= 128 ? pairwise_leaf(a, n) : pairwise_sum(a, n));
 }
 
-/* One replica row of envwalk_propagate.  Inlined with constant atom count
- * and strides where the weight rows are contiguous pairs, so that the
- * strided loops vectorize. */
-INLINE double propagate_row(size_t n_pos, size_t n_atoms, const double *restrict x,
-                            const double *restrict w, stride_t ws1, stride_t ws2,
+/* The field read of envwalk_propagate: field_weights() of a d = 1 lattice
+ * or finite-range field, one field per row.  Mirrors streams.FieldRead. */
+enum { AFFINE = 0, THRESHOLD = 1, CONSTANT = 2 };
+
+struct field {
+    const u64 *b1, *b2; /* each row's base lanes */
+    u64 tag;            /* TAG_ENV */
+    double range;       /* finite_range's spacing R; 0 on the unit lattice */
+    int kind;
+    size_t n_atoms;
+    double slope, intercept;  /* AFFINE: p = u * slope + intercept, then 1 - p */
+    size_t n_rows;
+    const double *thresholds; /* THRESHOLD: the np.cumsum of the rows' probabilities */
+    const double *rows;       /* THRESHOLD: (n_rows, n_atoms) weight rows; CONSTANT: one row */
+};
+
+/* Row r's weight rows at `level` and the n sites x = lo + st * j, into w,
+ * contiguous (n, n_atoms).  The key is the one of lanes_for_cells() (the
+ * prefix tag, level, d = 1 hashed once per row, then the site's cell:
+ * x itself on the lattice, floor(x / R + 0.5) on finite_range), its
+ * uniform 0 that of uniforms_at(), and the row that of the family's
+ * weight_table():
+ *   - AFFINE (UniformPM1): p = u * slope + intercept, rounded in that order,
+ *     and 1 - p;
+ *   - THRESHOLD (ChoicePM1, DiracSteps): the row searchsorted(thresholds, u,
+ *     side="right") capped at n_rows - 1;
+ *   - CONSTANT (FixedAtomic): the one row, with no hash. */
+INLINE void field_row(const struct field *f, size_t r, u64 level, int64_t lo, int64_t st, size_t n, double *restrict w)
+{
+    const size_t na = f->n_atoms;
+    if (f->kind == CONSTANT) {
+        for (size_t j = 0; j < n; j++)
+            for (size_t a = 0; a < na; a++)
+                w[j * na + a] = f->rows[a];
+        return;
+    }
+    u64 p1 = f->b1[r], p2 = f->b2[r];
+    absorb_word(&p1, &p2, f->tag);
+    absorb_word(&p1, &p2, level);
+    absorb_word(&p1, &p2, 1);
+    const u64 draw = 0;
+    u64 cell[TILE], h1[TILE], h2[TILE];
+    double u[TILE];
+    for (size_t t = 0; t < n; t += TILE) {
+        const size_t nt = n - t < TILE ? n - t : TILE;
+        const u64 x0 = (u64)lo + (u64)st * t;
+        if (f->range > 0.0) {
+            for (size_t i = 0; i < nt; i++) {
+                /* floor() by truncation, so that no libm call is needed */
+                const double q = (double)(int64_t)(x0 + (u64)st * i) / f->range + 0.5;
+                const int64_t c = (int64_t)q;
+                cell[i] = (u64)(c - ((double)c > q));
+            }
+        } else {
+            for (size_t i = 0; i < nt; i++)
+                cell[i] = x0 + (u64)st * i;
+        }
+        for (size_t i = 0; i < nt; i++) {
+            h1[i] = p1;
+            h2[i] = p2;
+        }
+        absorb_column(nt, h1, h2, cell, 1);
+        words_row(nt, h1, h2, 1, &draw, 0, u, 1, 1);
+        double *restrict wt = w + t * na;
+        if (f->kind == AFFINE) {
+            for (size_t i = 0; i < nt; i++) {
+                const double p = u[i] * f->slope + f->intercept;
+                wt[2 * i] = p;
+                wt[2 * i + 1] = 1.0 - p;
+            }
+        } else {
+            for (size_t i = 0; i < nt; i++) {
+                size_t k = 0;
+                for (size_t b = 0; b < f->n_rows; b++)
+                    k += f->thresholds[b] <= u[i];
+                const double *row = f->rows + (k < f->n_rows ? k : f->n_rows - 1) * na;
+                for (size_t a = 0; a < na; a++)
+                    wt[i * na + a] = row[a];
+            }
+        }
+    }
+}
+
+/* field_weights() of m rows at n sites: contiguous (m, n, n_atoms) into out. */
+VECTOR_CLONES
+void envwalk_field_weights(const struct field *f, u64 level, int64_t lo, int64_t st, size_t m, size_t n, double *out)
+{
+    for (size_t r = 0; r < m; r++)
+        field_row(f, r, level, lo, st, n, out + r * n * f->n_atoms);
+}
+
+/* One replica row of envwalk_propagate, with its weight rows w contiguous
+ * (n_pos, n_atoms).  Inlined with a constant atom count for pairs, so that
+ * the strided loops vectorize. */
+INLINE double propagate_row(size_t n_pos, size_t n_atoms, const double *restrict x, const double *restrict w,
                             const double *restrict support, const stride_t *restrict offset,
                             size_t n_full, size_t i0, size_t i1, double prune,
                             double *restrict f, double *restrict mean)
 {
     /* The products mass * drift, in f as scratch; the drift atom by atom. */
     for (size_t j = 0; j < n_pos; j++)
-        f[j] = w[j * ws1] * support[0];
+        f[j] = w[j * n_atoms] * support[0];
     for (size_t a = 1; a < n_atoms; a++)
         for (size_t j = 0; j < n_pos; j++)
-            f[j] = f[j] + w[j * ws1 + a * ws2] * support[a];
+            f[j] = f[j] + w[j * n_atoms + a] * support[a];
     for (size_t j = 0; j < n_pos; j++)
         f[j] = x[j] * f[j];
     mean[1] = mean[0] + row_sum(f, n_pos);
@@ -254,10 +348,10 @@ INLINE double propagate_row(size_t n_pos, size_t n_atoms, const double *restrict
     for (size_t j = 0; j < n_full; j++)
         f[j] = 0.0;
     for (size_t a = 0; a < n_atoms; a++) {
-        const double *restrict wa = w + a * ws2;
+        const double *restrict wa = w + a;
         double *restrict t = f + offset[a];
         for (size_t j = 0; j < n_pos; j++)
-            t[j] += x[j] * wa[j * ws1];
+            t[j] += x[j] * wa[j * n_atoms];
     }
 
     const double dropped = row_sum(f, i0) + row_sum(f + i1, n_full - i1);
@@ -271,11 +365,13 @@ INLINE double propagate_row(size_t n_pos, size_t n_atoms, const double *restrict
     return dropped;
 }
 
-/* One step of walks.exact_mean_curves (walks._numpy_step) for m replica rows.
+/* One step of walks.exact_mean_curves (walks._numpy_step, with the field
+ * read of field_weights()) for m replica rows.
  *
- * Row r holds the law on n_pos sites (mass, row stride ms) and their weight
- * rows w (element strides ws0 per row, ws1 per site, ws2 per atom).  The
- * step writes, into the contiguous (m, n_full) array full:
+ * Row r holds the law on the n_pos sites lo + st * j at `level` (mass, row
+ * stride ms).  The step reads their weight rows with field_row() into w
+ * (room for n_pos * n_atoms, rewritten per row) and writes, into the contiguous
+ * (m, n_full) array full:
  *   - first, as scratch, the products mass * drift, the drift summed atom by
  *     atom in support order (jumplaws.atomic_mean); their row sum moves the
  *     mean, means[r * mstride + 1] = means[r * mstride] + sum;
@@ -285,21 +381,21 @@ INLINE double propagate_row(size_t n_pos, size_t n_atoms, const double *restrict
  *     to 0 and the row divided by its sum.
  * Returns the largest mass that falls outside the window in any row. */
 VECTOR_CLONES
-double envwalk_propagate(size_t m, size_t n_pos, size_t n_atoms,
-                         const double *mass, stride_t ms,
-                         const double *w, stride_t ws0, stride_t ws1, stride_t ws2,
+double envwalk_propagate(const struct field *field, u64 level, int64_t lo, int64_t st,
+                         size_t m, size_t n_pos, const double *mass, stride_t ms,
                          const double *support, const stride_t *offset,
                          size_t n_full, size_t i0, size_t i1, double prune,
-                         double *full, double *means, stride_t mstride)
+                         double *full, double *means, stride_t mstride, double *w)
 {
-    const int contiguous_pairs = n_atoms == 2 && ws1 == 2 && ws2 == 1;
+    const size_t n_atoms = field->n_atoms;
     double worst = 0.0;
     for (size_t r = 0; r < m; r++) {
-        const double *x = mass + r * ms, *wr = w + r * ws0;
+        field_row(field, r, level, lo, st, n_pos, w);
+        const double *x = mass + r * ms;
         double *f = full + r * n_full, *mean = means + r * mstride;
         const double dropped =
-            contiguous_pairs ? propagate_row(n_pos, 2, x, wr, 2, 1, support, offset, n_full, i0, i1, prune, f, mean)
-                             : propagate_row(n_pos, n_atoms, x, wr, ws1, ws2, support, offset, n_full, i0, i1, prune, f, mean);
+            n_atoms == 2 ? propagate_row(n_pos, 2, x, w, support, offset, n_full, i0, i1, prune, f, mean)
+                         : propagate_row(n_pos, n_atoms, x, w, support, offset, n_full, i0, i1, prune, f, mean);
         if (dropped > worst)
             worst = dropped;
     }

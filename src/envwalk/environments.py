@@ -22,8 +22,10 @@ and no order sensitivity.  Four constructions:
 
 Levels never share stream keys, so distinct time levels are independent by
 construction in every model.  ``field_weights`` is the batched twin of
-``query`` for every family and dimension: every vectorized path reads the
-field through it.
+``query`` for every family and dimension: every vectorized walker reads the
+field through it.  The compiled dense propagation step of
+``walks.exact_mean_curves`` reads it in C instead, through ``field_read``,
+and gives the bits of ``field_weights``, which stays its reference.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import DiracSteps, LawFamily
+from .families import ChoicePM1, DiracSteps, FixedAtomic, LawFamily, UniformPM1
 from .jumplaws import JumpLaw
 from .streams import (
     TAG_ENV,
     TAG_OFFSET,
+    FieldRead,
     StreamKey,
     derive_seed,
     derive_stream,
@@ -55,6 +58,7 @@ __all__ = [
     "env_replica",
     "offset_vector",
     "field_weights",
+    "field_read",
 ]
 
 LATTICE_PRODUCT = "lattice_product"
@@ -184,7 +188,9 @@ def field_weights(env: Environment, base_lanes, level: int, positions) -> np.nda
     (``mean_table``) for ``GaussianDrift``; entry by entry the law
     :func:`query` gives in the shifted frame.  Integer positions skip the
     grid offset, since floor(x + U) = x; the level-correlated field hashes
-    one cell per field and broadcasts it.
+    one cell per field and broadcasts it.  The walkers read the field
+    through it; the compiled propagation step reads it through
+    :func:`field_read`, and this is that read's reference.
     """
     fam = env.family
     positions = np.asarray(positions)
@@ -205,3 +211,41 @@ def field_weights(env: Environment, base_lanes, level: int, positions) -> np.nda
     if env.kind == FULLY_CORRELATED:
         return np.broadcast_to(rows, np.broadcast_shapes(lanes[0].shape, positions.shape[:-1]) + rows.shape[-1:])
     return rows
+
+
+def field_read(env: Environment, base_lanes) -> FieldRead:
+    """The compiled twin of :func:`field_weights` on integer d=1 positions.
+
+    ``base_lanes`` are one field per row (``seed_lanes_vec``).  The struct
+    carries the cell rule (a lattice or Dirac field reads cell x, a
+    finite-range field floor(x / R + 0.5)) and the family's
+    ``weight_table`` as one of three kinds: affine for ``UniformPM1``, a
+    threshold table (``np.cumsum`` of the probabilities, and the rows they
+    pick) for ``ChoicePM1`` and ``DiracSteps``, constant for
+    ``FixedAtomic``.  ``envwalk_propagate`` and ``envwalk_field_weights``
+    in ``_hash.c`` read the field through it, and give the bits of
+    :func:`field_weights`.
+    """
+    fam = env.family
+    read = FieldRead(
+        tag=TAG_ENV, range=env.dependence_range if env.kind == FINITE_RANGE else 0.0, n_atoms=len(fam.support)
+    )
+    thresholds = rows = None
+    if isinstance(fam, UniformPM1):
+        read.kind, read.slope, read.intercept = FieldRead.AFFINE, fam.p_high - fam.p_low, fam.p_low
+    elif isinstance(fam, FixedAtomic):
+        read.kind, rows = FieldRead.CONSTANT, np.asarray(fam.weights, dtype=float)
+    else:
+        read.kind, thresholds = FieldRead.THRESHOLD, np.cumsum(fam.probs)
+        if isinstance(fam, ChoicePM1):
+            p = np.asarray(fam.p_values, dtype=float)
+            rows = np.column_stack([p, 1.0 - p])
+        else:
+            rows = np.eye(len(fam.points))
+        read.n_rows, read.thresholds = len(thresholds), thresholds.ctypes.data
+    b1, b2 = (np.ascontiguousarray(h, dtype=np.uint64) for h in base_lanes)
+    read.b1, read.b2 = b1.ctypes.data, b2.ctypes.data
+    if rows is not None:
+        read.rows = rows.ctypes.data
+    read.arrays = (b1, b2, thresholds, rows)  # the memory the pointers address
+    return read

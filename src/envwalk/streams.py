@@ -18,7 +18,8 @@ Not cryptographic, and not meant to be.
 The batched hot paths, :func:`lanes_for_cells` and :func:`words_at` /
 :func:`uniforms_at`, run in a small C kernel (``_hash.c``), loaded with
 ``ctypes``; the same library holds the dense propagation step of
-:func:`walks.exact_mean_curves` (``_LIB.envwalk_propagate``).  The first
+:func:`walks.exact_mean_curves` (``_LIB.envwalk_propagate``), which hashes
+the field's cells itself with the same mixers (:class:`FieldRead`).  The first
 import compiles it with ``cc -O3 -ffp-contract=off -shared -fPIC`` into
 ``__pycache__`` next to this file (or, where that cannot be written, into
 ``~/.cache/envwalk``) under a name that hashes the source, the flags and the
@@ -344,11 +345,37 @@ def _load_kernel():
     )
     for fn in (lib.envwalk_lanes, lib.envwalk_words, lib.envwalk_uniforms):
         fn.restype = None
+    site = (ptr, word, ctypes.c_int64, ctypes.c_int64, size, size)  # field, level, lo, st, rows, sites
+    lib.envwalk_field_weights.argtypes = (*site, ptr)
+    lib.envwalk_field_weights.restype = None
     lib.envwalk_propagate.argtypes = (
-        size, size, size, ptr, step, ptr, step, step, step, ptr, ptr, size, size, size, ctypes.c_double, ptr, ptr, step
+        *site, ptr, step, ptr, ptr, size, size, size, ctypes.c_double, ptr, ptr, step, ptr
     )
     lib.envwalk_propagate.restype = ctypes.c_double
     return lib
+
+
+class FieldRead(ctypes.Structure):
+    """``struct field`` of ``_hash.c``: the compiled field read of one field per row.
+
+    ``b1`` and ``b2`` point at the rows' base lanes, ``thresholds`` and
+    ``rows`` at float64 tables; the arrays must outlive the struct's use.
+    """
+
+    AFFINE, THRESHOLD, CONSTANT = range(3)
+    _fields_ = [
+        ("b1", ctypes.c_void_p),
+        ("b2", ctypes.c_void_p),
+        ("tag", ctypes.c_uint64),
+        ("range", ctypes.c_double),
+        ("kind", ctypes.c_int),
+        ("n_atoms", ctypes.c_size_t),
+        ("slope", ctypes.c_double),
+        ("intercept", ctypes.c_double),
+        ("n_rows", ctypes.c_size_t),
+        ("thresholds", ctypes.c_void_p),
+        ("rows", ctypes.c_void_p),
+    ]
 
 
 def _grid(*operands: tuple[tuple, int]) -> tuple[tuple, list[tuple[int, list[int]]]]:

@@ -1,7 +1,7 @@
 """Walk simulation and quenched-mean computation.
 
 Scalar reference paths (`simulate_quenched_path`) consume uniforms law by
-law.  Every batched path (quenched, averaged and one-step walks here, the
+law.  Every batched walk (quenched, averaged and one-step walks here, the
 difference-chain pairs in `diffchain`) is one lockstep `_Walker` that reads
 the field through `environments.field_weights` and draws its noise from
 the same per-(step, walker) stream keys, so it replays the scalar draws
@@ -26,16 +26,20 @@ propagation prunes mass below ``PRUNE_MASS`` and renormalizes.  The dense
 version keeps a window centred at the origin, sized by an Azuma tail bound:
 driftless fields drop no mass outside it, and a field whose mass leaves the
 window (one with a drift) ends with a ``ValueError`` rather than a clipped
-curve.  Each dense step (drift products and their row sum, the scatter onto
-the next support, the mass outside the window, pruning and renormalization)
-runs in one compiled pass per replica row, ``envwalk_propagate`` in the
-library that ``streams`` builds from ``_hash.c``; the numpy step
-(:func:`_numpy_step`) is the path without that library and the reference
+curve.  Each dense step (the field read, drift products and their row sum,
+the scatter onto the next support, the mass outside the window, pruning and
+renormalization) is one call of ``envwalk_propagate`` in the library that
+``streams`` builds from ``_hash.c``, one pass per replica row: it hashes
+each site's cell and forms its weight row itself
+(:func:`environments.field_read`), so no weight array is built.  The numpy
+steps (:func:`_numpy_steps`: :func:`environments.field_weights`, then
+:func:`_numpy_step`) are the path without that library and the reference
 the compiled step matches bit for bit, numpy's pairwise row sums included.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -46,6 +50,7 @@ from .environments import (
     FULLY_CORRELATED,
     Environment,
     env_replica,
+    field_read,
     field_weights,
     query,
     shift as env_shift,
@@ -402,34 +407,54 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     st = 2 if bool(np.all(np.abs(support) % 2 == 1)) else 1
     offsets = ((support - s_lo) // st).astype(np.intp)
     span = int(offsets.max())
-    base2d = _per_row(base)
-    step = _numpy_step if streams._LIB is None else _kernel_step
+
+    def window(k):  # the half-width of the window after step k + 1
+        return min(smax * (k + 1), int(_WINDOW_C * smax * math.sqrt(k + 1)) + smax + 2)
 
     means = np.zeros((m, n_max + 1))
-    lo = 0
-    mass = np.ones((m, 1))
+    if streams._LIB is None:
+        step = _numpy_steps(env_template, base, st, offsets, span, means)
+    else:
+        # Sites before a step: at most span more than the step before, at most the window's.
+        n_cap = min(1 + span * n_max, 2 * window(n_max - 1) // st + 1)
+        step = _KernelSteps(env_template, base, st, offsets, span, means, n_cap)
+    lo, n_pos = 0, 1
     for k in range(n_max):
-        n_pos = mass.shape[1]
-        w = field_weights(env_template, base2d, k, (lo + st * np.arange(n_pos))[:, None])  # (m, n_pos, n_atoms)
-        # The window [-window, window] on the full next support, lo + s_lo + st * j.
-        window = min(smax * (k + 1), int(_WINDOW_C * smax * math.sqrt(k + 1)) + smax + 2)
+        # The window [-win, win] on the full next support, lo + s_lo + st * j.
+        win = window(k)
         full_lo = lo + s_lo
         # 0 <= i0 <= i1 <= n_full also where the law has left the window whole.
         n_full = n_pos + span
-        i0 = min(n_full, max(0, -((window + full_lo) // st)))
-        i1 = max(i0, min(n_full, (window - full_lo) // st + 1))
-        mass, dropped = step(fam, mass, w, offsets, span, i0, i1, means[:, k:])
+        i0 = min(n_full, max(0, -((win + full_lo) // st)))
+        i1 = max(i0, min(n_full, (win - full_lo) // st + 1))
+        dropped = step(k, lo, n_pos, i0, i1)
         if dropped > PRUNE_MASS:
             raise ValueError(
                 f"exact propagation: step {k + 1} drops mass {dropped:.3g} outside the window "
-                f"|x| <= {window} centred at the origin; the field's drift carries its law out of it"
+                f"|x| <= {win} centred at the origin; the field's drift carries its law out of it"
             )
-        lo = full_lo + st * i0
+        lo, n_pos = full_lo + st * i0, i1 - i0
     return means
 
 
+def _numpy_steps(env, base, st, offsets, span, means):
+    """The steps of :func:`exact_mean_curves` without the compiled library, and the
+    reference for :class:`_KernelSteps`: :func:`field_weights` reads the sites
+    lo + st * j of each replica's field, then :func:`_numpy_step` moves the law."""
+    mass = np.ones((len(means), 1))
+    base = _per_row(base)
+
+    def step(k, lo, n_pos, i0, i1):
+        nonlocal mass
+        w = field_weights(env, base, k, (lo + st * np.arange(n_pos))[:, None])  # (m, n_pos, n_atoms)
+        mass, dropped = _numpy_step(env.family, mass, w, offsets, span, i0, i1, means[:, k:])
+        return dropped
+
+    return step
+
+
 def _numpy_step(fam, mass, w, offsets, span, i0, i1, means):
-    """One dense propagation step in numpy, and the reference for :func:`_kernel_step`.
+    """One dense propagation step in numpy.
 
     ``mass`` (m, n_pos) is the law on the current sites and ``w`` their weight
     rows.  Sets ``means[:, 1]`` from ``means[:, 0]``, scatters the law onto its
@@ -449,19 +474,48 @@ def _numpy_step(fam, mass, w, offsets, span, i0, i1, means):
     return mass, dropped.max()
 
 
-def _kernel_step(fam, mass, w, offsets, span, i0, i1, means):
-    """:func:`_numpy_step` in one compiled pass per replica row (``envwalk_propagate``
-    in ``_hash.c``), bit for bit."""
-    m, n_pos = mass.shape
-    w = np.asarray(w, dtype=np.float64)
-    support = np.ascontiguousarray(fam.support[:, 0], dtype=np.float64)
-    full = np.empty((m, n_pos + span))
-    dropped = streams._LIB.envwalk_propagate(
-        m, n_pos, w.shape[-1], mass.ctypes.data, mass.strides[0] // 8, w.ctypes.data, *(s // 8 for s in w.strides),
-        support.ctypes.data, offsets.ctypes.data, n_pos + span, i0, i1, PRUNE_MASS,
-        full.ctypes.data, means.ctypes.data, means.strides[0] // 8,
-    )
-    return full[:, i0:i1], dropped
+class _KernelSteps:
+    """The steps of :func:`_numpy_steps`, one C call each (``envwalk_propagate`` in
+    ``_hash.c``), bit for bit: the field read (:func:`environments.field_read`)
+    and the step run in one pass per replica row, with no weight array.  The
+    law lives in two preallocated buffers of ``n_cap + span`` sites a row that
+    take turns, ``n_cap`` bounding n_pos, and every argument that is the same
+    at each step is converted once, here.
+    """
+
+    def __init__(self, env, base, st, offsets, span, means, n_cap):
+        m = len(base[0])
+        read = field_read(env, base)
+        support = np.ascontiguousarray(env.family.support[:, 0], dtype=np.float64)
+        offsets = np.ascontiguousarray(offsets, dtype=np.intp)
+        row_weights = np.empty(n_cap * len(offsets))  # one row's weight rows, rewritten per row
+        laws = np.empty((2, m * (n_cap + span)))
+        laws[0, :m] = 1.0  # the point mass at the origin, one site a row
+        self.arrays = (read, support, offsets, row_weights, laws, means)  # the memory the addresses point into
+        self.fixed = (ctypes.addressof(read), support.ctypes.data, offsets.ctypes.data, row_weights.ctypes.data)
+        self.buffers = (laws[0].ctypes.data, laws[1].ctypes.data)
+        self.means, self.mstride = means.ctypes.data, means.shape[1]
+        self.st, self.span, self.m = st, span, m
+        self.law = (0, 0, 1)  # the current law: buffer, first element, row stride
+
+    def run(self, k, lo, n_pos, mass, ms, i0, i1, full, means, mstride) -> float:
+        """Step k on the law at address ``mass`` (row stride ``ms``) on the sites
+        lo + st * j: writes the next law into the contiguous (m, n_pos + span)
+        array at ``full`` and each row's next mean after its mean at ``means``
+        (row stride ``mstride``); returns the largest mass outside [i0, i1)."""
+        read, support, offsets, row_weights = self.fixed
+        return streams._LIB.envwalk_propagate(
+            read, k, lo, self.st, self.m, n_pos, mass, ms, support, offsets, n_pos + self.span, i0, i1,
+            PRUNE_MASS, full, means, mstride, row_weights,
+        )
+
+    def __call__(self, k, lo, n_pos, i0, i1) -> float:
+        cur, at, ms = self.law
+        mass, full = self.buffers[cur] + 8 * at, self.buffers[1 - cur]
+        dropped = self.run(k, lo, n_pos, mass, ms, i0, i1, full, self.means + 8 * k, self.mstride)
+        # The next law is columns [i0, i1) of the (m, n_pos + span) array just written.
+        self.law = (1 - cur, i0, n_pos + self.span)
+        return dropped
 
 
 def _x1_samples(env_template: Environment, n_env: int, n_walk: int) -> np.ndarray:

@@ -165,6 +165,7 @@ def test_kernel_loaded_where_a_compiler_exists():
         pytest.skip("no C compiler: the numpy mixers serve every call")
     assert streams._LIB is not None
     assert hasattr(streams._LIB, "envwalk_propagate")
+    assert hasattr(streams._LIB, "envwalk_field_weights")
 
 
 def _per_row(seeds):

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,8 @@ from envwalk.analysis import _lattice_span
 from envwalk.diffchain import SAME_ENV, batch_diff_positions, simulate_diff_chain
 from envwalk.environments import (
     env_replica,
+    field_read,
+    field_weights,
     make_dirac,
     make_finite_range,
     make_fully_correlated,
@@ -17,7 +21,7 @@ from envwalk.environments import (
 )
 from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from envwalk.jumplaws import law_mean
-from envwalk.streams import StreamKey, derive_stream
+from envwalk.streams import TAG_ENV, StreamKey, derive_stream, seed_lanes_vec
 from envwalk.walks import (
     _x1_samples,
     batch_averaged_positions,
@@ -314,16 +318,22 @@ def assert_same_bits(got, want):
 
 
 # Fields for the compiled step: each d=1 fixed-support family, on the
-# parity-2 grid (odd atoms) and the step-1 grid with broadcast weight rows
-# (a 3-atom FixedAtomic; the drifting one makes the atom order of the drift
-# sum show in its last bits).  n_max is where the rows have passed 256 sites,
-# so the pairwise row sums split at least twice.
+# parity-2 grid (odd atoms) and the step-1 grid (a 3-atom FixedAtomic; the
+# drifting one makes the atom order of the drift sum show in its last bits).
+# Each family kind of the compiled field read is here: affine (UniformPM1,
+# also with p_low == p_high), threshold (ChoicePM1 with uniform and with
+# weighted probs, 2- and 3-point DiracSteps) and constant (FixedAtomic).
+# n_max is where the rows have passed 256 sites, so the pairwise row sums
+# split at least twice.
 _STEP_FIELDS = {
     "mixing": (MIX, 1000),
+    "mixing-flat": (make_lattice_product(404, 1, UniformPM1(0.5, 0.5)), 1000),
     "choice": (make_lattice_product(404, 1, ChoicePM1((0.2, 0.5, 0.8))), 1000),
+    "choice-weighted": (make_lattice_product(404, 1, ChoicePM1((0.2, 0.5, 0.8), (0.25, 0.5, 0.25))), 1000),
     "finite-range": (FR, 1000),
     "fixed-lattice": (FAIR, 1000),
     "dirac": (DIRAC, 1000),
+    "dirac-three": (make_dirac(404, 1, DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.25, 0.625, 0.125))), 1000),
     "three-atom": (make_lattice_product(404, 1, FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (1 / 3, 1 / 3, 1 / 3))), 300),
     "three-atom-drift": (make_lattice_product(404, 1, FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.3, 0.2, 0.5))), 300),
 }
@@ -340,25 +350,109 @@ def test_compiled_step_matches_numpy_step(name, monkeypatch):
 
 
 @needs_kernel
+@pytest.mark.parametrize("name", ["mixing", "choice", "finite-range", "dirac", "fixed-lattice"])
+def test_compiled_propagation_reads_the_field_itself(name, monkeypatch):
+    # The compiled step forms its weight rows in C: a silent fall-back to
+    # field_weights would fail here, and the bits stay those of the numpy path.
+    env, _ = _STEP_FIELDS[name]
+    seeds = np.asarray([3, 2**63 + 5], dtype=np.uint64)
+    lib = streams._LIB
+    monkeypatch.setattr(streams, "_LIB", None)
+    want = exact_mean_curves(env, 200, seeds)
+
+    def no_field_weights(*args, **kwargs):
+        raise AssertionError("the compiled propagation read the field through field_weights")
+
+    monkeypatch.setattr(streams, "_LIB", lib)
+    monkeypatch.setattr(walks, "field_weights", no_field_weights)
+    assert_same_bits(exact_mean_curves(env, 200, seeds), want)
+
+
+def compiled_field_weights(env, seeds, level, lo, st, n):
+    """The compiled field read (``envwalk_field_weights``) at the sites lo + st * j."""
+    read = field_read(env, seed_lanes_vec(seeds))
+    out = np.empty((len(seeds), n, len(env.family.support)))
+    streams._LIB.envwalk_field_weights(ctypes.addressof(read), level, lo, st, len(seeds), n, out.ctypes.data)
+    return out
+
+
+_TIE = float(derive_stream(StreamKey(3, 0, (0,), TAG_ENV)).take(1)[0])
+_READ_FAMILIES = {
+    "affine": UniformPM1(0.25, 0.75),
+    "threshold": ChoicePM1((0.2, 0.5, 0.9), (0.5, 0.2, 0.3)),
+    "threshold-dirac": DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.3, 0.5, 0.2)),
+    "constant": FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.3, 0.2, 0.5)),
+}
+# Each family kind on the lattice with and without the uniform offset and on
+# finite-range grids of spacing 1.5 and 2; the Dirac field with 2 and 3 points.
+_READ_FIELDS = {
+    **{
+        f"{kind}-{name}": make(fam)
+        for kind, fam in _READ_FAMILIES.items()
+        for name, make in {
+            "lattice": lambda fam: make_lattice_product(11, 1, fam, uniform_offset=False),
+            "lattice-offset": lambda fam: make_lattice_product(11, 1, fam, uniform_offset=True),
+            "finite-range-1.5": lambda fam: make_finite_range(11, 1, 1.5, fam),
+            "finite-range-2": lambda fam: make_finite_range(11, 1, 2.0, fam),
+        }.items()
+    },
+    "dirac": make_dirac(11, 1, DiracSteps(((1.0,), (-1.0,)), (0.4, 0.6))),
+    "dirac-three": make_dirac(11, 1, DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.4, 0.3, 0.3))),
+    # A threshold equal to the uniform of seed 3's cell 0 at level 0, which the
+    # row from cell -2500 reads: a tie picks the next row (side="right").
+    "threshold-tie": make_lattice_product(11, 1, ChoicePM1((0.2, 0.8), (_TIE, 1.0 - _TIE)), uniform_offset=False),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", sorted(_READ_FIELDS))
+def test_compiled_field_read_matches_field_weights(name):
+    env = _READ_FIELDS[name]
+    seeds = np.asarray([3, 2**63 + 5], dtype=np.uint64)
+    base = seed_lanes_vec(seeds)
+    for level in (0, 1, 2**40):
+        # one site, a row of 4 001 sites from cell -3999 on the parity grid, and the step-1 grid
+        for lo, st, n in ((-7, 2, 1), (-3999, 2, 4001), (-2500, 1, 4096)):
+            want = field_weights(env, (base[0][:, None], base[1][:, None]), level, (lo + st * np.arange(n))[:, None])
+            assert_same_bits(compiled_field_weights(env, seeds, level, lo, st, n), want)
+
+
+@needs_kernel
 def test_compiled_step_matches_numpy_step_on_every_row_length():
-    # Random laws and weight rows, some sites below PRUNE_MASS, a window
-    # cut on either side, and a non-contiguous law: the mean, the next law
-    # and the dropped mass agree bit for bit at every row length.
+    # Random laws, some sites below PRUNE_MASS, a window cut on either side,
+    # and a non-contiguous law, on one field of each family kind: the mean,
+    # the next law and the dropped mass agree bit for bit at every row
+    # length.  The compiled step reads its weight rows from the field; the
+    # numpy step is handed them by field_weights.
     rng = np.random.default_rng(15)
-    fam = FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (1 / 3, 1 / 3, 1 / 3))
-    offsets = np.array([3, 0, 0])
-    for n_pos in [*range(1, 600), 1024, 2000, 4097]:
-        mass = (rng.random((3, n_pos + 2)) * 10.0 ** rng.integers(-18, 0, (3, n_pos + 2)))[:, 1:-1]
-        w = rng.random((3, n_pos, 3))
-        i0, i1 = int(rng.integers(0, 3)), n_pos + 3 - int(rng.integers(0, 3))
-        start = rng.random((3, 2))
-        means = [start.copy(), start.copy()]
-        with np.errstate(invalid="ignore"):  # a short row can be pruned to 0 / 0, on both paths
-            want = walks._numpy_step(fam, mass, w, offsets, 3, i0, i1, means[0])
-        got = walks._kernel_step(fam, mass, w, offsets, 3, i0, i1, means[1])
-        assert_same_bits(means[1], means[0])
-        assert_same_bits(got[0], want[0])
-        assert got[1] == want[1]
+    fields = [  # (field, grid step, atom offsets, span)
+        (make_lattice_product(404, 1, FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.3, 0.2, 0.5))), 1, [3, 0, 0], 3),
+        (make_lattice_product(404, 1, UniformPM1()), 2, [1, 0], 1),
+        (make_finite_range(404, 1, 1.5, ChoicePM1((0.2, 0.5, 0.8), (0.25, 0.5, 0.25))), 2, [1, 0], 1),
+        (make_dirac(404, 1, DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.25, 0.625, 0.125))), 2, [1, 0, 2], 2),
+    ]
+    seeds = np.asarray([3, 2**63 + 5, 17], dtype=np.uint64)
+    base = seed_lanes_vec(seeds)
+    for env, st, offsets, span in fields:
+        offsets = np.asarray(offsets)
+        kernel = walks._KernelSteps(env, base, st, offsets, span, np.zeros((3, 1)), 4097)
+        for n_pos in [*range(1, 600), 1024, 2000, 4097]:
+            mass = (rng.random((3, n_pos + 2)) * 10.0 ** rng.integers(-18, 0, (3, n_pos + 2)))[:, 1:-1]
+            k, lo = int(rng.choice([0, 5, 2**40])), int(rng.integers(-3000, 3000))
+            w = field_weights(env, (base[0][:, None], base[1][:, None]), k, (lo + st * np.arange(n_pos))[:, None])
+            i0, i1 = int(rng.integers(0, span + 1)), n_pos + span - int(rng.integers(0, span + 1))
+            start = rng.random((3, 2))
+            means = [start.copy(), start.copy()]
+            full = np.empty((3, n_pos + span))
+            with np.errstate(invalid="ignore"):  # a short row can be pruned to 0 / 0, on both paths
+                want = walks._numpy_step(env.family, mass, w, offsets, span, i0, i1, means[0])
+                dropped = kernel.run(
+                    k, lo, n_pos, mass.ctypes.data, mass.strides[0] // 8, i0, i1, full.ctypes.data,
+                    means[1].ctypes.data, 2,
+                )
+            assert_same_bits(means[1], means[0])
+            assert_same_bits(full[:, i0:i1], want[0])
+            assert dropped == want[1]
 
 
 def test_nonrandom_fair_env_has_zero_quenched_mean():
