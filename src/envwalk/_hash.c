@@ -1,13 +1,18 @@
 /* The compiled hot paths of envwalk: the keyed two-lane hash of
- * envwalk.streams and the dense propagation step of
- * walks.exact_mean_curves, which reads the field itself.
+ * envwalk.streams, the dense propagation step of walks.exact_mean_curves,
+ * which reads the field itself, and the walker block of walks._Walker,
+ * which reads the field the same way.
  *
  * The hash is bit for bit the numpy mixers of streams.py (_mix1, _mix2,
  * absorb, words_at, uniforms_at): the same constants and the same wrapping
  * 64-bit arithmetic.  The propagation step is bit for bit the numpy steps
  * of walks.py: environments.field_weights, then the same products and sums
  * in the same order, with numpy's pairwise summation for every row sum.
- * Its field read (field_row) hashes each site's cell under the row's key
+ * The walker block (envwalk_walk) is bit for bit walks._Walker's numpy
+ * steps: per walker and step the walk key's uniform 0, the field's weight
+ * row at the walker's position, the inverse CDF in support order and the
+ * drift summed atom by atom.  Both read the field with one per-site helper
+ * (site_rows) that hashes each site's cell under its key
  * prefix, takes uniform 0 and forms the site's weight row by one of three
  * family kinds, each the arithmetic of the family's weight_table: affine
  * (UniformPM1), threshold table (ChoicePM1, DiracSteps) and constant
@@ -236,8 +241,9 @@ INLINE double row_sum(const double *a, size_t n)
     return 0.0 + (n <= 128 ? pairwise_leaf(a, n) : pairwise_sum(a, n));
 }
 
-/* The field read of envwalk_propagate: field_weights() of a d = 1 lattice
- * or finite-range field, one field per row.  Mirrors streams.FieldRead. */
+/* The field read of envwalk_propagate and envwalk_walk: field_weights() of
+ * a d = 1 lattice, finite-range or Dirac field at integer positions, one
+ * field per row (per walker in envwalk_walk).  Mirrors streams.FieldRead. */
 enum { AFFINE = 0, THRESHOLD = 1, CONSTANT = 2 };
 
 struct field {
@@ -252,70 +258,81 @@ struct field {
     const double *rows;       /* THRESHOLD: (n_rows, n_atoms) weight rows; CONSTANT: one row */
 };
 
-/* Row r's weight rows at `level` and the n sites x = lo + st * j, into w,
- * contiguous (n, n_atoms).  The key is the one of lanes_for_cells() (the
- * prefix tag, level, d = 1 hashed once per row, then the site's cell:
- * x itself on the lattice, floor(x / R + 0.5) on finite_range), its
- * uniform 0 that of uniforms_at(), and the row that of the family's
+/* The weight rows of n sites at field-frame positions x, contiguous
+ * (n, n_atoms) into w.  (h1, h2) hold each site's key prefix (tag, level
+ * and d = 1 absorbed) and are consumed.  The site's key is that prefix and
+ * its cell (x itself on the unit lattice, floor(x / R + 0.5) on
+ * finite_range, floored by truncation so that no libm call is needed), its
+ * uniform 0 that of uniforms_at(), and its row that of the family's
  * weight_table():
  *   - AFFINE (UniformPM1): p = u * slope + intercept, rounded in that order,
  *     and 1 - p;
  *   - THRESHOLD (ChoicePM1, DiracSteps): the row searchsorted(thresholds, u,
  *     side="right") capped at n_rows - 1;
  *   - CONSTANT (FixedAtomic): the one row, with no hash. */
-INLINE void field_row(const struct field *f, size_t r, u64 level, int64_t lo, int64_t st, size_t n, double *restrict w)
+INLINE void site_rows(const struct field *f, size_t n, u64 *restrict h1, u64 *restrict h2,
+                      const int64_t *restrict x, double *restrict w)
 {
     const size_t na = f->n_atoms;
     if (f->kind == CONSTANT) {
-        for (size_t j = 0; j < n; j++)
+        for (size_t i = 0; i < n; i++)
             for (size_t a = 0; a < na; a++)
-                w[j * na + a] = f->rows[a];
+                w[i * na + a] = f->rows[a];
         return;
     }
+    u64 cell[TILE];
+    if (f->range > 0.0) {
+        for (size_t i = 0; i < n; i++) {
+            const double q = (double)x[i] / f->range + 0.5;
+            const int64_t c = (int64_t)q;
+            cell[i] = (u64)(c - ((double)c > q));
+        }
+    } else {
+        for (size_t i = 0; i < n; i++)
+            cell[i] = (u64)x[i];
+    }
+    const u64 draw = 0;
+    double u[TILE];
+    absorb_column(n, h1, h2, cell, 1);
+    words_row(n, h1, h2, 1, &draw, 0, u, 1, 1);
+    if (f->kind == AFFINE) {
+        for (size_t i = 0; i < n; i++) {
+            const double p = u[i] * f->slope + f->intercept;
+            w[2 * i] = p;
+            w[2 * i + 1] = 1.0 - p;
+        }
+    } else {
+        for (size_t i = 0; i < n; i++) {
+            size_t k = 0;
+            for (size_t b = 0; b < f->n_rows; b++)
+                k += f->thresholds[b] <= u[i];
+            const double *row = f->rows + (k < f->n_rows ? k : f->n_rows - 1) * na;
+            for (size_t a = 0; a < na; a++)
+                w[i * na + a] = row[a];
+        }
+    }
+}
+
+/* Row r's weight rows at `level` and the n sites x = lo + st * j, into w,
+ * contiguous (n, n_atoms), a tile of sites at a time.  The key prefix
+ * (tag, level, d = 1: that of lanes_for_cells()) is hashed once per row. */
+INLINE void field_row(const struct field *f, size_t r, u64 level, int64_t lo, int64_t st, size_t n, double *restrict w)
+{
     u64 p1 = f->b1[r], p2 = f->b2[r];
     absorb_word(&p1, &p2, f->tag);
     absorb_word(&p1, &p2, level);
     absorb_word(&p1, &p2, 1);
-    const u64 draw = 0;
-    u64 cell[TILE], h1[TILE], h2[TILE];
-    double u[TILE];
+    int64_t x[TILE];
+    u64 h1[TILE], h2[TILE];
     for (size_t t = 0; t < n; t += TILE) {
         const size_t nt = n - t < TILE ? n - t : TILE;
         const u64 x0 = (u64)lo + (u64)st * t;
-        if (f->range > 0.0) {
-            for (size_t i = 0; i < nt; i++) {
-                /* floor() by truncation, so that no libm call is needed */
-                const double q = (double)(int64_t)(x0 + (u64)st * i) / f->range + 0.5;
-                const int64_t c = (int64_t)q;
-                cell[i] = (u64)(c - ((double)c > q));
-            }
-        } else {
-            for (size_t i = 0; i < nt; i++)
-                cell[i] = x0 + (u64)st * i;
-        }
         for (size_t i = 0; i < nt; i++) {
+            x[i] = (int64_t)(x0 + (u64)st * i);
             h1[i] = p1;
             h2[i] = p2;
         }
-        absorb_column(nt, h1, h2, cell, 1);
-        words_row(nt, h1, h2, 1, &draw, 0, u, 1, 1);
-        double *restrict wt = w + t * na;
-        if (f->kind == AFFINE) {
-            for (size_t i = 0; i < nt; i++) {
-                const double p = u[i] * f->slope + f->intercept;
-                wt[2 * i] = p;
-                wt[2 * i + 1] = 1.0 - p;
-            }
-        } else {
-            for (size_t i = 0; i < nt; i++) {
-                size_t k = 0;
-                for (size_t b = 0; b < f->n_rows; b++)
-                    k += f->thresholds[b] <= u[i];
-                const double *row = f->rows + (k < f->n_rows ? k : f->n_rows - 1) * na;
-                for (size_t a = 0; a < na; a++)
-                    wt[i * na + a] = row[a];
-            }
-        }
+        site_rows(f, nt, h1, h2, x, w + t * f->n_atoms);
     }
 }
 
@@ -400,4 +417,107 @@ double envwalk_propagate(const struct field *field, u64 level, int64_t lo, int64
             worst = dropped;
     }
     return worst;
+}
+
+/* One tile of envwalk_walk: nt walkers with base lanes (b1, b2), walk
+ * cell words at cells + j * n (j < n_words), positions pos and drift sums
+ * drift (or NULL), for b steps; the positions after step s go to
+ * out + s * n.  Inlined with a constant atom count for pairs, so that the
+ * loops vectorize. */
+INLINE void walk_tile(const struct field *f, size_t na, size_t nt, size_t n, size_t b, u64 level,
+                      u64 shift_level, int64_t x_shift, const u64 *restrict b1, const u64 *restrict b2,
+                      u64 walk_tag, const u64 *restrict cells, size_t n_words, const int64_t *restrict support,
+                      int64_t *restrict pos, double *restrict drift, double *restrict w, int64_t *restrict out)
+{
+    /* Each walker's lanes with the walk tag and with the field's tag absorbed. */
+    u64 pw1[TILE], pw2[TILE], pe1[TILE], pe2[TILE], h1[TILE], h2[TILE];
+    int64_t x[TILE];
+    double u[TILE];
+    for (size_t i = 0; i < nt; i++) {
+        pw1[i] = pe1[i] = b1[i];
+        pw2[i] = pe2[i] = b2[i];
+    }
+    absorb_column(nt, pw1, pw2, &walk_tag, 0);
+    absorb_column(nt, pe1, pe2, &f->tag, 0);
+    const u64 n_walk_words = n_words, d = 1, draw = 0;
+    for (size_t s = 0; s < b; s++) {
+        /* The walk uniform: the walk key (tag, level, the cell width, the
+         * cell words) and its uniform 0. */
+        const u64 walk_level = level + s, field_level = walk_level + shift_level;
+        for (size_t i = 0; i < nt; i++) {
+            h1[i] = pw1[i];
+            h2[i] = pw2[i];
+        }
+        absorb_column(nt, h1, h2, &walk_level, 0);
+        absorb_column(nt, h1, h2, &n_walk_words, 0);
+        for (size_t j = 0; j < n_words; j++)
+            absorb_column(nt, h1, h2, cells + j * n, 1);
+        words_row(nt, h1, h2, 1, &draw, 0, u, 1, 1);
+
+        /* The weight rows of the field at pos + x_shift and level + shift_level. */
+        for (size_t i = 0; i < nt; i++) {
+            x[i] = (int64_t)((u64)pos[i] + (u64)x_shift);
+            h1[i] = pe1[i];
+            h2[i] = pe2[i];
+        }
+        absorb_column(nt, h1, h2, &field_level, 0);
+        absorb_column(nt, h1, h2, &d, 0);
+        site_rows(f, nt, h1, h2, x, w);
+
+        /* The drift, atom by atom in support order (jumplaws.atomic_mean). */
+        if (drift != NULL) {
+            for (size_t i = 0; i < nt; i++) {
+                double m = w[i * na] * (double)support[0];
+                for (size_t a = 1; a < na; a++)
+                    m = m + w[i * na + a] * (double)support[a];
+                drift[i] += m;
+            }
+        }
+
+        /* The step: the inverse CDF of walks._row_atomic_index, the weights
+         * summed atom by atom; capped at the last atom, where numpy would
+         * raise on a one-atom row that sums below u. */
+        int64_t *restrict o = out + s * n;
+        for (size_t i = 0; i < nt; i++) {
+            double cum = w[i * na];
+            size_t k = cum <= u[i];
+            for (size_t a = 1; a + 1 < na; a++) {
+                cum = cum + w[i * na + a];
+                k += cum <= u[i];
+            }
+            pos[i] += support[k < na ? k : na - 1];
+            o[i] = pos[i];
+        }
+    }
+}
+
+/* b steps of n walkers in one call: walks._Walker's numpy steps for a d = 1
+ * field that field_read describes, with integer atoms `support`.  Walker i
+ * reads the field through the base lanes f->b1[i], f->b2[i], and its
+ * cell words are cells[j * n + i] for j < n_words.  Step s, from `level` +
+ * s:
+ *   - hashes the walk key (those base lanes, walk_tag, the level, n_words,
+ *     the cell words) and takes its uniform 0;
+ *   - reads the weight row at pos[i] + x_shift and level + s + shift_level
+ *     with the site_rows() of field_row();
+ *   - adds the row's drift to drift[i], if drift is not NULL;
+ *   - moves pos[i] by the atom the inverse CDF picks, and writes it to
+ *     out[s * n + i].
+ * w is scratch with room for n * n_atoms doubles. */
+VECTOR_CLONES
+void envwalk_walk(const struct field *f, u64 shift_level, int64_t x_shift, size_t n, u64 walk_tag,
+                  const u64 *cells, size_t n_words, const int64_t *support, int64_t *pos, double *drift,
+                  double *w, u64 level, size_t b, int64_t *out)
+{
+    const size_t na = f->n_atoms;
+    for (size_t t = 0; t < n; t += TILE) {
+        const size_t nt = n - t < TILE ? n - t : TILE;
+        double *dt = drift != NULL ? drift + t : NULL;
+        if (na == 2)
+            walk_tile(f, 2, nt, n, b, level, shift_level, x_shift, f->b1 + t, f->b2 + t, walk_tag, cells + t,
+                      n_words, support, pos + t, dt, w + t * na, out + t);
+        else
+            walk_tile(f, na, nt, n, b, level, shift_level, x_shift, f->b1 + t, f->b2 + t, walk_tag, cells + t,
+                      n_words, support, pos + t, dt, w + t * na, out + t);
+    }
 }

@@ -11,8 +11,12 @@ The analytics quantify how long Y lingers near coincidence: first exit
 times from centered boxes, lengths of excursions away from a box, total
 occupation time of slowly growing boxes, and the probability of escaping a
 box without first falling into an inner one.  Each is one loop over a batch
-of pairs, ``for k, y in walker``: the pair walker yields Y after every step
-and retires the pairs a scan has settled.
+of pairs, ``for k0, y in walker``: the pair walker yields Y after each step
+of a block, shape (b, live pairs), the scans read the block vectorized
+along the step axis, and the pairs a scan has settled retire once per
+block.  Where the compiled library loads, a block on the lattice,
+finite-range and Dirac fields is one call of ``envwalk_walk`` (see
+``walks``); the level-correlated field runs the numpy steps.
 """
 
 from __future__ import annotations
@@ -103,27 +107,38 @@ def simulate_diff_chain(
     return DiffChainPath(values, kind, tuple(values[0]))
 
 
-class _PairWalker(_Walker):
-    """Lockstep batch of (X, X~) pairs for d=1 fields.
+def _pairs(env_template: Environment, replicas: np.ndarray, x0, kind: str):
+    """The (X, X~) pairs of a difference chain as walker arguments: base lanes,
+    walk cells (replica, walk) and starts, each of shape (replicas, 2, .).
 
     Column 0 is the X walk (from 0), column 1 the X~ walk (from x0); all
     stream keys match the scalar :func:`simulate_diff_chain` draw for draw.
     The scans read Y = X~ - X as a scalar, so the pairs are one-dimensional.
-    Stepping yields Y of the live pairs; ``alive`` holds their row numbers
-    in the batch, and :meth:`retire` drops the pairs a scan has settled.
+    """
+    if env_template.d != 1:
+        raise ValueError(f"difference chains are one-dimensional; the field has d={env_template.d}")
+    seeds_a, seeds_b = _pair_seeds(env_template, replicas, kind)
+    la, lb = seed_lanes_vec(seeds_a), seed_lanes_vec(seeds_b)
+    base = (np.stack([la[0], lb[0]], axis=1), np.stack([la[1], lb[1]], axis=1))
+    which = np.broadcast_to(np.array([0, 1], dtype=np.int64), (replicas.size, 2))
+    wcells = np.stack([np.stack([replicas, replicas], axis=1), which], axis=2)
+    x0 = np.broadcast_to(np.asarray(x0, dtype=np.int64), replicas.shape)
+    return base, wcells, np.stack([np.zeros_like(replicas), x0], axis=1)[..., None]
+
+
+class _PairWalker(_Walker):
+    """Lockstep batch of (X, X~) pairs (:func:`_pairs`) for d=1 fields that
+    retires the pairs a scan has settled.
+
+    Stepping yields Y of the live pairs a block at a time; ``alive`` holds
+    their row numbers in the batch, and :meth:`retire` drops settled pairs
+    between blocks.  Every draw is keyed by its address, so a settled pair
+    stepped on to the end of its block changes no other draw.
     """
 
     def __init__(self, env_template: Environment, replicas: np.ndarray, x0, kind: str, n_steps: int):
-        if env_template.d != 1:
-            raise ValueError(f"difference chains are one-dimensional; the field has d={env_template.d}")
         replicas = np.asarray(replicas, dtype=np.int64)
-        seeds_a, seeds_b = _pair_seeds(env_template, replicas, kind)
-        la, lb = seed_lanes_vec(seeds_a), seed_lanes_vec(seeds_b)
-        base = (np.stack([la[0], lb[0]], axis=1), np.stack([la[1], lb[1]], axis=1))
-        which = np.broadcast_to(np.array([0, 1], dtype=np.int64), (replicas.size, 2))
-        wcells = np.stack([np.stack([replicas, replicas], axis=1), which], axis=2)
-        x0 = np.broadcast_to(np.asarray(x0, dtype=np.int64), replicas.shape)
-        super().__init__(env_template, base, wcells, np.stack([np.zeros_like(replicas), x0], axis=1)[..., None], n_steps)
+        super().__init__(env_template, *_pairs(env_template, replicas, x0, kind), n_steps)
         self.alive = np.arange(replicas.size)
 
     @property
@@ -131,20 +146,19 @@ class _PairWalker(_Walker):
         return self.pos[:, 1, 0] - self.pos[:, 0, 0]
 
     def retire(self, done: np.ndarray) -> None:
-        """Drop the live pairs flagged in ``done``, from the walker and from its current block."""
+        """Drop the live pairs flagged in ``done``."""
         if not done.any():
             return
         # ``np.take``: indexing by a mask or an index array copies these arrays several times slower.
         keep = np.flatnonzero(~done)
         self.alive, self.pos, self.wcells = (np.take(a, keep, axis=0) for a in (self.alive, self.pos, self.wcells))
         self.base = tuple(np.take(lane, keep, axis=0) for lane in self.base)
-        self.noise = np.take(self.noise, keep, axis=1)
-        if self.rows is not None:
-            self.rows = np.take(self.rows, keep, axis=1)
+        self._bind()
 
     def step(self) -> np.ndarray:
-        super().step()
-        return self.y
+        """Take the next block of b steps; returns Y of the live pairs after each, (b, live)."""
+        block = super().step()
+        return block[:, :, 1, 0] - block[:, :, 0, 0]
 
 
 def batch_diff_positions(
@@ -161,7 +175,8 @@ def batch_diff_positions(
     With ``return_components`` also returns the (X, X~) positions of shape
     (len, M, 2).
     """
-    walker = _PairWalker(env_template, replicas, x0, kind, n_steps)
+    replicas = np.asarray(replicas, dtype=np.int64)
+    walker = _Walker(env_template, *_pairs(env_template, replicas, x0, kind), n_steps)
     record, comps = walker.record(record_steps)
     comps = comps[..., 0]
     y = comps[..., 1] - comps[..., 0]
@@ -211,8 +226,11 @@ def exit_time_scan(
     # The live pairs' columns, in walker order; a column goes back to
     # exit_steps when its pair retires, the survivors' at the cap.
     steps = exit_steps.copy()
-    for k, y in walker:
-        steps = np.where((steps < 0) & (np.abs(y) > radii), k, steps)
+    for k0, y in walker:
+        # The first exit from each box within the block, k0 + 1 + its row.
+        out = np.abs(y)[:, None, :] > radii  # (b, radii, live)
+        first = np.where(out.any(axis=0), k0 + 1 + out.argmax(axis=0), -1)
+        steps = np.where(steps < 0, first, steps)
         done = steps[-1] >= 0
         if done.any():
             exit_steps[:, walker.alive[done]] = steps[:, done]
@@ -292,17 +310,21 @@ def excursion_scan(
         raise ValueError("eps must be positive")
     radius = float(horizon) ** eps
     walker = _PairWalker(env_template, np.arange(replicas), 0, kind, horizon)
+    # Y_k is outside the box exactly when |Y_k| > radius; an excursion runs
+    # from a step outside after one inside to the next step inside.
     outside = np.zeros(replicas, dtype=bool)
     out_step = np.zeros(replicas, dtype=np.int64)
     lengths: list[np.ndarray] = []
-    for k, y in walker:
-        ay = np.abs(y)
-        leaving = ~outside & (ay > radius)
-        returning = outside & (ay <= radius)
-        if returning.any():
-            lengths.append(k - out_step[returning])
-        out_step[leaving] = k
-        outside = (outside | leaving) & ~returning
+    for k0, y in walker:
+        o = np.abs(y) > radius  # (b, replicas)
+        before = np.concatenate([outside[None], o[:-1]])
+        k = np.arange(k0 + 1, k0 + 1 + len(o))[:, None]
+        # The step of each pair's latest departure, up to each step of the block.
+        left = np.maximum.accumulate(np.concatenate([out_step[None], np.where(o & ~before, k, 0)]), axis=0)[1:]
+        returning = ~o & before
+        if returning.any():  # in (return step, pair) order
+            lengths.append((k - left)[returning])
+        outside, out_step = o[-1], left[-1]
     all_lengths = np.concatenate(lengths) if lengths else np.empty(0, dtype=np.int64)
     n_incomplete = int(outside.sum())
     if all_lengths.size < 10:
@@ -343,9 +365,10 @@ def occupation_time(
     n_max = int(n_grid.max())
     walker = _PairWalker(env_template, np.arange(replicas), 0, kind, n_max - 1)
     counts = np.zeros((len(n_grid), replicas), dtype=np.int64)
-    for k, y in itertools.chain([(0, walker.y)], walker):
-        live = n_grid > k
-        counts[live] += np.abs(y) <= radii[live, None]
+    for k0, y in itertools.chain([(-1, walker.y[None])], walker):
+        # Grid point n counts the block's steps k < n.
+        live = n_grid[:, None] > np.arange(k0 + 1, k0 + 1 + len(y))  # (grid, b)
+        counts += ((np.abs(y) <= radii[:, None, None]) & live[:, :, None]).sum(axis=1)
     est = counts.mean(axis=1)
     ses = counts.std(axis=1, ddof=1) / math.sqrt(replicas)
     return with_fit(ScanCurve(n_grid.astype(float), est, ses))
@@ -396,9 +419,13 @@ def exit_escape_probability(
     walker = _PairWalker(env_template, np.arange(x0.size), x0, kind, time_budget)
     escaped = np.zeros(x0.size, dtype=bool)
     for _, y in walker:
+        # Each live pair's first step within the block out of the shell, if any.
         ay = np.abs(y)
-        escaped[walker.alive[ay > r]] = True
-        walker.retire((ay > r) | (ay <= r0))
+        settled = (ay > r) | (ay <= r0)
+        done = settled.any(axis=0)
+        first = np.take_along_axis(ay, settled.argmax(axis=0)[None], axis=0)[0]
+        escaped[walker.alive[done & (first > r)]] = True
+        walker.retire(done)
     probs = escaped.reshape(starts.size, per).mean(axis=1)
     ses = np.sqrt(np.maximum(probs * (1.0 - probs), 1.0 / per) / per)
     return EscapeEstimate(

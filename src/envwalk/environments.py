@@ -22,10 +22,11 @@ and no order sensitivity.  Four constructions:
 
 Levels never share stream keys, so distinct time levels are independent by
 construction in every model.  ``field_weights`` is the batched twin of
-``query`` for every family and dimension: every vectorized walker reads the
-field through it.  The compiled dense propagation step of
-``walks.exact_mean_curves`` reads it in C instead, through ``field_read``,
-and gives the bits of ``field_weights``, which stays its reference.
+``query`` for every family and dimension.  The compiled dense propagation
+step of ``walks.exact_mean_curves`` and the compiled walker block of
+``walks._Walker`` read it in C instead, through ``field_read``, and give
+the bits of ``field_weights``, which stays their reference and the read of
+every walker they do not serve.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ LATTICE_PRODUCT = "lattice_product"
 FINITE_RANGE = "finite_range"
 FULLY_CORRELATED = "fully_correlated"
 DIRAC_FIELD = "dirac_field"
+# The kinds whose cells field_read's compiled twin computes: x itself on the
+# unit lattice (integer positions skip the offset), floor(x / R + 0.5) on
+# finite_range.
+FIELD_READ_KINDS = (LATTICE_PRODUCT, FINITE_RANGE, DIRAC_FIELD)
 
 
 @dataclass(frozen=True)
@@ -188,9 +193,9 @@ def field_weights(env: Environment, base_lanes, level: int, positions) -> np.nda
     (``mean_table``) for ``GaussianDrift``; entry by entry the law
     :func:`query` gives in the shifted frame.  Integer positions skip the
     grid offset, since floor(x + U) = x; the level-correlated field hashes
-    one cell per field and broadcasts it.  The walkers read the field
-    through it; the compiled propagation step reads it through
-    :func:`field_read`, and this is that read's reference.
+    one cell per field and broadcasts it.  The numpy walker steps read the
+    field through it; the compiled propagation step and walker block read
+    it through :func:`field_read`, and this is that read's reference.
     """
     fam = env.family
     positions = np.asarray(positions)
@@ -216,15 +221,16 @@ def field_weights(env: Environment, base_lanes, level: int, positions) -> np.nda
 def field_read(env: Environment, base_lanes) -> FieldRead:
     """The compiled twin of :func:`field_weights` on integer d=1 positions.
 
-    ``base_lanes`` are one field per row (``seed_lanes_vec``).  The struct
+    ``base_lanes`` are one field per row (``seed_lanes_vec``): a replica
+    row of the propagation step, a walker of the walker block.  The struct
     carries the cell rule (a lattice or Dirac field reads cell x, a
     finite-range field floor(x / R + 0.5)) and the family's
     ``weight_table`` as one of three kinds: affine for ``UniformPM1``, a
     threshold table (``np.cumsum`` of the probabilities, and the rows they
     pick) for ``ChoicePM1`` and ``DiracSteps``, constant for
-    ``FixedAtomic``.  ``envwalk_propagate`` and ``envwalk_field_weights``
-    in ``_hash.c`` read the field through it, and give the bits of
-    :func:`field_weights`.
+    ``FixedAtomic``.  ``envwalk_propagate``, ``envwalk_walk`` and
+    ``envwalk_field_weights`` in ``_hash.c`` read the field through it, and
+    give the bits of :func:`field_weights`.
     """
     fam = env.family
     read = FieldRead(

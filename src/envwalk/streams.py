@@ -18,8 +18,10 @@ Not cryptographic, and not meant to be.
 The batched hot paths, :func:`lanes_for_cells` and :func:`words_at` /
 :func:`uniforms_at`, run in a small C kernel (``_hash.c``), loaded with
 ``ctypes``; the same library holds the dense propagation step of
-:func:`walks.exact_mean_curves` (``_LIB.envwalk_propagate``), which hashes
-the field's cells itself with the same mixers (:class:`FieldRead`).  The first
+:func:`walks.exact_mean_curves` (``_LIB.envwalk_propagate``) and the walker
+block of ``walks._Walker`` (``_LIB.envwalk_walk``), which hash the field's
+cells and the walk keys themselves with the same mixers
+(:class:`FieldRead`).  The first
 import compiles it with ``cc -O3 -ffp-contract=off -shared -fPIC`` into
 ``__pycache__`` next to this file (or, where that cannot be written, into
 ``~/.cache/envwalk``) under a name that hashes the source, the flags and the
@@ -279,7 +281,7 @@ def derive_seed(master_seed: int, *words: int) -> int:
 
 # ---------------------------------------------------------------------------
 # The compiled kernel (_hash.c) behind lanes_for_cells, words_at and uniforms_at,
-# and behind the dense propagation step of walks.exact_mean_curves.
+# the dense propagation step of walks.exact_mean_curves and the walker block.
 # ---------------------------------------------------------------------------
 
 _KERNEL_SOURCE = Path(__file__).with_name("_hash.c")
@@ -352,6 +354,12 @@ def _load_kernel():
         *site, ptr, step, ptr, ptr, size, size, size, ctypes.c_double, ptr, ptr, step, ptr
     )
     lib.envwalk_propagate.restype = ctypes.c_double
+    # field, shift level, x shift, walkers, walk tag, cells, cell words, support, positions, drift sums,
+    # scratch, then the block's level, steps and out
+    lib.envwalk_walk.argtypes = (
+        ptr, word, ctypes.c_int64, size, word, ptr, size, ptr, ptr, ptr, ptr, word, size, ptr
+    )
+    lib.envwalk_walk.restype = None
     return lib
 
 

@@ -2,21 +2,31 @@
 
 Scalar reference paths (`simulate_quenched_path`) consume uniforms law by
 law.  Every batched walk (quenched, averaged and one-step walks here, the
-difference-chain pairs in `diffchain`) is one lockstep `_Walker` that reads
-the field through `environments.field_weights` and draws its noise from
-the same per-(step, walker) stream keys, so it replays the scalar draws
-exactly; parity tests pin each path to the scalar one.  Iterating a walker
-is the one stepping loop: it yields (k, result of step k) until the last
-step or the last walker.  The walker serves every law family in any
-dimension d, with positions of shape (..., d): steps on a fixed atom
+difference-chain pairs in `diffchain`) is one lockstep `_Walker` that draws
+its noise from the same per-(step, walker) stream keys and reads the same
+field cells, so it replays the scalar draws exactly; parity tests pin each
+path to the scalar one.  Iterating a walker is the one stepping loop: it
+yields (k0, the positions after steps k0 + 1 .. k0 + b) one block of b
+steps at a time (``_BLOCK_ELEMENTS`` walker-steps a block) until the last
+step or the last walker; since every variate is a pure function of its
+address, the blocks change no draw.  The walker serves every law family in
+any dimension d, with positions of shape (..., d): steps on a fixed atom
 support (integer positions when every atom is a lattice point), Gaussian
 steps around each cell's drift vector (the difference-chain pairs stay
 d=1).  Walk noise uses its own key tag, so walk randomness never touches
 environment randomness.
-Walk noise and the level-correlated field do not depend on position, so the
-walker draws them per block of steps, one hash call for the whole batch
-(``_BLOCK_ELEMENTS`` walker-steps a block); since every variate is a pure
-function of its address, the blocks change no draw.
+
+A d=1 walker with integer atoms on a lattice, finite-range or Dirac field
+at an integral shift runs each block in one call of ``envwalk_walk`` in the
+library that ``streams`` builds from ``_hash.c``: per walker and step it
+hashes the walk key, reads the field row with the field read of the
+compiled propagation step (:func:`environments.field_read`), steps by
+inverse CDF and sums the drift.  Every other walker (Gaussian laws, d >= 2,
+float positions, the level-correlated field, or no library) runs the numpy
+steps: the walk noise (and a level-correlated field, which does not depend
+on position) in one hash call per block, then
+:func:`environments.field_weights` at the walkers' positions step by step.
+They are the reference the compiled block matches bit for bit.
 
 Quenched means come in two dual forms that cross-check each other: a Monte
 Carlo mean over walks, and exact forward propagation of the full quenched
@@ -47,6 +57,7 @@ import numpy as np
 
 from . import streams
 from .environments import (
+    FIELD_READ_KINDS,
     FULLY_CORRELATED,
     Environment,
     env_replica,
@@ -91,9 +102,9 @@ SUPPORT_CAP = 10**7
 # for c = sqrt(2*ln(2e15)) ~ 8.4; pad a little.
 _WINDOW_C = 8.6
 
-# Walker-steps per block of position-free draws: a batch of w walkers draws
-# its walk noise (and a level-correlated field) for max(1, this // w) steps
-# at a time.  Larger blocks save little call overhead and cost memory.
+# Walker-steps per block: a batch of w walkers steps max(1, this // w) steps
+# at a time, one compiled call or one hash call for the walk noise.  Larger
+# blocks save little call overhead and cost memory.
 _BLOCK_ELEMENTS = 2**14
 
 
@@ -198,8 +209,14 @@ class _Walker:
     draw for draw.  The step rule is chosen once per walker: a fixed-support
     family steps by inverse CDF on its support, with positions of the
     support's dtype, a Gaussian family around the cell's drift vector.
-    Iterating runs at most ``n_steps`` steps: draws that do not depend on
-    position are made per block of steps.
+    Iterating runs at most ``n_steps`` steps, a block of
+    ``_BLOCK_ELEMENTS`` walker-steps at a time.
+
+    A d=1 walk with integer atoms on a field that
+    :func:`environments.field_read` describes (not the level-correlated
+    one) at an integral shift runs each block in one call of
+    ``envwalk_walk`` (``_hash.c``); every other walker runs the numpy steps
+    of :meth:`_numpy_block`, which are also that call's reference.
     """
 
     def __init__(
@@ -221,61 +238,97 @@ class _Walker:
         self.base = base_lanes
         self.wcells = walk_cells
         self.pos = np.array(np.broadcast_to(np.asarray(x0, dtype=dtype), walk_cells.shape[:-1] + (env.d,)))
-        self.drift_sums = np.zeros((self.pos.shape[0], env.d)) if accumulate_drift else None
+        # Each walker's sum of local drifts; column 0's are the drift sums.
+        self.drift = np.zeros(self.pos.shape) if accumulate_drift else None
         self.n_steps = n_steps
         self.k = 0
-        # The current block: walk uniforms (b, m, c, n_uniforms), the level-correlated
-        # field's rows (b, ., ., row length) or None, and the row to read next.
-        self.noise = np.empty((0,) + walk_cells.shape[:-1])
-        self.rows = None
-        self.row = 0
+        self.compiled = (
+            streams._LIB is not None and dtype == np.int64 and env.d == 1
+            and self.x_shift.dtype == np.int64 and env.kind in FIELD_READ_KINDS
+        )
+        self._bind()
 
-    def _refill(self) -> None:
-        """Draw walk noise, and a level-correlated field, for the next block of steps."""
-        b = max(1, _BLOCK_ELEMENTS // max(1, self.wcells[..., 0].size))
-        levels = np.arange(self.k, min(self.k + b, self.n_steps))[:, None, None]
-        lanes = lanes_for_cells(self.base, levels, TAG_WALK, self.wcells)
-        self.noise = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(self.n_uniforms))
-        if self.env.kind == FULLY_CORRELATED:
-            self.rows = field_weights(self.env, self.base, levels + self.level0, np.zeros(self.env.d, np.int64))
-        self.row = 0
+    @property
+    def drift_sums(self) -> np.ndarray | None:
+        """Column 0's sums of local drifts along the path, (m, d), or None unless accumulated."""
+        return None if self.drift is None else self.drift[:, 0]
+
+    def _bind(self) -> None:
+        """For the compiled block: the walkers' field read (one base lane pair
+        a walker), walk cells (one contiguous array per cell word), positions
+        and drift sums as addresses, made here once and again whenever the
+        set of walkers changes."""
+        if not self.compiled:
+            return
+        shape = self.pos.shape[:-1]
+        n, n_words = self.pos[..., 0].size, self.wcells.shape[-1]
+        read = field_read(self.env, tuple(np.broadcast_to(h, shape).reshape(n) for h in self.base))
+        cells = np.ascontiguousarray(self.wcells.reshape(n, n_words).T, dtype=np.int64)
+        support = np.ascontiguousarray(self.support[:, 0])
+        scratch = np.empty(n * len(support))
+        self.pos = np.ascontiguousarray(self.pos)
+        drift = None if self.drift is None else self.drift.ctypes.data
+        self._kernel_arrays = (read, cells, support, scratch)  # the memory the addresses point into
+        self._kernel_args = (
+            ctypes.addressof(read), int(self.level0) & streams._MASK64, int(self.x_shift[0]), n, TAG_WALK,
+            cells.ctypes.data, n_words, support.ctypes.data, self.pos.ctypes.data, drift, scratch.ctypes.data,
+        )
 
     def step(self) -> np.ndarray:
-        """Take step ``k`` -> ``k + 1``; returns the positions."""
-        if self.row == len(self.noise):
-            self._refill()
-        if self.rows is None:
-            rows = field_weights(self.env, self.base, self.k + self.level0, self.pos + self.x_shift)
-        else:  # in the shape a per-step read gives, for the same drift arithmetic
-            rows = np.broadcast_to(self.rows[self.row], self.pos.shape[:-1] + self.rows.shape[-1:])
-        if self.drift_sums is not None:
-            self.drift_sums += row_drifts(self.env.family, rows[:, 0])
-        u = self.noise[self.row]
-        if self.factor is None:
-            self.pos = self.pos + np.take(self.support, _row_atomic_index(rows, u[..., 0]), axis=0)
-        else:
-            self.pos = self.pos + gaussian_step(rows, self.factor, u)
-        self.row += 1
-        self.k += 1
-        return self.pos
+        """Take the next block of b steps, k -> k + b; returns the positions
+        after each of them, shape (b, m, c, d)."""
+        b = min(max(1, _BLOCK_ELEMENTS // max(1, self.wcells[..., 0].size)), self.n_steps - self.k)
+        if not self.compiled:
+            return self._numpy_block(b)
+        out = np.empty((b,) + self.pos.shape, np.int64)
+        streams._LIB.envwalk_walk(*self._kernel_args, self.k, b, out.ctypes.data)
+        self.k += b
+        return out
+
+    def _numpy_block(self, b: int) -> np.ndarray:
+        """b steps in numpy: the walk noise (and a level-correlated field) for
+        the whole block in one hash call, then the field read at the walkers'
+        positions step by step."""
+        levels = np.arange(self.k, self.k + b)[:, None, None]
+        lanes = lanes_for_cells(self.base, levels, TAG_WALK, self.wcells)
+        noise = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(self.n_uniforms))
+        if self.env.kind == FULLY_CORRELATED:
+            level_rows = field_weights(self.env, self.base, levels + self.level0, np.zeros(self.env.d, np.int64))
+        out = np.empty((b,) + self.pos.shape, self.pos.dtype)
+        for s in range(b):
+            if self.env.kind != FULLY_CORRELATED:
+                rows = field_weights(self.env, self.base, self.k + self.level0, self.pos + self.x_shift)
+            else:  # in the shape a per-step read gives, for the same drift arithmetic
+                rows = np.broadcast_to(level_rows[s], self.pos.shape[:-1] + level_rows.shape[-1:])
+            if self.drift is not None:
+                self.drift += row_drifts(self.env.family, rows)
+            if self.factor is None:
+                move = np.take(self.support, _row_atomic_index(rows, noise[s, ..., 0]), axis=0)
+            else:
+                move = gaussian_step(rows, self.factor, noise[s])
+            self.pos = np.add(self.pos, move, out=out[s])
+            self.k += 1
+        return out
 
     def __iter__(self):
-        """The one stepping loop: yields (k, result of step k) for k = 1 .. ``n_steps``
-        while any walker is left."""
+        """The one stepping loop: yields (k0, the positions after steps k0 + 1
+        .. k0 + b), one block of b steps at a time, until ``n_steps`` or the
+        last walker."""
         while self.k < self.n_steps and len(self.pos):
-            out = self.step()
-            yield self.k, out
+            k0 = self.k
+            yield k0, self.step()
 
     def record(self, record_steps=None) -> tuple[np.ndarray, np.ndarray]:
         """Run all ``n_steps`` steps; positions at ``record_steps``, shape (len, m, c, d)."""
         record = np.arange(self.n_steps + 1) if record_steps is None else np.asarray(record_steps)
-        wanted = {int(s): i for i, s in enumerate(record)}
+        order = np.argsort(record, kind="stable")
+        ordered = record[order]
         out = np.empty((len(record),) + self.pos.shape, dtype=self.pos.dtype)
-        if 0 in wanted:
-            out[wanted[0]] = self.pos
-        for k, _ in self:
-            if k in wanted:
-                out[wanted[k]] = self.pos
+        out[record == 0] = self.pos
+        for k0, block in self:
+            # The recorded steps k0 + 1 .. k0 + b, picked out of the block.
+            at = order[np.searchsorted(ordered, k0 + 1) : np.searchsorted(ordered, k0 + len(block), side="right")]
+            out[at] = block[record[at] - k0 - 1]
         return record, out
 
 
@@ -471,7 +524,7 @@ def _numpy_step(fam, mass, w, offsets, span, i0, i1, means):
     mass = full[:, i0:i1]
     mass[mass < PRUNE_MASS] = 0.0
     mass /= mass.sum(axis=1, keepdims=True)
-    return mass, dropped.max()
+    return mass, dropped.max(initial=0.0)
 
 
 class _KernelSteps:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from envwalk import diffchain
+from envwalk import diffchain, streams
 from envwalk.diffchain import (
     INDEPENDENT_ENV,
     SAME_ENV,
@@ -21,7 +21,7 @@ from envwalk.environments import (
     make_lattice_product,
     shift,
 )
-from envwalk.families import DiracSteps, FixedAtomic, UniformPM1
+from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, UniformPM1
 from envwalk.stats import InsufficientDataError, ks_two_sample_critical, ks_two_sample_distance
 from envwalk.walks import simulate_quenched_path
 
@@ -91,6 +91,76 @@ def test_blocked_escape_matches_scalar(env, kind, small_blocks):
         y = np.abs(simulate_diff_chain(env, y0, 200, kind, replica=rep).values[:, 0])
         settled = np.flatnonzero((y > 4) | (y <= 1))
         assert est.probs[rep] == float(settled.size > 0 and y[settled[0]] > 4)
+
+
+# Pair fields for the compiled walker: each family kind of the compiled field
+# read (affine, threshold, constant with 3 atoms), the lattice with and
+# without the offset, finite-range grids of spacing 1.5 and 2, a Dirac field
+# and an integral shift in time and space.
+PAIR_FIELDS = {
+    "mixing": MIX,
+    "mixing-no-offset": make_lattice_product(606, 1, UniformPM1(0.2, 0.9), uniform_offset=False),
+    "choice": make_lattice_product(606, 1, ChoicePM1((0.2, 0.5, 0.9), (0.5, 0.2, 0.3))),
+    "three-atom": make_lattice_product(606, 1, FixedAtomic(((2.0,), (-1.0,), (0.0,)), (0.3, 0.2, 0.5))),
+    "finite-range-1.5": make_finite_range(606, 1, 1.5, UniformPM1()),
+    "finite-range-2": FR,
+    "dirac": DIRAC,
+    "mixing-shifted": shift(MIX, 3, -4),
+}
+
+
+def outcome(scan, *args, **kwargs):
+    """The arrays of a scan's result, or the error it raised."""
+    try:
+        result = scan(*args, **kwargs)
+    except InsufficientDataError as e:
+        return (str(e),)
+    if isinstance(result, (tuple, np.ndarray)):
+        return tuple(result) if isinstance(result, tuple) else (result,)
+    return tuple(v for v in vars(result).values() if isinstance(v, np.ndarray))
+
+
+def every_scan(env, kind):
+    return [
+        *outcome(batch_diff_positions, env, 40, np.arange(5), x0=3, kind=kind, return_components=True),
+        *outcome(exit_time_scan, env, [2.0, 5.0, 12.0], 6, step_cap=300, kind=kind, x0=1),
+        *outcome(excursion_scan, env, 200, 0.2, 6, kind=kind),
+        *outcome(lambda: occupation_time(env, [1, 5, 9, 23], 0.3, 6, kind=kind).estimates),
+        *outcome(exit_escape_probability, env, 4, 1, 200, 6, kind=kind),
+    ]
+
+
+@pytest.mark.skipif(streams._LIB is None, reason="no compiled kernel: the numpy walker serves every pair")
+@pytest.mark.parametrize("kind", [SAME_ENV, INDEPENDENT_ENV])
+@pytest.mark.parametrize("name", sorted(PAIR_FIELDS))
+def test_compiled_pairs_match_numpy_pairs(name, kind, small_blocks, monkeypatch):
+    # Six pairs take 3-step blocks under small_blocks: blocks end inside
+    # every scan, and the exit and escape scans retire pairs mid-block.
+    env = PAIR_FIELDS[name]
+    assert diffchain._PairWalker(env, np.arange(2), 0, kind, 1).compiled
+    compiled = every_scan(env, kind)
+    monkeypatch.setattr(streams, "_LIB", None)
+    want = every_scan(env, kind)
+    assert len(compiled) == len(want)
+    for got, expected in zip(compiled, want):
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got, expected, equal_nan=got.dtype.kind == "f")
+
+
+def test_excursion_lengths_in_return_order(small_blocks):
+    # Lengths come in (return step, pair) order, as a step-by-step scan finds them.
+    horizon, m = 300, 6
+    scan = excursion_scan(MIX, horizon, 0.2, m)
+    _, y = batch_diff_positions(MIX, horizon, np.arange(m))
+    outside = np.abs(y) > scan.box_radius
+    want, left = [], np.zeros(m, dtype=np.int64)
+    for k in range(1, horizon + 1):
+        want.extend((k - left)[outside[k - 1] & ~outside[k]].tolist())
+        left = np.where(outside[k] & ~outside[k - 1], k, left)
+    assert scan.lengths.tolist() == want
 
 
 def test_pairs_reject_fields_beyond_one_dimension():
@@ -223,7 +293,13 @@ def test_blocked_occupation_matches_chains(kind, small_blocks, monkeypatch):
     # Y_0 .. Y_{n-1} are counted for grid point n, so the walker steps n_max - 1 times.
     n_grid, eps, m = np.array([1, 5, 9, 23]), 0.3, 6
     steps, step = [], diffchain._PairWalker.step
-    monkeypatch.setattr(diffchain._PairWalker, "step", lambda walker: steps.append(walker.k) or step(walker))
+
+    def recorded_step(walker):
+        k0, y = walker.k, step(walker)
+        steps.extend(range(k0, walker.k))
+        return y
+
+    monkeypatch.setattr(diffchain._PairWalker, "step", recorded_step)
     curve = occupation_time(MIX, n_grid, eps, m, kind=kind)
     assert steps == list(range(n_grid.max() - 1))
     _, y = batch_diff_positions(MIX, int(n_grid.max()), np.arange(m), kind=kind)

@@ -166,6 +166,7 @@ def test_kernel_loaded_where_a_compiler_exists():
     assert streams._LIB is not None
     assert hasattr(streams._LIB, "envwalk_propagate")
     assert hasattr(streams._LIB, "envwalk_field_weights")
+    assert hasattr(streams._LIB, "envwalk_walk")
 
 
 def _per_row(seeds):

@@ -1,4 +1,5 @@
 import ctypes
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from envwalk.environments import (
 )
 from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from envwalk.jumplaws import law_mean
-from envwalk.streams import TAG_ENV, StreamKey, derive_stream, seed_lanes_vec
+from envwalk.streams import TAG_ENV, TAG_WALK, StreamKey, derive_stream, seed_lanes, seed_lanes_vec
 from envwalk.walks import (
     _x1_samples,
     batch_averaged_positions,
@@ -453,6 +454,78 @@ def test_compiled_step_matches_numpy_step_on_every_row_length():
             assert_same_bits(means[1], means[0])
             assert_same_bits(full[:, i0:i1], want[0])
             assert dropped == want[1]
+
+
+# Walkers for the compiled walker (envwalk_walk): each family kind of the
+# compiled field read on the lattice with and without the offset, on
+# finite-range grids of spacing 1.5 and 2, and on 2- and 3-point Dirac
+# fields (_READ_FIELDS); a ChoicePM1 threshold tie at the walkers' first
+# read (seed 3, cell 0, level 0); a step weight equal to walker 0's first
+# walk uniform, which the inverse CDF breaks to the next atom; integral
+# shifts in time and space.
+_WALK_TIE = float(derive_stream(StreamKey(3, 0, (0,), TAG_WALK)).take(1)[0])
+_WALK_FIELDS = {
+    **_READ_FIELDS,
+    "threshold-tie": replace(_READ_FIELDS["threshold-tie"], master_seed=3),
+    "step-tie": make_lattice_product(3, 1, FixedAtomic(((1.0,), (-1.0,)), (_WALK_TIE, 1.0 - _WALK_TIE))),
+    "affine-lattice-offset-shifted": shift(_READ_FIELDS["affine-lattice-offset"], 3, 5),
+    "threshold-finite-range-1.5-shifted": shift(_READ_FIELDS["threshold-finite-range-1.5"], 2**40, -7),
+}
+
+
+def every_walker(env, x0):
+    """Quenched walks (with drift sums), averaged walks and one-step samples of ``env``."""
+    _, quenched, drift = batch_quenched_positions(env, 30, np.arange(7), x0=x0, accumulate_drift=True)
+    _, averaged = batch_averaged_positions(env, 30, np.arange(5))
+    return quenched, drift, averaged, _x1_samples(env, 4, 3)
+
+
+@needs_kernel
+@pytest.mark.parametrize("x0", [0, -3])
+@pytest.mark.parametrize("name", sorted(_WALK_FIELDS))
+def test_compiled_walker_matches_numpy_walker(name, x0, small_blocks, monkeypatch):
+    # Under small_blocks every walk crosses several blocks.  The compiled
+    # walker hashes in C: a silent fall-back to the numpy steps would call
+    # field_weights or lanes_for_cells and fail here.
+    env = _WALK_FIELDS[name]
+    assert walks._Walker(env, seed_lanes(env.master_seed), np.zeros((1, 1, 1), np.int64), x0, 1).compiled
+    lib = streams._LIB
+    monkeypatch.setattr(streams, "_LIB", None)
+    want = every_walker(env, x0)
+
+    def numpy_step(*args, **kwargs):
+        raise AssertionError("the compiled walker ran a numpy step")
+
+    monkeypatch.setattr(streams, "_LIB", lib)
+    monkeypatch.setattr(walks, "field_weights", numpy_step)
+    monkeypatch.setattr(walks, "lanes_for_cells", numpy_step)
+    for got, expected in zip(every_walker(env, x0), want):
+        assert_same_bits(got, expected)
+
+
+def test_walkers_that_stay_on_the_numpy_steps():
+    # Gaussian laws, d >= 2, float positions (atoms off the lattice or a
+    # fractional shift) and the level-correlated field.
+    for env in [
+        *D_FIELDS.values(), FC, shift(MIX, 2, 0.5),
+        make_lattice_product(3, 1, FixedAtomic(((0.5,), (-1.0,)), (0.5, 0.5))),
+    ]:
+        cells = np.zeros((1, 1, 1), np.int64)
+        assert not walks._Walker(env, seed_lanes(env.master_seed), cells, 0, 1).compiled
+
+
+def test_empty_batches_on_both_paths(monkeypatch):
+    # No replicas and no walkers: empty curves and positions, the same on
+    # the compiled paths and the numpy fall-back.
+    for _ in each_step_path(monkeypatch):
+        curves = exact_mean_curves(MIX, 10, np.arange(0, dtype=np.uint64))
+        assert curves.shape == (0, 11) and curves.dtype == np.float64
+        walker = walks._Walker(MIX, seed_lanes(MIX.master_seed), np.zeros((0, 1, 1), np.int64), 0, 10, True)
+        assert walker.compiled == (streams._LIB is not None)
+        assert list(walker) == []
+        _, pos, drift = batch_quenched_positions(MIX, 10, np.arange(0), accumulate_drift=True)
+        assert pos.shape == (11, 0, 1) and pos.dtype == np.int64
+        assert drift.shape == (0, 1)
 
 
 def test_nonrandom_fair_env_has_zero_quenched_mean():
