@@ -9,7 +9,7 @@ large block of cells.
 
 import numpy as np
 
-from envwalk.streams import StreamKey, derive_stream, key_lanes, uniforms_at
+from envwalk.streams import StreamKey, derive_stream, lanes_for_cells, seed_lanes, uniforms_at
 
 # Replay: the same key always yields the same stream.
 key = StreamKey(master_seed=2024, level=3, cell=(-5, 7), tag=0)
@@ -31,7 +31,7 @@ b = derive_stream(StreamKey(2024, 0, (5,), 1)).take(1000)  # tag differs
 print(f"corr across tags over 1000 variates: {np.corrcoef(a, b)[0, 1]:+.4f}")
 
 # First variates across 100k cells: flat histogram, mean 1/2, sd 1/sqrt(12).
-lanes = key_lanes(2024, 0, 0, np.arange(100000)[:, None])
+lanes = lanes_for_cells(seed_lanes(2024), 0, 0, np.arange(100000)[:, None])
 u = uniforms_at(lanes, 0)
 print(f"100k cells, first variate: mean={u.mean():.5f} (1/2), sd={u.std():.5f} "
       f"({1/np.sqrt(12):.5f})")

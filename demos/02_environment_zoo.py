@@ -18,7 +18,6 @@ from envwalk.environments import (
     make_fully_correlated,
     make_lattice_product,
     query,
-    shift,
 )
 from envwalk.families import DiracSteps, UniformPM1
 from envwalk.jumplaws import law_mean
@@ -32,10 +31,6 @@ frozen = make_dirac(SEED, 1, DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5)))
 
 print("law at (n=0, x=0.2) in the mixing field:", query(mixing, 0, 0.2))
 print("same query again (fields are pure functions):", query(mixing, 0, 0.2) == query(mixing, 0, 0.2))
-
-# Shifting the viewpoint commutes with querying, exactly.
-seen = shift(mixing, 2, 1.5)
-print("shift covariance holds:", query(seen, 1, -1.3) == query(mixing, 3, 0.2))
 
 # Local drift profiles along x reveal each model's spatial structure.
 xs = np.arange(-4.0, 5.0)

@@ -33,7 +33,6 @@ from .environments import (
     make_fully_correlated,
     make_lattice_product,
     query,
-    shift,
 )
 from .families import ChoicePM1, DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from .jumplaws import (
@@ -41,10 +40,8 @@ from .jumplaws import (
     Dirac,
     Gaussian,
     JumpLaw,
-    law_cov,
     law_mean,
     law_sample,
-    law_second_moment,
 )
 from .analysis import (
     FcltReport,
@@ -70,12 +67,9 @@ from .streams import StreamKey, derive_seed, derive_stream
 from .walks import (
     QuenchedMeanCurve,
     WalkPath,
-    env_chain_observable,
-    local_drift,
     quenched_mean_exact,
     quenched_mean_mc,
     quenched_step,
-    simulate_averaged_path,
     simulate_quenched_path,
     velocity_and_covariance,
 )

@@ -9,14 +9,14 @@
  * of walks.py: environments.field_weights, then the same products and sums
  * in the same order, with numpy's pairwise summation for every row sum.
  * The walker block (envwalk_walk) is bit for bit walks._Walker's numpy
- * steps: per walker and step the walk key's uniform 0, the field's weight
- * row at the walker's position, the inverse CDF in support order and the
- * drift summed atom by atom.  Both read the field with one per-site helper
- * (site_rows) that hashes each site's cell under its key
- * prefix, takes uniform 0 and forms the site's weight row by one of three
- * family kinds, each the arithmetic of the family's weight_table: affine
- * (UniformPM1), threshold table (ChoicePM1, DiracSteps) and constant
- * (FixedAtomic, no hash).  Plain C99 with no Python headers; streams.py
+ * steps: per walker and step k the walk key's uniform 0, the field's
+ * weight row at level k and the walker's position, the inverse CDF in
+ * support order and the drift summed atom by atom.  Both read the field
+ * with one per-site helper (site_rows) that hashes each site's cell under
+ * its key prefix, takes uniform 0 and forms the site's weight row by one
+ * of three family kinds, each the arithmetic of the family's weight_table:
+ * affine (UniformPM1), threshold table (ChoicePM1, DiracSteps) and
+ * constant (FixedAtomic, no hash).  Plain C99 with no Python headers; streams.py
  * builds it with `cc -O3 -ffp-contract=off -shared -fPIC` on first import
  * and calls it through ctypes.  Floating-point contraction is off because
  * a fused multiply-add (which GCC otherwise forms from `t += x * w` in the
@@ -425,13 +425,11 @@ double envwalk_propagate(const struct field *field, u64 level, int64_t lo, int64
  * out + s * n.  Inlined with a constant atom count for pairs, so that the
  * loops vectorize. */
 INLINE void walk_tile(const struct field *f, size_t na, size_t nt, size_t n, size_t b, u64 level,
-                      u64 shift_level, int64_t x_shift, const u64 *restrict b1, const u64 *restrict b2,
-                      u64 walk_tag, const u64 *restrict cells, size_t n_words, const int64_t *restrict support,
-                      int64_t *restrict pos, double *restrict drift, double *restrict w, int64_t *restrict out)
+                      const u64 *restrict b1, const u64 *restrict b2, u64 walk_tag, const u64 *restrict cells,
+                      size_t n_words, const int64_t *restrict support, int64_t *restrict pos, double *restrict drift, double *restrict w, int64_t *restrict out)
 {
     /* Each walker's lanes with the walk tag and with the field's tag absorbed. */
     u64 pw1[TILE], pw2[TILE], pe1[TILE], pe2[TILE], h1[TILE], h2[TILE];
-    int64_t x[TILE];
     double u[TILE];
     for (size_t i = 0; i < nt; i++) {
         pw1[i] = pe1[i] = b1[i];
@@ -443,26 +441,25 @@ INLINE void walk_tile(const struct field *f, size_t na, size_t nt, size_t n, siz
     for (size_t s = 0; s < b; s++) {
         /* The walk uniform: the walk key (tag, level, the cell width, the
          * cell words) and its uniform 0. */
-        const u64 walk_level = level + s, field_level = walk_level + shift_level;
+        const u64 step_level = level + s;
         for (size_t i = 0; i < nt; i++) {
             h1[i] = pw1[i];
             h2[i] = pw2[i];
         }
-        absorb_column(nt, h1, h2, &walk_level, 0);
+        absorb_column(nt, h1, h2, &step_level, 0);
         absorb_column(nt, h1, h2, &n_walk_words, 0);
         for (size_t j = 0; j < n_words; j++)
             absorb_column(nt, h1, h2, cells + j * n, 1);
         words_row(nt, h1, h2, 1, &draw, 0, u, 1, 1);
 
-        /* The weight rows of the field at pos + x_shift and level + shift_level. */
+        /* The weight rows of the field at the same level and pos. */
         for (size_t i = 0; i < nt; i++) {
-            x[i] = (int64_t)((u64)pos[i] + (u64)x_shift);
             h1[i] = pe1[i];
             h2[i] = pe2[i];
         }
-        absorb_column(nt, h1, h2, &field_level, 0);
+        absorb_column(nt, h1, h2, &step_level, 0);
         absorb_column(nt, h1, h2, &d, 0);
-        site_rows(f, nt, h1, h2, x, w);
+        site_rows(f, nt, h1, h2, pos, w);
 
         /* The drift, atom by atom in support order (jumplaws.atomic_mean). */
         if (drift != NULL) {
@@ -498,26 +495,25 @@ INLINE void walk_tile(const struct field *f, size_t na, size_t nt, size_t n, siz
  * s:
  *   - hashes the walk key (those base lanes, walk_tag, the level, n_words,
  *     the cell words) and takes its uniform 0;
- *   - reads the weight row at pos[i] + x_shift and level + s + shift_level
- *     with the site_rows() of field_row();
+ *   - reads the weight row at pos[i] and level + s with the site_rows() of
+ *     field_row();
  *   - adds the row's drift to drift[i], if drift is not NULL;
  *   - moves pos[i] by the atom the inverse CDF picks, and writes it to
  *     out[s * n + i].
  * w is scratch with room for n * n_atoms doubles. */
 VECTOR_CLONES
-void envwalk_walk(const struct field *f, u64 shift_level, int64_t x_shift, size_t n, u64 walk_tag,
-                  const u64 *cells, size_t n_words, const int64_t *support, int64_t *pos, double *drift,
-                  double *w, u64 level, size_t b, int64_t *out)
+void envwalk_walk(const struct field *f, size_t n, u64 walk_tag, const u64 *cells, size_t n_words,
+                  const int64_t *support, int64_t *pos, double *drift, double *w, u64 level, size_t b, int64_t *out)
 {
     const size_t na = f->n_atoms;
     for (size_t t = 0; t < n; t += TILE) {
         const size_t nt = n - t < TILE ? n - t : TILE;
         double *dt = drift != NULL ? drift + t : NULL;
         if (na == 2)
-            walk_tile(f, 2, nt, n, b, level, shift_level, x_shift, f->b1 + t, f->b2 + t, walk_tag, cells + t,
-                      n_words, support, pos + t, dt, w + t * na, out + t);
+            walk_tile(f, 2, nt, n, b, level, f->b1 + t, f->b2 + t, walk_tag, cells + t, n_words, support,
+                      pos + t, dt, w + t * na, out + t);
         else
-            walk_tile(f, na, nt, n, b, level, shift_level, x_shift, f->b1 + t, f->b2 + t, walk_tag, cells + t,
-                      n_words, support, pos + t, dt, w + t * na, out + t);
+            walk_tile(f, na, nt, n, b, level, f->b1 + t, f->b2 + t, walk_tag, cells + t, n_words, support,
+                      pos + t, dt, w + t * na, out + t);
     }
 }

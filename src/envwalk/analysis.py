@@ -32,7 +32,7 @@ import numpy as np
 
 from .diffchain import SAME_ENV, batch_diff_positions
 from .environments import DIRAC_FIELD, FULLY_CORRELATED, Environment, env_replica, field_weights
-from .families import has_fixed_support, row_drifts
+from .families import row_drifts
 from .stats import (
     GofTestResult,
     ScanCurve,
@@ -51,7 +51,6 @@ from .streams import (
 from .walks import (
     batch_quenched_positions,
     exact_mean_curves,
-    quenched_mean_exact,
     quenched_mean_mc,
 )
 
@@ -75,9 +74,9 @@ CENTERINGS = ("velocity", "quenched_mean")
 
 
 def _replica_drift_grid(env: Environment, seeds: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Local drifts at level 0 and ``points`` (shape (G, d)) of the (shifted) field, shape (m, G, d)."""
+    """Local drifts at level 0 and ``points`` (shape (G, d)) of each seed's field, shape (m, G, d)."""
     base = seed_lanes_vec(seeds)
-    rows = field_weights(env, (base[0][:, None], base[1][:, None]), env.shift_level, points + np.asarray(env.shift_point))
+    rows = field_weights(env, (base[0][:, None], base[1][:, None]), 0, points)
     return row_drifts(env.family, rows)
 
 
@@ -101,13 +100,8 @@ def estimate_phi(env_template: Environment, x_grid, replicas: int) -> ScanCurve:
 
 
 def _exact_curves(env_template: Environment, n_max: int, replicas: np.ndarray) -> np.ndarray:
-    """Exact quenched-mean curves of the given replica fields, shape (len(replicas), n_max+1); d=1.
-
-    The dense propagator serves fixed-support fields; any other lattice field takes the dictionary one."""
-    if env_template.d == 1 and has_fixed_support(env_template.family):
-        seeds = derive_seeds_vec(env_template.master_seed, replicas)
-        return exact_mean_curves(env_template, n_max, seeds)
-    return np.stack([quenched_mean_exact(env_replica(env_template, int(i)), n_max).means[:, 0] for i in replicas])
+    """Exact quenched-mean curves of the given replica fields, shape (len(replicas), n_max+1); d=1."""
+    return exact_mean_curves(env_template, n_max, derive_seeds_vec(env_template.master_seed, replicas))
 
 
 def variance_scan(

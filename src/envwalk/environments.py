@@ -1,9 +1,10 @@
-"""Environment models: queryable, shiftable random fields of jump laws.
+"""Environment models: queryable random fields of jump laws.
 
 An :class:`Environment` is an immutable value ``(kind, family, master_seed,
-shift)``; ``query(env, n, x)`` is a pure function of that value, so the same
-field can be re-queried, shifted, and shared across workers with no caching
-and no order sensitivity.  Four constructions:
+d, dependence_range, uniform_offset)``; ``query(env, n, x)`` is a pure
+function of that value and (n, x), so the same field can be re-queried and
+shared across workers with no caching and no order sensitivity.  Four
+constructions:
 
 * ``lattice_product``    -- i.i.d. law per (level, unit cell), with an
                             optional one-per-field uniform offset of the cell
@@ -55,7 +56,6 @@ __all__ = [
     "make_fully_correlated",
     "make_dirac",
     "query",
-    "shift",
     "env_replica",
     "offset_vector",
     "field_weights",
@@ -70,6 +70,9 @@ DIRAC_FIELD = "dirac_field"
 # unit lattice (integer positions skip the offset), floor(x / R + 0.5) on
 # finite_range.
 FIELD_READ_KINDS = (LATTICE_PRODUCT, FINITE_RANGE, DIRAC_FIELD)
+# The finest finite-range grid: a cell floor(x / R + 0.5) stays an int64
+# for every |x| < 2**43, on the numpy read and on the compiled one.
+MIN_DEPENDENCE_RANGE = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,6 @@ class Environment:
     d: int
     dependence_range: float | None = None
     uniform_offset: bool = False
-    shift_level: int = 0
-    shift_point: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not self.shift_point:
-            object.__setattr__(self, "shift_point", (0.0,) * self.d)
 
 
 def make_lattice_product(
@@ -99,8 +96,8 @@ def make_lattice_product(
 
 def make_finite_range(master_seed: int, d: int, dependence_range: float, family: LawFamily) -> Environment:
     """i.i.d. cell laws on a grid of spacing ``dependence_range``."""
-    if dependence_range <= 0:
-        raise ValueError("dependence_range must be positive")
+    if not dependence_range >= MIN_DEPENDENCE_RANGE:
+        raise ValueError(f"dependence_range must be >= {MIN_DEPENDENCE_RANGE}, got {dependence_range}")
     if family.d != d:
         raise ValueError(f"family dimension {family.d} != environment dimension {d}")
     return Environment(FINITE_RANGE, family, int(master_seed), d, dependence_range=float(dependence_range))
@@ -130,40 +127,27 @@ def offset_vector(env: Environment) -> np.ndarray:
     return np.zeros(env.d)
 
 
-def absolute_coords(env: Environment, n: int, x) -> tuple[int, np.ndarray]:
-    """Apply the accumulated shift: the field-frame (level, point)."""
-    return n + env.shift_level, np.atleast_1d(np.asarray(x, dtype=float)) + np.asarray(env.shift_point)
-
-
-def cell_index(env: Environment, x_abs: np.ndarray) -> np.ndarray:
-    """Integer cell coordinates for field-frame points, shape (..., d).
+def cell_index(env: Environment, x: np.ndarray) -> np.ndarray:
+    """Integer cell coordinates for points, shape (..., d).
 
     lattice_product / dirac_field: floor(x + U) per coordinate.
     finite_range: nearest center of the spacing-R grid, half-up rounding.
     fully_correlated: empty cell tuple (a single shared cell per level).
     """
-    x_abs = np.asarray(x_abs, dtype=float)
+    x = np.asarray(x, dtype=float)
     if env.kind == FULLY_CORRELATED:
-        return np.zeros(x_abs.shape[:-1] + (0,), dtype=np.int64)
+        return np.zeros(x.shape[:-1] + (0,), dtype=np.int64)
     if env.kind == FINITE_RANGE:
-        return np.floor(x_abs / env.dependence_range + 0.5).astype(np.int64)
-    return np.floor(x_abs + offset_vector(env)).astype(np.int64)
+        return np.floor(x / env.dependence_range + 0.5).astype(np.int64)
+    return np.floor(x + offset_vector(env)).astype(np.int64)
 
 
 def query(env: Environment, n: int, x) -> JumpLaw:
-    """The jump law at time ``n`` and point ``x`` (walk frame)."""
-    n_abs, x_abs = absolute_coords(env, n, x)
-    cell = cell_index(env, x_abs)
-    key = StreamKey(env.master_seed, n_abs, tuple(int(c) for c in cell), TAG_ENV)
+    """The jump law at time ``n`` and point ``x``."""
+    cell = cell_index(env, np.atleast_1d(x))
+    key = StreamKey(env.master_seed, n, tuple(int(c) for c in cell), TAG_ENV)
     u = derive_stream(key).take(env.family.n_uniforms)
     return env.family.make(u)
-
-
-def shift(env: Environment, m: int, y) -> Environment:
-    """The environment as seen from (m, y): query(shifted, n, x) == query(env, n+m, x+y)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    new_point = tuple(float(a + b) for a, b in zip(env.shift_point, y))
-    return replace(env, shift_level=env.shift_level + int(m), shift_point=new_point)
 
 
 def env_replica(env: Environment, *index: int) -> Environment:
@@ -183,7 +167,7 @@ _NO_CELL = np.zeros((1, 0), dtype=np.int64)
 
 
 def field_weights(env: Environment, base_lanes, level: int, positions) -> np.ndarray:
-    """The family's table rows of ``env`` at field-frame ``level`` and ``positions``.
+    """The family's table rows of ``env`` at ``level`` and ``positions``.
 
     ``positions`` has shape (..., d).  ``base_lanes`` are the seed lanes of
     one field (``seed_lanes``) or of one field per row (``seed_lanes_vec``);
@@ -191,9 +175,9 @@ def field_weights(env: Environment, base_lanes, level: int, positions) -> np.nda
     shape broadcast(lanes, positions[..., 0]) + (row length,): atom weights
     (``weight_table``) for fixed-support families, drift vectors
     (``mean_table``) for ``GaussianDrift``; entry by entry the law
-    :func:`query` gives in the shifted frame.  Integer positions skip the
-    grid offset, since floor(x + U) = x; the level-correlated field hashes
-    one cell per field and broadcasts it.  The numpy walker steps read the
+    :func:`query` gives.  Integer positions skip the grid offset, since
+    floor(x + U) = x; the level-correlated field hashes one cell per field
+    and broadcasts it.  The numpy walker steps read the
     field through it; the compiled propagation step and walker block read
     it through :func:`field_read`, and this is that read's reference.
     """

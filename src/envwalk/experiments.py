@@ -26,7 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, diffchain
-from .environments import Environment, env_replica, make_dirac, make_fully_correlated, make_lattice_product, make_finite_range
+from .environments import (
+    MIN_DEPENDENCE_RANGE,
+    Environment,
+    env_replica,
+    make_dirac,
+    make_finite_range,
+    make_fully_correlated,
+    make_lattice_product,
+)
 from .families import DiracSteps, FixedAtomic, UniformPM1
 from .stats import ks_two_sample_critical, ks_two_sample_distance
 from .walks import velocity_and_covariance
@@ -440,7 +448,7 @@ _COMMON_KEYS = {
     "workers": Key(1, int, lo=1),
     "p_low": Key(0.0, float, lo=0, hi=1),
     "p_high": Key(1.0, float, lo=0, hi=1),
-    "dependence_range": Key(1.0, float, above=0),
+    "dependence_range": Key(1.0, float, lo=MIN_DEPENDENCE_RANGE),
     "uniform_offset": Key(1, int, lo=0, hi=1),
 }
 _KIND = Key(diffchain.SAME_ENV, (diffchain.SAME_ENV, diffchain.INDEPENDENT_ENV))

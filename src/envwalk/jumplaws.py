@@ -1,6 +1,6 @@
 """Jump laws: the probability-measure values stored in an environment.
 
-Three variants, each with closed-form moments and bit-reproducible sampling:
+Three variants, each with a closed-form mean and bit-reproducible sampling:
 
 * ``Atomic``   -- finitely many atoms; sampled by inverse CDF over the stored
                   atom order (the order is part of the value).
@@ -9,8 +9,8 @@ Three variants, each with closed-form moments and bit-reproducible sampling:
                   draw is a fixed function of the consumed uniforms.
 * ``Dirac``    -- a pointmass; consumes no randomness.
 
-Fields are stored as plain tuples so that equality is exact bit equality,
-which the environment shift/consistency guarantees rely on.
+Fields are stored as plain tuples so that equality is exact bit equality:
+two queries of one field at one address give equal laws.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ __all__ = [
     "Dirac",
     "JumpLaw",
     "law_mean",
-    "law_cov",
-    "law_second_moment",
     "law_sample",
     "sample_uniform_count",
 ]
@@ -141,31 +139,6 @@ def law_mean(law: JumpLaw) -> np.ndarray:
     return np.asarray(law.point, dtype=float)
 
 
-def law_cov(law: JumpLaw) -> np.ndarray:
-    """Centered covariance matrix of the measure."""
-    if isinstance(law, Atomic):
-        pts = np.asarray(law.points)
-        w = np.asarray(law.weights)
-        m = w @ pts
-        centered = pts - m
-        return (centered * w[:, None]).T @ centered
-    if isinstance(law, Gaussian):
-        return np.asarray(law.cov, dtype=float)
-    return np.zeros((law.d, law.d))
-
-
-def law_second_moment(law: JumpLaw) -> float:
-    """E|x|^2 under the measure."""
-    if isinstance(law, Atomic):
-        pts = np.asarray(law.points)
-        return float(np.asarray(law.weights) @ (pts * pts).sum(axis=1))
-    if isinstance(law, Gaussian):
-        m = np.asarray(law.mean)
-        return float(m @ m + np.trace(np.asarray(law.cov)))
-    p = np.asarray(law.point)
-    return float(p @ p)
-
-
 def sample_uniform_count(law: JumpLaw) -> int:
     """Number of uniforms one draw consumes (fixed per variant)."""
     if isinstance(law, Atomic):
@@ -232,16 +205,3 @@ def law_sample(law: JumpLaw, stream: UniformStream) -> np.ndarray:
     if isinstance(law, Gaussian):
         return gaussian_step(np.asarray(law.mean), gaussian_factor(law), stream.take(sample_uniform_count(law)))
     return np.asarray(law.point, dtype=float)
-
-
-def law_sample_batch(law: JumpLaw, stream: UniformStream, n: int) -> np.ndarray:
-    """``n`` draws, shape (n, d), consuming the same uniforms as ``n``
-    sequential :func:`law_sample` calls."""
-    if isinstance(law, Atomic):
-        u = stream.take(n)
-        idx = atomic_index(np.cumsum(law.weights), u)
-        return np.asarray(law.points, dtype=float)[idx]
-    if isinstance(law, Gaussian):
-        per = sample_uniform_count(law)
-        return gaussian_step(np.asarray(law.mean), gaussian_factor(law), stream.take(n * per).reshape(n, per))
-    return np.broadcast_to(np.asarray(law.point, dtype=float), (n, law.d)).copy()

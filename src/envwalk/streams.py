@@ -212,13 +212,6 @@ def lanes_for_cells(
     return lanes
 
 
-def key_lanes(
-    master_seed: int, level: int, tag: int, cells: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lane pairs for many cells sharing (master_seed, level, tag)."""
-    return lanes_for_cells(seed_lanes(master_seed), level, tag, cells)
-
-
 def derive_seeds_vec(master_seed: int, *word_arrays) -> np.ndarray:
     """Vectorized :func:`derive_seed` over broadcastable index arrays."""
     lanes = seed_lanes(master_seed)
@@ -232,9 +225,9 @@ def derive_seeds_vec(master_seed: int, *word_arrays) -> np.ndarray:
 class UniformStream:
     """Replayable uniform [0,1) stream for one key.
 
-    ``take(n)`` consumes the next ``n`` variates; ``at(i, n)`` reads without
-    consuming; ``reset()`` rewinds.  Output is a pure function of the key and
-    the draw index, so interleaving with other streams changes nothing.
+    ``take(n)`` consumes the next ``n`` variates.  Output is a pure function
+    of the key and the draw index, so interleaving with other streams
+    changes nothing.
     """
 
     __slots__ = ("key", "_lanes", "_pos")
@@ -244,20 +237,10 @@ class UniformStream:
         self._lanes = key.lanes()
         self._pos = 0
 
-    @property
-    def position(self) -> int:
-        return self._pos
-
     def take(self, n: int) -> np.ndarray:
         out = uniforms_at(self._lanes, np.arange(self._pos, self._pos + n))
         self._pos += n
         return out
-
-    def at(self, start: int, n: int = 1) -> np.ndarray:
-        return uniforms_at(self._lanes, np.arange(start, start + n))
-
-    def reset(self) -> None:
-        self._pos = 0
 
 
 def derive_stream(key: StreamKey) -> UniformStream:
@@ -354,11 +337,9 @@ def _load_kernel():
         *site, ptr, step, ptr, ptr, size, size, size, ctypes.c_double, ptr, ptr, step, ptr
     )
     lib.envwalk_propagate.restype = ctypes.c_double
-    # field, shift level, x shift, walkers, walk tag, cells, cell words, support, positions, drift sums,
-    # scratch, then the block's level, steps and out
-    lib.envwalk_walk.argtypes = (
-        ptr, word, ctypes.c_int64, size, word, ptr, size, ptr, ptr, ptr, ptr, word, size, ptr
-    )
+    # field, walkers, walk tag, cells, cell words, support, positions, drift sums, scratch,
+    # then the block's level, steps and out
+    lib.envwalk_walk.argtypes = (ptr, size, word, ptr, size, ptr, ptr, ptr, ptr, word, size, ptr)
     lib.envwalk_walk.restype = None
     return lib
 

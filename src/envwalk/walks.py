@@ -17,9 +17,9 @@ d=1).  Walk noise uses its own key tag, so walk randomness never touches
 environment randomness.
 
 A d=1 walker with integer atoms on a lattice, finite-range or Dirac field
-at an integral shift runs each block in one call of ``envwalk_walk`` in the
-library that ``streams`` builds from ``_hash.c``: per walker and step it
-hashes the walk key, reads the field row with the field read of the
+runs each block in one call of ``envwalk_walk`` in the library that
+``streams`` builds from ``_hash.c``: per walker and step it hashes the walk
+key, reads the field row at (k, its position) with the field read of the
 compiled propagation step (:func:`environments.field_read`), steps by
 inverse CDF and sums the drift.  Every other walker (Gaussian laws, d >= 2,
 float positions, the level-correlated field, or no library) runs the numpy
@@ -31,8 +31,9 @@ They are the reference the compiled block matches bit for bit.
 Quenched means come in two dual forms that cross-check each other: a Monte
 Carlo mean over walks, and exact forward propagation of the full quenched
 law over its reachable lattice support (dense vectorized version for d=1
-fixed-support fields, dictionary version for any lattice field).  Exact
-propagation prunes mass below ``PRUNE_MASS`` and renormalizes.  The dense
+fixed-support fields; a dictionary version for any lattice field, the
+oracle the tests hold the dense one to).  Exact propagation prunes mass
+below ``PRUNE_MASS`` and renormalizes.  The dense
 version keeps a window centred at the origin, sized by an Azuma tail bound:
 driftless fields drop no mass outside it, and a field whose mass leaves the
 window (one with a drift) ends with a ``ValueError`` rather than a clipped
@@ -60,14 +61,12 @@ from .environments import (
     FIELD_READ_KINDS,
     FULLY_CORRELATED,
     Environment,
-    env_replica,
     field_read,
     field_weights,
     query,
-    shift as env_shift,
 )
 from .families import has_fixed_support, row_drifts
-from .jumplaws import Atomic, Dirac, gaussian_factor, gaussian_step, law_mean, law_sample, sample_uniform_count
+from .jumplaws import Atomic, Dirac, gaussian_factor, gaussian_step, law_sample, sample_uniform_count
 from .streams import (
     TAG_WALK,
     StreamKey,
@@ -84,12 +83,9 @@ __all__ = [
     "QuenchedMeanCurve",
     "quenched_step",
     "simulate_quenched_path",
-    "simulate_averaged_path",
-    "local_drift",
     "quenched_mean_mc",
     "quenched_mean_exact",
     "velocity_and_covariance",
-    "env_chain_observable",
     "batch_quenched_positions",
     "batch_averaged_positions",
     "exact_mean_curves",
@@ -167,16 +163,6 @@ def simulate_quenched_path(
     return WalkPath(positions, env.master_seed, walk_seed, tuple(positions[0]))
 
 
-def simulate_averaged_path(env_template: Environment, n_steps: int, replica: int) -> WalkPath:
-    """A walk from the origin under the averaged law: fresh environment per replica."""
-    return simulate_quenched_path(env_replica(env_template, replica), n_steps, replica)
-
-
-def local_drift(env: Environment) -> np.ndarray:
-    """Mean one-step jump at the origin of the (possibly shifted) field."""
-    return law_mean(query(env, 0, np.zeros(env.d)))
-
-
 # ---------------------------------------------------------------------------
 # Batched walkers.
 # ---------------------------------------------------------------------------
@@ -214,9 +200,9 @@ class _Walker:
 
     A d=1 walk with integer atoms on a field that
     :func:`environments.field_read` describes (not the level-correlated
-    one) at an integral shift runs each block in one call of
-    ``envwalk_walk`` (``_hash.c``); every other walker runs the numpy steps
-    of :meth:`_numpy_block`, which are also that call's reference.
+    one) runs each block in one call of ``envwalk_walk`` (``_hash.c``);
+    every other walker runs the numpy steps of :meth:`_numpy_block`, which
+    are also that call's reference.
     """
 
     def __init__(
@@ -230,11 +216,6 @@ class _Walker:
             law = fam.make(np.zeros(fam.n_uniforms))
             self.factor, dtype, self.n_uniforms = gaussian_factor(law), float, sample_uniform_count(law)
         self.env = env
-        self.level0 = env.shift_level
-        # An integral shift keeps lattice field positions integer, which
-        # lets the field kernel skip the grid offset.
-        x_shift = np.asarray(env.shift_point)
-        self.x_shift = x_shift.astype(np.int64) if np.all(x_shift == np.floor(x_shift)) else x_shift
         self.base = base_lanes
         self.wcells = walk_cells
         self.pos = np.array(np.broadcast_to(np.asarray(x0, dtype=dtype), walk_cells.shape[:-1] + (env.d,)))
@@ -242,10 +223,7 @@ class _Walker:
         self.drift = np.zeros(self.pos.shape) if accumulate_drift else None
         self.n_steps = n_steps
         self.k = 0
-        self.compiled = (
-            streams._LIB is not None and dtype == np.int64 and env.d == 1
-            and self.x_shift.dtype == np.int64 and env.kind in FIELD_READ_KINDS
-        )
+        self.compiled = streams._LIB is not None and dtype == np.int64 and env.d == 1 and env.kind in FIELD_READ_KINDS
         self._bind()
 
     @property
@@ -270,8 +248,8 @@ class _Walker:
         drift = None if self.drift is None else self.drift.ctypes.data
         self._kernel_arrays = (read, cells, support, scratch)  # the memory the addresses point into
         self._kernel_args = (
-            ctypes.addressof(read), int(self.level0) & streams._MASK64, int(self.x_shift[0]), n, TAG_WALK,
-            cells.ctypes.data, n_words, support.ctypes.data, self.pos.ctypes.data, drift, scratch.ctypes.data,
+            ctypes.addressof(read), n, TAG_WALK, cells.ctypes.data, n_words, support.ctypes.data,
+            self.pos.ctypes.data, drift, scratch.ctypes.data,
         )
 
     def step(self) -> np.ndarray:
@@ -293,11 +271,11 @@ class _Walker:
         lanes = lanes_for_cells(self.base, levels, TAG_WALK, self.wcells)
         noise = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(self.n_uniforms))
         if self.env.kind == FULLY_CORRELATED:
-            level_rows = field_weights(self.env, self.base, levels + self.level0, np.zeros(self.env.d, np.int64))
+            level_rows = field_weights(self.env, self.base, levels, np.zeros(self.env.d, np.int64))
         out = np.empty((b,) + self.pos.shape, self.pos.dtype)
         for s in range(b):
             if self.env.kind != FULLY_CORRELATED:
-                rows = field_weights(self.env, self.base, self.k + self.level0, self.pos + self.x_shift)
+                rows = field_weights(self.env, self.base, self.k, self.pos)
             else:  # in the shape a per-step read gives, for the same drift arithmetic
                 rows = np.broadcast_to(level_rows[s], self.pos.shape[:-1] + level_rows.shape[-1:])
             if self.drift is not None:
@@ -360,8 +338,8 @@ def batch_quenched_positions(
 def batch_averaged_positions(env_template: Environment, n_steps: int, replicas: np.ndarray, record_steps=None):
     """Vectorized averaged walks from the origin: replica i walks in its own fresh field.
 
-    Positions have shape (len(record_steps), M, d); draw-for-draw identical
-    to :func:`simulate_averaged_path` per replica.
+    Positions have shape (len(record_steps), M, d); replica r is draw for
+    draw ``simulate_quenched_path(env_replica(env_template, r), n_steps, r)``.
     """
     replicas = np.asarray(replicas, dtype=np.int64)
     base = seed_lanes_vec(derive_seeds_vec(env_template.master_seed, replicas))
@@ -442,8 +420,6 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     fam = env_template.family
     if env_template.d != 1 or not has_fixed_support(fam) or fam.support.dtype.kind != "i":
         raise ValueError("exact mean curves need a d=1 fixed-support family with integer atoms")
-    if env_template.shift_level != 0 or any(env_template.shift_point):
-        raise ValueError("exact mean curves expect an unshifted template")
     support = fam.support[:, 0]
     seeds = np.asarray(replica_seeds, dtype=np.uint64)
     m = seeds.shape[0]
@@ -602,19 +578,3 @@ def velocity_and_covariance(env_template: Environment, n_env: int, n_walk: int =
     second_order = (np.outer(diag, diag) + cov**2) / n**2
     cov_se = np.sqrt(prods.var(axis=0, ddof=1) / n + second_order)
     return v, v_se, cov, cov_se
-
-
-def env_chain_observable(
-    env_template: Environment, n: int, f, replicas: int
-) -> tuple[float, float]:
-    """Mean of f(law at the walker) after n steps, over fresh (field, walk) pairs.
-
-    Estimates the environment-chain stationarity observable: the law seen
-    from the particle at time n.  Returns (estimate, standard error).
-    """
-    _, pos = batch_averaged_positions(env_template, n, np.arange(replicas), record_steps=[n])
-    vals = np.empty(replicas)
-    for i in range(replicas):
-        seen = env_shift(env_replica(env_template, i), n, pos[0, i])
-        vals[i] = f(query(seen, 0, np.zeros(env_template.d)))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))

@@ -21,7 +21,6 @@ from envwalk.environments import (
     make_fully_correlated,
     make_lattice_product,
     query,
-    shift,
 )
 from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from envwalk.jumplaws import law_mean
@@ -57,11 +56,11 @@ def test_phi_fractional_separation_interpolates():
 @pytest.mark.parametrize(
     "env",
     [
-        shift(make_lattice_product(5, 1, UniformPM1()), 3, 5),
-        shift(make_finite_range(5, 1, 2.0, UniformPM1()), 3, 5),
+        make_lattice_product(5, 1, UniformPM1()),
+        make_finite_range(5, 1, 2.0, UniformPM1()),
     ],
 )
-def test_drift_grid_matches_scalar_on_shifted_template(env):
+def test_drift_grid_matches_scalar(env):
     x_grid = np.array([0.0, 0.25, 1.0, 3.5])
     fast = _replica_drift_grid(env, derive_seeds_vec(env.master_seed, np.arange(10)), x_grid[:, None])
     for i in range(10):
@@ -74,10 +73,10 @@ def test_drift_grid_matches_scalar_on_shifted_template(env):
     "env",
     [
         make_lattice_product(5, 2, GaussianDrift(2, 0.4, ((1.0, 0.2), (0.2, 0.5)))),
-        shift(make_finite_range(5, 2, 1.5, GaussianDrift(2, 0.4, ((1.0, 0.0), (0.0, 1.0)))), 2, (0.5, -1.0)),
+        make_finite_range(5, 2, 1.5, GaussianDrift(2, 0.4, ((1.0, 0.0), (0.0, 1.0)))),
         make_lattice_product(5, 2, FixedAtomic(((1.0, 0.0), (0.0, -1.0)), (0.25, 0.75))),
     ],
-    ids=["gaussian", "gaussian-finite-range-shifted", "fixed-lattice"],
+    ids=["gaussian", "gaussian-finite-range", "fixed-lattice"],
 )
 def test_phi_matches_per_replica_query_drifts_in_two_dimensions(env):
     x_grid = [0.0, 0.5, 1.0, 2.5]

@@ -19,7 +19,6 @@ from envwalk.environments import (
     make_finite_range,
     make_fully_correlated,
     make_lattice_product,
-    shift,
 )
 from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, UniformPM1
 from envwalk.stats import InsufficientDataError, ks_two_sample_critical, ks_two_sample_distance
@@ -58,13 +57,16 @@ def test_scalar_matches_batch(env):
             assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
 
 
-@pytest.mark.parametrize("env", [MIX, FC, DIRAC, shift(MIX, 3, 5)])
-def test_blocked_pairs_match_scalar(env, small_blocks):
-    for kind in (SAME_ENV, INDEPENDENT_ENV):
-        _, y = batch_diff_positions(env, 23, np.arange(4), x0=2, kind=kind)
-        for rep in range(4):
-            p = simulate_diff_chain(env, 2, 23, kind, replica=rep)
-            assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
+@pytest.mark.parametrize("env", [MIX, FC, DIRAC, FR])
+def test_blocked_pairs_match_scalar(env, small_blocks, monkeypatch):
+    # Pairs from x0 = 2 on the compiled walker (where it loads) and on the numpy one.
+    for lib in dict.fromkeys([streams._LIB, None]):
+        monkeypatch.setattr(streams, "_LIB", lib)
+        for kind in (SAME_ENV, INDEPENDENT_ENV):
+            _, y = batch_diff_positions(env, 23, np.arange(4), x0=2, kind=kind)
+            for rep in range(4):
+                p = simulate_diff_chain(env, 2, 23, kind, replica=rep)
+                assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
 
 
 # Six pairs take 3-step blocks under ``small_blocks``, so ``retire`` drops
@@ -95,8 +97,8 @@ def test_blocked_escape_matches_scalar(env, kind, small_blocks):
 
 # Pair fields for the compiled walker: each family kind of the compiled field
 # read (affine, threshold, constant with 3 atoms), the lattice with and
-# without the offset, finite-range grids of spacing 1.5 and 2, a Dirac field
-# and an integral shift in time and space.
+# without the offset, finite-range grids of spacing 1.5 and 2, and a Dirac
+# field.
 PAIR_FIELDS = {
     "mixing": MIX,
     "mixing-no-offset": make_lattice_product(606, 1, UniformPM1(0.2, 0.9), uniform_offset=False),
@@ -105,7 +107,6 @@ PAIR_FIELDS = {
     "finite-range-1.5": make_finite_range(606, 1, 1.5, UniformPM1()),
     "finite-range-2": FR,
     "dirac": DIRAC,
-    "mixing-shifted": shift(MIX, 3, -4),
 }
 
 

@@ -10,7 +10,6 @@ from envwalk.environments import (
     make_lattice_product,
     offset_vector,
     query,
-    shift,
 )
 from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1, row_drifts
 from envwalk.jumplaws import Dirac, law_mean
@@ -43,23 +42,6 @@ def test_deterministic_family_gives_nonrandom_field():
     env = make_lattice_product(5, 1, FixedAtomic(((1.0,), (-1.0,)), (0.5, 0.5)), uniform_offset=False)
     laws = {query(env, n, x) for n in range(4) for x in range(-5, 5)}
     assert len(laws) == 1
-
-
-def test_shift_identity_and_group_law():
-    env = mixing_env(17)
-    assert shift(env, 0, 0.0) == env
-    s1 = shift(shift(env, 2, 1.5), 3, -0.25)
-    s2 = shift(env, 5, 1.25)
-    assert s1 == s2
-
-
-def test_shift_covariance_exact():
-    env = mixing_env(23)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        m, y = int(rng.integers(-5, 6)), float(rng.uniform(-10, 10))
-        n, x = int(rng.integers(0, 6)), float(rng.uniform(-10, 10))
-        assert query(shift(env, m, y), n, x) == query(env, n + m, x + y)
 
 
 def test_fully_correlated_constant_in_space():
@@ -117,6 +99,10 @@ def test_finite_range_constant_within_cell():
 def test_finite_range_requires_positive_range():
     with pytest.raises(ValueError):
         make_finite_range(1, 1, 0.0, UniformPM1())
+    # Finer grids would put the cells of positions below 2**43 outside int64.
+    with pytest.raises(ValueError, match="dependence_range must be >= "):
+        make_finite_range(1, 1, 1e-18, UniformPM1())
+    make_finite_range(1, 1, 2.0**-20, UniformPM1())
 
 
 def test_level_independence():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from envwalk import streams
 from envwalk.cli import main as cli_main
 from envwalk.experiments import (
     EXPERIMENTS,
@@ -64,6 +65,8 @@ def test_missing_experiment_and_bad_lines():
         ("counterexample", "walk_replicas = 10"),
         ("fclt", "expect_marginals = fial"),
         ("occupation", "kind = same"),
+        ("variance-scan", "dependence_range = 1e-18"),
+        ("occupation", "dependence_range = 1e-300"),
     ],
 )
 def test_bad_value_rejected_by_line_and_key(experiment, line):
@@ -200,6 +203,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     tiny.write_text("experiment = moments\nenv_replicas = 1\n")
     assert cli_main(["--config", str(tiny), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: line 2: env_replicas")
+    fine = tmp_path / "fine.cfg"
+    fine.write_text("experiment = occupation\nmodel = finite-range\ndependence_range = 1e-18\n")
+    assert cli_main(["--config", str(fine), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: dependence_range: must be >= 9.5367431640625e-07")
 
     # one value on a list key is a list of one
     single = tmp_path / "single.cfg"
@@ -256,6 +263,23 @@ def test_drifting_field_exact_means_end_in_error(tmp_path, capsys):
     assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: exact propagation: step ")
     assert not (tmp_path / "variance-scan_report.json").exists()
+
+
+# Below a spacing of 2**-20 the finite-range cell floor(x / R + 0.5) of a
+# walker leaves int64, where numpy's cast and C's disagree; at 2**-20 they agree.
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = variance-scan\nn_grid = 2, 4, 8, 16\nenv_replicas = 20\n",
+        "experiment = occupation\nn_grid = 2, 4, 8, 16\nreplicas = 50\n",
+    ],
+    ids=["variance-scan", "occupation"],
+)
+def test_finest_finite_range_grid_gives_one_report_on_both_paths(text, monkeypatch):
+    config = parse_config(text + "model = finite-range\ndependence_range = 9.5367431640625e-07\n")
+    compiled = report_json(run(config))
+    monkeypatch.setattr(streams, "_LIB", None)
+    assert report_json(run(config)) == compiled
 
 
 # Dirac-field walks are deterministic given the field: quenched-mean

@@ -18,7 +18,6 @@ from envwalk.environments import (
     make_fully_correlated,
     make_lattice_product,
     query,
-    shift,
 )
 from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from envwalk.jumplaws import law_mean
@@ -27,13 +26,10 @@ from envwalk.walks import (
     _x1_samples,
     batch_averaged_positions,
     batch_quenched_positions,
-    env_chain_observable,
     exact_mean_curves,
-    local_drift,
     quenched_mean_exact,
     quenched_mean_mc,
     quenched_step,
-    simulate_averaged_path,
     simulate_quenched_path,
     velocity_and_covariance,
 )
@@ -43,8 +39,15 @@ FAIR = make_lattice_product(404, 1, FixedAtomic(((1.0,), (-1.0,)), (0.5, 0.5)), 
 DIRAC = make_dirac(404, 1, DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5)))
 FC = make_fully_correlated(404, 1, UniformPM1())
 FR = make_finite_range(404, 1, 2.0, UniformPM1())
-# Shifted templates: the batched paths must read the field in the shifted frame.
-SHIFTED = [shift(make_lattice_product(5, 1, UniformPM1()), 3, 5), shift(FR, 3, 5)]
+OTHER = [make_lattice_product(5, 1, UniformPM1()), make_finite_range(5, 1, 1.5, UniformPM1())]
+# Float positions on an offset lattice: the walkers hash floor(x + U), as query does.
+GAUSS = make_lattice_product(5, 1, GaussianDrift(1, 0.5, ((1.5,),)))
+HALF = make_lattice_product(5, 1, FixedAtomic(((0.5,), (-1.0,)), (0.5, 0.5)))
+
+
+def averaged_path(env, n_steps, replica):
+    """The scalar averaged walk: replica ``replica`` walks in its own fresh field."""
+    return simulate_quenched_path(env_replica(env, replica), n_steps, walk_seed=replica)
 
 
 def test_zero_step_path():
@@ -73,7 +76,7 @@ def test_quenched_step_dirac_deterministic():
     assert quenched_step(DIRAC, 0, 0.0, s1) == quenched_step(DIRAC, 0, 0.0, s2)
 
 
-@pytest.mark.parametrize("env", [MIX, FC, DIRAC, FAIR, FR, *SHIFTED, shift(MIX, 2, 0.5)])
+@pytest.mark.parametrize("env", [MIX, FC, DIRAC, FAIR, FR, *OTHER, HALF])
 def test_batch_quenched_matches_scalar(env):
     record, pos, _ = batch_quenched_positions(env, 24, np.arange(6))
     for w in range(6):
@@ -85,11 +88,11 @@ def test_batch_quenched_matches_scalar(env):
 def test_batch_averaged_matches_scalar(env):
     record, pos = batch_averaged_positions(env, 16, np.arange(5))
     for r in range(5):
-        p = simulate_averaged_path(env, 16, replica=r)
+        p = averaged_path(env, 16, r)
         assert np.array_equal(p.positions, pos[:, r].astype(float))
 
 
-@pytest.mark.parametrize("env", SHIFTED)
+@pytest.mark.parametrize("env", OTHER)
 def test_x1_samples_match_scalar(env):
     fast = _x1_samples(env, 20, 3)
     for i in range(20):
@@ -100,7 +103,7 @@ def test_x1_samples_match_scalar(env):
 
 # Block-boundary parity: with the ``small_blocks`` budget each run below
 # crosses several blocks of position-free draws.
-BLOCK_FIELDS = [MIX, FC, DIRAC, *SHIFTED, shift(FC, 3, 5), shift(MIX, 2, 0.5)]
+BLOCK_FIELDS = [MIX, FC, DIRAC, *OTHER, GAUSS, HALF]
 
 
 @pytest.mark.parametrize("env", BLOCK_FIELDS)
@@ -117,7 +120,7 @@ def test_blocked_quenched_matches_scalar(env, small_blocks):
 def test_blocked_averaged_matches_scalar(env, small_blocks):
     _, pos = batch_averaged_positions(env, 25, np.arange(5))
     for r in range(5):
-        p = simulate_averaged_path(env, 25, replica=r)
+        p = averaged_path(env, 25, r)
         assert np.array_equal(p.positions, pos[:, r].astype(float))
 
 
@@ -135,8 +138,6 @@ D_FIELDS = {
     "dirac-d2": make_dirac(21, 2, DiracSteps(((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)), (0.3, 0.3, 0.4))),
     "gauss-finite-range": make_finite_range(21, 2, 1.5, _G2),
     "gauss-level-correlated": make_fully_correlated(21, 2, _G2),
-    "gauss-fractional-shift": shift(make_lattice_product(21, 2, _G2), 3, (0.5, -1.25)),
-    "lattice-fractional-shift": shift(make_lattice_product(21, 2, _LAT2), 2, (0.25, 3.0)),
     # Atoms off the lattice: the walker keeps float positions, as the scalar path does.
     "non-integer-atoms-d1": make_lattice_product(21, 1, FixedAtomic(((0.5,), (-1.25,)), (0.6, 0.4))),
     "non-integer-atoms-d2": make_lattice_product(21, 2, FixedAtomic(((0.5, 0.0), (-0.5, 0.25)), (0.5, 0.5))),
@@ -164,7 +165,7 @@ def test_batched_paths_match_scalar_in_any_dimension(env, blocks):
             total = total + law_mean(query(env, k, p.positions[k]))
         assert np.array_equal(drift[w], total)
     for r in range(5):
-        assert np.array_equal(simulate_averaged_path(env, 17, replica=r).positions, averaged[:, r])
+        assert np.array_equal(averaged_path(env, 17, r).positions, averaged[:, r])
     for i in range(4):
         replica = env_replica(env, i)
         for j in range(3):
@@ -179,19 +180,13 @@ def test_exact_paths_reject_non_integer_atoms():
         _lattice_span(env)
 
 
-def test_quenched_mean_mc_and_env_chain_in_two_dimensions():
+def test_quenched_mean_mc_in_two_dimensions():
     env = D_FIELDS["gauss-d2"]
     curve = quenched_mean_mc(env, [1, 5, 9], 40)
     paths = np.stack([simulate_quenched_path(env, 9, walk_seed=w).positions[[1, 5, 9]] for w in range(40)], axis=1)
     assert curve.means.shape == curve.standard_errors.shape == (3, 2)
     assert np.allclose(curve.means, paths.mean(axis=1), rtol=0, atol=1e-12)
     assert np.allclose(curve.standard_errors, paths.std(axis=1, ddof=1) / np.sqrt(40), rtol=0, atol=1e-12)
-    f = lambda law: float(law_mean(law) @ law_mean(law))
-    est, _ = env_chain_observable(env, 4, f, 30)
-    _, pos = batch_averaged_positions(env, 4, np.arange(30), record_steps=[4])
-    seen = [shift(env_replica(env, i), 4, simulate_averaged_path(env, 4, replica=i).positions[4]) for i in range(30)]
-    assert np.array_equal(pos[0], [s.shift_point for s in seen])
-    assert est == float(np.mean([f(query(s, 0, np.zeros(2))) for s in seen]))
 
 
 def test_level_correlated_curves_match_per_level_laws():
@@ -219,41 +214,23 @@ _PROPERTY_FIELDS = {
 @given(
     model=st.sampled_from(sorted(_PROPERTY_FIELDS)),
     p=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
-    level=st.integers(0, 6),
-    point=st.one_of(st.integers(-6, 6), st.floats(-6.0, 6.0)),
+    x0=st.integers(-6, 6),
     walkers=st.integers(1, 9),
     steps=st.integers(1, 20),
 )
-def test_batched_paths_match_scalar_property(model, p, level, point, walkers, steps):
-    env = shift(_PROPERTY_FIELDS[model](UniformPM1(*p)), level, point)
+def test_batched_paths_match_scalar_property(model, p, x0, walkers, steps):
+    env = _PROPERTY_FIELDS[model](UniformPM1(*p))
     with pytest.MonkeyPatch.context() as mp:
         # 16 walker-steps per block: 1 to 16 steps a block, so the walks
         # straddle block boundaries at most walker and step counts.
         mp.setattr(walks, "_BLOCK_ELEMENTS", 16)
-        _, quenched, _ = batch_quenched_positions(env, steps, np.arange(walkers))
+        _, quenched, _ = batch_quenched_positions(env, steps, np.arange(walkers), x0=x0)
         _, averaged = batch_averaged_positions(env, steps, np.arange(walkers))
-        _, y = batch_diff_positions(env, steps, np.arange(walkers), x0=1, kind=SAME_ENV)
+        _, y = batch_diff_positions(env, steps, np.arange(walkers), x0=x0, kind=SAME_ENV)
     for w in range(walkers):
-        assert np.array_equal(simulate_quenched_path(env, steps, walk_seed=w).positions, quenched[:, w])
-        assert np.array_equal(simulate_averaged_path(env, steps, replica=w).positions, averaged[:, w])
-        assert np.array_equal(simulate_diff_chain(env, 1, steps, SAME_ENV, replica=w).values[:, 0], y[:, w])
-
-
-def test_local_drift_values():
-    p = query(MIX, 0, 0.0).weights[0]
-    assert local_drift(MIX) == pytest.approx(2 * p - 1)
-    g_env = make_lattice_product(11, 2, GaussianDrift(2, 0.5, ((1.0, 0.0), (0.0, 1.0))))
-    law = query(g_env, 0, (0.0, 0.0))
-    assert np.array_equal(local_drift(g_env), law.mean)
-
-
-def test_local_drift_after_shift_is_step_conditional_mean():
-    env = MIX
-    p = simulate_quenched_path(env, 10, walk_seed=3)
-    k, xk = 4, p.positions[4, 0]
-    seen = shift(env, k, xk)
-    step_law = query(env, k, xk)
-    assert np.array_equal(local_drift(seen), law_mean(step_law))
+        assert np.array_equal(simulate_quenched_path(env, steps, walk_seed=w, x0=x0).positions, quenched[:, w])
+        assert np.array_equal(averaged_path(env, steps, w).positions, averaged[:, w])
+        assert np.array_equal(simulate_diff_chain(env, x0, steps, SAME_ENV, replica=w).values[:, 0], y[:, w])
 
 
 def test_quenched_mean_mc_dirac_zero_se():
@@ -461,15 +438,12 @@ def test_compiled_step_matches_numpy_step_on_every_row_length():
 # finite-range grids of spacing 1.5 and 2, and on 2- and 3-point Dirac
 # fields (_READ_FIELDS); a ChoicePM1 threshold tie at the walkers' first
 # read (seed 3, cell 0, level 0); a step weight equal to walker 0's first
-# walk uniform, which the inverse CDF breaks to the next atom; integral
-# shifts in time and space.
+# walk uniform, which the inverse CDF breaks to the next atom.
 _WALK_TIE = float(derive_stream(StreamKey(3, 0, (0,), TAG_WALK)).take(1)[0])
 _WALK_FIELDS = {
     **_READ_FIELDS,
     "threshold-tie": replace(_READ_FIELDS["threshold-tie"], master_seed=3),
     "step-tie": make_lattice_product(3, 1, FixedAtomic(((1.0,), (-1.0,)), (_WALK_TIE, 1.0 - _WALK_TIE))),
-    "affine-lattice-offset-shifted": shift(_READ_FIELDS["affine-lattice-offset"], 3, 5),
-    "threshold-finite-range-1.5-shifted": shift(_READ_FIELDS["threshold-finite-range-1.5"], 2**40, -7),
 }
 
 
@@ -504,12 +478,9 @@ def test_compiled_walker_matches_numpy_walker(name, x0, small_blocks, monkeypatc
 
 
 def test_walkers_that_stay_on_the_numpy_steps():
-    # Gaussian laws, d >= 2, float positions (atoms off the lattice or a
-    # fractional shift) and the level-correlated field.
-    for env in [
-        *D_FIELDS.values(), FC, shift(MIX, 2, 0.5),
-        make_lattice_product(3, 1, FixedAtomic(((0.5,), (-1.0,)), (0.5, 0.5))),
-    ]:
+    # Gaussian laws, d >= 2, float positions (atoms off the lattice) and the
+    # level-correlated field.
+    for env in [*D_FIELDS.values(), FC, GAUSS, HALF]:
         cells = np.zeros((1, 1, 1), np.int64)
         assert not walks._Walker(env, seed_lanes(env.master_seed), cells, 0, 1).compiled
 
@@ -561,24 +532,6 @@ def test_velocity_and_covariance_fixed_gaussian():
     v, v_se, cov, cov_se = velocity_and_covariance(env, 400, 25)
     assert abs(v[0]) <= 4 * v_se[0]
     assert abs(cov[0, 0] - 2.0) <= 4 * cov_se[0, 0]
-
-
-def test_env_chain_observable_constant_function():
-    est, se = env_chain_observable(MIX, 3, lambda law: 2.5, 200)
-    assert est == 2.5 and se == 0.0
-
-
-@pytest.mark.parametrize("env", [MIX, FC])
-def test_env_chain_stationarity(env):
-    # f depends on the current level only; its mean is n-free under refresh.
-    f = lambda law: float(law_mean(law)[0] ** 2)
-    results = {n: env_chain_observable(env, n, f, 8000) for n in (0, 4, 16)}
-    for a in (0, 4):
-        for b in (4, 16):
-            if a >= b:
-                continue
-            (ea, sa), (eb, sb) = results[a], results[b]
-            assert abs(ea - eb) <= 4 * np.hypot(sa, sb)
 
 
 def test_martingale_property():
