@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from envwalk.jumplaws import Atomic, Dirac, Gaussian, law_mean, law_sample
+from envwalk.jumplaws import (
+    Atomic,
+    Dirac,
+    Gaussian,
+    atomic_index,
+    gaussian_factor,
+    gaussian_step,
+    law_mean,
+    law_sample,
+    sample_uniform_count,
+)
 from envwalk.streams import StreamKey, derive_stream
 
 
@@ -10,8 +20,14 @@ def stream(tag=2, seed=1):
 
 
 def draws(law, s, n):
-    """``n`` sequential draws from one stream, shape (n, d)."""
-    return np.stack([law_sample(law, s) for _ in range(n)])
+    """``n`` draws, shape (n, d), consuming the same uniforms as ``n``
+    sequential :func:`law_sample` calls (checked below)."""
+    if isinstance(law, Atomic):
+        return np.asarray(law.points, dtype=float)[atomic_index(np.cumsum(law.weights), s.take(n))]
+    if isinstance(law, Gaussian):
+        per = sample_uniform_count(law)
+        return gaussian_step(np.asarray(law.mean), gaussian_factor(law), s.take(n * per).reshape(n, per))
+    return np.broadcast_to(np.asarray(law.point, dtype=float), (n, law.d)).copy()
 
 
 def test_fair_pm1_moments():
@@ -58,15 +74,30 @@ def test_dirac_sampling_is_constant():
 
 def test_pm1_sample_mean_clt():
     law = Atomic(((1.0,), (-1.0,)), (0.5, 0.5))
-    x = draws(law, stream(), 10000)
-    assert abs(x.mean()) <= 3.0 / np.sqrt(10000)
+    x = draws(law, stream(), 100000)
+    assert abs(x.mean()) <= 3.0 / np.sqrt(100000)
 
 
 def test_gaussian_standard_sample_cov():
     law = Gaussian((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
-    cov = np.cov(draws(law, stream(seed=7), 10000).T)
+    cov = np.cov(draws(law, stream(seed=7), 100000).T)
     assert np.all(np.abs(np.diag(cov) - 1.0) < 0.05)
     assert abs(cov[0, 1]) < 0.05
+
+
+def test_batch_matches_sequential_sampling():
+    for law in (
+        Atomic(((1.0,), (0.0,), (-2.0,)), (0.3, 0.45, 0.25)),
+        Gaussian((0.5,), ((2.0,),)),
+        # d >= 2: one draw and a batch share gaussian_step's order of sums
+        Gaussian((0.3, -0.2), ((1.5, 0.4), (0.4, 0.8))),
+        Gaussian((0.1, 0.0, -0.4), ((1.0, 0.3, 0.1), (0.3, 0.7, 0.2), (0.1, 0.2, 0.9))),
+        Dirac((1.0,)),
+    ):
+        batch = draws(law, stream(seed=11), 16)
+        s = stream(seed=11)
+        seq = np.stack([law_sample(law, s) for _ in range(16)])
+        assert np.array_equal(batch, seq)
 
 
 @pytest.mark.parametrize(
@@ -79,8 +110,8 @@ def test_gaussian_standard_sample_cov():
     ],
 )
 def test_moment_consistency_of_sampler(law):
-    # Empirical mean/cov of 1e4 draws within 4 standard errors of closed form.
-    n = 10000
+    # Empirical mean/cov of 1e5 draws within 4 standard errors of closed form.
+    n = 100000
     x = draws(law, stream(seed=5), n)
     mean = law_mean(law)
     if isinstance(law, Atomic):
@@ -97,3 +128,12 @@ def test_moment_consistency_of_sampler(law):
                 prods = centered[:, i] * centered[:, j]
                 se = prods.std(ddof=1) / np.sqrt(n)
                 assert abs(prods.mean() - cov[i][j]) <= 4 * se
+
+
+def test_second_moment_matches_samples():
+    law = Gaussian((1.0, 1.0), ((1.0, 0.0), (0.0, 2.0)))
+    x = draws(law, stream(seed=9), 100000)
+    emp = (x**2).sum(axis=1)
+    se = emp.std(ddof=1) / np.sqrt(len(emp))
+    # E|x|^2 = |mean|^2 + trace(cov) = 2 + 3
+    assert abs(emp.mean() - 5.0) <= 4 * se
