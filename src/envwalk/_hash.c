@@ -1,22 +1,23 @@
-/* The compiled hot paths of envwalk: the keyed two-lane hash of
- * envwalk.streams, the dense propagation step of walks.exact_mean_curves,
- * which reads the field itself, and the walker block of walks._Walker,
- * which reads the field the same way.
+/* The compiled hot paths of envwalk: the dense propagation step of
+ * walks.exact_mean_curves (envwalk_propagate), the walker block of
+ * walks._Walker (envwalk_walk) and the per-level rows of the level-correlated
+ * exact mean (envwalk_field_weights).  Each reads the field itself.
  *
- * The hash is bit for bit the numpy mixers of streams.py (_mix1, _mix2,
- * absorb, words_at, uniforms_at): the same constants and the same wrapping
- * 64-bit arithmetic.  The propagation step is bit for bit the numpy steps
- * of walks.py: environments.field_weights, then the same products and sums
- * in the same order, with numpy's pairwise summation for every row sum.
- * The walker block (envwalk_walk) is bit for bit walks._Walker's numpy
- * steps: per walker and step k the walk key's uniform 0, the field's
- * weight row at level k and the walker's position, the inverse CDF in
- * support order and the drift summed atom by atom.  Both read the field
- * with one per-site helper (site_rows) that hashes each site's cell under
- * its key prefix, takes uniform 0 and forms the site's weight row by one
- * of three family kinds, each the arithmetic of the family's weight_table:
- * affine (UniformPM1), threshold table (ChoicePM1, DiracSteps) and
- * constant (FixedAtomic, no hash).  Plain C99 with no Python headers; streams.py
+ * They hash with the keyed two-lane hash of envwalk.streams, bit for bit its
+ * numpy mixers (_mix1, _mix2, absorb, uniforms_at): the same constants and
+ * the same wrapping 64-bit arithmetic.  The propagation step is bit for bit
+ * the numpy steps of walks.py: environments.field_weights, then the same
+ * products and sums in the same order, with numpy's pairwise summation for
+ * every row sum.  The walker block (envwalk_walk) is bit for bit
+ * walks._Walker's numpy steps: per walker and step k the walk key's
+ * uniform 0, the field's weight row at level k and the walker's position,
+ * the inverse CDF in support order and the drift summed atom by atom.  All
+ * three read the field with one per-site helper (site_rows) that hashes
+ * each site's cell (none on the level-correlated field) under its key
+ * prefix, takes uniform 0 and forms the site's weight row by one of three
+ * family kinds, each the arithmetic of the family's weight_table: affine
+ * (UniformPM1), threshold table (ChoicePM1, DiracSteps) and constant
+ * (FixedAtomic, no hash).  Plain C99 with no Python headers; streams.py
  * builds it with `cc -O3 -ffp-contract=off -shared -fPIC` on first import
  * and calls it through ctypes.  Floating-point contraction is off because
  * a fused multiply-add (which GCC otherwise forms from `t += x * w` in the
@@ -24,12 +25,8 @@
  * propagated curves in their last bits; the hash is integer arithmetic
  * plus one exact scaling, which the flag does not change.
  *
- * Each hash entry point fills a grid of n0 rows by n1 columns.  Every
- * input is addressed by an (outer, inner) element stride, 0 along an axis
- * where it is broadcast, so a broadcast is never copied.  streams.py
- * collapses the broadcast shape to this grid and hands in contiguous
- * operands, so the inner strides are 0 or 1 (d for cells); the loops below
- * are shaped so that those cases vectorize.
+ * The hash loops run over a tile of at most TILE contiguous lane pairs, a
+ * word at a time, shaped so that they vectorize.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -79,125 +76,45 @@ INLINE u64 mix2(u64 z)
     return z ^ (z >> 33);
 }
 
-/* absorb(): fold the word column w (stride ws) into n lane pairs. */
-INLINE void absorb_column(size_t n, u64 *restrict h1, u64 *restrict h2, const u64 *restrict w, stride_t ws)
+/* absorb() of the word w into n lane pairs. */
+INLINE void absorb_word(size_t n, u64 *restrict h1, u64 *restrict h2, u64 w)
 {
-    if (ws == 0) {
-        const u64 a1 = w[0] + GAMMA1, a2 = w[0] + GAMMA2;
-        for (size_t i = 0; i < n; i++) {
-            h1[i] = mix1(h1[i] ^ a1);
-            h2[i] = mix2(h2[i] ^ a2);
-        }
-    } else if (ws == 1) {
-        for (size_t i = 0; i < n; i++) {
-            h1[i] = mix1(h1[i] ^ (w[i] + GAMMA1));
-            h2[i] = mix2(h2[i] ^ (w[i] + GAMMA2));
-        }
-    } else {
-        for (size_t i = 0; i < n; i++) {
-            h1[i] = mix1(h1[i] ^ (w[i * ws] + GAMMA1));
-            h2[i] = mix2(h2[i] ^ (w[i * ws] + GAMMA2));
-        }
+    const u64 a1 = w + GAMMA1, a2 = w + GAMMA2;
+    for (size_t i = 0; i < n; i++) {
+        h1[i] = mix1(h1[i] ^ a1);
+        h2[i] = mix2(h2[i] ^ a2);
     }
 }
 
-INLINE void absorb_word(u64 *h1, u64 *h2, u64 w)
+/* absorb() of the contiguous word column w into n lane pairs, word i into pair i. */
+INLINE void absorb_column(size_t n, u64 *restrict h1, u64 *restrict h2, const u64 *restrict w)
 {
-    absorb_column(1, h1, h2, &w, 0);
-}
-
-/* lanes_for_cells(): the base lanes (b1, b2) absorb tag, level, d and the d
- * words of the cell, in that order.  out1/out2 are contiguous (n0, n1).
- * Where the base and the level are the same along a row (one field, or
- * one level per row), their part of the key is hashed once per row. */
-VECTOR_CLONES
-void envwalk_lanes(size_t n0, size_t n1, u64 tag, size_t d,
-                   const u64 *b1, const u64 *b2, stride_t bs0, stride_t bs1,
-                   const u64 *level, stride_t ls0, stride_t ls1,
-                   const u64 *cells, stride_t cs0, stride_t cs1,
-                   u64 *out1, u64 *out2)
-{
-    const u64 dw = d;
-    const int row_prefix = bs1 == 0 && ls1 == 0;
-    for (size_t r = 0; r < n0; r++) {
-        const u64 *r1 = b1 + r * bs0, *r2 = b2 + r * bs0, *rl = level + r * ls0, *rc = cells + r * cs0;
-        u64 p1 = r1[0], p2 = r2[0];
-        if (row_prefix) {
-            absorb_word(&p1, &p2, tag);
-            absorb_word(&p1, &p2, rl[0]);
-            absorb_word(&p1, &p2, dw);
-        }
-        for (size_t t = 0; t < n1; t += TILE) {
-            const size_t n = n1 - t < TILE ? n1 - t : TILE;
-            u64 *h1 = out1 + r * n1 + t, *h2 = out2 + r * n1 + t;
-            if (row_prefix) {
-                for (size_t i = 0; i < n; i++) {
-                    h1[i] = p1;
-                    h2[i] = p2;
-                }
-            } else {
-                for (size_t i = 0; i < n; i++) {
-                    h1[i] = r1[(t + i) * bs1];
-                    h2[i] = r2[(t + i) * bs1];
-                }
-                absorb_column(n, h1, h2, &tag, 0);
-                absorb_column(n, h1, h2, rl + t * ls1, ls1);
-                absorb_column(n, h1, h2, &dw, 0);
-            }
-            for (size_t j = 0; j < d; j++)
-                absorb_column(n, h1, h2, rc + t * cs1 + j, cs1);
-        }
+    for (size_t i = 0; i < n; i++) {
+        h1[i] = mix1(h1[i] ^ (w[i] + GAMMA1));
+        h2[i] = mix2(h2[i] ^ (w[i] + GAMMA2));
     }
 }
 
-/* words_at() along one row of n entries; uniforms_at() when `uniform`. */
-INLINE void words_row(size_t n, const u64 *restrict h1, const u64 *restrict h2, stride_t hs,
-                      const u64 *restrict index, stride_t is, void *restrict out, stride_t os, int uniform)
+/* uniforms_at(lanes, 0) of n lane pairs: counter 0, so each lane moves by
+ * one Weyl increment. */
+INLINE void first_uniforms(size_t n, const u64 *restrict h1, const u64 *restrict h2, double *restrict u)
 {
-    for (size_t k = 0; k < n; k++) {
-        const u64 i = index[k * is] + 1;
-        const u64 w = mix1(h1[k * hs] + i * GAMMA1) ^ mix2(h2[k * hs] + i * GAMMA2);
+    for (size_t i = 0; i < n; i++) {
+        const u64 w = mix1(h1[i] + GAMMA1) ^ mix2(h2[i] + GAMMA2);
         /* w >> 11 < 2**53 converts exactly, as numpy's astype(float64) does. */
-        if (uniform)
-            ((double *)out)[k * os] = (double)(int64_t)(w >> 11) * 0x1p-53;
-        else
-            ((u64 *)out)[k * os] = w;
+        u[i] = (double)(int64_t)(w >> 11) * 0x1p-53;
     }
 }
 
-/* The draws of one row.  Inner strides at the call sites: lanes along the
- * row with one index (draws over lanes, also when streams.py turned a short
- * draw axis into the rows), or one lane pair at many indices. */
-INLINE void words_grid(size_t n0, size_t n1, const u64 *h1, const u64 *h2, stride_t hs0, stride_t hs1,
-                       const u64 *index, stride_t is0, stride_t is1, void *out, stride_t os0, stride_t os1,
-                       int uniform)
+/* The lanes (b1, b2) of n keys with the word `tag` absorbed, into (o1, o2). */
+INLINE void tagged_lanes(size_t n, const u64 *restrict b1, const u64 *restrict b2, u64 tag,
+                         u64 *restrict o1, u64 *restrict o2)
 {
-    for (size_t r = 0; r < n0; r++) {
-        const u64 *a1 = h1 + r * hs0, *a2 = h2 + r * hs0, *x = index + r * is0;
-        void *o = (char *)out + r * os0 * 8;
-        if (hs1 == 1 && is1 == 0 && os1 == 1)
-            words_row(n1, a1, a2, 1, x, 0, o, 1, uniform);
-        else if (hs1 == 1 && is1 == 0)
-            words_row(n1, a1, a2, 1, x, 0, o, os1, uniform);
-        else if (hs1 == 0 && is1 == 1 && os1 == 1)
-            words_row(n1, a1, a2, 0, x, 1, o, 1, uniform);
-        else
-            words_row(n1, a1, a2, hs1, x, is1, o, os1, uniform);
+    for (size_t i = 0; i < n; i++) {
+        o1[i] = b1[i];
+        o2[i] = b2[i];
     }
-}
-
-VECTOR_CLONES
-void envwalk_words(size_t n0, size_t n1, const u64 *h1, const u64 *h2, stride_t hs0, stride_t hs1,
-                   const u64 *index, stride_t is0, stride_t is1, u64 *out, stride_t os0, stride_t os1)
-{
-    words_grid(n0, n1, h1, h2, hs0, hs1, index, is0, is1, out, os0, os1, 0);
-}
-
-VECTOR_CLONES
-void envwalk_uniforms(size_t n0, size_t n1, const u64 *h1, const u64 *h2, stride_t hs0, stride_t hs1,
-                      const u64 *index, stride_t is0, stride_t is1, double *out, stride_t os0, stride_t os1)
-{
-    words_grid(n0, n1, h1, h2, hs0, hs1, index, is0, is1, out, os0, os1, 1);
+    absorb_word(n, o1, o2, tag);
 }
 
 /* numpy's pairwise summation of n contiguous doubles (DOUBLE_pairwise_sum):
@@ -241,15 +158,16 @@ INLINE double row_sum(const double *a, size_t n)
     return 0.0 + (n <= 128 ? pairwise_leaf(a, n) : pairwise_sum(a, n));
 }
 
-/* The field read of envwalk_propagate and envwalk_walk: field_weights() of
- * a d = 1 lattice, finite-range or Dirac field at integer positions, one
- * field per row (per walker in envwalk_walk).  Mirrors streams.FieldRead. */
+/* The field read of every entry point: field_weights() of a d = 1 field
+ * at integer positions, one field per row (per walker in envwalk_walk).
+ * Mirrors streams.FieldRead. */
 enum { AFFINE = 0, THRESHOLD = 1, CONSTANT = 2 };
 
 struct field {
     const u64 *b1, *b2; /* each row's base lanes */
     u64 tag;            /* TAG_ENV */
     double range;       /* finite_range's spacing R; 0 on the unit lattice */
+    u64 cell_words;     /* words in a cell: 1, or 0 on the level-correlated field */
     int kind;
     size_t n_atoms;
     double slope, intercept;  /* AFFINE: p = u * slope + intercept, then 1 - p */
@@ -260,11 +178,11 @@ struct field {
 
 /* The weight rows of n sites at field-frame positions x, contiguous
  * (n, n_atoms) into w.  (h1, h2) hold each site's key prefix (tag, level
- * and d = 1 absorbed) and are consumed.  The site's key is that prefix and
- * its cell (x itself on the unit lattice, floor(x / R + 0.5) on
- * finite_range, floored by truncation so that no libm call is needed), its
- * uniform 0 that of uniforms_at(), and its row that of the family's
- * weight_table():
+ * and the cell-word count absorbed) and are consumed.  The site's key is
+ * that prefix and its cell: x itself on the unit lattice, floor(x / R +
+ * 0.5) on finite_range (floored by truncation, so that no libm call is
+ * needed), no word on the level-correlated field.  Its uniform 0 is that of
+ * uniforms_at(), and its row that of the family's weight_table():
  *   - AFFINE (UniformPM1): p = u * slope + intercept, rounded in that order,
  *     and 1 - p;
  *   - THRESHOLD (ChoicePM1, DiracSteps): the row searchsorted(thresholds, u,
@@ -280,21 +198,22 @@ INLINE void site_rows(const struct field *f, size_t n, u64 *restrict h1, u64 *re
                 w[i * na + a] = f->rows[a];
         return;
     }
-    u64 cell[TILE];
-    if (f->range > 0.0) {
-        for (size_t i = 0; i < n; i++) {
-            const double q = (double)x[i] / f->range + 0.5;
-            const int64_t c = (int64_t)q;
-            cell[i] = (u64)(c - ((double)c > q));
+    if (f->cell_words) {
+        u64 cell[TILE];
+        if (f->range > 0.0) {
+            for (size_t i = 0; i < n; i++) {
+                const double q = (double)x[i] / f->range + 0.5;
+                const int64_t c = (int64_t)q;
+                cell[i] = (u64)(c - ((double)c > q));
+            }
+        } else {
+            for (size_t i = 0; i < n; i++)
+                cell[i] = (u64)x[i];
         }
-    } else {
-        for (size_t i = 0; i < n; i++)
-            cell[i] = (u64)x[i];
+        absorb_column(n, h1, h2, cell);
     }
-    const u64 draw = 0;
     double u[TILE];
-    absorb_column(n, h1, h2, cell, 1);
-    words_row(n, h1, h2, 1, &draw, 0, u, 1, 1);
+    first_uniforms(n, h1, h2, u);
     if (f->kind == AFFINE) {
         for (size_t i = 0; i < n; i++) {
             const double p = u[i] * f->slope + f->intercept;
@@ -313,15 +232,32 @@ INLINE void site_rows(const struct field *f, size_t n, u64 *restrict h1, u64 *re
     }
 }
 
+/* The weight rows at `level` of n fields, field i at site x[i], contiguous
+ * (n, n_atoms) into w: the key prefix (field i's lanes with the tag
+ * absorbed, in e1[i], e2[i]; the level; the cell-word count) and then
+ * site_rows().  n is at most TILE. */
+INLINE void level_rows(const struct field *f, size_t n, const u64 *restrict e1, const u64 *restrict e2, u64 level,
+                       const int64_t *restrict x, double *restrict w)
+{
+    u64 h1[TILE], h2[TILE];
+    for (size_t i = 0; i < n; i++) {
+        h1[i] = e1[i];
+        h2[i] = e2[i];
+    }
+    absorb_word(n, h1, h2, level);
+    absorb_word(n, h1, h2, f->cell_words);
+    site_rows(f, n, h1, h2, x, w);
+}
+
 /* Row r's weight rows at `level` and the n sites x = lo + st * j, into w,
  * contiguous (n, n_atoms), a tile of sites at a time.  The key prefix
- * (tag, level, d = 1: that of lanes_for_cells()) is hashed once per row. */
+ * (tag, level, cell-word count) is hashed once per row. */
 INLINE void field_row(const struct field *f, size_t r, u64 level, int64_t lo, int64_t st, size_t n, double *restrict w)
 {
     u64 p1 = f->b1[r], p2 = f->b2[r];
-    absorb_word(&p1, &p2, f->tag);
-    absorb_word(&p1, &p2, level);
-    absorb_word(&p1, &p2, 1);
+    absorb_word(1, &p1, &p2, f->tag);
+    absorb_word(1, &p1, &p2, level);
+    absorb_word(1, &p1, &p2, f->cell_words);
     int64_t x[TILE];
     u64 h1[TILE], h2[TILE];
     for (size_t t = 0; t < n; t += TILE) {
@@ -336,12 +272,21 @@ INLINE void field_row(const struct field *f, size_t r, u64 level, int64_t lo, in
     }
 }
 
-/* field_weights() of m rows at n sites: contiguous (m, n, n_atoms) into out. */
+/* The weight rows of m fields, field r at site x[r], at the n_levels levels
+ * level, level + 1, ...: contiguous (n_levels, m, n_atoms) into out, a tile
+ * of fields at a time.  The closed form of walks.exact_mean_curves on the
+ * level-correlated field reads its levels here. */
 VECTOR_CLONES
-void envwalk_field_weights(const struct field *f, u64 level, int64_t lo, int64_t st, size_t m, size_t n, double *out)
+void envwalk_field_weights(const struct field *f, u64 level, size_t n_levels, size_t m, const int64_t *x, double *out)
 {
-    for (size_t r = 0; r < m; r++)
-        field_row(f, r, level, lo, st, n, out + r * n * f->n_atoms);
+    const size_t na = f->n_atoms;
+    u64 e1[TILE], e2[TILE];
+    for (size_t t = 0; t < m; t += TILE) {
+        const size_t nt = m - t < TILE ? m - t : TILE;
+        tagged_lanes(nt, f->b1 + t, f->b2 + t, f->tag, e1, e2);
+        for (size_t l = 0; l < n_levels; l++)
+            level_rows(f, nt, e1, e2, level + l, x + t, out + (l * m + t) * na);
+    }
 }
 
 /* One replica row of envwalk_propagate, with its weight rows w contiguous
@@ -431,35 +376,23 @@ INLINE void walk_tile(const struct field *f, size_t na, size_t nt, size_t n, siz
     /* Each walker's lanes with the walk tag and with the field's tag absorbed. */
     u64 pw1[TILE], pw2[TILE], pe1[TILE], pe2[TILE], h1[TILE], h2[TILE];
     double u[TILE];
-    for (size_t i = 0; i < nt; i++) {
-        pw1[i] = pe1[i] = b1[i];
-        pw2[i] = pe2[i] = b2[i];
-    }
-    absorb_column(nt, pw1, pw2, &walk_tag, 0);
-    absorb_column(nt, pe1, pe2, &f->tag, 0);
-    const u64 n_walk_words = n_words, d = 1, draw = 0;
+    tagged_lanes(nt, b1, b2, walk_tag, pw1, pw2);
+    tagged_lanes(nt, b1, b2, f->tag, pe1, pe2);
     for (size_t s = 0; s < b; s++) {
         /* The walk uniform: the walk key (tag, level, the cell width, the
          * cell words) and its uniform 0. */
-        const u64 step_level = level + s;
         for (size_t i = 0; i < nt; i++) {
             h1[i] = pw1[i];
             h2[i] = pw2[i];
         }
-        absorb_column(nt, h1, h2, &step_level, 0);
-        absorb_column(nt, h1, h2, &n_walk_words, 0);
+        absorb_word(nt, h1, h2, level + s);
+        absorb_word(nt, h1, h2, n_words);
         for (size_t j = 0; j < n_words; j++)
-            absorb_column(nt, h1, h2, cells + j * n, 1);
-        words_row(nt, h1, h2, 1, &draw, 0, u, 1, 1);
+            absorb_column(nt, h1, h2, cells + j * n);
+        first_uniforms(nt, h1, h2, u);
 
         /* The weight rows of the field at the same level and pos. */
-        for (size_t i = 0; i < nt; i++) {
-            h1[i] = pe1[i];
-            h2[i] = pe2[i];
-        }
-        absorb_column(nt, h1, h2, &step_level, 0);
-        absorb_column(nt, h1, h2, &d, 0);
-        site_rows(f, nt, h1, h2, pos, w);
+        level_rows(f, nt, pe1, pe2, level + s, pos, w);
 
         /* The drift, atom by atom in support order (jumplaws.atomic_mean). */
         if (drift != NULL) {
@@ -495,8 +428,8 @@ INLINE void walk_tile(const struct field *f, size_t na, size_t nt, size_t n, siz
  * s:
  *   - hashes the walk key (those base lanes, walk_tag, the level, n_words,
  *     the cell words) and takes its uniform 0;
- *   - reads the weight row at pos[i] and level + s with the site_rows() of
- *     field_row();
+ *   - reads the weight row at pos[i] and level + s with level_rows(), the
+ *     read of envwalk_field_weights;
  *   - adds the row's drift to drift[i], if drift is not NULL;
  *   - moves pos[i] by the atom the inverse CDF picks, and writes it to
  *     out[s * n + i].

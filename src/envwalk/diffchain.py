@@ -14,9 +14,8 @@ box without first falling into an inner one.  Each is one loop over a batch
 of pairs, ``for k0, y in walker``: the pair walker yields Y after each step
 of a block, shape (b, live pairs), the scans read the block vectorized
 along the step axis, and the pairs a scan has settled retire once per
-block.  Where the compiled library loads, a block on the lattice,
-finite-range and Dirac fields is one call of ``envwalk_walk`` (see
-``walks``); the level-correlated field runs the numpy steps.
+block.  Where the compiled library loads, a block of pairs with integer
+steps is one call of ``envwalk_walk`` on every field kind (see ``walks``).
 """
 
 from __future__ import annotations
@@ -122,8 +121,8 @@ def _pairs(env_template: Environment, replicas: np.ndarray, x0, kind: str):
     base = (np.stack([la[0], lb[0]], axis=1), np.stack([la[1], lb[1]], axis=1))
     which = np.broadcast_to(np.array([0, 1], dtype=np.int64), (replicas.size, 2))
     wcells = np.stack([np.stack([replicas, replicas], axis=1), which], axis=2)
-    x0 = np.broadcast_to(np.asarray(x0, dtype=np.int64), replicas.shape)
-    return base, wcells, np.stack([np.zeros_like(replicas), x0], axis=1)[..., None]
+    x0 = np.broadcast_to(np.asarray(x0), replicas.shape)
+    return base, wcells, np.stack([np.zeros_like(x0), x0], axis=1)[..., None]
 
 
 class _PairWalker(_Walker):

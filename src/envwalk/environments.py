@@ -23,9 +23,10 @@ constructions:
 
 Levels never share stream keys, so distinct time levels are independent by
 construction in every model.  ``field_weights`` is the batched twin of
-``query`` for every family and dimension.  The compiled dense propagation
-step of ``walks.exact_mean_curves`` and the compiled walker block of
-``walks._Walker`` read it in C instead, through ``field_read``, and give
+``query`` for every family and dimension.  The compiled paths of ``walks``
+(the dense propagation step and the level-correlated closed form of
+``exact_mean_curves``, and the walker block of ``_Walker``) read every d=1
+field at integer positions in C instead, through ``field_read``, and give
 the bits of ``field_weights``, which stays their reference and the read of
 every walker they do not serve.
 """
@@ -66,10 +67,6 @@ LATTICE_PRODUCT = "lattice_product"
 FINITE_RANGE = "finite_range"
 FULLY_CORRELATED = "fully_correlated"
 DIRAC_FIELD = "dirac_field"
-# The kinds whose cells field_read's compiled twin computes: x itself on the
-# unit lattice (integer positions skip the offset), floor(x / R + 0.5) on
-# finite_range.
-FIELD_READ_KINDS = (LATTICE_PRODUCT, FINITE_RANGE, DIRAC_FIELD)
 # The finest finite-range grid: a cell floor(x / R + 0.5) stays an int64
 # for every |x| < 2**43, on the numpy read and on the compiled one.
 MIN_DEPENDENCE_RANGE = 2.0**-20
@@ -177,9 +174,9 @@ def field_weights(env: Environment, base_lanes, level: int, positions) -> np.nda
     (``mean_table``) for ``GaussianDrift``; entry by entry the law
     :func:`query` gives.  Integer positions skip the grid offset, since
     floor(x + U) = x; the level-correlated field hashes one cell per field
-    and broadcasts it.  The numpy walker steps read the
-    field through it; the compiled propagation step and walker block read
-    it through :func:`field_read`, and this is that read's reference.
+    and broadcasts it.  The numpy steps read the field
+    through it; the compiled paths read it through :func:`field_read`, and
+    this is that read's reference.
     """
     fam = env.family
     positions = np.asarray(positions)
@@ -207,8 +204,9 @@ def field_read(env: Environment, base_lanes) -> FieldRead:
 
     ``base_lanes`` are one field per row (``seed_lanes_vec``): a replica
     row of the propagation step, a walker of the walker block.  The struct
-    carries the cell rule (a lattice or Dirac field reads cell x, a
-    finite-range field floor(x / R + 0.5)) and the family's
+    carries the cell rule (a lattice or Dirac field reads the one-word cell
+    x, a finite-range field floor(x / R + 0.5), and the level-correlated
+    field no cell word, ``cell_words = 0``) and the family's
     ``weight_table`` as one of three kinds: affine for ``UniformPM1``, a
     threshold table (``np.cumsum`` of the probabilities, and the rows they
     pick) for ``ChoicePM1`` and ``DiracSteps``, constant for
@@ -218,7 +216,10 @@ def field_read(env: Environment, base_lanes) -> FieldRead:
     """
     fam = env.family
     read = FieldRead(
-        tag=TAG_ENV, range=env.dependence_range if env.kind == FINITE_RANGE else 0.0, n_atoms=len(fam.support)
+        tag=TAG_ENV,
+        range=env.dependence_range if env.kind == FINITE_RANGE else 0.0,
+        cell_words=0 if env.kind == FULLY_CORRELATED else 1,
+        n_atoms=len(fam.support),
     )
     thresholds = rows = None
     if isinstance(fam, UniformPM1):

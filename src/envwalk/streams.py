@@ -15,22 +15,22 @@ full-avalanche counter generator; the XOR gives 128 bits of effective key
 material so that key collisions are out of reach at any realistic scale.
 Not cryptographic, and not meant to be.
 
-The batched hot paths, :func:`lanes_for_cells` and :func:`words_at` /
-:func:`uniforms_at`, run in a small C kernel (``_hash.c``), loaded with
-``ctypes``; the same library holds the dense propagation step of
-:func:`walks.exact_mean_curves` (``_LIB.envwalk_propagate``) and the walker
-block of ``walks._Walker`` (``_LIB.envwalk_walk``), which hash the field's
-cells and the walk keys themselves with the same mixers
-(:class:`FieldRead`).  The first
-import compiles it with ``cc -O3 -ffp-contract=off -shared -fPIC`` into
-``__pycache__`` next to this file (or, where that cannot be written, into
-``~/.cache/envwalk``) under a name that hashes the source, the flags and the
-platform, so every later interpreter loads the cached file.  The numpy
-mixers below (``_mix1``, ``_mix2``, :func:`absorb`) are the reference: the
-scalar paths (:meth:`StreamKey.lanes`, :func:`seed_lanes`,
-:func:`derive_seed`) use them, the parity tests pin the kernel to them bit
-for bit, and the batched paths fall back to them when there is no compiler
-or the library does not build or load.  Both give the same bits.
+The numpy mixers below (``_mix1``, ``_mix2``, :func:`absorb`,
+:func:`words_at`, :func:`uniforms_at`) serve every hash call made from
+Python.  The hot loops hash in C instead: a small library (``_hash.c``),
+loaded with ``ctypes``, holds the dense propagation step of
+:func:`walks.exact_mean_curves` (``_LIB.envwalk_propagate``), the walker
+block of ``walks._Walker`` (``_LIB.envwalk_walk``) and the per-level rows of
+the level-correlated exact mean (``_LIB.envwalk_field_weights``).  Each
+hashes the field's cells (and the walk keys) itself with the same mixers,
+through the field read :class:`FieldRead`.  The first import compiles it
+with ``cc -O3 -ffp-contract=off -shared -fPIC`` into ``__pycache__`` next to
+this file (or, where that cannot be written, into ``~/.cache/envwalk``)
+under a name that hashes the source, the flags and the platform, so every
+later interpreter loads the cached file.  The numpy mixers are the
+reference: the parity tests pin the compiled paths to the numpy paths bit
+for bit, and those paths run when there is no compiler or the library does
+not build or load.  Both give the same bits.
 
 The numpy paths work on uint64 ndarrays (numpy wraps array arithmetic
 silently; scalar arithmetic would warn on overflow).
@@ -102,22 +102,27 @@ def _u64(x) -> np.ndarray:
 
 
 def _mix1(z: np.ndarray) -> np.ndarray:
+    # z is mixed in place: every caller hands in a fresh temporary, and
+    # fewer temporaries keep the batched hash's peak memory down.
     # errstate: uint64 wraparound is the point; 0-d operands would warn.
     with np.errstate(over="ignore"):
-        z = z ^ (z >> _U64(30))
-        z = z * _U64(_M1A)
-        z = z ^ (z >> _U64(27))
-        z = z * _U64(_M1B)
-        return z ^ (z >> _U64(31))
+        z ^= z >> _U64(30)
+        z *= _U64(_M1A)
+        z ^= z >> _U64(27)
+        z *= _U64(_M1B)
+        z ^= z >> _U64(31)
+        return z
 
 
 def _mix2(z: np.ndarray) -> np.ndarray:
+    # In place, as _mix1.
     with np.errstate(over="ignore"):
-        z = z ^ (z >> _U64(33))
-        z = z * _U64(_M2A)
-        z = z ^ (z >> _U64(33))
-        z = z * _U64(_M2B)
-        return z ^ (z >> _U64(33))
+        z ^= z >> _U64(33)
+        z *= _U64(_M2A)
+        z ^= z >> _U64(33)
+        z *= _U64(_M2B)
+        z ^= z >> _U64(33)
+        return z
 
 
 def seed_lanes(master_seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,26 +140,19 @@ def absorb(lanes: tuple[np.ndarray, np.ndarray], word) -> tuple[np.ndarray, np.n
     return _mix1(a1), _mix2(a2)
 
 
-def _words(lanes: tuple[np.ndarray, np.ndarray], index) -> np.ndarray:
+def words_at(lanes: tuple[np.ndarray, np.ndarray], index) -> np.ndarray:
+    """Raw 64-bit output words at the given draw indices (broadcast)."""
     i = _u64(index) + _U64(1)
     h1, h2 = lanes
     with np.errstate(over="ignore"):
-        a1, a2 = h1 + i * _U64(_GAMMA1), h2 + i * _U64(_GAMMA2)
-    return _mix1(a1) ^ _mix2(a2)
-
-
-def words_at(lanes: tuple[np.ndarray, np.ndarray], index) -> np.ndarray:
-    """Raw 64-bit output words at the given draw indices (broadcast)."""
-    if _LIB is not None:
-        return _kernel_words(_LIB.envwalk_words, np.uint64, lanes, index)
-    return _words(lanes, index)
+        w = _mix1(h1 + i * _U64(_GAMMA1))
+        w ^= _mix2(h2 + i * _U64(_GAMMA2))  # the two lanes of a pair have one shape
+    return w
 
 
 def uniforms_at(lanes: tuple[np.ndarray, np.ndarray], index) -> np.ndarray:
     """Uniform [0,1) variates at the given draw indices (broadcast)."""
-    if _LIB is not None:
-        return _kernel_words(_LIB.envwalk_uniforms, np.float64, lanes, index)
-    return (_words(lanes, index) >> _U64(11)).astype(np.float64) * _INV_2_53
+    return (words_at(lanes, index) >> _U64(11)).astype(np.float64) * _INV_2_53
 
 
 @dataclass(frozen=True)
@@ -201,8 +199,6 @@ def lanes_for_cells(
     the result is bit-identical to ``StreamKey(seed, level, cell, tag).lanes()``.
     """
     cells = np.asarray(cells)
-    if _LIB is not None:
-        return _kernel_lanes(base_lanes, level, tag, cells)
     d = cells.shape[-1]
     lanes = absorb(base_lanes, tag)
     lanes = absorb(lanes, level)
@@ -259,12 +255,12 @@ def derive_seed(master_seed: int, *words: int) -> int:
     lanes = absorb(lanes, len(words))
     for w in words:
         lanes = absorb(lanes, w)
-    return int(_words(lanes, 0))
+    return int(words_at(lanes, 0))
 
 
 # ---------------------------------------------------------------------------
-# The compiled kernel (_hash.c) behind lanes_for_cells, words_at and uniforms_at,
-# the dense propagation step of walks.exact_mean_curves and the walker block.
+# The compiled library (_hash.c): the dense propagation step of
+# walks.exact_mean_curves, the walker block and the level rows.
 # ---------------------------------------------------------------------------
 
 _KERNEL_SOURCE = Path(__file__).with_name("_hash.c")
@@ -322,19 +318,13 @@ def _load_kernel():
     except OSError:
         return None
     size, step, word, ptr = ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_uint64, ctypes.c_void_p
-    lib.envwalk_lanes.argtypes = (
-        size, size, word, size, ptr, ptr, step, step, ptr, step, step, ptr, step, step, ptr, ptr
-    )
-    lib.envwalk_words.argtypes = lib.envwalk_uniforms.argtypes = (
-        size, size, ptr, ptr, step, step, ptr, step, step, ptr, step, step
-    )
-    for fn in (lib.envwalk_lanes, lib.envwalk_words, lib.envwalk_uniforms):
-        fn.restype = None
-    site = (ptr, word, ctypes.c_int64, ctypes.c_int64, size, size)  # field, level, lo, st, rows, sites
-    lib.envwalk_field_weights.argtypes = (*site, ptr)
+    # field, first level, levels, fields, sites, out
+    lib.envwalk_field_weights.argtypes = (ptr, word, size, size, ptr, ptr)
     lib.envwalk_field_weights.restype = None
+    # field, level, lo, st, rows, sites, then the law, the step's tables and its outputs
     lib.envwalk_propagate.argtypes = (
-        *site, ptr, step, ptr, ptr, size, size, size, ctypes.c_double, ptr, ptr, step, ptr
+        ptr, word, ctypes.c_int64, ctypes.c_int64, size, size, ptr, step, ptr, ptr, size, size, size, ctypes.c_double,
+        ptr, ptr, step, ptr,
     )
     lib.envwalk_propagate.restype = ctypes.c_double
     # field, walkers, walk tag, cells, cell words, support, positions, drift sums, scratch,
@@ -357,6 +347,7 @@ class FieldRead(ctypes.Structure):
         ("b2", ctypes.c_void_p),
         ("tag", ctypes.c_uint64),
         ("range", ctypes.c_double),
+        ("cell_words", ctypes.c_uint64),
         ("kind", ctypes.c_int),
         ("n_atoms", ctypes.c_size_t),
         ("slope", ctypes.c_double),
@@ -365,99 +356,6 @@ class FieldRead(ctypes.Structure):
         ("thresholds", ctypes.c_void_p),
         ("rows", ctypes.c_void_p),
     ]
-
-
-def _grid(*operands: tuple[tuple, int]) -> tuple[tuple, list[tuple[int, list[int]]]]:
-    """The broadcast shape of C-contiguous operands, and the grid the kernel walks.
-
-    Each operand is (shape, unit): ``unit`` elements make one entry (d for
-    cells).  The grid is the broadcast shape as few axes as the operands
-    allow: size-1 axes are dropped, and neighbouring axes merge wherever each
-    operand, and a C-contiguous result, steps through the pair as through one
-    axis.  An axis is (size, element strides of the operands then the
-    result), a stride being 0 where that operand is broadcast.  At least two
-    axes come back; the kernel walks the last two.
-    """
-    ndim = max(len(s) for s, _ in operands)
-    shape = [1] * ndim
-    strides = []
-    for s, step in operands:
-        st = [0] * ndim
-        for axis in range(-1, -len(s) - 1, -1):
-            n = s[axis]
-            if n != 1:
-                if shape[axis] not in (1, n):
-                    raise ValueError(f"shapes {[s for s, _ in operands]} do not broadcast")
-                shape[axis], st[axis] = n, step
-                step *= n
-        strides.append(st)
-    axes: list[tuple[int, list[int]]] = []
-    step = 1
-    for axis in range(ndim - 1, -1, -1):
-        n = shape[axis]
-        if n == 1:
-            continue
-        st = [s[axis] for s in strides] + [step]
-        step *= n
-        if axes and all(p == q * axes[0][0] for p, q in zip(st, axes[0][1])):
-            axes[0] = (n * axes[0][0], axes[0][1])
-        else:
-            axes.insert(0, (n, st))
-    return tuple(shape), [(1, [0] * (len(operands) + 1))] * (2 - len(axes)) + axes
-
-
-def _blocks(axes: list[tuple[int, list[int]]]):
-    """Byte offsets of the operands and the result in each 2-d block that the
-    grid's leading axes select (one block of offsets 0 for a 2-axis grid)."""
-    outer = axes[:-2]
-    if not outer:
-        return [[0] * len(axes[0][1])]
-    return [
-        [8 * sum(i * st[k] for i, (_, st) in zip(index, outer)) for k in range(len(axes[0][1]))]
-        for index in np.ndindex(*(n for n, _ in outer))
-    ]
-
-
-def _pair(lanes) -> tuple[np.ndarray, np.ndarray]:
-    """Lane arrays as uint64 ndarrays of one shape."""
-    h1, h2 = (_u64(h) for h in lanes)
-    return (h1, h2) if h1.shape == h2.shape else np.broadcast_arrays(h1, h2)
-
-
-def _kernel_lanes(base_lanes, level, tag: int, cells: np.ndarray):
-    h1, h2 = _pair(base_lanes)
-    level, cells = _u64(level), _u64(cells)
-    d = cells.shape[-1]
-    # With d = 0 no cell word is absorbed, so the cells take no part in the shape.
-    shape, axes = _grid((h1.shape, 1), (level.shape, 1), (cells.shape[:-1] if d else (), d))
-    out = np.empty((2,) + shape, np.uint64)
-    if out.size:
-        # Bound to names: a contiguous copy must live until the kernel has read it.
-        arrays = [np.ascontiguousarray(a) for a in (h1, h2, level, cells)] + [out]
-        b1, b2, lp, cp, op = (a.ctypes.data for a in arrays)
-        (n0, s0), (n1, s1) = axes[-2:]
-        for b, lv, c, o in _blocks(axes):
-            _LIB.envwalk_lanes(
-                n0, n1, int(tag) & _MASK64, d, b1 + b, b2 + b, s0[0], s1[0], lp + lv, s0[1], s1[1],
-                cp + c, s0[2], s1[2], op + o, op + o + 8 * out[0].size,
-            )
-    return out[0], out[1]
-
-
-def _kernel_words(fn, dtype, lanes, index):
-    h1, h2 = _pair(lanes)
-    index = _u64(index)
-    shape, axes = _grid((h1.shape, 1), (index.shape, 1))
-    out = np.empty(shape, dtype)
-    if out.size:
-        arrays = [np.ascontiguousarray(a) for a in (h1, h2, index)] + [out]
-        p1, p2, ip, op = (a.ctypes.data for a in arrays)
-        (n0, s0), (n1, s1) = axes[-2:]
-        if n1 < n0:  # the longer axis inside, where the loop vectorizes
-            (n0, s0), (n1, s1) = (n1, s1), (n0, s0)
-        for h, i, o in _blocks(axes):
-            fn(n0, n1, p1 + h, p2 + h, s0[0], s1[0], ip + i, s0[1], s1[1], op + o, s0[2], s1[2])
-    return out if shape else out[()]
 
 
 _LIB = _load_kernel()

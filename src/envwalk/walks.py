@@ -16,17 +16,15 @@ steps around each cell's drift vector (the difference-chain pairs stay
 d=1).  Walk noise uses its own key tag, so walk randomness never touches
 environment randomness.
 
-A d=1 walker with integer atoms on a lattice, finite-range or Dirac field
-runs each block in one call of ``envwalk_walk`` in the library that
-``streams`` builds from ``_hash.c``: per walker and step it hashes the walk
-key, reads the field row at (k, its position) with the field read of the
-compiled propagation step (:func:`environments.field_read`), steps by
-inverse CDF and sums the drift.  Every other walker (Gaussian laws, d >= 2,
-float positions, the level-correlated field, or no library) runs the numpy
-steps: the walk noise (and a level-correlated field, which does not depend
-on position) in one hash call per block, then
-:func:`environments.field_weights` at the walkers' positions step by step.
-They are the reference the compiled block matches bit for bit.
+A d=1 walker with integer atoms runs each block in one call of
+``envwalk_walk`` in the library that ``streams`` builds from ``_hash.c``:
+per walker and step it hashes the walk key, reads the field row at (k, its
+position) with the compiled field read (:func:`environments.field_read`,
+whose cell rule covers every field kind), steps by inverse CDF and sums the
+drift.  Every other walker (Gaussian laws, d >= 2, float positions, or no
+library) runs the numpy steps: the walk noise in one hash call per block,
+then :func:`environments.field_weights` at the walkers' positions step by
+step.  They are the reference the compiled block matches bit for bit.
 
 Quenched means come in two dual forms that cross-check each other: a Monte
 Carlo mean over walks, and exact forward propagation of the full quenched
@@ -46,6 +44,9 @@ each site's cell and forms its weight row itself
 steps (:func:`_numpy_steps`: :func:`environments.field_weights`, then
 :func:`_numpy_step`) are the path without that library and the reference
 the compiled step matches bit for bit, numpy's pairwise row sums included.
+On the level-correlated field the exact means are a closed form, the
+running sums of per-level drifts, whose rows one ``envwalk_field_weights``
+call reads.
 """
 
 from __future__ import annotations
@@ -57,14 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .environments import (
-    FIELD_READ_KINDS,
-    FULLY_CORRELATED,
-    Environment,
-    field_read,
-    field_weights,
-    query,
-)
+from .environments import Environment, field_read, field_weights, query
 from .families import has_fixed_support, row_drifts
 from .jumplaws import Atomic, Dirac, gaussian_factor, gaussian_step, law_sample, sample_uniform_count
 from .streams import (
@@ -198,11 +192,12 @@ class _Walker:
     Iterating runs at most ``n_steps`` steps, a block of
     ``_BLOCK_ELEMENTS`` walker-steps at a time.
 
-    A d=1 walk with integer atoms on a field that
-    :func:`environments.field_read` describes (not the level-correlated
-    one) runs each block in one call of ``envwalk_walk`` (``_hash.c``);
-    every other walker runs the numpy steps of :meth:`_numpy_block`, which
-    are also that call's reference.
+    A d=1 walk with integer atoms runs each block in one call of
+    ``envwalk_walk`` (``_hash.c``), which reads the field through
+    :func:`environments.field_read`; every other walker runs the numpy
+    steps of :meth:`_numpy_block`, which are also that call's reference.
+    A start that the positions' dtype cannot hold exactly (1.7 on an integer
+    support) raises ``ValueError``.
     """
 
     def __init__(
@@ -218,12 +213,17 @@ class _Walker:
         self.env = env
         self.base = base_lanes
         self.wcells = walk_cells
-        self.pos = np.array(np.broadcast_to(np.asarray(x0, dtype=dtype), walk_cells.shape[:-1] + (env.d,)))
+        start = np.asarray(x0)
+        pos = start.astype(dtype)
+        inexact = start[pos != start]
+        if inexact.size:
+            raise ValueError(f"a walker with {np.dtype(dtype)} positions cannot start at {inexact[0]}")
+        self.pos = np.array(np.broadcast_to(pos, walk_cells.shape[:-1] + (env.d,)))
         # Each walker's sum of local drifts; column 0's are the drift sums.
         self.drift = np.zeros(self.pos.shape) if accumulate_drift else None
         self.n_steps = n_steps
         self.k = 0
-        self.compiled = streams._LIB is not None and dtype == np.int64 and env.d == 1 and env.kind in FIELD_READ_KINDS
+        self.compiled = streams._LIB is not None and dtype == np.int64 and env.d == 1
         self._bind()
 
     @property
@@ -264,20 +264,14 @@ class _Walker:
         return out
 
     def _numpy_block(self, b: int) -> np.ndarray:
-        """b steps in numpy: the walk noise (and a level-correlated field) for
-        the whole block in one hash call, then the field read at the walkers'
-        positions step by step."""
+        """b steps in numpy: the walk noise for the whole block in one hash
+        call, then the field read at the walkers' positions step by step."""
         levels = np.arange(self.k, self.k + b)[:, None, None]
         lanes = lanes_for_cells(self.base, levels, TAG_WALK, self.wcells)
         noise = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(self.n_uniforms))
-        if self.env.kind == FULLY_CORRELATED:
-            level_rows = field_weights(self.env, self.base, levels, np.zeros(self.env.d, np.int64))
         out = np.empty((b,) + self.pos.shape, self.pos.dtype)
         for s in range(b):
-            if self.env.kind != FULLY_CORRELATED:
-                rows = field_weights(self.env, self.base, self.k, self.pos)
-            else:  # in the shape a per-step read gives, for the same drift arithmetic
-                rows = np.broadcast_to(level_rows[s], self.pos.shape[:-1] + level_rows.shape[-1:])
+            rows = field_weights(self.env, self.base, self.k, self.pos)
             if self.drift is not None:
                 self.drift += row_drifts(self.env.family, rows)
             if self.factor is None:
@@ -415,7 +409,9 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     an Azuma window centred at the origin.  Driftless fields drop no mass
     there; if the window would drop more than ``PRUNE_MASS`` of a replica's
     law (a field with a drift), this raises ``ValueError`` naming the step.
-    Fully correlated fields collapse to a cumulative sum of per-level drifts.
+    The level-correlated field (whose field read has no cell word) has one
+    row per level at every site, so each curve is the running sum of its
+    per-level drifts.
     """
     fam = env_template.family
     if env_template.d != 1 or not has_fixed_support(fam) or fam.support.dtype.kind != "i":
@@ -424,10 +420,10 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     seeds = np.asarray(replica_seeds, dtype=np.uint64)
     m = seeds.shape[0]
     base = seed_lanes_vec(seeds)
+    read = field_read(env_template, base)
 
-    if env_template.kind == FULLY_CORRELATED:
-        rows = field_weights(env_template, base, np.arange(n_max)[:, None], np.zeros(1, np.int64))  # (n_max, m, atoms)
-        drifts = row_drifts(fam, rows)[..., 0]
+    if not read.cell_words:
+        drifts = row_drifts(fam, _level_rows(env_template, base, read, n_max))[..., 0]
         return np.concatenate([np.zeros((m, 1)), np.cumsum(drifts.T, axis=1)], axis=1)
 
     smax = int(np.abs(support).max())
@@ -446,7 +442,7 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     else:
         # Sites before a step: at most span more than the step before, at most the window's.
         n_cap = min(1 + span * n_max, 2 * window(n_max - 1) // st + 1)
-        step = _KernelSteps(env_template, base, st, offsets, span, means, n_cap)
+        step = _KernelSteps(env_template, read, st, offsets, span, means, n_cap)
     lo, n_pos = 0, 1
     for k in range(n_max):
         # The window [-win, win] on the full next support, lo + s_lo + st * j.
@@ -464,6 +460,19 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
             )
         lo, n_pos = full_lo + st * i0, i1 - i0
     return means
+
+
+def _level_rows(env, base, read, n_levels) -> np.ndarray:
+    """Each replica's weight rows at the origin at levels 0 .. n_levels - 1,
+    (n_levels, m, n_atoms): one ``envwalk_field_weights`` call through the
+    field read ``read``, or :func:`field_weights` without the library."""
+    if streams._LIB is None:
+        return field_weights(env, base, np.arange(n_levels)[:, None], np.zeros(1, np.int64))
+    m = len(base[0])
+    origin = np.zeros(m, np.int64)
+    rows = np.empty((n_levels, m, read.n_atoms))
+    streams._LIB.envwalk_field_weights(ctypes.addressof(read), 0, n_levels, m, origin.ctypes.data, rows.ctypes.data)
+    return rows
 
 
 def _numpy_steps(env, base, st, offsets, span, means):
@@ -512,9 +521,8 @@ class _KernelSteps:
     at each step is converted once, here.
     """
 
-    def __init__(self, env, base, st, offsets, span, means, n_cap):
-        m = len(base[0])
-        read = field_read(env, base)
+    def __init__(self, env, read, st, offsets, span, means, n_cap):
+        m = len(means)
         support = np.ascontiguousarray(env.family.support[:, 0], dtype=np.float64)
         offsets = np.ascontiguousarray(offsets, dtype=np.intp)
         row_weights = np.empty(n_cap * len(offsets))  # one row's weight rows, rewritten per row

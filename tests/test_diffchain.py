@@ -97,10 +97,11 @@ def test_blocked_escape_matches_scalar(env, kind, small_blocks):
 
 # Pair fields for the compiled walker: each family kind of the compiled field
 # read (affine, threshold, constant with 3 atoms), the lattice with and
-# without the offset, finite-range grids of spacing 1.5 and 2, and a Dirac
-# field.
+# without the offset, finite-range grids of spacing 1.5 and 2, a Dirac field
+# and the level-correlated field.
 PAIR_FIELDS = {
     "mixing": MIX,
+    "level-correlated": FC,
     "mixing-no-offset": make_lattice_product(606, 1, UniformPM1(0.2, 0.9), uniform_offset=False),
     "choice": make_lattice_product(606, 1, ChoicePM1((0.2, 0.5, 0.9), (0.5, 0.2, 0.3))),
     "three-atom": make_lattice_product(606, 1, FixedAtomic(((2.0,), (-1.0,), (0.0,)), (0.3, 0.2, 0.5))),

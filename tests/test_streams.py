@@ -1,3 +1,4 @@
+import re
 import shutil
 
 import hypothesis.extra.numpy as hnp
@@ -111,7 +112,13 @@ def test_uniforms_in_unit_interval():
     assert u.min() >= 0.0 and u.max() < 1.0
 
 
-# -- the compiled kernel against the numpy mixers -------------------------------
+# -- the batched mixers against word-by-word references ----------------------------
+#
+# lanes_for_cells, words_at and uniforms_at broadcast their operands as numpy
+# does; the tests below pin that, shapes, dtypes and 0-d results included,
+# against references that absorb and draw one word at a time.  (The names
+# still say "kernel": these tests checked the general compiled hash kernel
+# against the mixers until that kernel was retired.)
 
 TAGS = (TAG_ENV, TAG_OFFSET, TAG_WALK, TAG_DERIVE, TAG_BOOT, TAG_DITHER)
 
@@ -142,7 +149,8 @@ def assert_same_bits(got, want):
     assert np.array_equal(got, want)
 
 
-def assert_kernel_matches(base, level, tag, cells, index):
+def assert_mixers_match(base, level, tag, cells, index):
+    """lanes_for_cells, words_at and uniforms_at against the references, bit for bit."""
     lanes = lanes_for_cells(base, level, tag, cells)
     want = reference_lanes(base, level, tag, cells)
     assert_same_bits(lanes[0], want[0])
@@ -151,13 +159,18 @@ def assert_kernel_matches(base, level, tag, cells, index):
     assert_same_bits(uniforms_at(lanes, index), reference_uniforms(want, index))
 
 
+ENTRY_POINTS = {"envwalk_propagate", "envwalk_walk", "envwalk_field_weights"}
+
+
 def test_kernel_loaded_where_a_compiler_exists():
+    # _hash.c defines exactly these entry points (every other function is
+    # static), and the library loads them where a compiler exists.
+    source = streams._KERNEL_SOURCE.read_text()
+    assert set(re.findall(r"^(?!static )[a-z]\w* \**(\w+)\(", source, flags=re.M)) == ENTRY_POINTS
     if shutil.which("cc") is None:
-        pytest.skip("no C compiler: the numpy mixers serve every call")
+        pytest.skip("no C compiler: the numpy paths serve every call")
     assert streams._LIB is not None
-    assert hasattr(streams._LIB, "envwalk_propagate")
-    assert hasattr(streams._LIB, "envwalk_field_weights")
-    assert hasattr(streams._LIB, "envwalk_walk")
+    assert all(hasattr(streams._LIB, name) for name in ENTRY_POINTS)
 
 
 def _per_row(seeds):
@@ -173,8 +186,8 @@ CELLS = np.array([[-(10**9), 10**9, -1], [0, 7, -123456789], [10**9, -(10**9), 5
 def test_kernel_matches_mixers_on_shared_lanes(tag, d):
     for seed in (0, 2**64 - 1, 0x9E3779B97F4A7C15):
         for level in (0, -5, 2**63 + 11, 2**64 - 1, -(2**63)):
-            assert_kernel_matches(seed_lanes(seed), level, tag, CELLS[:, :d], np.arange(3)[:, None, None])
-            assert_kernel_matches(seed_lanes(seed), level, tag, CELLS[0, :d], 0)
+            assert_mixers_match(seed_lanes(seed), level, tag, CELLS[:, :d], np.arange(3)[:, None, None])
+            assert_mixers_match(seed_lanes(seed), level, tag, CELLS[0, :d], 0)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
@@ -183,14 +196,14 @@ def test_kernel_matches_mixers_on_per_row_lanes_and_block_levels(d):
     # Per-row lanes against per-row cells, as exact propagation reads a field.
     rows = _per_row(seeds)
     cells = np.broadcast_to(CELLS[:, :d], (4, 4, d))
-    assert_kernel_matches(rows, 9, TAG_ENV, cells, np.arange(3)[:, None, None])
+    assert_mixers_match(rows, 9, TAG_ENV, cells, np.arange(3)[:, None, None])
     # Pair-walker lanes (m, 2) broadcast against block levels (b, 1, 1) and walk cells (m, 2, d).
     pairs = tuple(np.stack([lane, lane[::-1]], axis=1) for lane in seed_lanes_vec(np.asarray(seeds, np.uint64)))
     levels = np.array([-3, 0, 2**40, 7])[:, None, None]
     walk_cells = np.stack([CELLS[:, :d], -CELLS[:, :d]], axis=1)
-    assert_kernel_matches(pairs, levels, TAG_WALK, walk_cells, np.arange(2)[:, None, None, None])
+    assert_mixers_match(pairs, levels, TAG_WALK, walk_cells, np.arange(2)[:, None, None, None])
     # Levels on their own axis, against lanes and cells on others.
-    assert_kernel_matches(rows, np.arange(5)[:, None, None], TAG_WALK, CELLS[None, :, None, :d], 4)
+    assert_mixers_match(rows, np.arange(5)[:, None, None], TAG_WALK, CELLS[None, :, None, :d], 4)
 
 
 def test_kernel_matches_mixers_on_non_contiguous_inputs():
@@ -199,9 +212,9 @@ def test_kernel_matches_mixers_on_non_contiguous_inputs():
     transposed = (lanes[0].reshape(2, 6).T, lanes[1].reshape(2, 6).T)  # (6, 2)
     cells = np.arange(-36, 36).reshape(6, 4, 3)[:, ::-2, :]  # (6, 2, 3)
     levels = np.arange(12).reshape(6, 2)[:, ::-1]
-    assert_kernel_matches(transposed, levels, TAG_WALK, cells, np.arange(4)[::2])
-    assert_kernel_matches(strided, 3, TAG_ENV, cells[:, 0, ::2], np.arange(6)[::-1])
-    assert_kernel_matches(strided, levels.T[:, None, :1], TAG_DITHER, cells[:, :1, :1], np.arange(6)[:, None, None][::3])
+    assert_mixers_match(transposed, levels, TAG_WALK, cells, np.arange(4)[::2])
+    assert_mixers_match(strided, 3, TAG_ENV, cells[:, 0, ::2], np.arange(6)[::-1])
+    assert_mixers_match(strided, levels.T[:, None, :1], TAG_DITHER, cells[:, :1, :1], np.arange(6)[:, None, None][::3])
 
 
 @pytest.mark.parametrize("index", [0, 2**63, np.arange(4), np.arange(3)[:, None], np.arange(4)[::-2], np.empty(0, int)])
@@ -222,8 +235,8 @@ def test_words_match_mixers_on_every_index_shape(index):
 def test_kernel_matches_mixers_on_empty_batches():
     base = seed_lanes(3)
     for cells in (np.empty((0, 1), int), np.empty((0, 3), int), np.empty((2, 0, 2), int)):
-        assert_kernel_matches(base, 1, TAG_ENV, cells, np.arange(2)[:, None])
-    assert_kernel_matches(_per_row([1, 2]), np.empty((0, 1, 1), int), TAG_WALK, CELLS[:2, None, :1], 0)
+        assert_mixers_match(base, 1, TAG_ENV, cells, np.arange(2)[:, None])
+    assert_mixers_match(_per_row([1, 2]), np.empty((0, 1, 1), int), TAG_WALK, CELLS[:2, None, :1], 0)
 
 
 @given(
@@ -241,5 +254,5 @@ def test_kernel_matches_mixers_on_any_broadcast(data, shapes, d, tag):
     lanes_shape = np.broadcast_shapes(base_shape, level_shape, *([cell_shape] if d else []))
     index_shape = data.draw(hnp.broadcastable_shapes(lanes_shape, max_dims=4, max_side=3))
     index = data.draw(hnp.arrays(np.int64, index_shape, elements=st.integers(0, 2**40)))
-    assert_kernel_matches(base, level, tag, cells, index)
+    assert_mixers_match(base, level, tag, cells, index)
 

@@ -346,12 +346,14 @@ def test_compiled_propagation_reads_the_field_itself(name, monkeypatch):
     assert_same_bits(exact_mean_curves(env, 200, seeds), want)
 
 
-def compiled_field_weights(env, seeds, level, lo, st, n):
-    """The compiled field read (``envwalk_field_weights``) at the sites lo + st * j."""
-    read = field_read(env, seed_lanes_vec(seeds))
-    out = np.empty((len(seeds), n, len(env.family.support)))
-    streams._LIB.envwalk_field_weights(ctypes.addressof(read), level, lo, st, len(seeds), n, out.ctypes.data)
-    return out
+def compiled_field_weights(env, seeds, levels, sites):
+    """The compiled field read (``envwalk_field_weights``) of each field in ``seeds`` at
+    each of ``sites`` and the consecutive ``levels``, shape (levels, fields, sites, atoms)."""
+    read = field_read(env, seed_lanes_vec(np.repeat(seeds, len(sites))))
+    x = np.tile(np.asarray(sites, dtype=np.int64), len(seeds))
+    out = np.empty((len(levels), len(x), len(env.family.support)))
+    streams._LIB.envwalk_field_weights(ctypes.addressof(read), levels[0], len(levels), len(x), x.ctypes.data, out.ctypes.data)
+    return out.reshape(len(levels), len(seeds), len(sites), -1)
 
 
 _TIE = float(derive_stream(StreamKey(3, 0, (0,), TAG_ENV)).take(1)[0])
@@ -361,8 +363,9 @@ _READ_FAMILIES = {
     "threshold-dirac": DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.3, 0.5, 0.2)),
     "constant": FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.3, 0.2, 0.5)),
 }
-# Each family kind on the lattice with and without the uniform offset and on
-# finite-range grids of spacing 1.5 and 2; the Dirac field with 2 and 3 points.
+# Each family kind on the lattice with and without the uniform offset, on
+# finite-range grids of spacing 1.5 and 2 and on the level-correlated field
+# (no cell word); the Dirac field with 2 and 3 points.
 _READ_FIELDS = {
     **{
         f"{kind}-{name}": make(fam)
@@ -372,6 +375,7 @@ _READ_FIELDS = {
             "lattice-offset": lambda fam: make_lattice_product(11, 1, fam, uniform_offset=True),
             "finite-range-1.5": lambda fam: make_finite_range(11, 1, 1.5, fam),
             "finite-range-2": lambda fam: make_finite_range(11, 1, 2.0, fam),
+            "level-correlated": lambda fam: make_fully_correlated(11, 1, fam),
         }.items()
     },
     "dirac": make_dirac(11, 1, DiracSteps(((1.0,), (-1.0,)), (0.4, 0.6))),
@@ -388,11 +392,34 @@ def test_compiled_field_read_matches_field_weights(name):
     env = _READ_FIELDS[name]
     seeds = np.asarray([3, 2**63 + 5], dtype=np.uint64)
     base = seed_lanes_vec(seeds)
-    for level in (0, 1, 2**40):
+    for levels in (range(2), range(2**40, 2**40 + 1)):
         # one site, a row of 4 001 sites from cell -3999 on the parity grid, and the step-1 grid
         for lo, st, n in ((-7, 2, 1), (-3999, 2, 4001), (-2500, 1, 4096)):
-            want = field_weights(env, (base[0][:, None], base[1][:, None]), level, (lo + st * np.arange(n))[:, None])
-            assert_same_bits(compiled_field_weights(env, seeds, level, lo, st, n), want)
+            sites = lo + st * np.arange(n)
+            got = compiled_field_weights(env, seeds, levels, sites)
+            for i, level in enumerate(levels):
+                want = field_weights(env, (base[0][:, None], base[1][:, None]), level, sites[:, None])
+                assert_same_bits(got[i], want)
+
+
+@needs_kernel
+@pytest.mark.parametrize("kind", sorted(_READ_FAMILIES))
+def test_compiled_level_correlated_curves_match_numpy_curves(kind, monkeypatch):
+    # The closed form reads its per-level rows in C (a fall-back to
+    # field_weights would fail here) for 300 replicas, more than one tile of
+    # 256 fields, with the bits of the numpy read.
+    env = make_fully_correlated(11, 1, _READ_FAMILIES[kind])
+    seeds = np.arange(300, dtype=np.uint64) * np.uint64(2**61 + 3)
+    lib = streams._LIB
+    monkeypatch.setattr(streams, "_LIB", None)
+    want = exact_mean_curves(env, 60, seeds)
+
+    def no_field_weights(*args, **kwargs):
+        raise AssertionError("the compiled closed form read the field through field_weights")
+
+    monkeypatch.setattr(streams, "_LIB", lib)
+    monkeypatch.setattr(walks, "field_weights", no_field_weights)
+    assert_same_bits(exact_mean_curves(env, 60, seeds), want)
 
 
 @needs_kernel
@@ -413,7 +440,7 @@ def test_compiled_step_matches_numpy_step_on_every_row_length():
     base = seed_lanes_vec(seeds)
     for env, st, offsets, span in fields:
         offsets = np.asarray(offsets)
-        kernel = walks._KernelSteps(env, base, st, offsets, span, np.zeros((3, 1)), 4097)
+        kernel = walks._KernelSteps(env, field_read(env, base), st, offsets, span, np.zeros((3, 1)), 4097)
         for n_pos in [*range(1, 600), 1024, 2000, 4097]:
             mass = (rng.random((3, n_pos + 2)) * 10.0 ** rng.integers(-18, 0, (3, n_pos + 2)))[:, 1:-1]
             k, lo = int(rng.choice([0, 5, 2**40])), int(rng.integers(-3000, 3000))
@@ -435,8 +462,8 @@ def test_compiled_step_matches_numpy_step_on_every_row_length():
 
 # Walkers for the compiled walker (envwalk_walk): each family kind of the
 # compiled field read on the lattice with and without the offset, on
-# finite-range grids of spacing 1.5 and 2, and on 2- and 3-point Dirac
-# fields (_READ_FIELDS); a ChoicePM1 threshold tie at the walkers' first
+# finite-range grids of spacing 1.5 and 2 and on the level-correlated
+# field, and on 2- and 3-point Dirac fields (_READ_FIELDS); a ChoicePM1 threshold tie at the walkers' first
 # read (seed 3, cell 0, level 0); a step weight equal to walker 0's first
 # walk uniform, which the inverse CDF breaks to the next atom.
 _WALK_TIE = float(derive_stream(StreamKey(3, 0, (0,), TAG_WALK)).take(1)[0])
@@ -478,11 +505,26 @@ def test_compiled_walker_matches_numpy_walker(name, x0, small_blocks, monkeypatc
 
 
 def test_walkers_that_stay_on_the_numpy_steps():
-    # Gaussian laws, d >= 2, float positions (atoms off the lattice) and the
-    # level-correlated field.
-    for env in [*D_FIELDS.values(), FC, GAUSS, HALF]:
+    # Gaussian laws, d >= 2 and float positions (atoms off the lattice).
+    for env in [*D_FIELDS.values(), GAUSS, HALF]:
         cells = np.zeros((1, 1, 1), np.int64)
         assert not walks._Walker(env, seed_lanes(env.master_seed), cells, 0, 1).compiled
+
+
+def test_walkers_reject_a_start_their_positions_cannot_hold():
+    # Positions on an integer support are integers: a start of 1.7 (or a pair
+    # start of 2.5) would be truncated, while the scalar paths start there.
+    with pytest.raises(ValueError, match="int64 positions cannot start at 1.7"):
+        batch_quenched_positions(MIX, 3, [0], x0=1.7)
+    with pytest.raises(ValueError, match="int64 positions cannot start at 2.5"):
+        batch_diff_positions(MIX, 3, np.arange(2), x0=2.5)
+    # A start the positions hold exactly walks as the scalar path does:
+    # 2.0 on an integer support, 2.5 on atoms off the lattice.
+    _, pos, _ = batch_quenched_positions(MIX, 3, [0], x0=2.0)
+    assert np.array_equal(pos[:, 0].astype(float), simulate_quenched_path(MIX, 3, walk_seed=0, x0=2.0).positions)
+    _, y = batch_diff_positions(HALF, 5, np.arange(3), x0=2.5)
+    for r in range(3):
+        assert np.array_equal(y[:, r], simulate_diff_chain(HALF, 2.5, 5, SAME_ENV, replica=r).values[:, 0])
 
 
 def test_empty_batches_on_both_paths(monkeypatch):
