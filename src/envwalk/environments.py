@@ -68,8 +68,9 @@ FINITE_RANGE = "finite_range"
 FULLY_CORRELATED = "fully_correlated"
 DIRAC_FIELD = "dirac_field"
 # The finest finite-range grid: a cell floor(x / R + 0.5) stays an int64
-# for every |x| < 2**43, on the numpy read and on the compiled one.
+# for every |x| < MAX_COORDINATE, on the numpy read and on the compiled one.
 MIN_DEPENDENCE_RANGE = 2.0**-20
+MAX_COORDINATE = 2.0**43
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__, analysis, diffchain
 from .environments import (
+    MAX_COORDINATE,
     MIN_DEPENDENCE_RANGE,
     Environment,
     env_replica,
@@ -49,7 +50,6 @@ __all__ = [
     "emit",
 ]
 
-VERSION = __version__
 CHUNK = 128  # replica chunk size; fixed so results never depend on workers
 
 MODELS = ("mixing-lattice", "finite-range", "level-correlated", "dirac-field", "fixed-lattice")
@@ -67,7 +67,7 @@ class Key:
     int, so the report's ``resolved`` block echoes the config as written)
     or a tuple of the allowed words.  A list key reads comma-separated
     values, and one value is a list of one.  ``lo`` and ``hi`` are
-    inclusive bounds, ``above`` is an exclusive lower bound.
+    inclusive bounds, ``above`` and ``below`` exclusive ones.
     """
 
     default: object
@@ -76,6 +76,7 @@ class Key:
     lo: float | None = None
     hi: float | None = None
     above: float | None = None
+    below: float | None = None
 
     def parse(self, name: str, text: str, where: str = ""):
         """The typed value of ``text``, or a ConfigError naming ``where`` and the key."""
@@ -101,12 +102,10 @@ class Key:
             x = float(word)
             if not math.isfinite(x):
                 raise ValueError(f"{word!r} is not a finite number") from None
-        if self.lo is not None and x < self.lo:
-            raise ValueError(f"must be >= {self.lo}, got {word}")
-        if self.above is not None and x <= self.above:
-            raise ValueError(f"must be > {self.above}, got {word}")
-        if self.hi is not None and x > self.hi:
-            raise ValueError(f"must be <= {self.hi}, got {word}")
+        for bound, op, holds in ((self.lo, ">=", operator.ge), (self.above, ">", operator.gt),
+                                 (self.hi, "<=", operator.le), (self.below, "<", operator.lt)):
+            if bound is not None and not holds(x, bound):
+                raise ValueError(f"must be {op} {bound}, got {word}")
         return x
 
 
@@ -275,7 +274,7 @@ def _scan_rows(section: str, curve) -> list[Row]:
 
 
 def _run_variance_scan(env: Environment, v: dict, workers: int):
-    n_grid = np.asarray(v["n_grid"], dtype=np.int64)
+    n_grid = np.sort(np.asarray(v["n_grid"], dtype=np.int64))
     if v["mean_method"] == "exact":
         parts = _pmap(_curves_chunk, [(env, int(n_grid.max()), idx) for idx in _chunks(v["env_replicas"])], workers)
         curve = analysis.variance_from_curves(env, n_grid, np.concatenate(parts, axis=0))
@@ -475,7 +474,7 @@ _TABLE = {
         "eta_max": Key(None, float),
     }),
     "phi-decay": (_run_phi_decay, {
-        "x_grid": Key([0, 1, 2, 3, 4, 6, 8], float, many=True),
+        "x_grid": Key([0, 1, 2, 3, 4, 6, 8], float, many=True, above=-MAX_COORDINATE, below=MAX_COORDINATE),
         "replicas": Key(20000, int, lo=2),
         "independent_beyond": Key(None, float),
     }),
@@ -542,7 +541,7 @@ def run(config: ExperimentConfig, seed: int | None = None, workers: int | None =
     env = build_model(values, values["seed"])
     rows, verdicts = _TABLE[config.experiment][0](env, values, values["workers"])
     resolved = {k: v for k, v in sorted(values.items()) if k != "workers"}
-    return ExperimentReport(config.experiment, config.text, resolved, VERSION, tuple(rows), tuple(verdicts))
+    return ExperimentReport(config.experiment, config.text, resolved, __version__, tuple(rows), tuple(verdicts))
 
 
 # --- emission ---------------------------------------------------------------

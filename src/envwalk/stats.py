@@ -1,7 +1,7 @@
 """Statistical machinery: scan curves, power-law fits, KS tests, bootstrap.
 
 Free of simulation imports (only streams and the Box-Muller transform) so
-every higher layer can use it.
+every higher layer can use it.  Of scipy it needs ``scipy.special`` alone.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
-from scipy import stats as sps
 
 from .jumplaws import gaussian_from_uniforms
 from .streams import TAG_BOOT, lanes_for_cells, seed_lanes, uniforms_at, words_at
@@ -83,7 +82,7 @@ def fit_exponent(curve: ScanCurve) -> ExponentFit:
     resid = ly - intercept - slope * lx
     if n > 2:
         s2 = float(resid @ resid) / (n - 2)
-        half = float(sps.t.ppf(0.5 + FIT_CONFIDENCE / 2.0, n - 2)) * math.sqrt(s2 / sxx)
+        half = float(special.stdtrit(n - 2, 0.5 + FIT_CONFIDENCE / 2.0)) * math.sqrt(s2 / sxx)
     else:
         half = 0.0
     return ExponentFit(slope, slope - half, slope + half, n)

@@ -1,5 +1,7 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +69,8 @@ def test_missing_experiment_and_bad_lines():
         ("occupation", "kind = same"),
         ("variance-scan", "dependence_range = 1e-18"),
         ("occupation", "dependence_range = 1e-300"),
+        ("phi-decay", "x_grid = 0, 1e19"),
+        ("phi-decay", "x_grid = -8796093022208, 0"),
     ],
 )
 def test_bad_value_rejected_by_line_and_key(experiment, line):
@@ -280,6 +284,25 @@ def test_finest_finite_range_grid_gives_one_report_on_both_paths(text, monkeypat
     compiled = report_json(run(config))
     monkeypatch.setattr(streams, "_LIB", None)
     assert report_json(run(config)) == compiled
+
+
+# Every |x| < 2**43 keeps its finite-range cell inside int64 at the finest grid.
+def test_largest_phi_decay_coordinates_read_their_own_cells():
+    text = ("experiment = phi-decay\nmodel = finite-range\ndependence_range = 9.5367431640625e-07\n"
+            "replicas = 50\nx_grid = -8796093022207.999, 0, 8796093022207.999\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = [r.value for r in run(parse_config(text)).rows if r.name == "estimate"]
+    assert np.isfinite(estimates).all()
+    assert estimates[0] != estimates[2]
+
+
+def test_variance_scan_rows_follow_the_sorted_grid_under_both_mean_methods():
+    text = "experiment = variance-scan\nenv_replicas = 5\nmean_method = {}\nn_grid = {}\n"
+    for method in ("exact", "mc"):
+        unsorted = run(parse_config(text.format(method, "8, 2, 16, 4"))).rows
+        assert unsorted == run(parse_config(text.format(method, "2, 4, 8, 16"))).rows
+        assert [r.grid for r in unsorted if r.name == "estimate"] == [2.0, 4.0, 8.0, 16.0]
 
 
 # Dirac-field walks are deterministic given the field: quenched-mean

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import special
+from scipy import stats as sps
 
+import envwalk
 from envwalk.stats import (
     InsufficientDataError,
     ScanCurve,
@@ -40,6 +48,48 @@ def test_fit_insufficient_points():
     with pytest.raises(InsufficientDataError):
         fit_exponent(ScanCurve(grid, grid, np.zeros_like(grid)))
     assert with_fit(ScanCurve(grid, grid, np.zeros_like(grid))).fit is None
+
+
+def test_fit_quantile_is_the_student_t_quantile(monkeypatch):
+    """The t quantile of a fit on n points is scipy.stats.t.ppf(0.975, n - 2), bit for bit.
+
+    A fit takes at least 4 points, so fits reach df 2 .. 1000; df 1 is
+    checked on the quantile function alone.
+    """
+    df = np.arange(1, 1001)
+    reference = sps.t.ppf(0.975, df)  # before the spy: t.ppf calls special.stdtrit too
+    assert np.array_equal(special.stdtrit(df, 0.975), reference)
+    quantiles = []
+    stdtrit = special.stdtrit
+
+    def recorded(df, p):
+        quantiles.append(stdtrit(df, p))
+        return quantiles[-1]
+
+    monkeypatch.setattr(special, "stdtrit", recorded)
+    for n in range(4, 1003):
+        grid = np.arange(1.0, n + 1)
+        fit_exponent(ScanCurve(grid, grid, np.zeros_like(grid)))
+    assert np.array_equal(quantiles, reference[1:])
+
+
+# Runs in a fresh interpreter, since this module imports scipy.stats.  The
+# scan fits an exponent (special.stdtrit), the FCLT runs KS tests (special.ndtr).
+_FOOTPRINT = """
+import sys
+from envwalk.experiments import parse_config, run
+scan = run(parse_config("experiment = variance-scan\\nn_grid = 4, 8, 16, 32\\nenv_replicas = 100\\n"))
+assert any(row.name == "exponent" for row in scan.rows)
+run(parse_config("experiment = fclt\\nepsilon = 0.015625\\nwalk_replicas = 50\\nenv_seeds = 1\\npass_seeds = 0\\n"))
+assert "scipy.stats" not in sys.modules, sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})
+"""
+
+
+def test_runs_do_not_import_scipy_stats():
+    path = os.pathsep.join(filter(None, [str(Path(envwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_fit_ci_coverage_on_noisy_curves():
