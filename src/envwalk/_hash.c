@@ -1,7 +1,9 @@
 /* The compiled hot paths of envwalk: the dense propagation step of
  * walks.exact_mean_curves (envwalk_propagate), the walker block of
  * walks._Walker (envwalk_walk) and the per-level rows of the level-correlated
- * exact mean (envwalk_field_weights).  Each reads the field itself.
+ * exact mean (envwalk_field_weights).  Each reads the field itself.  A
+ * fourth entry point, envwalk_ndtr, is the normal CDF of the KS tests in
+ * envwalk.stats, bit for bit scipy.special.ndtr (see its comment at the end).
  *
  * They hash with the keyed two-lane hash of envwalk.streams, bit for bit its
  * numpy mixers (_mix1, _mix2, absorb, uniforms_at): the same constants and
@@ -18,16 +20,17 @@
  * family kinds, each the arithmetic of the family's weight_table: affine
  * (UniformPM1), threshold table (ChoicePM1, DiracSteps) and constant
  * (FixedAtomic, no hash).  Plain C99 with no Python headers; streams.py
- * builds it with `cc -O3 -ffp-contract=off -shared -fPIC` on first import
- * and calls it through ctypes.  Floating-point contraction is off because
- * a fused multiply-add (which GCC otherwise forms from `t += x * w` in the
- * AVX-512 clone) rounds once where numpy rounds twice, and moves the
+ * builds it with `cc -O3 -ffp-contract=off -shared -fPIC ... -lm` on first
+ * import and calls it through ctypes.  Floating-point contraction is off
+ * because a fused multiply-add (which GCC otherwise forms from `t += x * w`
+ * in the AVX-512 clone) rounds once where numpy rounds twice, and moves the
  * propagated curves in their last bits; the hash is integer arithmetic
  * plus one exact scaling, which the flag does not change.
  *
  * The hash loops run over a tile of at most TILE contiguous lane pairs, a
  * word at a time, shaped so that they vectorize.
  */
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
@@ -448,5 +451,69 @@ void envwalk_walk(const struct field *f, size_t n, u64 walk_tag, const u64 *cell
         else
             walk_tile(f, na, nt, n, b, level, f->b1 + t, f->b2 + t, walk_tag, cells + t, n_words, support,
                       pos + t, dt, w + t * na, out + t);
+    }
+}
+
+/* The standard normal CDF: Cephes ndtr, the algorithm and coefficients of
+ * scipy.special.ndtr (scipy 1.17), bit for bit.  x = a / sqrt(2); for
+ * |x| < 1, 0.5 + 0.5 erf(x) with erf's T/U rational; otherwise
+ * 0.5 erfc(|x|) with the P/Q (|x| < 8) or R/S rational times libm's
+ * exp(-x^2), 0 once -x^2 < -MAXLOG, and 1 - that for x > 0.  NaN passes
+ * through.  Not a target clone: a vector exp would not give libm's bits. */
+static const double NDTR_T[] = {9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+                                7.00332514112805075473E3, 5.55923013010394962768E4};
+static const double NDTR_U[] = {3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+                                2.26290000613890934246E4, 4.92673942608635921086E4};
+static const double NDTR_P[] = {2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+                                4.86371970985681366614E1,   1.96520832956077098242E2,  5.26445194995477358631E2,
+                                9.34528527171957607540E2,   1.02755188689515710272E3,  5.57535335369399327526E2};
+static const double NDTR_Q[] = {1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+                                9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+                                1.65666309194161350182E3, 5.57535340817727675546E2};
+static const double NDTR_R[] = {5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+                                6.16021097993053585195E0,  7.40974269950448939160E0, 2.97886665372100240670E0};
+static const double NDTR_S[] = {2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+                                1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0};
+#define NDTR_MAXLOG 7.09782712893383996843E2
+
+/* Cephes polevl: c[0] x^n + ... + c[n], by Horner. */
+INLINE double polevl(double x, const double *c, int n)
+{
+    double y = c[0];
+    for (int i = 1; i <= n; i++)
+        y = y * x + c[i];
+    return y;
+}
+
+/* Cephes p1evl: x^n + c[0] x^(n-1) + ... + c[n-1], by Horner. */
+INLINE double p1evl(double x, const double *c, int n)
+{
+    double y = x + c[0];
+    for (int i = 1; i < n; i++)
+        y = y * x + c[i];
+    return y;
+}
+
+void envwalk_ndtr(size_t n, const double *a, double *out)
+{
+    for (size_t i = 0; i < n; i++) {
+        const double x = a[i] * 0.70710678118654752440, z = fabs(x);
+        double y;
+        if (isnan(x)) {
+            y = x;
+        } else if (z < 1.0) {
+            const double x2 = x * x;
+            y = 0.5 + 0.5 * (x * polevl(x2, NDTR_T, 4) / p1evl(x2, NDTR_U, 5));
+        } else {
+            y = 0.0;
+            if (-z * z >= -NDTR_MAXLOG) {
+                const double e = exp(-z * z);
+                y = z < 8.0 ? 0.5 * (e * polevl(z, NDTR_P, 8) / p1evl(z, NDTR_Q, 8))
+                            : 0.5 * (e * polevl(z, NDTR_R, 5) / p1evl(z, NDTR_S, 6));
+            }
+            if (x > 0)
+                y = 1.0 - y;
+        }
+        out[i] = y;
     }
 }

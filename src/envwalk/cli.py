@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         config = parse_config(text)
         report = run(config, seed=args.seed, workers=args.workers)
         paths = emit(report, args.fmt, args.out)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for v in report.verdicts:

@@ -363,11 +363,28 @@ def occupation_time(
     # Y_0 .. Y_{n_max - 1} are read: Y_0, then n_max - 1 steps.
     n_max = int(n_grid.max())
     walker = _PairWalker(env_template, np.arange(replicas), 0, kind, n_max - 1)
-    counts = np.zeros((len(n_grid), replicas), dtype=np.int64)
+    # Grid point g counts step k of a pair when k < n_g and |Y_k| <= r_g.
+    # Both n_g and r_g grow with g, so the grid points that count a step are
+    # those from the later of the first g with n_g > k and the first g with
+    # r_g >= |Y_k| on (len(n_grid) when none does).  Each step adds 1 at
+    # that index in its pair's histogram column; a cumulative sum over the
+    # grid axis then gives the counts.  first_r[v] is the first g with
+    # r_g >= v, for v up to twice the largest |Y| seen: it grows with the
+    # walk, not with the radii, which n**eps leaves unbounded.
+    pair = np.arange(replicas)
+    hist = np.zeros((len(n_grid) + 1) * replicas, dtype=np.int64)
+    first_r = np.zeros(0, dtype=np.int64)
     for k0, y in itertools.chain([(-1, walker.y[None])], walker):
-        # Grid point n counts the block's steps k < n.
-        live = n_grid[:, None] > np.arange(k0 + 1, k0 + 1 + len(y))  # (grid, b)
-        counts += ((np.abs(y) <= radii[:, None, None]) & live[:, :, None]).sum(axis=1)
+        ay = np.abs(y)
+        top = int(ay.max())
+        if top >= first_r.size:
+            first_r = np.searchsorted(radii, np.arange(2 * top + 1), "left")
+        first_n = np.searchsorted(n_grid, np.arange(k0 + 1, k0 + 1 + len(y)), "right")
+        first = np.maximum(first_n[:, None], first_r[ay])  # (b, pairs)
+        first *= replicas
+        first += pair
+        hist += np.bincount(first.ravel(), minlength=hist.size)
+    counts = np.cumsum(hist.reshape(-1, replicas), axis=0)[:-1]
     est = counts.mean(axis=1)
     ses = counts.std(axis=1, ddof=1) / math.sqrt(replicas)
     return with_fit(ScanCurve(n_grid.astype(float), est, ses))

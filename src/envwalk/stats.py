@@ -1,7 +1,12 @@
 """Statistical machinery: scan curves, power-law fits, KS tests, bootstrap.
 
 Free of simulation imports (only streams and the Box-Muller transform) so
-every higher layer can use it.  Of scipy it needs ``scipy.special`` alone.
+every higher layer can use it.  No run of a shipped config imports scipy:
+the KS tests take the normal CDF from the compiled library
+(``envwalk_ndtr``, bit for bit ``scipy.special.ndtr``) and the exponent fits
+take the t quantile from a table of ``scipy.special.stdtrit``.  Two cases
+import ``scipy.special`` on first use and call it: the normal CDF when the
+library is not loaded, and a fit on more than ``len(_T_975) + 2`` points.
 """
 
 from __future__ import annotations
@@ -10,8 +15,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
+from . import streams
 from .jumplaws import gaussian_from_uniforms
 from .streams import TAG_BOOT, lanes_for_cells, seed_lanes, uniforms_at, words_at
 
@@ -31,6 +36,49 @@ __all__ = [
 ]
 
 FIT_CONFIDENCE = 0.95  # coverage of every exponent fit's confidence interval
+
+# scipy.special.stdtrit(df, 0.5 + FIT_CONFIDENCE / 2) for df = 1 .. 64, as
+# scipy 1.17 computes it.  Its values are not correctly rounded (df = 6 is
+# 19 ulps off), so they are tabulated, not recomputed.  A doubling grid of
+# int64 values has at most 63 points, so every such fit reads the table.
+_T_975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284, 2.1603686564627913, 2.144786687917804,
+    2.131449545559776, 2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795, 2.0738730679040254,
+    2.0686576104190486, 2.0638985616280245, 2.0595385527532972, 2.0555294386428735,
+    2.0518305164802846, 2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+    2.039513446396408, 2.0369333434601016, 2.0345152974493383, 2.0322445093177186,
+    2.030107928250343, 2.0280940009804502, 2.0261924630291093, 2.0243941639119694,
+    2.022690920036761, 2.021075390306273, 2.019540970441376, 2.0180817028184443, 2.016692199227824,
+    2.0153675744437636, 2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688, 2.0057459953178687,
+    2.0048792881880564, 2.0040447832891455, 2.003240718847872, 2.002465459291007,
+    2.0017174841452356, 2.000995378088267, 2.0002978220142604, 1.999623584994939,
+    1.9989715170333788, 1.998340542520741, 1.997729654317693,
+)
+
+
+def _t_quantile(df: int) -> float:
+    """The Student-t quantile of a fit's interval, bit for bit ``scipy.special.stdtrit``."""
+    if df <= len(_T_975):
+        return _T_975[df - 1]
+    from scipy import special
+
+    return float(special.stdtrit(df, 0.5 + FIT_CONFIDENCE / 2.0))
+
+
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """The standard normal CDF, bit for bit ``scipy.special.ndtr``."""
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    if streams._LIB is None:
+        from scipy import special
+
+        return special.ndtr(z)
+    out = np.empty_like(z)
+    streams._LIB.envwalk_ndtr(z.size, z.ctypes.data, out.ctypes.data)
+    return out
 
 
 class InsufficientDataError(ValueError):
@@ -82,7 +130,7 @@ def fit_exponent(curve: ScanCurve) -> ExponentFit:
     resid = ly - intercept - slope * lx
     if n > 2:
         s2 = float(resid @ resid) / (n - 2)
-        half = float(special.stdtrit(n - 2, 0.5 + FIT_CONFIDENCE / 2.0)) * math.sqrt(s2 / sxx)
+        half = _t_quantile(n - 2) * math.sqrt(s2 / sxx)
     else:
         half = 0.0
     return ExponentFit(slope, slope - half, slope + half, n)
@@ -135,7 +183,7 @@ def ks_gaussian_test(samples, mean: float, variance: float) -> GofTestResult:
         raise InsufficientDataError(f"KS test needs >= 50 samples, got {n}")
     if not variance > 0.0:
         raise ValueError("reference variance must be positive")
-    cdf = special.ndtr((x - mean) / math.sqrt(variance))
+    cdf = _ndtr((x - mean) / math.sqrt(variance))
     i = np.arange(1, n + 1)
     d = float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max()))
     return GofTestResult(d, _ks_survival(math.sqrt(n) * d), n, float(mean), float(variance))

@@ -23,14 +23,16 @@ loaded with ``ctypes``, holds the dense propagation step of
 block of ``walks._Walker`` (``_LIB.envwalk_walk``) and the per-level rows of
 the level-correlated exact mean (``_LIB.envwalk_field_weights``).  Each
 hashes the field's cells (and the walk keys) itself with the same mixers,
-through the field read :class:`FieldRead`.  The first import compiles it
-with ``cc -O3 -ffp-contract=off -shared -fPIC`` into ``__pycache__`` next to
-this file (or, where that cannot be written, into ``~/.cache/envwalk``)
-under a name that hashes the source, the flags and the platform, so every
-later interpreter loads the cached file.  The numpy mixers are the
-reference: the parity tests pin the compiled paths to the numpy paths bit
-for bit, and those paths run when there is no compiler or the library does
-not build or load.  Both give the same bits.
+through the field read :class:`FieldRead`.  The library also holds the
+normal CDF of the KS tests (``_LIB.envwalk_ndtr``), bit for bit
+``scipy.special.ndtr``.  The first import compiles it with ``cc -O3
+-ffp-contract=off -shared -fPIC ... -lm`` into ``__pycache__`` next to this
+file (or, where that cannot be written, into ``~/.cache/envwalk``) under a
+name that hashes the source, the flags and the platform, so every later
+interpreter loads the cached file.  The numpy mixers are the reference: the
+parity tests pin the compiled paths to the numpy paths bit for bit, and
+those paths (and scipy's ``ndtr``) run when there is no compiler or the
+library does not build or load.  Both give the same bits.
 
 The numpy paths work on uint64 ndarrays (numpy wraps array arithmetic
 silently; scalar arithmetic would warn on overflow).
@@ -260,13 +262,15 @@ def derive_seed(master_seed: int, *words: int) -> int:
 
 # ---------------------------------------------------------------------------
 # The compiled library (_hash.c): the dense propagation step of
-# walks.exact_mean_curves, the walker block and the level rows.
+# walks.exact_mean_curves, the walker block, the level rows and ndtr.
 # ---------------------------------------------------------------------------
 
 _KERNEL_SOURCE = Path(__file__).with_name("_hash.c")
 # No floating-point contraction: a fused multiply-add rounds once where numpy
 # rounds twice, and the propagation step must give numpy's bits.
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+# envwalk_ndtr calls exp; libraries go after the source.
+_LDLIBS = ("-lm",)
 
 
 def _library_paths(name: str):
@@ -292,7 +296,8 @@ def _build(target: Path) -> bool:
         return False
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
-        subprocess.run([cc, *_CFLAGS, "-o", str(tmp), str(_KERNEL_SOURCE)], check=True, capture_output=True, timeout=600)
+        subprocess.run([cc, *_CFLAGS, "-o", str(tmp), str(_KERNEL_SOURCE), *_LDLIBS],
+                       check=True, capture_output=True, timeout=600)
         # A rename is atomic: an import racing this one loads a whole library or builds its own.
         os.replace(tmp, target)
     except (OSError, subprocess.SubprocessError):
@@ -308,7 +313,7 @@ def _load_kernel():
         source = _KERNEL_SOURCE.read_bytes()
     except OSError:
         return None
-    build = f"{' '.join(_CFLAGS)} {sys.platform} {platform.machine()}".encode()
+    build = f"{' '.join(_CFLAGS + _LDLIBS)} {sys.platform} {platform.machine()}".encode()
     paths = list(_library_paths(f"_hash-{hashlib.sha256(source + build).hexdigest()[:16]}.so"))
     path = next((p for p in paths if p.is_file()), None) or next((p for p in paths if _build(p)), None)
     if path is None:
@@ -331,6 +336,9 @@ def _load_kernel():
     # then the block's level, steps and out
     lib.envwalk_walk.argtypes = (ptr, size, word, ptr, size, ptr, ptr, ptr, ptr, word, size, ptr)
     lib.envwalk_walk.restype = None
+    # values, in, out
+    lib.envwalk_ndtr.argtypes = (size, ptr, ptr)
+    lib.envwalk_ndtr.restype = None
     return lib
 
 

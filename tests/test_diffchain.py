@@ -290,11 +290,21 @@ def test_occupation_first_step():
     assert curve.estimates[0] == 1.0  # Y_0 = 0 is inside any box
 
 
+_RNG = np.random.default_rng(11)
+# Unsorted grids with repeated points; at eps = 0.5 the radii 1 .. 5 are
+# integers, so some |Y| sit on a box's edge.
+OCCUPATION_GRIDS = [
+    ([1, 5, 9, 23], 0.3),
+    ([25, 4, 9, 9, 16, 1, 4], 0.5),
+    *((_RNG.integers(1, 30, size=8), _RNG.uniform(0.05, 1.2)) for _ in range(4)),
+]
+
+
 @pytest.mark.parametrize("kind", [SAME_ENV, INDEPENDENT_ENV])
 def test_blocked_occupation_matches_chains(kind, small_blocks, monkeypatch):
+    # The scan's counts against the broadcast count over (grid, step, pair).
     # Y_0 .. Y_{n-1} are counted for grid point n, so the walker steps n_max - 1 times.
-    n_grid, eps, m = np.array([1, 5, 9, 23]), 0.3, 6
-    steps, step = [], diffchain._PairWalker.step
+    m, steps, step = 6, [], diffchain._PairWalker.step
 
     def recorded_step(walker):
         k0, y = walker.k, step(walker)
@@ -302,12 +312,16 @@ def test_blocked_occupation_matches_chains(kind, small_blocks, monkeypatch):
         return y
 
     monkeypatch.setattr(diffchain._PairWalker, "step", recorded_step)
-    curve = occupation_time(MIX, n_grid, eps, m, kind=kind)
-    assert steps == list(range(n_grid.max() - 1))
-    _, y = batch_diff_positions(MIX, int(n_grid.max()), np.arange(m), kind=kind)
-    inside = np.abs(y) <= n_grid[:, None, None] ** eps  # (grid, step, replica)
-    counts = [inside[j, :n].sum(axis=0) for j, n in enumerate(n_grid)]
-    assert np.array_equal(curve.estimates, np.mean(counts, axis=1))
+    for n_grid, eps in OCCUPATION_GRIDS:
+        steps.clear()
+        curve = occupation_time(MIX, n_grid, eps, m, kind=kind)
+        n_grid = np.sort(n_grid)
+        assert steps == list(range(n_grid.max() - 1))
+        _, y = batch_diff_positions(MIX, int(n_grid.max()), np.arange(m), kind=kind)
+        inside = np.abs(y) <= n_grid[:, None, None] ** eps  # (grid, step, replica)
+        counts = [inside[j, :n].sum(axis=0) for j, n in enumerate(n_grid)]
+        assert np.array_equal(curve.estimates, np.mean(counts, axis=1))
+        assert np.array_equal(curve.standard_errors, np.std(counts, axis=1, ddof=1) / np.sqrt(m))
 
 
 def test_occupation_sublinear_exponent():

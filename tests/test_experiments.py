@@ -269,6 +269,18 @@ def test_drifting_field_exact_means_end_in_error(tmp_path, capsys):
     assert not (tmp_path / "variance-scan_report.json").exists()
 
 
+def test_out_of_memory_ends_in_error(tmp_path, capsys, monkeypatch):
+    # As numpy's allocation error for a config like n_grid = 16, 1125899906842624.
+    def run_out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 PiB for an array")
+
+    monkeypatch.setattr("envwalk.cli.run", run_out_of_memory)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("experiment = variance-scan\nn_grid = 16, 1125899906842624\n")
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate 8.00 PiB")
+
+
 # Below a spacing of 2**-20 the finite-range cell floor(x / R + 0.5) of a
 # walker leaves int64, where numpy's cast and C's disagree; at 2**-20 they agree.
 @pytest.mark.parametrize(

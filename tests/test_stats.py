@@ -9,6 +9,8 @@ from scipy import special
 from scipy import stats as sps
 
 import envwalk
+from envwalk import stats, streams
+from envwalk.experiments import EXPERIMENTS
 from envwalk.stats import (
     InsufficientDataError,
     ScanCurve,
@@ -57,37 +59,104 @@ def test_fit_quantile_is_the_student_t_quantile(monkeypatch):
     checked on the quantile function alone.
     """
     df = np.arange(1, 1001)
-    reference = sps.t.ppf(0.975, df)  # before the spy: t.ppf calls special.stdtrit too
+    reference = sps.t.ppf(0.975, df)
     assert np.array_equal(special.stdtrit(df, 0.975), reference)
+    assert stats._t_quantile(1) == reference[0]
     quantiles = []
-    stdtrit = special.stdtrit
+    t_quantile = stats._t_quantile
 
-    def recorded(df, p):
-        quantiles.append(stdtrit(df, p))
+    def recorded(df):
+        quantiles.append(t_quantile(df))
         return quantiles[-1]
 
-    monkeypatch.setattr(special, "stdtrit", recorded)
+    monkeypatch.setattr(stats, "_t_quantile", recorded)
     for n in range(4, 1003):
         grid = np.arange(1.0, n + 1)
         fit_exponent(ScanCurve(grid, grid, np.zeros_like(grid)))
     assert np.array_equal(quantiles, reference[1:])
 
 
-# Runs in a fresh interpreter, since this module imports scipy.stats.  The
-# scan fits an exponent (special.stdtrit), the FCLT runs KS tests (special.ndtr).
+def test_t_quantile_table_is_scipys():
+    df = np.arange(1, len(stats._T_975) + 1)
+    assert len(df) == 64
+    assert stats._T_975 == tuple(special.stdtrit(df, 0.5 + stats.FIT_CONFIDENCE / 2.0).tolist())
+
+
+def test_fit_past_the_table_asks_scipy(monkeypatch):
+    calls = []
+    stdtrit = special.stdtrit
+
+    def recorded(df, p):
+        calls.append((df, p))
+        return stdtrit(df, p)
+
+    monkeypatch.setattr(special, "stdtrit", recorded)
+    grid = np.arange(1.0, 67)
+    fit_exponent(ScanCurve(grid, grid, np.zeros_like(grid)))
+    assert calls == []
+    grid = np.arange(1.0, 68)
+    fit_exponent(ScanCurve(grid, grid, np.zeros_like(grid)))
+    assert calls == [(65, 0.975)]
+
+
+def _ndtr_points():
+    """>= 10^5 points on every branch of Cephes ndtr, both signs: |x| = |a| / sqrt(2)
+    below 1, below 8 and beyond, past the exp underflow, and the special values."""
+    rng = np.random.default_rng(7)
+    # |x| = 1 and 8, where the rational changes, and sqrt(MAXLOG), where exp(-x^2) underflows.
+    edges = np.sqrt(2.0) * np.array([1.0, 8.0, np.sqrt(7.09782712893383996843e2)])
+    near = (edges.view(np.int64)[:, None] + np.arange(-8, 9)).ravel().view(np.float64)
+    mags = np.concatenate([
+        near, [0.0, 5e-324, 1e-300, 1e300, np.finfo(float).max, np.inf, np.nan],
+        rng.uniform(0.0, 1.5, 30_000), rng.uniform(1.0, 12.0, 30_000), rng.uniform(11.0, 40.0, 30_000),
+        np.exp(rng.uniform(-700.0, 700.0, 10_000)),
+    ])
+    return np.concatenate([mags, -mags])
+
+
+@pytest.mark.skipif(streams._LIB is None, reason="no compiled library: scipy.special.ndtr serves every call")
+def test_compiled_ndtr_is_scipys_bit_for_bit():
+    a = _ndtr_points()
+    assert a.size >= 10**5
+    got, want = stats._ndtr(a), special.ndtr(a)
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), a[~same][:10]
+
+
+# One small run of every experiment type, in a fresh interpreter, since this
+# module imports scipy.  Fits read the t quantile table and the KS tests
+# (fclt, counterexample) the compiled ndtr.
+_ONE_OF_EACH = {
+    "moments": "env_replicas = 2000\n",
+    "variance-scan": "n_grid = 4, 8, 16, 32\nenv_replicas = 100\n",
+    "phi-decay": "replicas = 200\n",
+    "identity-check": "n_list = 1, 4\nenv_replicas = 100\ny_replicas = 100\n",
+    "fclt": "epsilon = 0.015625\nwalk_replicas = 50\nenv_seeds = 1\npass_seeds = 0\n",
+    "max-drift": "env_replicas = 2\nn_hi = 256\n",
+    "ychain-exit": "replicas = 100\nsymmetry_replicas = 100\nr_grid = 2, 4, 8, 16\n",
+    "ychain-excursion": "horizon = 512\nreplicas = 100\n",
+    "occupation": "n_grid = 16, 64, 256, 1024\nreplicas = 100\n",
+    "counterexample": "walk_replicas = 50\nenv_seeds = 1\npass_seeds = 0\n",
+}
+
 _FOOTPRINT = """
 import sys
 from envwalk.experiments import parse_config, run
-scan = run(parse_config("experiment = variance-scan\\nn_grid = 4, 8, 16, 32\\nenv_replicas = 100\\n"))
-assert any(row.name == "exponent" for row in scan.rows)
-run(parse_config("experiment = fclt\\nepsilon = 0.015625\\nwalk_replicas = 50\\nenv_seeds = 1\\npass_seeds = 0\\n"))
-assert "scipy.stats" not in sys.modules, sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})
+rows = set()
+for experiment, text in zip(sys.argv[1::2], sys.argv[2::2]):
+    rows |= {row.name for row in run(parse_config(f"experiment = {experiment}\\n{text}"), workers=1).rows}
+assert "exponent" in rows
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], sorted(m for m in sys.modules if "scipy" in m)
 """
 
 
 def test_runs_do_not_import_scipy_stats():
+    assert set(_ONE_OF_EACH) == set(EXPERIMENTS)
+    if streams._LIB is None:
+        pytest.skip("no compiled library: the KS tests take ndtr from scipy.special")
     path = os.pathsep.join(filter(None, [str(Path(envwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _FOOTPRINT], env={**os.environ, "PYTHONPATH": path},
+    argv = [word for item in _ONE_OF_EACH.items() for word in item]
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

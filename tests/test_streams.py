@@ -159,7 +159,7 @@ def assert_mixers_match(base, level, tag, cells, index):
     assert_same_bits(uniforms_at(lanes, index), reference_uniforms(want, index))
 
 
-ENTRY_POINTS = {"envwalk_propagate", "envwalk_walk", "envwalk_field_weights"}
+ENTRY_POINTS = {"envwalk_propagate", "envwalk_walk", "envwalk_field_weights", "envwalk_ndtr"}
 
 
 def test_kernel_loaded_where_a_compiler_exists():
