@@ -20,7 +20,6 @@ from .diffchain import (
     ExcursionRecord,
     excursion_record,
     excursion_scan,
-    exit_escape_probability,
     exit_time_scan,
     occupation_time,
     simulate_diff_chain,
@@ -34,7 +33,7 @@ from .environments import (
     make_lattice_product,
     query,
 )
-from .families import ChoicePM1, DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
+from .families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from .jumplaws import (
     Atomic,
     Dirac,

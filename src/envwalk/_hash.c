@@ -18,7 +18,7 @@
  * each site's cell (none on the level-correlated field) under its key
  * prefix, takes uniform 0 and forms the site's weight row by one of three
  * family kinds, each the arithmetic of the family's weight_table: affine
- * (UniformPM1), threshold table (ChoicePM1, DiracSteps) and constant
+ * (UniformPM1), threshold table (DiracSteps) and constant
  * (FixedAtomic, no hash).  Plain C99 with no Python headers; streams.py
  * builds it with `cc -O3 -ffp-contract=off -shared -fPIC ... -lm` on first
  * import and calls it through ctypes.  Floating-point contraction is off
@@ -188,8 +188,8 @@ struct field {
  * uniforms_at(), and its row that of the family's weight_table():
  *   - AFFINE (UniformPM1): p = u * slope + intercept, rounded in that order,
  *     and 1 - p;
- *   - THRESHOLD (ChoicePM1, DiracSteps): the row searchsorted(thresholds, u,
- *     side="right") capped at n_rows - 1;
+ *   - THRESHOLD (DiracSteps, whose rows are the identity's): the row
+ *     searchsorted(thresholds, u, side="right") capped at n_rows - 1;
  *   - CONSTANT (FixedAtomic): the one row, with no hash. */
 INLINE void site_rows(const struct field *f, size_t n, u64 *restrict h1, u64 *restrict h2,
                       const int64_t *restrict x, double *restrict w)

@@ -56,8 +56,9 @@ from .walks import (
 
 __all__ = [
     "estimate_phi",
+    "squared_deviations",
+    "variance_curve",
     "variance_scan",
-    "variance_from_curves",
     "IdentityReport",
     "variance_identity_check",
     "CENTERINGS",
@@ -104,6 +105,40 @@ def _exact_curves(env_template: Environment, n_max: int, replicas: np.ndarray) -
     return exact_mean_curves(env_template, n_max, derive_seeds_vec(env_template.master_seed, replicas))
 
 
+def squared_deviations(
+    env_template: Environment, n_grid, replicas: np.ndarray, mean_method: str = "exact", mc_walks: int = 1000
+) -> np.ndarray:
+    """|E^w_0[X_n] - n v|^2 of each replica field in ``replicas`` at each n of ``n_grid``; d=1.
+
+    The exact mean method propagates the full quenched law per replica
+    field (no walk noise); the Monte Carlo method averages ``mc_walks``
+    walks per field and subtracts the squared standard error of that mean,
+    so the estimate stays unbiased.  Each row depends on its replica alone,
+    so chunks of replicas can be computed apart and stacked in index order.
+    """
+    n_grid = np.asarray(n_grid, dtype=np.int64)
+    vn = n_grid.astype(float) * env_template.family.averaged_mean[0]
+    if mean_method == "exact":
+        return (_exact_curves(env_template, int(n_grid.max()), replicas)[:, n_grid] - vn) ** 2
+    if mean_method != "mc":
+        raise ValueError(f"unknown mean_method {mean_method!r}")
+    sq = np.empty((len(replicas), n_grid.size))
+    for row, i in enumerate(replicas.tolist()):
+        mc = quenched_mean_mc(env_replica(env_template, i), n_grid, mc_walks)
+        sq[row] = (mc.means[:, 0] - vn) ** 2 - mc.standard_errors[:, 0] ** 2
+    return sq
+
+
+def variance_curve(env_template: Environment, n_grid, sq: np.ndarray) -> ScanCurve:
+    """The scan curve of :func:`squared_deviations` ``sq`` of every replica, in index order.
+
+    Standard errors come from a seeded bootstrap over replicas.
+    """
+    est = sq.mean(axis=0)
+    ses = bootstrap_se_mean(sq, BOOTSTRAP_RESAMPLES, env_template.master_seed)
+    return with_fit(ScanCurve(np.asarray(n_grid).astype(float), est, ses))
+
+
 def variance_scan(
     env_template: Environment,
     n_grid,
@@ -111,44 +146,10 @@ def variance_scan(
     mean_method: str = "exact",
     mc_walks: int = 1000,
 ) -> ScanCurve:
-    """E|E^w_0[X_n] - n v|^2 versus n, with its fitted growth exponent.
-
-    The exact mean method propagates the full quenched law per replica
-    field (no walk noise); the Monte Carlo method averages ``mc_walks``
-    walks per field and subtracts the walk-noise variance so the estimate
-    stays unbiased.  Standard errors come from a seeded bootstrap over
-    replicas.
-    """
+    """E|E^w_0[X_n] - n v|^2 versus the sorted ``n_grid``, with its fitted growth exponent."""
     n_grid = np.sort(np.asarray(n_grid, dtype=np.int64))
-    m = env_replicas
-    if mean_method == "exact":
-        return variance_from_curves(env_template, n_grid, _exact_curves(env_template, int(n_grid.max()), np.arange(m)))
-    if mean_method != "mc":
-        raise ValueError(f"unknown mean_method {mean_method!r}")
-    v = env_template.family.averaged_mean
-    sq = np.empty((m, n_grid.size))
-    for i in range(m):
-        mc = quenched_mean_mc(env_replica(env_template, i), n_grid, mc_walks)
-        dev = mc.means[:, 0] - n_grid.astype(float) * v[0]
-        sq[i] = dev**2 - mc.standard_errors[:, 0] ** 2
-    return _squared_deviation_scan(env_template, n_grid, sq)
-
-
-def variance_from_curves(env_template: Environment, n_grid, curves: np.ndarray) -> ScanCurve:
-    """The exact-method :func:`variance_scan` from per-replica mean curves.
-
-    ``curves`` has shape (m, n_max + 1), as from :func:`exact_mean_curves`;
-    the grid is used in the order given.
-    """
-    n_grid = np.asarray(n_grid, dtype=np.int64)
-    dev = curves[:, n_grid] - n_grid[None, :].astype(float) * env_template.family.averaged_mean[0]
-    return _squared_deviation_scan(env_template, n_grid, dev**2)
-
-
-def _squared_deviation_scan(env_template: Environment, n_grid: np.ndarray, sq: np.ndarray) -> ScanCurve:
-    est = sq.mean(axis=0)
-    ses = bootstrap_se_mean(sq, BOOTSTRAP_RESAMPLES, env_template.master_seed)
-    return with_fit(ScanCurve(n_grid.astype(float), est, ses))
+    sq = squared_deviations(env_template, n_grid, np.arange(env_replicas), mean_method, mc_walks)
+    return variance_curve(env_template, n_grid, sq)
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import ChoicePM1, DiracSteps, FixedAtomic, LawFamily, UniformPM1
+from .families import DiracSteps, FixedAtomic, LawFamily, UniformPM1
 from .jumplaws import JumpLaw
 from .streams import (
     TAG_ENV,
@@ -209,8 +209,8 @@ def field_read(env: Environment, base_lanes) -> FieldRead:
     x, a finite-range field floor(x / R + 0.5), and the level-correlated
     field no cell word, ``cell_words = 0``) and the family's
     ``weight_table`` as one of three kinds: affine for ``UniformPM1``, a
-    threshold table (``np.cumsum`` of the probabilities, and the rows they
-    pick) for ``ChoicePM1`` and ``DiracSteps``, constant for
+    threshold table (``np.cumsum`` of the probabilities, and the identity
+    rows they pick) for ``DiracSteps``, constant for
     ``FixedAtomic``.  ``envwalk_propagate``, ``envwalk_walk`` and
     ``envwalk_field_weights`` in ``_hash.c`` read the field through it, and
     give the bits of :func:`field_weights`.
@@ -228,12 +228,7 @@ def field_read(env: Environment, base_lanes) -> FieldRead:
     elif isinstance(fam, FixedAtomic):
         read.kind, rows = FieldRead.CONSTANT, np.asarray(fam.weights, dtype=float)
     else:
-        read.kind, thresholds = FieldRead.THRESHOLD, np.cumsum(fam.probs)
-        if isinstance(fam, ChoicePM1):
-            p = np.asarray(fam.p_values, dtype=float)
-            rows = np.column_stack([p, 1.0 - p])
-        else:
-            rows = np.eye(len(fam.points))
+        read.kind, thresholds, rows = FieldRead.THRESHOLD, np.cumsum(fam.probs), np.eye(len(fam.points))
         read.n_rows, read.thresholds = len(thresholds), thresholds.ctypes.data
     b1, b2 = (np.ascontiguousarray(h, dtype=np.uint64) for h in base_lanes)
     read.b1, read.b2 = b1.ctypes.data, b2.ctypes.data

@@ -16,6 +16,7 @@ the CLI prints timing to stderr instead.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -51,6 +52,9 @@ __all__ = [
 ]
 
 CHUNK = 128  # replica chunk size; fixed so results never depend on workers
+SYMMETRY_ALPHA = 0.01  # level of ychain-exit's two-sample KS test of first-step symmetry
+# The fewest replicas at which that test can reject: a KS distance is at most 1.
+_MIN_SYMMETRY_REPLICAS = next(m for m in itertools.count(1) if ks_two_sample_critical(m, m, SYMMETRY_ALPHA) < 1)
 
 MODELS = ("mixing-lattice", "finite-range", "level-correlated", "dirac-field", "fixed-lattice")
 
@@ -66,8 +70,8 @@ class Key:
     ``kind`` is ``int``, ``float`` (a number; an integer literal stays an
     int, so the report's ``resolved`` block echoes the config as written)
     or a tuple of the allowed words.  A list key reads comma-separated
-    values, and one value is a list of one.  ``lo`` and ``hi`` are
-    inclusive bounds, ``above`` and ``below`` exclusive ones.
+    values, no two of them equal, and one value is a list of one.  ``lo``
+    and ``hi`` are inclusive bounds, ``above`` and ``below`` exclusive ones.
     """
 
     default: object
@@ -85,6 +89,8 @@ class Key:
             if len(words) > 1 and not self.many:
                 raise ValueError(f"takes one value, got {text.strip()!r}")
             values = [self._word(name, w) for w in words]
+            if len(set(values)) < len(values):  # a repeated point would repeat its rows and verdicts
+                raise ValueError(f"repeats a value, got {text.strip()!r}")
         except ValueError as exc:
             raise ConfigError(f"{where}{name}: {exc}") from None
         return values if self.many else values[0]
@@ -217,9 +223,9 @@ def _pmap(fn, jobs: list, workers: int) -> list:
 # --- chunk workers (module level: picklable) --------------------------------
 
 
-def _curves_chunk(args):
-    env, n_max, idx = args
-    return analysis._exact_curves(env, n_max, idx)
+def _squared_deviations_chunk(args):
+    env, n_grid, mean_method, idx = args
+    return analysis.squared_deviations(env, n_grid, idx, mean_method)
 
 
 def _fclt_chunk(args):
@@ -275,11 +281,8 @@ def _scan_rows(section: str, curve) -> list[Row]:
 
 def _run_variance_scan(env: Environment, v: dict, workers: int):
     n_grid = np.sort(np.asarray(v["n_grid"], dtype=np.int64))
-    if v["mean_method"] == "exact":
-        parts = _pmap(_curves_chunk, [(env, int(n_grid.max()), idx) for idx in _chunks(v["env_replicas"])], workers)
-        curve = analysis.variance_from_curves(env, n_grid, np.concatenate(parts, axis=0))
-    else:
-        curve = analysis.variance_scan(env, n_grid, v["env_replicas"], mean_method=v["mean_method"])
+    jobs = [(env, n_grid, v["mean_method"], idx) for idx in _chunks(v["env_replicas"])]
+    curve = analysis.variance_curve(env, n_grid, np.concatenate(_pmap(_squared_deviations_chunk, jobs, workers)))
     rows = _scan_rows("variance", curve)
     verdicts = []
     if curve.fit is not None:
@@ -395,7 +398,7 @@ def _run_ychain_exit(env: Environment, v: dict, workers: int):
     for kind in (diffchain.SAME_ENV, diffchain.INDEPENDENT_ENV):
         _, y1 = diffchain.batch_diff_positions(env, 1, np.arange(m_sym), 0, kind, record_steps=[1])
         d = ks_two_sample_distance(y1[0], -y1[0])
-        crit = ks_two_sample_critical(m_sym, m_sym, 0.01)
+        crit = ks_two_sample_critical(m_sym, m_sym, SYMMETRY_ALPHA)
         rows.append(Row("symmetry", f"ks_distance_{kind}", value=d, note=f"critical={_fmt(crit)}"))
         verdicts.append(Verdict(f"first_step_symmetric_{kind}", d < crit, d, f"< {_fmt(crit)}"))
     if scan.curve.fit is not None:
@@ -505,7 +508,7 @@ _TABLE = {
         "slope_min": Key(1.6, float),
         "slope_max": Key(2.4, float),
         "slope_envelope": Key(13.0, float),
-        "symmetry_replicas": Key(10000, int, lo=1),
+        "symmetry_replicas": Key(10000, int, lo=_MIN_SYMMETRY_REPLICAS),
     }),
     "ychain-excursion": (_run_ychain_excursion, {
         "horizon": Key(2**14, int, lo=1),

@@ -7,7 +7,10 @@ laws share one fixed atom support additionally expose ``support`` /
 propagation can run vectorized over many cells at once; ``GaussianDrift``
 exposes its drift vectors the same way through ``mean_table``.  ``make`` is built
 from ``weight_table`` wherever both exist, so scalar and batched code see
-bit-identical laws.
+bit-identical laws.  Four families: ``UniformPM1`` (a uniform +1
+probability per cell), ``FixedAtomic`` (one law everywhere), ``DiracSteps``
+(a pointmass picked per cell from a finite table, the one family the
+compiled field read serves with its threshold table) and ``GaussianDrift``.
 
 Families also carry their closed-form one-step moments (annealed mean and
 covariance, drift variance, mean quenched step covariance) when these exist;
@@ -24,7 +27,6 @@ from .jumplaws import Atomic, Dirac, Gaussian, JumpLaw, atomic_index, atomic_mea
 
 __all__ = [
     "UniformPM1",
-    "ChoicePM1",
     "FixedAtomic",
     "DiracSteps",
     "GaussianDrift",
@@ -81,67 +83,6 @@ class UniformPM1:
     @property
     def mean_step_cov(self) -> np.ndarray:
         v = self.p_low + self.p_high - 1.0
-        return np.array([[1.0 - v * v - self.drift_variance]])
-
-
-@dataclass(frozen=True)
-class ChoicePM1:
-    """d=1 steps to +-1; the +1 probability is drawn from a finite table.
-
-    Small enough state space to enumerate every environment realization on a
-    few levels, which is what the exact cross-checks need.
-    """
-
-    p_values: tuple[float, ...]
-    probs: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        k = len(self.p_values)
-        probs = self.probs if self.probs is not None else tuple([1.0 / k] * k)
-        if len(probs) != k or abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError("probs must match p_values and sum to 1")
-        if any(not 0.0 <= p <= 1.0 for p in self.p_values):
-            raise ValueError("p_values must lie in [0,1]")
-        object.__setattr__(self, "probs", probs)
-
-    d = 1
-    n_uniforms = 1
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.array([[1], [-1]])
-
-    def weight_table(self, u: np.ndarray) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        idx = atomic_index(cum, np.asarray(u)[..., 0])
-        p = np.take(np.asarray(self.p_values, dtype=float), idx)
-        out = np.empty(idx.shape + (2,))
-        out[..., 0] = p
-        np.subtract(1.0, p, out=out[..., 1])
-        return out
-
-    def make(self, u: np.ndarray) -> JumpLaw:
-        return Atomic(((1.0,), (-1.0,)), self.weight_table(u))
-
-    @property
-    def averaged_mean(self) -> np.ndarray:
-        p_bar = float(np.dot(self.probs, self.p_values))
-        return np.array([2.0 * p_bar - 1.0])
-
-    @property
-    def averaged_cov(self) -> np.ndarray:
-        v = self.averaged_mean[0]
-        return np.array([[1.0 - v * v]])
-
-    @property
-    def drift_variance(self) -> float:
-        drifts = 2.0 * np.asarray(self.p_values) - 1.0
-        mean = float(np.dot(self.probs, drifts))
-        return float(np.dot(self.probs, (drifts - mean) ** 2))
-
-    @property
-    def mean_step_cov(self) -> np.ndarray:
-        v = self.averaged_mean[0]
         return np.array([[1.0 - v * v - self.drift_variance]])
 
 
@@ -303,7 +244,7 @@ class GaussianDrift:
         return np.asarray(self.cov)
 
 
-LawFamily = UniformPM1 | ChoicePM1 | FixedAtomic | DiracSteps | GaussianDrift
+LawFamily = UniformPM1 | FixedAtomic | DiracSteps | GaussianDrift
 
 
 def has_fixed_support(family) -> bool:

@@ -1,10 +1,11 @@
 """Statistical machinery: scan curves, power-law fits, KS tests, bootstrap.
 
-Free of simulation imports (only streams and the Box-Muller transform) so
-every higher layer can use it.  No run of a shipped config imports scipy:
-the KS tests take the normal CDF from the compiled library
-(``envwalk_ndtr``, bit for bit ``scipy.special.ndtr``) and the exponent fits
-take the t quantile from a table of ``scipy.special.stdtrit``.  Two cases
+Free of simulation imports (only streams, for the bootstrap's resample
+indices and the compiled library) so every higher layer can use it.  No run
+of a shipped config imports scipy: the KS tests take the normal CDF from the
+compiled library (``envwalk_ndtr``, bit for bit ``scipy.special.ndtr``) and
+the exponent fits take the t quantile from a table of
+``scipy.special.stdtrit``.  Two cases
 import ``scipy.special`` on first use and call it: the normal CDF when the
 library is not loaded, and a fit on more than ``len(_T_975) + 2`` points.
 """
@@ -17,8 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import streams
-from .jumplaws import gaussian_from_uniforms
-from .streams import TAG_BOOT, lanes_for_cells, seed_lanes, uniforms_at, words_at
+from .streams import TAG_BOOT, lanes_for_cells, seed_lanes, words_at
 
 __all__ = [
     "InsufficientDataError",
@@ -31,8 +31,6 @@ __all__ = [
     "ks_two_sample_distance",
     "ks_two_sample_critical",
     "bootstrap_se_mean",
-    "ks_null_calibration",
-    "exponent_fit_coverage",
 ]
 
 FIT_CONFIDENCE = 0.95  # coverage of every exponent fit's confidence interval
@@ -206,7 +204,7 @@ def ks_two_sample_critical(n: int, m: int, alpha: float = 0.01) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic bootstrap and self-calibration harnesses.
+# Deterministic bootstrap.
 # ---------------------------------------------------------------------------
 
 
@@ -224,48 +222,3 @@ def bootstrap_se_mean(values: np.ndarray, resamples: int, seed: int) -> np.ndarr
     idx = (words % np.uint64(m)).astype(np.int64)
     means = v[idx].mean(axis=1)
     return means.std(axis=0, ddof=1)
-
-
-def ks_null_calibration(trials: int, n: int, seed: int, alpha: float = 0.01) -> float:
-    """Fraction of null KS tests rejected at level ``alpha``.
-
-    Each trial draws ``n`` exact standard normals from the keyed streams and
-    tests them against Normal(0, 1); the observed rejection rate should sit
-    near ``alpha``.
-    """
-    rejected = 0
-    for t in range(trials):
-        lanes = lanes_for_cells(seed_lanes(seed), t, TAG_BOOT, np.asarray([[0]]))
-        u = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(2 * n))[0]
-        z = gaussian_from_uniforms(u)[0::2]
-        if ks_gaussian_test(z, 0.0, 1.0).p_value < alpha:
-            rejected += 1
-    return rejected / trials
-
-
-def exponent_fit_coverage(
-    trials: int,
-    seed: int,
-    exponent: float = 0.5,
-    n_points: int = 8,
-    rel_noise: float = 0.05,
-) -> float:
-    """Fraction of noisy synthetic power-law fits whose CI covers the truth.
-
-    The synthetic curve is y = n^exponent * (1 + rel_noise * z) on a dyadic
-    grid with matching standard errors, so the nominal 95% CI should cover
-    in roughly that fraction of trials.
-    """
-    grid = 2.0 ** np.arange(2, 2 + n_points)
-    covered = 0
-    for t in range(trials):
-        lanes = lanes_for_cells(seed_lanes(seed), t, TAG_BOOT, np.asarray([[1]]))
-        u = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(2 * n_points))[0]
-        z = gaussian_from_uniforms(u)[0::2]
-        truth = grid**exponent
-        est = truth * (1.0 + rel_noise * z)
-        se = truth * rel_noise
-        fit = fit_exponent(ScanCurve(grid, est, se))
-        if fit.ci_low <= exponent <= fit.ci_high:
-            covered += 1
-    return covered / trials

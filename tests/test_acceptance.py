@@ -29,7 +29,9 @@ from envwalk.environments import (
 )
 from envwalk.families import DiracSteps, UniformPM1
 from envwalk.experiments import parse_config, report_json, run
-from envwalk.stats import exponent_fit_coverage, ks_null_calibration
+from envwalk.jumplaws import gaussian_from_uniforms
+from envwalk.stats import ScanCurve, fit_exponent, ks_gaussian_test
+from envwalk.streams import TAG_BOOT, lanes_for_cells, seed_lanes, uniforms_at
 from envwalk.walks import (
     batch_averaged_positions,
     batch_quenched_positions,
@@ -294,6 +296,51 @@ def test_criterion_9_degenerate_regimes():
 
 
 # -- 10. statistical self-calibration ----------------------------------------
+
+def ks_null_calibration(trials: int, n: int, seed: int, alpha: float = 0.01) -> float:
+    """Fraction of null KS tests rejected at level ``alpha``.
+
+    Each trial draws ``n`` exact standard normals from the keyed streams and
+    tests them against Normal(0, 1); the observed rejection rate should sit
+    near ``alpha``.
+    """
+    rejected = 0
+    for t in range(trials):
+        lanes = lanes_for_cells(seed_lanes(seed), t, TAG_BOOT, np.asarray([[0]]))
+        u = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(2 * n))[0]
+        z = gaussian_from_uniforms(u)[0::2]
+        if ks_gaussian_test(z, 0.0, 1.0).p_value < alpha:
+            rejected += 1
+    return rejected / trials
+
+
+def exponent_fit_coverage(
+    trials: int,
+    seed: int,
+    exponent: float = 0.5,
+    n_points: int = 8,
+    rel_noise: float = 0.05,
+) -> float:
+    """Fraction of noisy synthetic power-law fits whose CI covers the truth.
+
+    The synthetic curve is y = n^exponent * (1 + rel_noise * z) on a dyadic
+    grid with matching standard errors, so the nominal 95% CI should cover
+    in roughly that fraction of trials.
+    """
+    grid = 2.0 ** np.arange(2, 2 + n_points)
+    covered = 0
+    for t in range(trials):
+        lanes = lanes_for_cells(seed_lanes(seed), t, TAG_BOOT, np.asarray([[1]]))
+        u = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(2 * n_points))[0]
+        z = gaussian_from_uniforms(u)[0::2]
+        truth = grid**exponent
+        est = truth * (1.0 + rel_noise * z)
+        se = truth * rel_noise
+        fit = fit_exponent(ScanCurve(grid, est, se))
+        if fit.ci_low <= exponent <= fit.ci_high:
+            covered += 1
+    return covered / trials
+
 
 def test_criterion_10_self_calibration():
     t0 = time.time()

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ from envwalk.environments import (
     make_lattice_product,
     query,
 )
-from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
+from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from envwalk.jumplaws import law_mean
 from envwalk.streams import derive_seeds_vec
 from envwalk.walks import batch_averaged_positions, batch_quenched_positions, exact_mean_curves
@@ -154,48 +153,6 @@ def test_identity_fully_correlated_both_sides_linear():
     assert abs(rep.lhs - n / 3.0) <= 4.0 * rep.lhs_se
     assert abs(rep.rhs - n / 3.0) <= 4.0 * rep.rhs_se
     assert abs(rep.residual) <= 4.0 * rep.combined_se
-
-
-def test_enumeration_oracle_tiny_model():
-    """Exact enumeration over every environment realization of a two-value
-    site family on the reachable cells, n = 3, cross-checked three ways:
-    enumerated variance == closed-form chain occupancy sum == MC scan."""
-    p_values = (0.2, 0.8)
-    fam = ChoicePM1(p_values)
-    n = 3
-    cells = [(0, 0), (1, -1), (1, 1), (2, -2), (2, 0), (2, 2)]
-
-    def exact_mean(assign):
-        dist = {0: 1.0}
-        for level in range(n):
-            new = {}
-            for x, mass in dist.items():
-                p = assign[(level, x)]
-                new[x + 1] = new.get(x + 1, 0.0) + mass * p
-                new[x - 1] = new.get(x - 1, 0.0) + mass * (1 - p)
-            dist = new
-        return sum(x * m for x, m in dist.items())
-
-    sq = []
-    for bits in itertools.product(range(2), repeat=len(cells)):
-        assign = {cell: p_values[b] for cell, b in zip(cells, bits)}
-        sq.append(exact_mean(assign) ** 2)
-    enum_var = float(np.mean(sq))
-
-    # closed-form: phi(0) * sum_k P(Y_k = 0) for the sticky lazy chain
-    phi0 = 0.36
-    stay0 = 0.68
-    p_y0 = [1.0, stay0, stay0**2 + 2 * 0.16 * 0.25]
-    analytic = phi0 * sum(p_y0)
-    assert enum_var == pytest.approx(analytic, abs=1e-12)
-
-    env = make_lattice_product(17, 1, fam)
-    curve = variance_scan(env, [n], 4000)
-    assert abs(curve.estimates[0] - enum_var) <= 4.0 * curve.standard_errors[0]
-
-    rep = variance_identity_check(env, n, 4000, 4000)
-    assert abs(rep.lhs - enum_var) <= 4.0 * np.hypot(rep.lhs_se, 0.0)
-    assert abs(rep.rhs - enum_var) <= 4.0 * rep.rhs_se
 
 
 def test_cross_terms_vanish():

@@ -20,7 +20,7 @@ from envwalk.environments import (
     make_fully_correlated,
     make_lattice_product,
 )
-from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, UniformPM1
+from envwalk.families import DiracSteps, FixedAtomic, UniformPM1
 from envwalk.stats import InsufficientDataError, ks_two_sample_critical, ks_two_sample_distance
 from envwalk.walks import simulate_quenched_path
 
@@ -96,14 +96,15 @@ def test_blocked_escape_matches_scalar(env, kind, small_blocks):
 
 
 # Pair fields for the compiled walker: each family kind of the compiled field
-# read (affine, threshold, constant with 3 atoms), the lattice with and
-# without the offset, finite-range grids of spacing 1.5 and 2, a Dirac field
-# and the level-correlated field.
+# read (affine, threshold as a 3-point DiracSteps on the lattice and as a
+# Dirac field, constant with 3 atoms), the lattice with and without the
+# offset, finite-range grids of spacing 1.5 and 2 and the level-correlated
+# field.
 PAIR_FIELDS = {
     "mixing": MIX,
     "level-correlated": FC,
     "mixing-no-offset": make_lattice_product(606, 1, UniformPM1(0.2, 0.9), uniform_offset=False),
-    "choice": make_lattice_product(606, 1, ChoicePM1((0.2, 0.5, 0.9), (0.5, 0.2, 0.3))),
+    "dirac-lattice": make_lattice_product(606, 1, DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.5, 0.2, 0.3))),
     "three-atom": make_lattice_product(606, 1, FixedAtomic(((2.0,), (-1.0,), (0.0,)), (0.3, 0.2, 0.5))),
     "finite-range-1.5": make_finite_range(606, 1, 1.5, UniformPM1()),
     "finite-range-2": FR,

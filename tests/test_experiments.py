@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envwalk import streams
+from envwalk import experiments, streams
 from envwalk.cli import main as cli_main
 from envwalk.experiments import (
     EXPERIMENTS,
@@ -17,6 +18,7 @@ from envwalk.experiments import (
     report_json,
     run,
 )
+from envwalk.stats import ks_two_sample_critical
 
 
 def test_parse_types_and_defaults():
@@ -71,6 +73,17 @@ def test_missing_experiment_and_bad_lines():
         ("occupation", "dependence_range = 1e-300"),
         ("phi-decay", "x_grid = 0, 1e19"),
         ("phi-decay", "x_grid = -8796093022208, 0"),
+        # a repeated list value would repeat its rows and verdicts
+        ("identity-check", "n_list = 4, 4"),
+        ("fclt", "time_points = 1, 1"),
+        ("fclt", "time_points = 0.5, 1, 1.0"),
+        ("variance-scan", "n_grid = 16, 16, 32, 64, 128"),
+        ("occupation", "n_grid = 16, 32, 16"),
+        ("ychain-exit", "r_grid = 4, 8, 4"),
+        ("phi-decay", "x_grid = 0, 1, 0.0"),
+        # below 6 replicas the first-step symmetry test cannot reject
+        ("ychain-exit", "symmetry_replicas = 5"),
+        ("ychain-exit", "symmetry_replicas = 1"),
     ],
 )
 def test_bad_value_rejected_by_line_and_key(experiment, line):
@@ -315,6 +328,29 @@ def test_variance_scan_rows_follow_the_sorted_grid_under_both_mean_methods():
         unsorted = run(parse_config(text.format(method, "8, 2, 16, 4"))).rows
         assert unsorted == run(parse_config(text.format(method, "2, 4, 8, 16"))).rows
         assert [r.grid for r in unsorted if r.name == "estimate"] == [2.0, 4.0, 8.0, 16.0]
+
+
+# Both mean methods of variance-scan fan replica chunks out over the workers;
+# 130 replicas make two chunks.  The digest pins the mc report's bytes.
+MC_VARIANCE = "experiment = variance-scan\nmean_method = mc\nn_grid = 2, 4, 8, 16, 32\nenv_replicas = 130\neta_max = 0.9\n"
+MC_VARIANCE_DIGEST = "db1420b68bd792774cf9de4f2b884f170282c2e0cf1bff605eef619d75fa450e"
+
+
+def test_variance_scan_mc_report_holds_its_digest_on_both_paths_and_worker_counts(monkeypatch):
+    cfg = parse_config(MC_VARIANCE)
+    one = report_json(run(cfg, workers=1))
+    assert one == report_json(run(cfg, workers=2))
+    assert hashlib.sha256(one.encode()).hexdigest() == MC_VARIANCE_DIGEST
+    monkeypatch.setattr(streams, "_LIB", None)
+    assert report_json(run(cfg, workers=1)) == one
+
+
+def test_symmetry_replicas_bound_is_the_first_size_that_can_reject():
+    # A KS distance is at most 1, so a critical distance of 1 or more passes any data.
+    lo = experiments._TABLE["ychain-exit"][1]["symmetry_replicas"].lo
+    assert ks_two_sample_critical(lo - 1, lo - 1, experiments.SYMMETRY_ALPHA) >= 1.0
+    assert ks_two_sample_critical(lo, lo, experiments.SYMMETRY_ALPHA) < 1.0
+    parse_config(f"experiment = ychain-exit\nsymmetry_replicas = {lo}\n")
 
 
 # Dirac-field walks are deterministic given the field: quenched-mean

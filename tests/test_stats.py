@@ -15,10 +15,8 @@ from envwalk.stats import (
     InsufficientDataError,
     ScanCurve,
     bootstrap_se_mean,
-    exponent_fit_coverage,
     fit_exponent,
     ks_gaussian_test,
-    ks_null_calibration,
     ks_two_sample_critical,
     ks_two_sample_distance,
     with_fit,
@@ -161,11 +159,6 @@ def test_runs_do_not_import_scipy_stats():
     assert done.returncode == 0, done.stderr
 
 
-def test_fit_ci_coverage_on_noisy_curves():
-    coverage = exponent_fit_coverage(100, seed=88)
-    assert coverage >= 0.90
-
-
 def test_ks_accepts_its_own_reference():
     rng = np.random.default_rng(5)
     res = ks_gaussian_test(rng.normal(1.0, 2.0, size=10000), 1.0, 4.0)
@@ -184,11 +177,6 @@ def test_ks_rejects_uniform_as_gaussian():
     u = rng.uniform(0, 1, size=10000)
     res = ks_gaussian_test(u, 0.5, 1.0 / 12.0)
     assert res.p_value < 0.001
-
-
-def test_ks_type_one_error_calibrated():
-    rate = ks_null_calibration(400, 2000, seed=314)
-    assert 0.005 <= rate <= 0.05
 
 
 def test_ks_requires_samples_and_variance():

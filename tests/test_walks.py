@@ -19,7 +19,7 @@ from envwalk.environments import (
     make_lattice_product,
     query,
 )
-from envwalk.families import ChoicePM1, DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
+from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from envwalk.jumplaws import law_mean
 from envwalk.streams import TAG_ENV, TAG_WALK, StreamKey, derive_stream, seed_lanes, seed_lanes_vec
 from envwalk.walks import (
@@ -299,15 +299,16 @@ def assert_same_bits(got, want):
 # parity-2 grid (odd atoms) and the step-1 grid (a 3-atom FixedAtomic; the
 # drifting one makes the atom order of the drift sum show in its last bits).
 # Each family kind of the compiled field read is here: affine (UniformPM1,
-# also with p_low == p_high), threshold (ChoicePM1 with uniform and with
-# weighted probs, 2- and 3-point DiracSteps) and constant (FixedAtomic).
+# also with p_low == p_high), threshold (DiracSteps on the lattice with
+# uniform and with weighted probs, and on 2- and 3-point Dirac fields) and
+# constant (FixedAtomic).
 # n_max is where the rows have passed 256 sites, so the pairwise row sums
 # split at least twice.
 _STEP_FIELDS = {
     "mixing": (MIX, 1000),
     "mixing-flat": (make_lattice_product(404, 1, UniformPM1(0.5, 0.5)), 1000),
-    "choice": (make_lattice_product(404, 1, ChoicePM1((0.2, 0.5, 0.8))), 1000),
-    "choice-weighted": (make_lattice_product(404, 1, ChoicePM1((0.2, 0.5, 0.8), (0.25, 0.5, 0.25))), 1000),
+    "dirac-lattice": (make_lattice_product(404, 1, DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5))), 1000),
+    "dirac-lattice-weighted": (make_lattice_product(404, 1, DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.3, 0.6, 0.1))), 1000),
     "finite-range": (FR, 1000),
     "fixed-lattice": (FAIR, 1000),
     "dirac": (DIRAC, 1000),
@@ -328,7 +329,7 @@ def test_compiled_step_matches_numpy_step(name, monkeypatch):
 
 
 @needs_kernel
-@pytest.mark.parametrize("name", ["mixing", "choice", "finite-range", "dirac", "fixed-lattice"])
+@pytest.mark.parametrize("name", ["mixing", "dirac-lattice", "finite-range", "dirac", "fixed-lattice"])
 def test_compiled_propagation_reads_the_field_itself(name, monkeypatch):
     # The compiled step forms its weight rows in C: a silent fall-back to
     # field_weights would fail here, and the bits stay those of the numpy path.
@@ -359,13 +360,14 @@ def compiled_field_weights(env, seeds, levels, sites):
 _TIE = float(derive_stream(StreamKey(3, 0, (0,), TAG_ENV)).take(1)[0])
 _READ_FAMILIES = {
     "affine": UniformPM1(0.25, 0.75),
-    "threshold": ChoicePM1((0.2, 0.5, 0.9), (0.5, 0.2, 0.3)),
+    "threshold": DiracSteps(((1.0,), (-1.0,), (3.0,), (-3.0,)), (0.5, 0.2, 0.2, 0.1)),
     "threshold-dirac": DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.3, 0.5, 0.2)),
     "constant": FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.3, 0.2, 0.5)),
 }
-# Each family kind on the lattice with and without the uniform offset, on
-# finite-range grids of spacing 1.5 and 2 and on the level-correlated field
-# (no cell word); the Dirac field with 2 and 3 points.
+# Each family kind (the threshold kind as a 4-point and a 3-point DiracSteps)
+# on the lattice with and without the uniform offset, on finite-range grids
+# of spacing 1.5 and 2 and on the level-correlated field (no cell word); the
+# Dirac field with 2 and 3 points.
 _READ_FIELDS = {
     **{
         f"{kind}-{name}": make(fam)
@@ -382,7 +384,9 @@ _READ_FIELDS = {
     "dirac-three": make_dirac(11, 1, DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.4, 0.3, 0.3))),
     # A threshold equal to the uniform of seed 3's cell 0 at level 0, which the
     # row from cell -2500 reads: a tie picks the next row (side="right").
-    "threshold-tie": make_lattice_product(11, 1, ChoicePM1((0.2, 0.8), (_TIE, 1.0 - _TIE)), uniform_offset=False),
+    "threshold-tie": make_lattice_product(
+        11, 1, DiracSteps(((1.0,), (-1.0,)), (_TIE, 1.0 - _TIE)), uniform_offset=False
+    ),
 }
 
 
@@ -433,7 +437,7 @@ def test_compiled_step_matches_numpy_step_on_every_row_length():
     fields = [  # (field, grid step, atom offsets, span)
         (make_lattice_product(404, 1, FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.3, 0.2, 0.5))), 1, [3, 0, 0], 3),
         (make_lattice_product(404, 1, UniformPM1()), 2, [1, 0], 1),
-        (make_finite_range(404, 1, 1.5, ChoicePM1((0.2, 0.5, 0.8), (0.25, 0.5, 0.25))), 2, [1, 0], 1),
+        (make_finite_range(404, 1, 1.5, DiracSteps(((1.0,), (-1.0,)), (0.25, 0.75))), 2, [1, 0], 1),
         (make_dirac(404, 1, DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.25, 0.625, 0.125))), 2, [1, 0, 2], 2),
     ]
     seeds = np.asarray([3, 2**63 + 5, 17], dtype=np.uint64)
@@ -463,8 +467,8 @@ def test_compiled_step_matches_numpy_step_on_every_row_length():
 # Walkers for the compiled walker (envwalk_walk): each family kind of the
 # compiled field read on the lattice with and without the offset, on
 # finite-range grids of spacing 1.5 and 2 and on the level-correlated
-# field, and on 2- and 3-point Dirac fields (_READ_FIELDS); a ChoicePM1 threshold tie at the walkers' first
-# read (seed 3, cell 0, level 0); a step weight equal to walker 0's first
+# field, and on 2- and 3-point Dirac fields (_READ_FIELDS); a DiracSteps
+# threshold tie at the walkers' first read (seed 3, cell 0, level 0); a step weight equal to walker 0's first
 # walk uniform, which the inverse CDF breaks to the next atom.
 _WALK_TIE = float(derive_stream(StreamKey(3, 0, (0,), TAG_WALK)).take(1)[0])
 _WALK_FIELDS = {
