@@ -13,11 +13,16 @@
  * every row sum.  The walker block (envwalk_walk) is bit for bit
  * walks._Walker's numpy steps: per walker and step k the walk key's
  * uniform 0, the field's weight row at level k and the walker's position,
- * the inverse CDF in support order and the drift summed atom by atom.  All
- * three read the field with one per-site helper (site_rows) that hashes
- * each site's cell (none on the level-correlated field) under its key
- * prefix, takes uniform 0 and forms the site's weight row by one of three
- * family kinds, each the arithmetic of the family's weight_table: affine
+ * the inverse CDF in support order and the drift summed atom by atom.  Its
+ * walkers read their fields in groups: the words every key of a field
+ * shares at a step (its base lanes, tag, level and cell-word count, for
+ * the walk key and for the field key) are hashed once per field, and each
+ * walker hashes only its own words, its walk cell words and its field cell,
+ * and its two uniforms; a field read with no cell word forms one weight row
+ * per field.  All three read the field with one per-site helper (site_rows)
+ * that hashes each site's cell (none on the level-correlated field) under
+ * its key prefix, takes uniform 0 and forms the site's weight row by one of
+ * three family kinds, each the arithmetic of the family's weight_table: affine
  * (UniformPM1), threshold table (DiracSteps) and constant
  * (FixedAtomic, no hash).  Plain C99 with no Python headers; streams.py
  * builds it with `cc -O3 -ffp-contract=off -shared -fPIC ... -lm` on first
@@ -162,8 +167,8 @@ INLINE double row_sum(const double *a, size_t n)
 }
 
 /* The field read of every entry point: field_weights() of a d = 1 field
- * at integer positions, one field per row (per walker in envwalk_walk).
- * Mirrors streams.FieldRead. */
+ * at integer positions, one field per row (per group of walkers in
+ * envwalk_walk).  Mirrors streams.FieldRead. */
 enum { AFFINE = 0, THRESHOLD = 1, CONSTANT = 2 };
 
 struct field {
@@ -235,21 +240,17 @@ INLINE void site_rows(const struct field *f, size_t n, u64 *restrict h1, u64 *re
     }
 }
 
-/* The weight rows at `level` of n fields, field i at site x[i], contiguous
- * (n, n_atoms) into w: the key prefix (field i's lanes with the tag
- * absorbed, in e1[i], e2[i]; the level; the cell-word count) and then
- * site_rows().  n is at most TILE. */
-INLINE void level_rows(const struct field *f, size_t n, const u64 *restrict e1, const u64 *restrict e2, u64 level,
-                       const int64_t *restrict x, double *restrict w)
+/* The key prefixes at `level` of n keys whose cells have `count` words: the
+ * tagged lanes (e1, e2) with the level and the count absorbed, into (o1, o2). */
+INLINE void key_prefix(size_t n, const u64 *restrict e1, const u64 *restrict e2, u64 level, u64 count,
+                       u64 *restrict o1, u64 *restrict o2)
 {
-    u64 h1[TILE], h2[TILE];
     for (size_t i = 0; i < n; i++) {
-        h1[i] = e1[i];
-        h2[i] = e2[i];
+        o1[i] = e1[i];
+        o2[i] = e2[i];
     }
-    absorb_word(n, h1, h2, level);
-    absorb_word(n, h1, h2, f->cell_words);
-    site_rows(f, n, h1, h2, x, w);
+    absorb_word(n, o1, o2, level);
+    absorb_word(n, o1, o2, count);
 }
 
 /* Row r's weight rows at `level` and the n sites x = lo + st * j, into w,
@@ -283,12 +284,14 @@ VECTOR_CLONES
 void envwalk_field_weights(const struct field *f, u64 level, size_t n_levels, size_t m, const int64_t *x, double *out)
 {
     const size_t na = f->n_atoms;
-    u64 e1[TILE], e2[TILE];
+    u64 e1[TILE], e2[TILE], h1[TILE], h2[TILE];
     for (size_t t = 0; t < m; t += TILE) {
         const size_t nt = m - t < TILE ? m - t : TILE;
         tagged_lanes(nt, f->b1 + t, f->b2 + t, f->tag, e1, e2);
-        for (size_t l = 0; l < n_levels; l++)
-            level_rows(f, nt, e1, e2, level + l, x + t, out + (l * m + t) * na);
+        for (size_t l = 0; l < n_levels; l++) {
+            key_prefix(nt, e1, e2, level + l, f->cell_words, h1, h2);
+            site_rows(f, nt, h1, h2, x + t, out + (l * m + t) * na);
+        }
     }
 }
 
@@ -367,35 +370,82 @@ double envwalk_propagate(const struct field *field, u64 level, int64_t lo, int64
     return worst;
 }
 
-/* One tile of envwalk_walk: nt walkers with base lanes (b1, b2), walk
- * cell words at cells + j * n (j < n_words), positions pos and drift sums
- * drift (or NULL), for b steps; the positions after step s go to
- * out + s * n.  Inlined with a constant atom count for pairs, so that the
- * loops vectorize. */
-INLINE void walk_tile(const struct field *f, size_t na, size_t nt, size_t n, size_t b, u64 level,
-                      const u64 *restrict b1, const u64 *restrict b2, u64 walk_tag, const u64 *restrict cells,
-                      size_t n_words, const int64_t *restrict support, int64_t *restrict pos, double *restrict drift, double *restrict w, int64_t *restrict out)
+/* The walkers of a tile read its fields f0, f0 + 1, ... in runs: the first
+ * `lead` walkers field f0, the next g field f0 + 1, and so on.  Each of the
+ * nt walkers' copy of its field's key prefix, (q1, q2)[j] into (h1, h2)[i]. */
+INLINE void spread_prefixes(size_t nt, size_t lead, size_t g, const u64 *restrict q1, const u64 *restrict q2,
+                            u64 *restrict h1, u64 *restrict h2)
 {
-    /* Each walker's lanes with the walk tag and with the field's tag absorbed. */
-    u64 pw1[TILE], pw2[TILE], pe1[TILE], pe2[TILE], h1[TILE], h2[TILE];
-    double u[TILE];
-    tagged_lanes(nt, b1, b2, walk_tag, pw1, pw2);
-    tagged_lanes(nt, b1, b2, f->tag, pe1, pe2);
-    for (size_t s = 0; s < b; s++) {
-        /* The walk uniform: the walk key (tag, level, the cell width, the
-         * cell words) and its uniform 0. */
-        for (size_t i = 0; i < nt; i++) {
-            h1[i] = pw1[i];
-            h2[i] = pw2[i];
+    for (size_t j = 0, i = 0, e = lead; i < nt; j++, e += g)
+        for (; i < (e < nt ? e : nt); i++) {
+            h1[i] = q1[j];
+            h2[i] = q2[j];
         }
-        absorb_word(nt, h1, h2, level + s);
-        absorb_word(nt, h1, h2, n_words);
+}
+
+/* The same for weight rows, in place: the nf fields' rows, the first nf of
+ * w, become each walker's row.  Runs go from the last down, so that a row
+ * is copied before a later run overwrites it (the run of field j starts at
+ * or after walker j), and atom by atom, so that a run that starts on its own
+ * row rewrites it with the same values. */
+INLINE void spread_rows(size_t nf, size_t nt, size_t lead, size_t g, size_t na, double *restrict w)
+{
+    for (size_t j = nf; j-- > 0;) {
+        const size_t lo = j ? lead + (j - 1) * g : 0, hi = lead + j * g < nt ? lead + j * g : nt;
+        for (size_t a = 0; a < na; a++) {
+            const double v = w[j * na + a];
+            for (size_t i = lo; i < hi; i++)
+                w[i * na + a] = v;
+        }
+    }
+}
+
+/* One tile of envwalk_walk: the nt walkers t, t + 1, ... of n, walker i
+ * reading field i / g, with walk cell words at cells + j * n (j < n_words),
+ * positions pos and drift sums drift (or NULL), for b steps; the positions
+ * after step s go to out + s * n.  Each step hashes the key prefixes of
+ * the tile's fields once (lanes, tag, level, cell-word count; one a walker
+ * when g = 1) and, per walker, only the walker's own words: its walk cell
+ * words, its field cell and the two uniforms.  A field read with no cell
+ * word (level-correlated) forms one row a field.  Inlined with a constant
+ * atom count for pairs, so that the loops vectorize. */
+INLINE void walk_tile(const struct field *f, size_t na, size_t t, size_t nt, size_t n, size_t g, size_t b,
+                      u64 level, u64 walk_tag, const u64 *restrict cells, size_t n_words,
+                      const int64_t *restrict support, int64_t *restrict pos, double *restrict drift,
+                      double *restrict w, int64_t *restrict out)
+{
+    /* The tile's fields, the walkers of the first, and each field's lanes
+     * with the walk tag and with the field's tag absorbed.  With g = 1 the
+     * prefixes are hashed straight into the walkers' lanes. */
+    const size_t f0 = t / g, nf = (t + nt - 1) / g - f0 + 1, lead = (f0 + 1) * g - t;
+    u64 pw1[TILE], pw2[TILE], pe1[TILE], pe2[TILE], q1[TILE], q2[TILE], h1[TILE], h2[TILE];
+    u64 *k1 = g > 1 ? q1 : h1, *k2 = g > 1 ? q2 : h2;
+    double u[TILE];
+    tagged_lanes(nf, f->b1 + f0, f->b2 + f0, walk_tag, pw1, pw2);
+    tagged_lanes(nf, f->b1 + f0, f->b2 + f0, f->tag, pe1, pe2);
+    for (size_t s = 0; s < b; s++) {
+        /* The walk uniform: the walk key (its field's prefix at this level
+         * with n_words, then the walker's cell words) and its uniform 0. */
+        key_prefix(nf, pw1, pw2, level + s, n_words, k1, k2);
+        if (g > 1)
+            spread_prefixes(nt, lead, g, q1, q2, h1, h2);
         for (size_t j = 0; j < n_words; j++)
             absorb_column(nt, h1, h2, cells + j * n);
         first_uniforms(nt, h1, h2, u);
 
-        /* The weight rows of the field at the same level and pos. */
-        level_rows(f, nt, pe1, pe2, level + s, pos, w);
+        /* The weight rows of the field at the same level and pos: each
+         * walker's cell under its field's prefix, or with no cell word one
+         * row a field, copied to its walkers. */
+        key_prefix(nf, pe1, pe2, level + s, f->cell_words, k1, k2);
+        if (f->cell_words) {
+            if (g > 1)
+                spread_prefixes(nt, lead, g, q1, q2, h1, h2);
+            site_rows(f, nt, h1, h2, pos, w);
+        } else {
+            site_rows(f, nf, k1, k2, pos, w);
+            if (g > 1)
+                spread_rows(nf, nt, lead, g, na, w);
+        }
 
         /* The drift, atom by atom in support order (jumplaws.atomic_mean). */
         if (drift != NULL) {
@@ -425,20 +475,23 @@ INLINE void walk_tile(const struct field *f, size_t na, size_t nt, size_t n, siz
 }
 
 /* b steps of n walkers in one call: walks._Walker's numpy steps for a d = 1
- * field that field_read describes, with integer atoms `support`.  Walker i
- * reads the field through the base lanes f->b1[i], f->b2[i], and its
- * cell words are cells[j * n + i] for j < n_words.  Step s, from `level` +
- * s:
- *   - hashes the walk key (those base lanes, walk_tag, the level, n_words,
- *     the cell words) and takes its uniform 0;
- *   - reads the weight row at pos[i] and level + s with level_rows(), the
- *     read of envwalk_field_weights;
+ * field that field_read describes, with integer atoms `support`.  The
+ * walkers read the fields f->b1[j], f->b2[j] in groups of g: walker i
+ * reads field i / g (g = n when all read one field, 1 when each reads its
+ * own).  Walker i's cell words are cells[j * n + i] for j < n_words.  Step
+ * s, from `level` + s:
+ *   - hashes the walk key (its field's base lanes, walk_tag, the level,
+ *     n_words, the cell words) and takes its uniform 0;
+ *   - reads the weight row at pos[i] and level + s, the read of
+ *     envwalk_field_weights;
  *   - adds the row's drift to drift[i], if drift is not NULL;
  *   - moves pos[i] by the atom the inverse CDF picks, and writes it to
  *     out[s * n + i].
- * w is scratch with room for n * n_atoms doubles. */
+ * The key prefixes (lanes, tag, level, word count) are hashed once per
+ * field, tile and step, the rest per walker (walk_tile).  w is scratch
+ * with room for n * n_atoms doubles. */
 VECTOR_CLONES
-void envwalk_walk(const struct field *f, size_t n, u64 walk_tag, const u64 *cells, size_t n_words,
+void envwalk_walk(const struct field *f, size_t n, size_t g, u64 walk_tag, const u64 *cells, size_t n_words,
                   const int64_t *support, int64_t *pos, double *drift, double *w, u64 level, size_t b, int64_t *out)
 {
     const size_t na = f->n_atoms;
@@ -446,11 +499,11 @@ void envwalk_walk(const struct field *f, size_t n, u64 walk_tag, const u64 *cell
         const size_t nt = n - t < TILE ? n - t : TILE;
         double *dt = drift != NULL ? drift + t : NULL;
         if (na == 2)
-            walk_tile(f, 2, nt, n, b, level, f->b1 + t, f->b2 + t, walk_tag, cells + t, n_words, support,
-                      pos + t, dt, w + t * na, out + t);
+            walk_tile(f, 2, t, nt, n, g, b, level, walk_tag, cells + t, n_words, support, pos + t, dt,
+                      w + t * na, out + t);
         else
-            walk_tile(f, na, nt, n, b, level, f->b1 + t, f->b2 + t, walk_tag, cells + t, n_words, support,
-                      pos + t, dt, w + t * na, out + t);
+            walk_tile(f, na, t, nt, n, g, b, level, walk_tag, cells + t, n_words, support, pos + t, dt,
+                      w + t * na, out + t);
     }
 }
 

@@ -204,7 +204,8 @@ def field_read(env: Environment, base_lanes) -> FieldRead:
     """The compiled twin of :func:`field_weights` on integer d=1 positions.
 
     ``base_lanes`` are one field per row (``seed_lanes_vec``): a replica
-    row of the propagation step, a walker of the walker block.  The struct
+    row of the propagation step, a field of the walker block (which the
+    walkers read in groups, one group a field).  The struct
     carries the cell rule (a lattice or Dirac field reads the one-word cell
     x, a finite-range field floor(x / R + 0.5), and the level-correlated
     field no cell word, ``cell_words = 0``) and the family's

@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,6 +184,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if hi in values and not holds(values[hi], values[lo]):
             lineno = max(lines.get(name, (0,))[0] for name in (lo, hi))
             raise ConfigError(f"line {lineno}: {hi}: must be {word} {lo} = {values[lo]}, got {values[hi]}")
+    if "time_points" in values:  # fclt_check reads B(t) at step floor(t / epsilon)
+        lineno = max(lines.get(name, (0,))[0] for name in ("epsilon", "time_points"))
+        eps, seen = values["epsilon"], {}
+        for t in values["time_points"]:
+            k = math.floor(t / eps)
+            if k == 0:
+                raise ConfigError(f"line {lineno}: time_points: must be >= epsilon = {eps}, got {t}; "
+                                  "step 0 has no walk, so B(t) would be the dither alone")
+            if k in seen:
+                raise ConfigError(f"line {lineno}: time_points: {seen[k]} and {t} fall in one step, "
+                                  f"floor(t / epsilon) = {k}, and would test one walk sample twice")
+            seen[k] = t
     # The counterexample always centers at the quenched mean, fclt when asked to.
     quenched_mean = experiment == "counterexample" or values.get("centering") == "quenched_mean"
     if values["model"] == "dirac-field" and quenched_mean:
@@ -216,6 +227,9 @@ def _chunks(n: int) -> list[np.ndarray]:
 def _pmap(fn, jobs: list, workers: int) -> list:
     if workers <= 1 or len(jobs) <= 1:
         return [fn(j) for j in jobs]
+    # Imported only here: a run that does not fork never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, jobs))
 

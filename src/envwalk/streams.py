@@ -332,9 +332,9 @@ def _load_kernel():
         ptr, ptr, step, ptr,
     )
     lib.envwalk_propagate.restype = ctypes.c_double
-    # field, walkers, walk tag, cells, cell words, support, positions, drift sums, scratch,
-    # then the block's level, steps and out
-    lib.envwalk_walk.argtypes = (ptr, size, word, ptr, size, ptr, ptr, ptr, ptr, word, size, ptr)
+    # field, walkers, walkers a field, walk tag, cells, cell words, support, positions, drift sums,
+    # scratch, then the block's level, steps and out
+    lib.envwalk_walk.argtypes = (ptr, size, size, word, ptr, size, ptr, ptr, ptr, ptr, word, size, ptr)
     lib.envwalk_walk.restype = None
     # values, in, out
     lib.envwalk_ndtr.argtypes = (size, ptr, ptr)

@@ -21,9 +21,12 @@ A d=1 walker with integer atoms runs each block in one call of
 per walker and step it hashes the walk key, reads the field row at (k, its
 position) with the compiled field read (:func:`environments.field_read`,
 whose cell rule covers every field kind), steps by inverse CDF and sums the
-drift.  Every other walker (Gaussian laws, d >= 2, float positions, or no
-library) runs the numpy steps: the walk noise in one hash call per block,
-then :func:`environments.field_weights` at the walkers' positions step by
+drift.  The key words that all walkers of one field share at a step are
+hashed once per field (:func:`_field_groups`), so a batch in one field
+hashes per walker only its noise cell and its field cell.  Every other
+walker (Gaussian laws, d >= 2, float positions, or no library) runs the
+numpy steps: the walk noise in one hash call per block, then
+:func:`environments.field_weights` at the walkers' positions step by
 step.  They are the reference the compiled block matches bit for bit.
 
 Quenched means come in two dual forms that cross-check each other: a Monte
@@ -178,6 +181,24 @@ def _per_row(lanes):
     return lanes[0][:, None], lanes[1][:, None]
 
 
+def _field_groups(base_lanes, shape) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """The fields that walkers of ``shape`` read through ``base_lanes``, one
+    lane pair a field, and g, the walkers that read each one.
+
+    Walkers that differ only along the lanes' trailing axes of length 1 read
+    one field and lie next to each other, so g is the product of those axes'
+    lengths in ``shape``: the number of walkers for one shared field, 1 for
+    lanes of the walkers' own shape.
+    """
+    lanes = np.shape(base_lanes[0])
+    lead = (1,) * (len(shape) - len(lanes)) + lanes
+    j = len(lead)
+    while j and lead[j - 1] == 1:
+        j -= 1
+    fields = tuple(np.broadcast_to(np.reshape(h, lead[:j]), shape[:j]).reshape(-1) for h in base_lanes)
+    return fields, math.prod(shape[j:])
+
+
 class _Walker:
     """Lockstep batch of quenched walks, for every law family and dimension.
 
@@ -194,8 +215,13 @@ class _Walker:
 
     A d=1 walk with integer atoms runs each block in one call of
     ``envwalk_walk`` (``_hash.c``), which reads the field through
-    :func:`environments.field_read`; every other walker runs the numpy
-    steps of :meth:`_numpy_block`, which are also that call's reference.
+    :func:`environments.field_read` with one lane pair a field and g, the
+    walkers that read each one (:func:`_field_groups`): g is the batch size
+    for one shared field and 1 when every walker has its own.  The call
+    hashes the key words a field's walkers share (its lanes, the tag, the
+    level and the cell-word count) once per field and step, and per walker
+    only the walker's own words.  Every other walker runs the numpy steps of
+    :meth:`_numpy_block`, which are also that call's reference.
     A start that the positions' dtype cannot hold exactly (1.7 on an integer
     support) raises ``ValueError``.
     """
@@ -233,14 +259,16 @@ class _Walker:
 
     def _bind(self) -> None:
         """For the compiled block: the walkers' field read (one base lane pair
-        a walker), walk cells (one contiguous array per cell word), positions
-        and drift sums as addresses, made here once and again whenever the
-        set of walkers changes."""
+        a field, and g, the walkers that read each field), walk cells (one
+        contiguous array per cell word), positions and drift sums as
+        addresses, made here once and again whenever the set of walkers
+        changes."""
         if not self.compiled:
             return
         shape = self.pos.shape[:-1]
         n, n_words = self.pos[..., 0].size, self.wcells.shape[-1]
-        read = field_read(self.env, tuple(np.broadcast_to(h, shape).reshape(n) for h in self.base))
+        fields, g = _field_groups(self.base, shape)
+        read = field_read(self.env, fields)
         cells = np.ascontiguousarray(self.wcells.reshape(n, n_words).T, dtype=np.int64)
         support = np.ascontiguousarray(self.support[:, 0])
         scratch = np.empty(n * len(support))
@@ -248,7 +276,7 @@ class _Walker:
         drift = None if self.drift is None else self.drift.ctypes.data
         self._kernel_arrays = (read, cells, support, scratch)  # the memory the addresses point into
         self._kernel_args = (
-            ctypes.addressof(read), n, TAG_WALK, cells.ctypes.data, n_words, support.ctypes.data,
+            ctypes.addressof(read), n, g, TAG_WALK, cells.ctypes.data, n_words, support.ctypes.data,
             self.pos.ctypes.data, drift, scratch.ctypes.data,
         )
 

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import envwalk
 from envwalk import experiments, streams
 from envwalk.cli import main as cli_main
 from envwalk.experiments import (
@@ -81,6 +86,11 @@ def test_missing_experiment_and_bad_lines():
         ("occupation", "n_grid = 16, 32, 16"),
         ("ychain-exit", "r_grid = 4, 8, 4"),
         ("phi-decay", "x_grid = 0, 1, 0.0"),
+        # a time point below epsilon reads step 0, two in one step one sample twice
+        ("fclt", "time_points = 0.0005, 0.5"),
+        ("counterexample", "time_points = 0.25, 0.0009765"),
+        ("fclt", "time_points = 0.5, 0.5000001"),
+        ("counterexample", "time_points = 0.25, 1.0009765, 1"),
         # below 6 replicas the first-step symmetry test cannot reject
         ("ychain-exit", "symmetry_replicas = 5"),
         ("ychain-exit", "symmetry_replicas = 1"),
@@ -141,6 +151,28 @@ def test_any_text_parses_or_raises_config_error(text):
 
 
 SMALL_VARIANCE = "experiment = variance-scan\nn_grid = 16, 32, 64, 128\nenv_replicas = 300\n"
+
+# Runs at workers = 1 in a fresh interpreter: each mean method of
+# variance-scan (one job per chunk of 128 replicas) and occupation.
+_ONE_WORKER_RUNS = """
+import sys
+from envwalk.experiments import parse_config, run
+for text in sys.argv[1:]:
+    run(parse_config(text), workers=1)
+assert "multiprocessing" not in sys.modules, sorted(m for m in sys.modules if m.startswith("multiprocessing"))
+"""
+
+
+def test_single_worker_runs_do_not_import_multiprocessing():
+    texts = [
+        "experiment = variance-scan\nn_grid = 4, 8, 16, 32\nenv_replicas = 300\n",
+        "experiment = variance-scan\nn_grid = 4, 8, 16, 32\nenv_replicas = 300\nmean_method = mc\n",
+        "experiment = occupation\nn_grid = 16, 64, 256, 1024\nreplicas = 100\n",
+    ]
+    path = os.pathsep.join(filter(None, [str(Path(envwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _ONE_WORKER_RUNS, *texts], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_run_is_deterministic():

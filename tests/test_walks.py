@@ -508,6 +508,58 @@ def test_compiled_walker_matches_numpy_walker(name, x0, small_blocks, monkeypatc
         assert_same_bits(got, expected)
 
 
+@needs_kernel
+@pytest.mark.parametrize("n", [1, 255, 257, 1000])
+@pytest.mark.parametrize("name", sorted(_READ_FIELDS))
+def test_shared_field_block_matches_numpy_and_per_walker_copies(name, n, monkeypatch):
+    # A batch in one field hashes each key prefix once per field and step
+    # (g = n walkers a field); the same walkers given n copies of the field's
+    # lane pair hash it once per walker (g = 1).  Both give the numpy steps'
+    # positions and drift sums, with partial tiles of 256 walkers at 255 and
+    # 257, and 4 tiles of which the last is partial at 1 000.
+    env = _READ_FIELDS[name]
+    shared = seed_lanes(env.master_seed)
+    copies = tuple(np.full((n, 1), h) for h in shared)
+    cells = np.stack([np.arange(n) * 3 - 7, np.ones(n, np.int64)], axis=-1)[:, None, :]
+    assert walks._field_groups(shared, (n, 1))[1] == n and walks._field_groups(copies, (n, 1))[1] == 1
+
+    def walk(lanes):
+        walker = walks._Walker(env, lanes, cells, -3, 40, accumulate_drift=True)
+        assert walker.compiled == (streams._LIB is not None)
+        return (*walker.record(), walker.drift)
+
+    lib = streams._LIB
+    monkeypatch.setattr(streams, "_LIB", None)
+    want = walk(shared)
+    monkeypatch.setattr(streams, "_LIB", lib)
+    for lanes in (shared, copies):
+        for got, expected in zip(walk(lanes), want):
+            assert_same_bits(got, expected)
+
+
+@needs_kernel
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("name", sorted(_READ_FIELDS))
+def test_fields_of_several_walkers_across_tiles(name, g, monkeypatch):
+    # 101 fields of g walkers each (lanes of shape (101, 1) against walkers
+    # (101, g)); at g = 3 tiles of 256 walkers start and end inside a field.
+    env = _READ_FIELDS[name]
+    lanes = walks._per_row(seed_lanes_vec(np.arange(101, dtype=np.uint64) * np.uint64(2**61 + 3)))
+    cells = np.arange(101 * g).reshape(101, g, 1)
+    assert walks._field_groups(lanes, (101, g))[1] == g
+
+    def walk():
+        walker = walks._Walker(env, lanes, cells, 2, 30, accumulate_drift=True)
+        return (*walker.record(), walker.drift)
+
+    lib = streams._LIB
+    monkeypatch.setattr(streams, "_LIB", None)
+    want = walk()
+    monkeypatch.setattr(streams, "_LIB", lib)
+    for got, expected in zip(walk(), want):
+        assert_same_bits(got, expected)
+
+
 def test_walkers_that_stay_on_the_numpy_steps():
     # Gaussian laws, d >= 2 and float positions (atoms off the lattice).
     for env in [*D_FIELDS.values(), GAUSS, HALF]:
