@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffchain import SAME_ENV, batch_diff_positions
-from .environments import DIRAC_FIELD, FULLY_CORRELATED, Environment, env_replica, field_weights
-from .families import row_drifts
+from .environments import FULLY_CORRELATED, Environment, env_replica, field_weights
+from .families import DiracSteps, lattice_stride, row_drifts
 from .stats import (
     GofTestResult,
     ScanCurve,
@@ -218,17 +218,6 @@ class FcltReport:
         return all(res.p_value > MARGINAL_ALPHA for _, res in self.tests)
 
 
-def _lattice_span(env: Environment) -> int:
-    """Sub-lattice spacing of the walk's position at a fixed time."""
-    support = env.family.support[:, 0]
-    if support.dtype.kind != "i":
-        raise ValueError("the lattice span needs integer atoms")
-    span = 0
-    for s in support.tolist():
-        span = math.gcd(span, int(s - support.min()))
-    return max(span, 1)
-
-
 def limit_variance(env: Environment, centering: str) -> float:
     """Per-unit-time variance of the rescaled walk's Gaussian limit under ``centering``; d=1.
 
@@ -236,14 +225,14 @@ def limit_variance(env: Environment, centering: str) -> float:
     variance is the annealed step variance.  Under quenched-mean centering
     the annealed identity E[Var^w X_n] = n * averaged_cov - V(n), with
     V(n) = E|E^w X_n - nv|^2, gives the limit.  Where every walker of one
-    field collects the same drift (the level-correlated field, and the Dirac
-    field, whose walkers share one path) V(n) = n * drift_variance; on the
-    other field kinds V(n) = o(n).
+    field collects the same drift (the level-correlated field, and every
+    ``DiracSteps`` field, whose walkers share one path) V(n) = n *
+    drift_variance; on the other fields V(n) = o(n).
     """
     if centering not in CENTERINGS:
         raise ValueError(f"unknown centering {centering!r}; known: {', '.join(CENTERINGS)}")
     fam = env.family
-    if centering == "quenched_mean" and env.kind in (FULLY_CORRELATED, DIRAC_FIELD):
+    if centering == "quenched_mean" and (env.kind == FULLY_CORRELATED or isinstance(fam, DiracSteps)):
         return float(fam.averaged_cov[0, 0] - fam.drift_variance)
     return float(fam.averaged_cov[0, 0])
 
@@ -286,7 +275,7 @@ def fclt_check(
         seed_lanes(env.master_seed), 0, TAG_DITHER, np.arange(walk_replicas)[:, None]
     )
     u = uniforms_at((lanes[0][None, :], lanes[1][None, :]), np.arange(len(ks))[:, None])
-    dither = math.sqrt(epsilon) * _lattice_span(env) * (u - 0.5)
+    dither = math.sqrt(epsilon) * lattice_stride(env.family) * (u - 0.5)
 
     reports = []
     for centering, (center, dvar) in zip(centerings, centers):

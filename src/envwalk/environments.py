@@ -3,12 +3,16 @@
 An :class:`Environment` is an immutable value ``(kind, family, master_seed,
 d, dependence_range, uniform_offset)``; ``query(env, n, x)`` is a pure
 function of that value and (n, x), so the same field can be re-queried and
-shared across workers with no caching and no order sensitivity.  Four
+shared across workers with no caching and no order sensitivity.  Three
 constructions:
 
 * ``lattice_product``    -- i.i.d. law per (level, unit cell), with an
                             optional one-per-field uniform offset of the cell
                             grid, so laws are constant on shifted unit cubes.
+                            ``make_dirac`` builds one without the offset
+                            from ``DiracSteps`` pointmass laws: given the
+                            field, the walk is deterministic (the
+                            regularity-failure reference model).
 * ``finite_range``       -- i.i.d. laws on a cell grid of spacing R; a point
                             takes the law of its nearest grid center (half-up
                             rounding, so ties break deterministically
@@ -17,9 +21,6 @@ constructions:
 * ``fully_correlated``   -- one law per level shared by every x: maximal
                             spatial correlation, the no-mixing reference
                             model.
-* ``dirac_field``        -- per-cell pointmass laws: given the field, the
-                            walk is deterministic (the regularity-failure
-                            reference model).
 
 Levels never share stream keys, so distinct time levels are independent by
 construction in every model.  ``field_weights`` is the batched twin of
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import DiracSteps, FixedAtomic, LawFamily, UniformPM1
+from .families import DiracSteps, FixedAtomic, LawFamily, UniformPM1, has_fixed_support
 from .jumplaws import JumpLaw
 from .streams import (
     TAG_ENV,
@@ -66,7 +67,6 @@ __all__ = [
 LATTICE_PRODUCT = "lattice_product"
 FINITE_RANGE = "finite_range"
 FULLY_CORRELATED = "fully_correlated"
-DIRAC_FIELD = "dirac_field"
 # The finest finite-range grid: a cell floor(x / R + 0.5) stays an int64
 # for every |x| < MAX_COORDINATE, on the numpy read and on the compiled one.
 MIN_DEPENDENCE_RANGE = 2.0**-20
@@ -82,13 +82,15 @@ class Environment:
     dependence_range: float | None = None
     uniform_offset: bool = False
 
+    def __post_init__(self):
+        if self.family.d != self.d:
+            raise ValueError(f"family dimension {self.family.d} != environment dimension {self.d}")
+
 
 def make_lattice_product(
     master_seed: int, d: int, family: LawFamily, uniform_offset: bool = True
 ) -> Environment:
     """i.i.d. site laws on unit cells, optionally on a uniformly offset grid."""
-    if family.d != d:
-        raise ValueError(f"family dimension {family.d} != environment dimension {d}")
     return Environment(LATTICE_PRODUCT, family, int(master_seed), d, uniform_offset=uniform_offset)
 
 
@@ -96,25 +98,20 @@ def make_finite_range(master_seed: int, d: int, dependence_range: float, family:
     """i.i.d. cell laws on a grid of spacing ``dependence_range``."""
     if not dependence_range >= MIN_DEPENDENCE_RANGE:
         raise ValueError(f"dependence_range must be >= {MIN_DEPENDENCE_RANGE}, got {dependence_range}")
-    if family.d != d:
-        raise ValueError(f"family dimension {family.d} != environment dimension {d}")
     return Environment(FINITE_RANGE, family, int(master_seed), d, dependence_range=float(dependence_range))
 
 
 def make_fully_correlated(master_seed: int, d: int, family: LawFamily) -> Environment:
     """One law per level, shared by every spatial point."""
-    if family.d != d:
-        raise ValueError(f"family dimension {family.d} != environment dimension {d}")
     return Environment(FULLY_CORRELATED, family, int(master_seed), d)
 
 
 def make_dirac(master_seed: int, d: int, family: DiracSteps) -> Environment:
-    """Per-cell pointmass laws; the quenched walk carries no randomness."""
+    """Per-cell pointmass laws on unit cells without an offset; the quenched
+    walk carries no randomness."""
     if not isinstance(family, DiracSteps):
-        raise ValueError("dirac_field requires a DiracSteps family")
-    if family.d != d:
-        raise ValueError(f"family dimension {family.d} != environment dimension {d}")
-    return Environment(DIRAC_FIELD, family, int(master_seed), d)
+        raise ValueError("a Dirac field requires a DiracSteps family")
+    return make_lattice_product(master_seed, d, family, uniform_offset=False)
 
 
 def offset_vector(env: Environment) -> np.ndarray:
@@ -128,7 +125,7 @@ def offset_vector(env: Environment) -> np.ndarray:
 def cell_index(env: Environment, x: np.ndarray) -> np.ndarray:
     """Integer cell coordinates for points, shape (..., d).
 
-    lattice_product / dirac_field: floor(x + U) per coordinate.
+    lattice_product: floor(x + U) per coordinate.
     finite_range: nearest center of the spacing-R grid, half-up rounding.
     fully_correlated: empty cell tuple (a single shared cell per level).
     """
@@ -193,7 +190,7 @@ def field_weights(env: Environment, base_lanes, level: int, positions) -> np.nda
     else:
         cells = positions
     lanes = lanes_for_cells(base_lanes, level, TAG_ENV, cells)
-    table = fam.weight_table if hasattr(fam, "weight_table") else fam.mean_table
+    table = fam.weight_table if has_fixed_support(fam) else fam.mean_table
     rows = table(uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(fam.n_uniforms)))
     if env.kind == FULLY_CORRELATED:
         return np.broadcast_to(rows, np.broadcast_shapes(lanes[0].shape, positions.shape[:-1]) + rows.shape[-1:])
@@ -206,7 +203,7 @@ def field_read(env: Environment, base_lanes) -> FieldRead:
     ``base_lanes`` are one field per row (``seed_lanes_vec``): a replica
     row of the propagation step, a field of the walker block (which the
     walkers read in groups, one group a field).  The struct
-    carries the cell rule (a lattice or Dirac field reads the one-word cell
+    carries the cell rule (a lattice field reads the one-word cell
     x, a finite-range field floor(x / R + 0.5), and the level-correlated
     field no cell word, ``cell_words = 0``) and the family's
     ``weight_table`` as one of three kinds: affine for ``UniformPM1``, a

@@ -180,10 +180,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if name not in keys:
             raise ConfigError(f"line {lineno}: unknown key {name!r} for experiment {experiment!r}")
         values[name] = keys[name].parse(name, raw, f"line {lineno}: ")
-    for lo, hi, word, holds in (("p_low", "p_high", ">=", operator.ge), ("n_lo", "n_hi", ">", operator.gt)):
-        if hi in values and not holds(values[hi], values[lo]):
-            lineno = max(lines.get(name, (0,))[0] for name in (lo, hi))
-            raise ConfigError(f"line {lineno}: {hi}: must be {word} {lo} = {values[lo]}, got {values[hi]}")
+    # The counterexample always centers at the quenched mean, fclt when asked to.
+    quenched_mean = experiment == "counterexample" or values.get("centering") == "quenched_mean"
+    if values["model"] == "dirac-field" and quenched_mean:
+        lineno = max(lines["model"][0], lines["centering"][0] if experiment == "fclt" else experiment_line)
+        raise ConfigError(f"line {lineno}: model: dirac-field walks are deterministic given the field, "
+                          "so quenched_mean centering has no Gaussian limit")
+    # A pass_seeds above env_seeds asks for more passing fields than there are.
+    for ref, key, word, holds in (("p_low", "p_high", ">=", operator.ge), ("n_lo", "n_hi", ">", operator.gt),
+                                  ("env_seeds", "pass_seeds", "<=", operator.le)):
+        if key in values and not holds(values[key], values[ref]):
+            lineno = max(lines.get(name, (0,))[0] for name in (ref, key))
+            raise ConfigError(f"line {lineno}: {key}: must be {word} {ref} = {values[ref]}, got {values[key]}")
     if "time_points" in values:  # fclt_check reads B(t) at step floor(t / epsilon)
         lineno = max(lines.get(name, (0,))[0] for name in ("epsilon", "time_points"))
         eps, seen = values["epsilon"], {}
@@ -196,12 +204,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"line {lineno}: time_points: {seen[k]} and {t} fall in one step, "
                                   f"floor(t / epsilon) = {k}, and would test one walk sample twice")
             seen[k] = t
-    # The counterexample always centers at the quenched mean, fclt when asked to.
-    quenched_mean = experiment == "counterexample" or values.get("centering") == "quenched_mean"
-    if values["model"] == "dirac-field" and quenched_mean:
-        lineno = max(lines["model"][0], lines["centering"][0] if experiment == "fclt" else experiment_line)
-        raise ConfigError(f"line {lineno}: model: dirac-field walks are deterministic given the field, "
-                          "so quenched_mean centering has no Gaussian limit")
     return ExperimentConfig(experiment, values, text)
 
 

@@ -12,6 +12,11 @@ probability per cell), ``FixedAtomic`` (one law everywhere), ``DiracSteps``
 (a pointmass picked per cell from a finite table, the one family the
 compiled field read serves with its threshold table) and ``GaussianDrift``.
 
+The lattice a walk lives on is decided here, once per family: its atoms
+are integers when each equals its rounding exactly (``support`` is then
+int64; :func:`integer_support`), and a d=1 walk's lattice has the gcd of
+the gaps between atoms as its stride (:func:`lattice_stride`).
+
 Families also carry their closed-form one-step moments (annealed mean and
 covariance, drift variance, mean quenched step covariance) when these exist;
 estimators use them as centering constants and tests as oracles.
@@ -19,6 +24,7 @@ estimators use them as centering constants and tests as oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,8 @@ __all__ = [
     "GaussianDrift",
     "LawFamily",
     "has_fixed_support",
+    "integer_support",
+    "lattice_stride",
     "row_drifts",
 ]
 
@@ -86,14 +94,33 @@ class UniformPM1:
         return np.array([[1.0 - v * v - self.drift_variance]])
 
 
-def _support(points) -> np.ndarray:
-    """Atoms as rows: integers when every atom is a lattice point, floats otherwise."""
-    pts = np.asarray(points, dtype=float)
-    return np.round(pts).astype(int) if np.allclose(pts, np.round(pts)) else pts
+class _AtomTable:
+    """The core of ``FixedAtomic`` and ``DiracSteps``: atoms ``points``, drawn
+    with probabilities ``_probs``."""
+
+    @property
+    def d(self) -> int:
+        return len(self.points[0])
+
+    @property
+    def support(self) -> np.ndarray:
+        """Atoms as rows: int64 when every atom equals its rounding and fits, floats otherwise."""
+        pts = np.asarray(self.points)
+        integer = np.array_equal(pts, np.round(pts)) and np.abs(pts).max() < 2.0**63
+        return pts.astype(np.int64) if integer else pts
+
+    @property
+    def averaged_mean(self) -> np.ndarray:
+        return np.asarray(self._probs) @ np.asarray(self.points)
+
+    @property
+    def averaged_cov(self) -> np.ndarray:
+        c = np.asarray(self.points) - self.averaged_mean
+        return (c * np.asarray(self._probs)[:, None]).T @ c
 
 
 @dataclass(frozen=True)
-class FixedAtomic:
+class FixedAtomic(_AtomTable):
     """The same atomic law in every cell: a nonrandom environment."""
 
     points: tuple[tuple[float, ...], ...]
@@ -104,15 +131,8 @@ class FixedAtomic:
         object.__setattr__(self, "points", law.points)
         object.__setattr__(self, "weights", law.weights)
 
-    @property
-    def d(self) -> int:
-        return len(self.points[0])
-
     n_uniforms = 0
-
-    @property
-    def support(self) -> np.ndarray:
-        return _support(self.points)
+    _probs = property(lambda self: self.weights)
 
     def weight_table(self, u: np.ndarray) -> np.ndarray:
         shape = np.asarray(u).shape[:-1] + (len(self.weights),)
@@ -120,17 +140,6 @@ class FixedAtomic:
 
     def make(self, u: np.ndarray) -> JumpLaw:
         return Atomic(self.points, self.weights)
-
-    @property
-    def averaged_mean(self) -> np.ndarray:
-        return np.asarray(self.weights) @ np.asarray(self.points)
-
-    @property
-    def averaged_cov(self) -> np.ndarray:
-        pts = np.asarray(self.points)
-        m = self.averaged_mean
-        c = pts - m
-        return (c * np.asarray(self.weights)[:, None]).T @ c
 
     drift_variance = 0.0
 
@@ -140,7 +149,7 @@ class FixedAtomic:
 
 
 @dataclass(frozen=True)
-class DiracSteps:
+class DiracSteps(_AtomTable):
     """Per-cell pointmass displacement picked from a finite table.
 
     Every produced law is a Dirac measure: given the environment the walk is
@@ -156,15 +165,8 @@ class DiracSteps:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", tuple(float(w) for w in self.probs))
 
-    @property
-    def d(self) -> int:
-        return len(self.points[0])
-
     n_uniforms = 1
-
-    @property
-    def support(self) -> np.ndarray:
-        return _support(self.points)
+    _probs = property(lambda self: self.probs)
 
     def weight_table(self, u: np.ndarray) -> np.ndarray:
         cum = np.cumsum(self.probs)
@@ -172,20 +174,7 @@ class DiracSteps:
         return np.eye(len(self.points))[idx]
 
     def make(self, u: np.ndarray) -> JumpLaw:
-        cum = np.cumsum(self.probs)
-        idx = int(atomic_index(cum, np.asarray(u)[..., 0]))
-        return Dirac(self.points[idx])
-
-    @property
-    def averaged_mean(self) -> np.ndarray:
-        return np.asarray(self.probs) @ np.asarray(self.points)
-
-    @property
-    def averaged_cov(self) -> np.ndarray:
-        pts = np.asarray(self.points)
-        m = self.averaged_mean
-        c = pts - m
-        return (c * np.asarray(self.probs)[:, None]).T @ c
+        return Dirac(self.points[int(np.argmax(self.weight_table(u)))])
 
     @property
     def drift_variance(self) -> float:
@@ -250,6 +239,25 @@ LawFamily = UniformPM1 | FixedAtomic | DiracSteps | GaussianDrift
 def has_fixed_support(family) -> bool:
     """Whether the family supports vectorized weight-table evaluation."""
     return hasattr(family, "support") and hasattr(family, "weight_table")
+
+
+def integer_support(family) -> np.ndarray:
+    """The family's atoms as int64 rows; ``ValueError`` unless it has a fixed
+    support of integer atoms."""
+    if not has_fixed_support(family) or family.support.dtype.kind != "i":
+        raise ValueError("exact lattice paths need a fixed-support family with integer atoms")
+    return family.support
+
+
+def lattice_stride(family) -> int:
+    """The stride of the lattice a d=1 walk on the family's integer atoms
+    lives on: the gcd of the gaps between atoms (1 for a single atom).  From
+    0, the walk is at step k on k * min(atoms) + stride * Z."""
+    support = integer_support(family)
+    if support.shape[1] != 1:
+        raise ValueError(f"the lattice stride needs d=1 atoms, got d={support.shape[1]}")
+    gaps = support[:, 0] - support.min()
+    return math.gcd(*gaps.tolist()) or 1
 
 
 def row_drifts(family, rows: np.ndarray) -> np.ndarray:

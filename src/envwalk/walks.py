@@ -11,7 +11,7 @@ steps at a time (``_BLOCK_ELEMENTS`` walker-steps a block) until the last
 step or the last walker; since every variate is a pure function of its
 address, the blocks change no draw.  The walker serves every law family in
 any dimension d, with positions of shape (..., d): steps on a fixed atom
-support (integer positions when every atom is a lattice point), Gaussian
+support (integer positions when the family's atoms are integers), Gaussian
 steps around each cell's drift vector (the difference-chain pairs stay
 d=1).  Walk noise uses its own key tag, so walk randomness never touches
 environment randomness.
@@ -62,8 +62,8 @@ import numpy as np
 
 from . import streams
 from .environments import Environment, field_read, field_weights, query
-from .families import has_fixed_support, row_drifts
-from .jumplaws import Atomic, Dirac, gaussian_factor, gaussian_step, law_sample, sample_uniform_count
+from .families import has_fixed_support, integer_support, lattice_stride, row_drifts
+from .jumplaws import Dirac, gaussian_factor, gaussian_step, law_sample, sample_uniform_count
 from .streams import (
     TAG_WALK,
     StreamKey,
@@ -383,34 +383,28 @@ def quenched_mean_mc(env: Environment, n_grid, n_walks: int) -> QuenchedMeanCurv
     return QuenchedMeanCurve(n_grid, x.mean(axis=1), x.std(axis=1, ddof=1) / math.sqrt(n_walks), "mc")
 
 
-def _integer_atoms(law) -> tuple[np.ndarray, np.ndarray]:
-    """Atom (points, weights) of a lattice law; rejects anything else."""
+def _atoms(law) -> tuple[np.ndarray, np.ndarray]:
+    """Atom (points, weights) of an atomic or pointmass law, points as int64."""
     if isinstance(law, Dirac):
-        pts, w = np.asarray([law.point]), np.asarray([1.0])
-    elif isinstance(law, Atomic):
-        pts, w = np.asarray(law.points), np.asarray(law.weights)
-    else:
-        raise ValueError("exact propagation requires atomic or pointmass laws")
-    rounded = np.round(pts)
-    if not np.allclose(pts, rounded, atol=1e-9):
-        raise ValueError("exact propagation requires laws supported on the integer lattice")
-    return rounded.astype(np.int64), w
+        return np.asarray([law.point], dtype=np.int64), np.asarray([1.0])
+    return np.asarray(law.points).astype(np.int64), np.asarray(law.weights)
 
 
 def quenched_mean_exact(env: Environment, n_max: int, support_cap: int = SUPPORT_CAP) -> QuenchedMeanCurve:
     """Exact quenched means from the origin by propagating the full quenched law.
 
-    Works for any dimension and any environment whose queried laws are
-    atomic on the integer lattice.  Mass below ``PRUNE_MASS`` is dropped and
-    the law renormalized; exceeding ``support_cap`` lattice points raises.
+    Works for any dimension and any family with integer atoms
+    (:func:`families.integer_support`).  Mass below ``PRUNE_MASS`` is dropped
+    and the law renormalized; exceeding ``support_cap`` lattice points raises.
     """
+    integer_support(env.family)
     state: dict[tuple[int, ...], float] = {(0,) * env.d: 1.0}
     means = np.zeros((n_max + 1, env.d))
     for k in range(n_max):
         new: dict[tuple[int, ...], float] = {}
         drift = np.zeros(env.d)
         for site, mass in state.items():
-            pts, w = _integer_atoms(query(env, k, np.asarray(site, dtype=float)))
+            pts, w = _atoms(query(env, k, np.asarray(site, dtype=float)))
             drift = drift + mass * (w @ pts)
             for p, wt in zip(pts, w):
                 if wt == 0.0:
@@ -442,8 +436,7 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     per-level drifts.
     """
     fam = env_template.family
-    if env_template.d != 1 or not has_fixed_support(fam) or fam.support.dtype.kind != "i":
-        raise ValueError("exact mean curves need a d=1 fixed-support family with integer atoms")
+    st = lattice_stride(fam)
     support = fam.support[:, 0]
     seeds = np.asarray(replica_seeds, dtype=np.uint64)
     m = seeds.shape[0]
@@ -456,8 +449,6 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
 
     smax = int(np.abs(support).max())
     s_lo = int(support.min())
-    # Positions at step k have the parity of k when every atom is odd.
-    st = 2 if bool(np.all(np.abs(support) % 2 == 1)) else 1
     offsets = ((support - s_lo) // st).astype(np.intp)
     span = int(offsets.max())
 

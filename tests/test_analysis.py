@@ -230,6 +230,21 @@ def test_limit_variance_closed_forms():
         limit_variance(MIX, "drift")
 
 
+def test_limit_variance_of_every_dirac_field_is_zero_under_quenched_mean():
+    # Every walker of a DiracSteps field follows one path, whichever
+    # construction builds the field.
+    fam = DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5))
+    for env in (
+        DIRAC,
+        make_lattice_product(909, 1, fam, uniform_offset=False),
+        make_lattice_product(909, 1, fam),
+        make_finite_range(909, 1, 2.0, fam),
+        make_fully_correlated(909, 1, fam),
+    ):
+        assert limit_variance(env, "quenched_mean") == 0.0
+        assert limit_variance(env, "velocity") == 1.0
+
+
 @pytest.mark.parametrize("env", [MIX, FC], ids=["mixing", "level-correlated"])
 def test_quenched_variance_identity_at_n16(env):
     # E[Var^w X_n] = n * averaged_cov - V(n), V(n) = E|E^w X_n - nv|^2, on 400 fields x 500 walkers.

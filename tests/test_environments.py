@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from envwalk.environments import (
+    LATTICE_PRODUCT,
+    Environment,
     env_replica,
     field_weights,
     make_dirac,
@@ -73,6 +75,11 @@ def test_dirac_family_type_enforced():
         make_dirac(1, 1, UniformPM1())
 
 
+def test_dirac_field_is_a_lattice_product_without_offset():
+    fam = DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.25, 0.625, 0.125))
+    assert make_dirac(31, 1, fam) == make_lattice_product(31, 1, fam, uniform_offset=False)
+
+
 def test_finite_range_independence_beyond_range():
     r = 2.0
     env_t = make_finite_range(47, 1, r, UniformPM1())
@@ -129,6 +136,11 @@ def test_env_replicas_differ_and_are_reproducible():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         make_lattice_product(1, 2, UniformPM1())
+    # the value itself checks, so no constructor can skip it
+    with pytest.raises(ValueError, match="family dimension 1 != environment dimension 2"):
+        Environment(LATTICE_PRODUCT, UniformPM1(), 1, 2)
+    with pytest.raises(ValueError, match="family dimension 2 != environment dimension 1"):
+        Environment(LATTICE_PRODUCT, _DIRAC2, 1, 1)
     env = make_lattice_product(1, 2, GaussianDrift(2, 0.5, ((1.0, 0.0), (0.0, 1.0))))
     law = query(env, 0, (0.3, -0.7))
     assert len(law.mean) == 2

@@ -94,6 +94,9 @@ def test_missing_experiment_and_bad_lines():
         # below 6 replicas the first-step symmetry test cannot reject
         ("ychain-exit", "symmetry_replicas = 5"),
         ("ychain-exit", "symmetry_replicas = 1"),
+        # more passing fields than fields could never pass
+        ("fclt", "pass_seeds = 11"),
+        ("counterexample", "pass_seeds = 11"),
     ],
 )
 def test_bad_value_rejected_by_line_and_key(experiment, line):

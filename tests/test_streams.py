@@ -1,3 +1,4 @@
+import ctypes
 import re
 import shutil
 
@@ -171,6 +172,43 @@ def test_kernel_loaded_where_a_compiler_exists():
         pytest.skip("no C compiler: the numpy paths serve every call")
     assert streams._LIB is not None
     assert all(hasattr(streams._LIB, name) for name in ENTRY_POINTS)
+
+
+# The ctypes type that declares each C type of _hash.c; every pointer is c_void_p.
+_CTYPES = {
+    "size_t": ctypes.c_size_t,
+    "stride_t": ctypes.c_ssize_t,
+    "u64": ctypes.c_uint64,
+    "int64_t": ctypes.c_int64,
+    "double": ctypes.c_double,
+    "int": ctypes.c_int,
+}
+
+
+def _declared(decl):
+    """(name, ctypes type) of each declarator of one C declaration: a parameter
+    ("const double *a") or a struct member ("const u64 *b1, *b2")."""
+    base, declarators = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*)", decl, flags=re.S).groups()
+    for d in declarators.split(","):
+        yield d.strip().lstrip("*").strip(), ctypes.c_void_p if "*" in d else _CTYPES[base]
+
+
+def test_ctypes_declarations_match_the_c_source():
+    # A ctypes declaration that disagrees with its C definition passes
+    # garbage silently, so each entry point's restype and argtypes, and
+    # FieldRead's members, are compared with _hash.c one by one.
+    source = re.sub(r"/\*.*?\*/", "", streams._KERNEL_SOURCE.read_text(), flags=re.S)
+    body = re.search(r"^struct field \{(.*?)\};", source, flags=re.M | re.S).group(1)
+    members = [m for decl in body.split(";")[:-1] for m in _declared(decl)]
+    assert list(streams.FieldRead._fields_) == members
+    prototypes = re.findall(r"^(?!static )([a-z]\w*) (\w+)\(([^)]*)\)", source, flags=re.M)
+    assert {name for _, name, _ in prototypes} == ENTRY_POINTS
+    if streams._LIB is None:
+        pytest.skip("no compiled kernel: nothing declares the entry points")
+    for restype, name, params in prototypes:
+        fn = getattr(streams._LIB, name)
+        assert fn.restype is {"void": None, **_CTYPES}[restype], name
+        assert list(fn.argtypes) == [t for p in params.split(",") for _, t in _declared(p)], name
 
 
 def _per_row(seeds):

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from envwalk import streams, walks
-from envwalk.analysis import _lattice_span
 from envwalk.diffchain import SAME_ENV, batch_diff_positions, simulate_diff_chain
 from envwalk.environments import (
     env_replica,
@@ -19,7 +18,7 @@ from envwalk.environments import (
     make_lattice_product,
     query,
 )
-from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
+from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1, lattice_stride
 from envwalk.jumplaws import law_mean
 from envwalk.streams import TAG_ENV, TAG_WALK, StreamKey, derive_stream, seed_lanes, seed_lanes_vec
 from envwalk.walks import (
@@ -177,7 +176,52 @@ def test_exact_paths_reject_non_integer_atoms():
     with pytest.raises(ValueError, match="integer atoms"):
         exact_mean_curves(env, 4, np.arange(2, dtype=np.uint64))
     with pytest.raises(ValueError, match="integer atoms"):
-        _lattice_span(env)
+        lattice_stride(env.family)
+
+
+# An atom a hair off the lattice: a relative tolerance would round it onto 2.
+NEAR_INTEGER = make_lattice_product(404, 1, FixedAtomic(((2.00001,), (-1.0,)), (0.5, 0.5)), uniform_offset=False)
+
+
+def test_near_integer_atoms_stay_floats():
+    support = NEAR_INTEGER.family.support
+    assert support.dtype == np.float64 and np.array_equal(support[:, 0], [2.00001, -1.0])
+    _, pos, _ = batch_quenched_positions(NEAR_INTEGER, 6, np.arange(5))
+    for w in range(5):
+        assert np.array_equal(pos[:, w], simulate_quenched_path(NEAR_INTEGER, 6, walk_seed=w).positions)
+    assert not np.array_equal(pos, np.round(pos))
+
+
+def test_exact_propagators_reject_near_integer_atoms():
+    with pytest.raises(ValueError, match="integer atoms"):
+        quenched_mean_exact(NEAR_INTEGER, 2)
+    with pytest.raises(ValueError, match="integer atoms"):
+        exact_mean_curves(NEAR_INTEGER, 2, np.arange(2, dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "points, stride",
+    [([1, -1], 2), ([1, -1, 3], 2), ([2, -1, -1], 3), ([2, -1, 0], 1), ([4, -2], 6), ([1], 1), ([-10], 1)],
+)
+def test_lattice_stride_is_the_gcd_of_the_atom_gaps(points, stride):
+    fam = FixedAtomic(tuple((float(p),) for p in points), (1.0 / len(points),) * len(points))
+    assert fam.support.dtype == np.int64
+    assert lattice_stride(fam) == stride
+    # a walk from 0 is at step k on k * min(atoms) + stride * Z
+    env = make_lattice_product(404, 1, fam, uniform_offset=False)
+    _, pos, _ = batch_quenched_positions(env, 12, np.arange(20))
+    k = np.arange(13)[:, None]
+    assert np.all((pos[..., 0] - k * min(points)) % stride == 0)
+
+
+def test_gcd_stride_curves_match_the_dictionary_oracle(monkeypatch):
+    # Atoms {2, -1, -1} live on a stride-3 lattice; the dense curves on it agree
+    # with the dictionary propagator, on the compiled and the numpy step.
+    env = make_lattice_product(404, 1, FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.3, 0.2, 0.5)))
+    seeds = np.asarray([env.master_seed], dtype=np.uint64)
+    want = quenched_mean_exact(env, 60).means[:, 0]
+    for _ in each_step_path(monkeypatch):
+        assert np.allclose(exact_mean_curves(env, 60, seeds)[0], want, rtol=0, atol=1e-12)
 
 
 def test_quenched_mean_mc_in_two_dimensions():
@@ -296,8 +340,9 @@ def assert_same_bits(got, want):
 
 
 # Fields for the compiled step: each d=1 fixed-support family, on the
-# parity-2 grid (odd atoms) and the step-1 grid (a 3-atom FixedAtomic; the
-# drifting one makes the atom order of the drift sum show in its last bits).
+# stride-2 grid (odd atoms) and the stride-3 grid (a 3-atom FixedAtomic on
+# {2, -1, -1}; the drifting one makes the atom order of the drift sum show in
+# its last bits).
 # Each family kind of the compiled field read is here: affine (UniformPM1,
 # also with p_low == p_high), threshold (DiracSteps on the lattice with
 # uniform and with weighted probs, and on 2- and 3-point Dirac fields) and
