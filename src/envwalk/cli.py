@@ -24,7 +24,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a key=value experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config's master seed")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers: variance-scan, fclt, counterexample; others use one")
+                        help="worker threads: variance-scan, fclt, counterexample; others use one")
     parser.add_argument("--out", default=".", help="output directory for report files")
     parser.add_argument("--format", default="json", choices=("csv", "json"), dest="fmt",
                         help="report format")

@@ -11,7 +11,10 @@ the runners use the typed values as they are.  The report is a pure
 function of (config, seed): replica work is cut into fixed-size chunks
 whose results are combined in index order, so the worker count changes
 wall-clock time only.  Wall-clock is therefore *not* part of the report;
-the CLI prints timing to stderr instead.
+the CLI prints timing to stderr instead.  Workers are threads of one
+process: ``variance-scan`` runs one job per chunk, ``fclt`` and
+``counterexample`` one per field, and the other experiments run on one
+thread.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import itertools
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,28 +230,19 @@ def _chunks(n: int) -> list[np.ndarray]:
     return [np.arange(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
 
 
-def _pmap(fn, jobs: list, workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
+def _pmap(fn, jobs, workers: int) -> list:
+    """``[fn(j) for j in jobs]`` on up to ``workers`` threads, capped at the
+    CPUs this process may use.  The jobs' work runs in the compiled library,
+    whose ctypes calls release the GIL."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(jobs), cpus)
+    if workers <= 1:
         return [fn(j) for j in jobs]
-    # Imported only here: a run that does not fork never loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+    # Imported only here: concurrent.futures loads logging, 5-6 ms of start-up a one-worker run skips.
+    from concurrent.futures import ThreadPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
-
-
-# --- chunk workers (module level: picklable) --------------------------------
-
-
-def _squared_deviations_chunk(args):
-    env, n_grid, mean_method, idx = args
-    return analysis.squared_deviations(env, n_grid, idx, mean_method)
-
-
-def _fclt_chunk(args):
-    env_template, seed_index, values, centerings = args
-    env = env_replica(env_template, seed_index)
-    return analysis.fclt_check(env, values["epsilon"], values["time_points"], values["walk_replicas"], centerings)
 
 
 # --- runners ----------------------------------------------------------------
@@ -297,8 +292,9 @@ def _scan_rows(section: str, curve) -> list[Row]:
 
 def _run_variance_scan(env: Environment, v: dict, workers: int):
     n_grid = np.sort(np.asarray(v["n_grid"], dtype=np.int64))
-    jobs = [(env, n_grid, v["mean_method"], idx) for idx in _chunks(v["env_replicas"])]
-    curve = analysis.variance_curve(env, n_grid, np.concatenate(_pmap(_squared_deviations_chunk, jobs, workers)))
+    chunks = _pmap(lambda idx: analysis.squared_deviations(env, n_grid, idx, v["mean_method"]),
+                   _chunks(v["env_replicas"]), workers)
+    curve = analysis.variance_curve(env, n_grid, np.concatenate(chunks))
     rows = _scan_rows("variance", curve)
     verdicts = []
     if curve.fit is not None:
@@ -351,7 +347,9 @@ def _fclt_runs(env: Environment, v: dict, workers: int, expectations, cov_se_fac
     """The FCLT check on ``env_seeds`` fields, one walk batch per field, under
     each (centering, expected marginals) pair of ``expectations``."""
     centerings = tuple(c for c, _ in expectations)
-    per_field = _pmap(_fclt_chunk, [(env, s, v, centerings) for s in range(v["env_seeds"])], workers)
+    per_field = _pmap(lambda s: analysis.fclt_check(env_replica(env, s), v["epsilon"], v["time_points"],
+                                                    v["walk_replicas"], centerings),
+                      range(v["env_seeds"]), workers)
     thresh, total = v["pass_seeds"], v["env_seeds"]
     rows, verdicts = [], []
     for k, (centering, expect) in enumerate(expectations):

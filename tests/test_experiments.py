@@ -1,8 +1,12 @@
+import concurrent.futures
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -154,14 +158,17 @@ def test_any_text_parses_or_raises_config_error(text):
 
 
 SMALL_VARIANCE = "experiment = variance-scan\nn_grid = 16, 32, 64, 128\nenv_replicas = 300\n"
+SMALL_FCLT = "experiment = fclt\nwalk_replicas = 200\nenv_seeds = 3\npass_seeds = 1\n"
 
-# Runs at workers = 1 in a fresh interpreter: each mean method of
-# variance-scan (one job per chunk of 128 replicas) and occupation.
-_ONE_WORKER_RUNS = """
+# Runs in a fresh interpreter: each mean method of variance-scan (one job
+# per chunk of 128 replicas) and occupation at one worker, and variance-scan
+# and counterexample at two.  Workers are threads, so none of them loads
+# multiprocessing.
+_RUNS_IN_A_FRESH_INTERPRETER = """
 import sys
 from envwalk.experiments import parse_config, run
 for text in sys.argv[1:]:
-    run(parse_config(text), workers=1)
+    run(parse_config(text))
 assert "multiprocessing" not in sys.modules, sorted(m for m in sys.modules if m.startswith("multiprocessing"))
 """
 
@@ -171,11 +178,52 @@ def test_single_worker_runs_do_not_import_multiprocessing():
         "experiment = variance-scan\nn_grid = 4, 8, 16, 32\nenv_replicas = 300\n",
         "experiment = variance-scan\nn_grid = 4, 8, 16, 32\nenv_replicas = 300\nmean_method = mc\n",
         "experiment = occupation\nn_grid = 16, 64, 256, 1024\nreplicas = 100\n",
+        "experiment = variance-scan\nn_grid = 4, 8, 16, 32\nenv_replicas = 300\nworkers = 2\n",
+        "experiment = counterexample\nwalk_replicas = 200\nenv_seeds = 2\npass_seeds = 1\nworkers = 2\n",
     ]
     path = os.pathsep.join(filter(None, [str(Path(envwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _ONE_WORKER_RUNS, *texts], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", _RUNS_IN_A_FRESH_INTERPRETER, *texts],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_pool_is_capped_at_the_cpus_this_process_may_use(monkeypatch):
+    sizes = []  # max_workers of each pool; the stand-in maps on the calling thread
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    jobs = range(10)
+    assert experiments._pmap(abs, jobs, 100000) == list(jobs)
+    assert experiments._pmap(abs, jobs, 2) == list(jobs)
+    assert experiments._pmap(abs, range(2), 100000) == [0, 1]
+    assert sizes == [3, 2, 2]
+    cfg = parse_config(SMALL_FCLT)
+    assert report_json(run(cfg, workers=100000)) == report_json(run(cfg, workers=1))
+    assert sizes == [3, 2, 2, 3]
+    # Where affinity is unavailable the cap is the CPU count, and with none known, one.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert experiments._pmap(abs, jobs, 100000) == list(jobs)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiments._pmap(abs, jobs, 100000) == list(jobs)
+    assert sizes == [3, 2, 2, 3, 5]
+
+
+def test_threaded_runs_at_once_give_the_bytes_of_runs_one_after_the_other():
+    configs = [parse_config(SMALL_FCLT), parse_config(SMALL_VARIANCE)]
+    alone = [report_json(run(cfg, workers=2)) for cfg in configs]
+    start = threading.Barrier(len(configs))
+
+    def at_once(cfg):
+        start.wait()
+        return report_json(run(cfg, workers=2))
+
+    with concurrent.futures.ThreadPoolExecutor(len(configs)) as pool:
+        assert list(pool.map(at_once, configs)) == alone
 
 
 def test_run_is_deterministic():
@@ -366,18 +414,23 @@ def test_variance_scan_rows_follow_the_sorted_grid_under_both_mean_methods():
 
 
 # Both mean methods of variance-scan fan replica chunks out over the workers;
-# 130 replicas make two chunks.  The digest pins the mc report's bytes.
+# 130 replicas make two chunks.  The digest pins the mc report's bytes.  The
+# counterexample fans its fields out.  Without the library the numpy paths
+# hold the GIL for part of their work, so threads gain less, but the bytes
+# are the same.
 MC_VARIANCE = "experiment = variance-scan\nmean_method = mc\nn_grid = 2, 4, 8, 16, 32\nenv_replicas = 130\neta_max = 0.9\n"
 MC_VARIANCE_DIGEST = "db1420b68bd792774cf9de4f2b884f170282c2e0cf1bff605eef619d75fa450e"
+SMALL_COUNTEREXAMPLE = "experiment = counterexample\nwalk_replicas = 200\nenv_seeds = 3\npass_seeds = 1\n"
 
 
 def test_variance_scan_mc_report_holds_its_digest_on_both_paths_and_worker_counts(monkeypatch):
-    cfg = parse_config(MC_VARIANCE)
-    one = report_json(run(cfg, workers=1))
-    assert one == report_json(run(cfg, workers=2))
-    assert hashlib.sha256(one.encode()).hexdigest() == MC_VARIANCE_DIGEST
-    monkeypatch.setattr(streams, "_LIB", None)
-    assert report_json(run(cfg, workers=1)) == one
+    configs = [parse_config(MC_VARIANCE), parse_config(SMALL_COUNTEREXAMPLE)]
+    reports = [report_json(run(cfg, workers=1)) for cfg in configs]
+    assert hashlib.sha256(reports[0].encode()).hexdigest() == MC_VARIANCE_DIGEST
+    for lib in dict.fromkeys([streams._LIB, None]):
+        monkeypatch.setattr(streams, "_LIB", lib)
+        for workers in (1, 2):
+            assert [report_json(run(cfg, workers=workers)) for cfg in configs] == reports
 
 
 def test_symmetry_replicas_bound_is_the_first_size_that_can_reject():
