@@ -7,7 +7,7 @@ models differ in their spatial structure:
   mixing lattice   i.i.d. law per unit cell        -> spatially mixing
   finite range     i.i.d. law per cell of size R   -> mixing beyond R
   level correlated one law per level, all of space -> no mixing at all
-  pointmass field  a Dirac law per cell            -> walk frozen by field
+  pointmass field  a one-atom law per cell         -> walk frozen by field
 """
 
 import numpy as np
@@ -38,6 +38,7 @@ for name, env in [("mixing", mixing), ("finite-range R=3", finite), ("level-corr
     drifts = [float(law_mean(query(env, 0, x))[0]) for x in xs]
     print(f"{name:18s} drift at x=-4..4:", np.round(drifts, 3))
 
-# The pointmass field produces Dirac laws everywhere: no walk randomness.
+# The pointmass field's laws put all weight on one atom (a one-hot row):
+# no walk randomness.
 print("pointmass field law at (0, 0):", query(frozen, 0, 0.0))
 print("pointmass field law at (0, 3):", query(frozen, 0, 3.0))

@@ -36,7 +36,6 @@ from .environments import (
 from .families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from .jumplaws import (
     Atomic,
-    Dirac,
     Gaussian,
     JumpLaw,
     law_mean,

@@ -23,7 +23,7 @@
  * that hashes each site's cell (none on the level-correlated field) under
  * its key prefix, takes uniform 0 and forms the site's weight row by one of
  * three family kinds, each the arithmetic of the family's weight_table: affine
- * (UniformPM1), threshold table (DiracSteps) and constant
+ * (UniformPM1), threshold (DiracSteps, a one-hot row) and constant
  * (FixedAtomic, no hash).  Plain C99 with no Python headers; streams.py
  * builds it with `cc -O3 -ffp-contract=off -shared -fPIC ... -lm` on first
  * import and calls it through ctypes.  Floating-point contraction is off
@@ -179,9 +179,8 @@ struct field {
     int kind;
     size_t n_atoms;
     double slope, intercept;  /* AFFINE: p = u * slope + intercept, then 1 - p */
-    size_t n_rows;
-    const double *thresholds; /* THRESHOLD: the np.cumsum of the rows' probabilities */
-    const double *rows;       /* THRESHOLD: (n_rows, n_atoms) weight rows; CONSTANT: one row */
+    const double *thresholds; /* THRESHOLD: the np.cumsum of the atoms' probabilities */
+    const double *rows;       /* CONSTANT: the one row */
 };
 
 /* The weight rows of n sites at field-frame positions x, contiguous
@@ -193,8 +192,9 @@ struct field {
  * uniforms_at(), and its row that of the family's weight_table():
  *   - AFFINE (UniformPM1): p = u * slope + intercept, rounded in that order,
  *     and 1 - p;
- *   - THRESHOLD (DiracSteps, whose rows are the identity's): the row
- *     searchsorted(thresholds, u, side="right") capped at n_rows - 1;
+ *   - THRESHOLD (DiracSteps): the one-hot row of atom k =
+ *     searchsorted(thresholds, u, side="right") capped at n_atoms - 1,
+ *     1.0 at k and 0.0 elsewhere, np.eye's row;
  *   - CONSTANT (FixedAtomic): the one row, with no hash. */
 INLINE void site_rows(const struct field *f, size_t n, u64 *restrict h1, u64 *restrict h2,
                       const int64_t *restrict x, double *restrict w)
@@ -231,11 +231,11 @@ INLINE void site_rows(const struct field *f, size_t n, u64 *restrict h1, u64 *re
     } else {
         for (size_t i = 0; i < n; i++) {
             size_t k = 0;
-            for (size_t b = 0; b < f->n_rows; b++)
+            for (size_t b = 0; b < na; b++)
                 k += f->thresholds[b] <= u[i];
-            const double *row = f->rows + (k < f->n_rows ? k : f->n_rows - 1) * na;
             for (size_t a = 0; a < na; a++)
-                w[i * na + a] = row[a];
+                w[i * na + a] = 0.0;
+            w[i * na + (k < na ? k : na - 1)] = 1.0;
         }
     }
 }
@@ -258,10 +258,9 @@ INLINE void key_prefix(size_t n, const u64 *restrict e1, const u64 *restrict e2,
  * (tag, level, cell-word count) is hashed once per row. */
 INLINE void field_row(const struct field *f, size_t r, u64 level, int64_t lo, int64_t st, size_t n, double *restrict w)
 {
-    u64 p1 = f->b1[r], p2 = f->b2[r];
-    absorb_word(1, &p1, &p2, f->tag);
-    absorb_word(1, &p1, &p2, level);
-    absorb_word(1, &p1, &p2, f->cell_words);
+    u64 e1, e2, p1, p2;
+    tagged_lanes(1, f->b1 + r, f->b2 + r, f->tag, &e1, &e2);
+    key_prefix(1, &e1, &e2, level, f->cell_words, &p1, &p2);
     int64_t x[TILE];
     u64 h1[TILE], h2[TILE];
     for (size_t t = 0; t < n; t += TILE) {

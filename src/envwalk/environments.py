@@ -10,8 +10,8 @@ constructions:
                             optional one-per-field uniform offset of the cell
                             grid, so laws are constant on shifted unit cubes.
                             ``make_dirac`` builds one without the offset
-                            from ``DiracSteps`` pointmass laws: given the
-                            field, the walk is deterministic (the
+                            from ``DiracSteps``, whose rows are one-hot:
+                            given the field, the walk is deterministic (the
                             regularity-failure reference model).
 * ``finite_range``       -- i.i.d. laws on a cell grid of spacing R; a point
                             takes the law of its nearest grid center (half-up
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import DiracSteps, FixedAtomic, LawFamily, UniformPM1, has_fixed_support
+from .families import DiracSteps, FixedAtomic, LawFamily, UniformPM1, cell_law, has_fixed_support
 from .jumplaws import JumpLaw
 from .streams import (
     TAG_ENV,
@@ -107,8 +107,8 @@ def make_fully_correlated(master_seed: int, d: int, family: LawFamily) -> Enviro
 
 
 def make_dirac(master_seed: int, d: int, family: DiracSteps) -> Environment:
-    """Per-cell pointmass laws on unit cells without an offset; the quenched
-    walk carries no randomness."""
+    """One-atom laws on unit cells without an offset; the quenched walk
+    carries no randomness."""
     if not isinstance(family, DiracSteps):
         raise ValueError("a Dirac field requires a DiracSteps family")
     return make_lattice_product(master_seed, d, family, uniform_offset=False)
@@ -138,11 +138,11 @@ def cell_index(env: Environment, x: np.ndarray) -> np.ndarray:
 
 
 def query(env: Environment, n: int, x) -> JumpLaw:
-    """The jump law at time ``n`` and point ``x``."""
+    """The jump law at time ``n`` and point ``x``: its cell's table row."""
     cell = cell_index(env, np.atleast_1d(x))
     key = StreamKey(env.master_seed, n, tuple(int(c) for c in cell), TAG_ENV)
     u = derive_stream(key).take(env.family.n_uniforms)
-    return env.family.make(u)
+    return cell_law(env.family, u)
 
 
 def env_replica(env: Environment, *index: int) -> Environment:
@@ -206,9 +206,9 @@ def field_read(env: Environment, base_lanes) -> FieldRead:
     carries the cell rule (a lattice field reads the one-word cell
     x, a finite-range field floor(x / R + 0.5), and the level-correlated
     field no cell word, ``cell_words = 0``) and the family's
-    ``weight_table`` as one of three kinds: affine for ``UniformPM1``, a
-    threshold table (``np.cumsum`` of the probabilities, and the identity
-    rows they pick) for ``DiracSteps``, constant for
+    ``weight_table`` as one of three kinds: affine for ``UniformPM1``,
+    threshold for ``DiracSteps`` (``np.cumsum`` of the probabilities; the
+    read writes the one-hot row of the atom they pick), constant for
     ``FixedAtomic``.  ``envwalk_propagate``, ``envwalk_walk`` and
     ``envwalk_field_weights`` in ``_hash.c`` read the field through it, and
     give the bits of :func:`field_weights`.
@@ -225,12 +225,11 @@ def field_read(env: Environment, base_lanes) -> FieldRead:
         read.kind, read.slope, read.intercept = FieldRead.AFFINE, fam.p_high - fam.p_low, fam.p_low
     elif isinstance(fam, FixedAtomic):
         read.kind, rows = FieldRead.CONSTANT, np.asarray(fam.weights, dtype=float)
+        read.rows = rows.ctypes.data
     else:
-        read.kind, thresholds, rows = FieldRead.THRESHOLD, np.cumsum(fam.probs), np.eye(len(fam.points))
-        read.n_rows, read.thresholds = len(thresholds), thresholds.ctypes.data
+        read.kind, thresholds = FieldRead.THRESHOLD, np.cumsum(fam.probs)
+        read.thresholds = thresholds.ctypes.data
     b1, b2 = (np.ascontiguousarray(h, dtype=np.uint64) for h in base_lanes)
     read.b1, read.b2 = b1.ctypes.data, b2.ctypes.data
-    if rows is not None:
-        read.rows = rows.ctypes.data
     read.arrays = (b1, b2, thresholds, rows)  # the memory the pointers address
     return read

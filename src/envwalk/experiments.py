@@ -60,6 +60,7 @@ SYMMETRY_ALPHA = 0.01  # level of ychain-exit's two-sample KS test of first-step
 _MIN_SYMMETRY_REPLICAS = next(m for m in itertools.count(1) if ks_two_sample_critical(m, m, SYMMETRY_ALPHA) < 1)
 
 MODELS = ("mixing-lattice", "finite-range", "level-correlated", "dirac-field", "fixed-lattice")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class ConfigError(ValueError):
@@ -74,7 +75,9 @@ class Key:
     int, so the report's ``resolved`` block echoes the config as written)
     or a tuple of the allowed words.  A list key reads comma-separated
     values, no two of them equal, and one value is a list of one.  ``lo``
-    and ``hi`` are inclusive bounds, ``above`` and ``below`` exclusive ones.
+    and ``hi`` are inclusive bounds, ``above`` and ``below`` exclusive ones;
+    an integer value must also fit an int64, numpy's integer, unless the key
+    states its own ``lo`` or ``hi`` on that side (``seed`` is a uint64).
     """
 
     default: object
@@ -111,8 +114,11 @@ class Key:
             x = float(word)
             if not math.isfinite(x):
                 raise ValueError(f"{word!r} is not a finite number") from None
-        for bound, op, holds in ((self.lo, ">=", operator.ge), (self.above, ">", operator.gt),
-                                 (self.hi, "<=", operator.le), (self.below, "<", operator.lt)):
+        lo, hi = self.lo, self.hi
+        if isinstance(x, int):
+            lo, hi = _INT64_MIN if lo is None else lo, _INT64_MAX if hi is None else hi
+        for bound, op, holds in ((lo, ">=", operator.ge), (self.above, ">", operator.gt),
+                                 (hi, "<=", operator.le), (self.below, "<", operator.lt)):
             if bound is not None and not holds(x, bound):
                 raise ValueError(f"must be {op} {bound}, got {word}")
         return x
@@ -196,10 +202,13 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in values and not holds(values[key], values[ref]):
             lineno = max(lines.get(name, (0,))[0] for name in (ref, key))
             raise ConfigError(f"line {lineno}: {key}: must be {word} {ref} = {values[ref]}, got {values[key]}")
-    if "time_points" in values:  # fclt_check reads B(t) at step floor(t / epsilon)
+    if "time_points" in values:  # fclt_check reads B(t) at int64 step floor(t / epsilon)
         lineno = max(lines.get(name, (0,))[0] for name in ("epsilon", "time_points"))
         eps, seen = values["epsilon"], {}
         for t in values["time_points"]:
+            if t / eps > _INT64_MAX:
+                raise ConfigError(f"line {lineno}: time_points: {t} falls in step floor(t / epsilon) >= 2**63 "
+                                  f"at epsilon = {eps}, past an int64 step count")
             k = math.floor(t / eps)
             if k == 0:
                 raise ConfigError(f"line {lineno}: time_points: must be >= epsilon = {eps}, got {t}; "
@@ -208,6 +217,15 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"line {lineno}: time_points: {seen[k]} and {t} fall in one step, "
                                   f"floor(t / epsilon) = {k}, and would test one walk sample twice")
             seen[k] = t
+    if "box_eps" in values:  # diffchain's box radius is horizon ** box_eps, or n ** box_eps per n_grid point
+        size = "horizon" if "horizon" in values else "n_grid"
+        top = max(np.atleast_1d(values[size]))
+        try:
+            float(top) ** values["box_eps"]
+        except OverflowError:
+            lineno = max(lines.get(name, (0,))[0] for name in (size, "box_eps"))
+            raise ConfigError(f"line {lineno}: box_eps: the box radius {top} ** {values['box_eps']} "
+                              "overflows a float") from None
     return ExperimentConfig(experiment, values, text)
 
 

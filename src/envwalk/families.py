@@ -1,16 +1,16 @@
 """Law families: how per-cell uniforms turn into jump laws.
 
 A family is the measurable map from a cell's uniform variates to the
-jump law stored there.  ``make`` is the scalar constructor; families whose
-laws share one fixed atom support additionally expose ``support`` /
-``weight_table`` so that walking, drift lookup and exact distribution
-propagation can run vectorized over many cells at once; ``GaussianDrift``
-exposes its drift vectors the same way through ``mean_table``.  ``make`` is built
-from ``weight_table`` wherever both exist, so scalar and batched code see
-bit-identical laws.  Four families: ``UniformPM1`` (a uniform +1
-probability per cell), ``FixedAtomic`` (one law everywhere), ``DiracSteps``
-(a pointmass picked per cell from a finite table, the one family the
-compiled field read serves with its threshold table) and ``GaussianDrift``.
+jump law stored there, and a cell's law is its row of the family's table:
+:func:`cell_law` builds it from that row, so the scalar reference and the
+batched and compiled paths, which read the rows themselves, see
+bit-identical laws.  Families whose laws share one fixed atom support
+(``_AtomTable``: ``points``, ``support``) give their atom weights through
+``weight_table``; ``GaussianDrift`` gives its drift vectors through
+``mean_table``.  Four families: ``UniformPM1`` (a uniform +1 probability
+per cell), ``FixedAtomic`` (one law everywhere), ``DiracSteps`` (one atom
+picked per cell from a finite table, its row one-hot) and
+``GaussianDrift``.
 
 The lattice a walk lives on is decided here, once per family: its atoms
 are integers when each equals its rounding exactly (``support`` is then
@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .jumplaws import Atomic, Dirac, Gaussian, JumpLaw, atomic_index, atomic_mean
+from .jumplaws import Atomic, Gaussian, JumpLaw, atomic_index, atomic_mean
 
 __all__ = [
     "UniformPM1",
@@ -37,6 +38,7 @@ __all__ = [
     "DiracSteps",
     "GaussianDrift",
     "LawFamily",
+    "cell_law",
     "has_fixed_support",
     "integer_support",
     "lattice_stride",
@@ -44,8 +46,38 @@ __all__ = [
 ]
 
 
+class _AtomTable:
+    """The core of the fixed-support families: atoms ``points``, weighted in
+    each cell by its ``weight_table`` row.  ``FixedAtomic`` and
+    ``DiracSteps`` draw them with probabilities ``_probs``."""
+
+    @property
+    def d(self) -> int:
+        return len(self.points[0])
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Atoms as rows: int64 when every atom equals its rounding and fits, floats
+        otherwise.  Built once per family and read-only, as every walker and
+        field read asks for it."""
+        pts = np.asarray(self.points)
+        integer = np.array_equal(pts, np.round(pts)) and np.abs(pts).max() < 2.0**63
+        support = pts.astype(np.int64) if integer else pts
+        support.flags.writeable = False
+        return support
+
+    @property
+    def averaged_mean(self) -> np.ndarray:
+        return np.asarray(self._probs) @ np.asarray(self.points)
+
+    @property
+    def averaged_cov(self) -> np.ndarray:
+        c = np.asarray(self.points) - self.averaged_mean
+        return (c * np.asarray(self._probs)[:, None]).T @ c
+
+
 @dataclass(frozen=True)
-class UniformPM1:
+class UniformPM1(_AtomTable):
     """d=1 steps to +-1; the +1 probability is Uniform(p_low, p_high) per cell."""
 
     p_low: float = 0.0
@@ -55,12 +87,8 @@ class UniformPM1:
         if not (0.0 <= self.p_low <= self.p_high <= 1.0):
             raise ValueError("need 0 <= p_low <= p_high <= 1")
 
-    d = 1
+    points = ((1.0,), (-1.0,))
     n_uniforms = 1
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.array([[1], [-1]])
 
     def weight_table(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u)[..., 0]
@@ -69,9 +97,6 @@ class UniformPM1:
         np.add(p, self.p_low, out=p)
         np.subtract(1.0, p, out=out[..., 1])
         return out
-
-    def make(self, u: np.ndarray) -> JumpLaw:
-        return Atomic(((1.0,), (-1.0,)), self.weight_table(u))
 
     # One-step moments, integrating the cell randomness analytically.
     @property
@@ -94,31 +119,6 @@ class UniformPM1:
         return np.array([[1.0 - v * v - self.drift_variance]])
 
 
-class _AtomTable:
-    """The core of ``FixedAtomic`` and ``DiracSteps``: atoms ``points``, drawn
-    with probabilities ``_probs``."""
-
-    @property
-    def d(self) -> int:
-        return len(self.points[0])
-
-    @property
-    def support(self) -> np.ndarray:
-        """Atoms as rows: int64 when every atom equals its rounding and fits, floats otherwise."""
-        pts = np.asarray(self.points)
-        integer = np.array_equal(pts, np.round(pts)) and np.abs(pts).max() < 2.0**63
-        return pts.astype(np.int64) if integer else pts
-
-    @property
-    def averaged_mean(self) -> np.ndarray:
-        return np.asarray(self._probs) @ np.asarray(self.points)
-
-    @property
-    def averaged_cov(self) -> np.ndarray:
-        c = np.asarray(self.points) - self.averaged_mean
-        return (c * np.asarray(self._probs)[:, None]).T @ c
-
-
 @dataclass(frozen=True)
 class FixedAtomic(_AtomTable):
     """The same atomic law in every cell: a nonrandom environment."""
@@ -138,9 +138,6 @@ class FixedAtomic(_AtomTable):
         shape = np.asarray(u).shape[:-1] + (len(self.weights),)
         return np.broadcast_to(np.asarray(self.weights), shape)
 
-    def make(self, u: np.ndarray) -> JumpLaw:
-        return Atomic(self.points, self.weights)
-
     drift_variance = 0.0
 
     @property
@@ -150,10 +147,10 @@ class FixedAtomic(_AtomTable):
 
 @dataclass(frozen=True)
 class DiracSteps(_AtomTable):
-    """Per-cell pointmass displacement picked from a finite table.
+    """Per-cell displacement picked from a finite table.
 
-    Every produced law is a Dirac measure: given the environment the walk is
-    deterministic (the regularity-failure regime).
+    Every cell's row is one-hot, its law a single atom: given the environment
+    the walk is deterministic (the regularity-failure regime).
     """
 
     points: tuple[tuple[float, ...], ...]
@@ -172,9 +169,6 @@ class DiracSteps(_AtomTable):
         cum = np.cumsum(self.probs)
         idx = atomic_index(cum, np.asarray(u)[..., 0])
         return np.eye(len(self.points))[idx]
-
-    def make(self, u: np.ndarray) -> JumpLaw:
-        return Dirac(self.points[int(np.argmax(self.weight_table(u)))])
 
     @property
     def drift_variance(self) -> float:
@@ -213,9 +207,6 @@ class GaussianDrift:
     def mean_table(self, u: np.ndarray) -> np.ndarray:
         return self.drift_scale * (2.0 * np.asarray(u) - 1.0)
 
-    def make(self, u: np.ndarray) -> JumpLaw:
-        return Gaussian(self.mean_table(u), self.cov)
-
     @property
     def averaged_mean(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -237,8 +228,15 @@ LawFamily = UniformPM1 | FixedAtomic | DiracSteps | GaussianDrift
 
 
 def has_fixed_support(family) -> bool:
-    """Whether the family supports vectorized weight-table evaluation."""
-    return hasattr(family, "support") and hasattr(family, "weight_table")
+    """Whether the family's laws share one atom support, their rows atom weights."""
+    return isinstance(family, _AtomTable)
+
+
+def cell_law(family, u: np.ndarray) -> JumpLaw:
+    """The law of a cell whose uniforms are ``u``: its row of the family's table."""
+    if has_fixed_support(family):
+        return Atomic(family.points, family.weight_table(u))
+    return Gaussian(family.mean_table(u), family.cov)
 
 
 def integer_support(family) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Jump laws: the probability-measure values stored in an environment.
 
-Three variants, each with a closed-form mean and bit-reproducible sampling:
+Two variants, each with a closed-form mean and bit-reproducible sampling:
 
 * ``Atomic``   -- finitely many atoms; sampled by inverse CDF over the stored
-                  atom order (the order is part of the value).
+                  atom order (the order is part of the value).  A pointmass
+                  is a one-hot row: any uniform picks its atom.
 * ``Gaussian`` -- mean + covariance; sampled by Box-Muller pairs pushed
                   through the lower-Cholesky factor, never a ziggurat, so the
                   draw is a fixed function of the consumed uniforms.
-* ``Dirac``    -- a pointmass; consumes no randomness.
 
 Fields are stored as plain tuples so that equality is exact bit equality:
 two queries of one field at one address give equal laws.
@@ -26,7 +26,6 @@ from .streams import UniformStream
 __all__ = [
     "Atomic",
     "Gaussian",
-    "Dirac",
     "JumpLaw",
     "law_mean",
     "law_sample",
@@ -101,21 +100,7 @@ class Gaussian:
         return len(self.mean)
 
 
-@dataclass(frozen=True)
-class Dirac:
-    """Pointmass at ``point``."""
-
-    point: tuple[float, ...]
-
-    def __init__(self, point):
-        object.__setattr__(self, "point", _point(point))
-
-    @property
-    def d(self) -> int:
-        return len(self.point)
-
-
-JumpLaw = Union[Atomic, Gaussian, Dirac]
+JumpLaw = Union[Atomic, Gaussian]
 
 
 def atomic_mean(weights, points) -> np.ndarray:
@@ -134,18 +119,12 @@ def atomic_mean(weights, points) -> np.ndarray:
 def law_mean(law: JumpLaw) -> np.ndarray:
     if isinstance(law, Atomic):
         return atomic_mean(law.weights, law.points)
-    if isinstance(law, Gaussian):
-        return np.asarray(law.mean, dtype=float)
-    return np.asarray(law.point, dtype=float)
+    return np.asarray(law.mean, dtype=float)
 
 
 def sample_uniform_count(law: JumpLaw) -> int:
     """Number of uniforms one draw consumes (fixed per variant)."""
-    if isinstance(law, Atomic):
-        return 1
-    if isinstance(law, Gaussian):
-        return 2 * ((law.d + 1) // 2)
-    return 0
+    return 1 if isinstance(law, Atomic) else 2 * ((law.d + 1) // 2)
 
 
 def gaussian_from_uniforms(u: np.ndarray) -> np.ndarray:
@@ -202,6 +181,4 @@ def law_sample(law: JumpLaw, stream: UniformStream) -> np.ndarray:
         u = stream.take(1)[0]
         idx = int(atomic_index(np.cumsum(law.weights), u))
         return np.asarray(law.points[idx], dtype=float)
-    if isinstance(law, Gaussian):
-        return gaussian_step(np.asarray(law.mean), gaussian_factor(law), stream.take(sample_uniform_count(law)))
-    return np.asarray(law.point, dtype=float)
+    return gaussian_step(np.asarray(law.mean), gaussian_factor(law), stream.take(sample_uniform_count(law)))

@@ -360,7 +360,6 @@ class FieldRead(ctypes.Structure):
         ("n_atoms", ctypes.c_size_t),
         ("slope", ctypes.c_double),
         ("intercept", ctypes.c_double),
-        ("n_rows", ctypes.c_size_t),
         ("thresholds", ctypes.c_void_p),
         ("rows", ctypes.c_void_p),
     ]

@@ -63,7 +63,7 @@ import numpy as np
 from . import streams
 from .environments import Environment, field_read, field_weights, query
 from .families import has_fixed_support, integer_support, lattice_stride, row_drifts
-from .jumplaws import Dirac, gaussian_factor, gaussian_step, law_sample, sample_uniform_count
+from .jumplaws import Gaussian, gaussian_factor, gaussian_step, law_sample, sample_uniform_count
 from .streams import (
     TAG_WALK,
     StreamKey,
@@ -234,7 +234,7 @@ class _Walker:
             self.factor, self.support, self.n_uniforms = None, fam.support, 1
             dtype = self.support.dtype
         else:  # Gaussian laws, one covariance for every cell
-            law = fam.make(np.zeros(fam.n_uniforms))
+            law = Gaussian(np.zeros(fam.d), fam.cov)
             self.factor, dtype, self.n_uniforms = gaussian_factor(law), float, sample_uniform_count(law)
         self.env = env
         self.base = base_lanes
@@ -383,13 +383,6 @@ def quenched_mean_mc(env: Environment, n_grid, n_walks: int) -> QuenchedMeanCurv
     return QuenchedMeanCurve(n_grid, x.mean(axis=1), x.std(axis=1, ddof=1) / math.sqrt(n_walks), "mc")
 
 
-def _atoms(law) -> tuple[np.ndarray, np.ndarray]:
-    """Atom (points, weights) of an atomic or pointmass law, points as int64."""
-    if isinstance(law, Dirac):
-        return np.asarray([law.point], dtype=np.int64), np.asarray([1.0])
-    return np.asarray(law.points).astype(np.int64), np.asarray(law.weights)
-
-
 def quenched_mean_exact(env: Environment, n_max: int, support_cap: int = SUPPORT_CAP) -> QuenchedMeanCurve:
     """Exact quenched means from the origin by propagating the full quenched law.
 
@@ -404,7 +397,8 @@ def quenched_mean_exact(env: Environment, n_max: int, support_cap: int = SUPPORT
         new: dict[tuple[int, ...], float] = {}
         drift = np.zeros(env.d)
         for site, mass in state.items():
-            pts, w = _atoms(query(env, k, np.asarray(site, dtype=float)))
+            law = query(env, k, np.asarray(site, dtype=float))
+            pts, w = np.asarray(law.points).astype(np.int64), np.asarray(law.weights)
             drift = drift + mass * (w @ pts)
             for p, wt in zip(pts, w):
                 if wt == 0.0:

@@ -14,7 +14,7 @@ from envwalk.environments import (
     query,
 )
 from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1, row_drifts
-from envwalk.jumplaws import Dirac, law_mean
+from envwalk.jumplaws import Atomic, law_mean
 from envwalk.streams import seed_lanes
 from envwalk.walks import simulate_quenched_path
 
@@ -64,7 +64,8 @@ def test_dirac_env_every_law_pointmass_and_walks_coincide():
     env = make_dirac(31, 1, DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5)))
     for n in range(3):
         for x in range(-3, 4):
-            assert isinstance(query(env, n, x), Dirac)
+            law = query(env, n, x)
+            assert isinstance(law, Atomic) and sorted(law.weights) == [0.0, 1.0]
     p1 = simulate_quenched_path(env, 50, walk_seed=0)
     p2 = simulate_quenched_path(env, 50, walk_seed=1)
     assert np.array_equal(p1.positions, p2.positions)
@@ -161,3 +162,24 @@ def test_field_weights_of_one_point_match_query(env):
         rows = field_weights(env, seed_lanes(env.master_seed), 3, point)
         assert rows.shape == (n_atoms,)
         assert np.array_equal(row_drifts(env.family, rows), law_mean(query(env, 3, point)))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        UniformPM1(0.2, 0.9),
+        FixedAtomic(((1.0,), (0.0,), (-2.0,)), (0.3, 0.45, 0.25)),
+        DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.25, 0.625, 0.125)),
+        GaussianDrift(1, 0.5, ((1.0,),)),
+    ],
+    ids=["uniform-pm1", "fixed-atomic", "dirac-steps", "gaussian-drift"],
+)
+def test_every_family_law_is_its_table_row(family):
+    # query's law carries the batched row itself: atom weights, or the drift vector.
+    for env in (make_lattice_product(13, 1, family), make_finite_range(13, 1, 1.5, family)):
+        lanes = seed_lanes(env.master_seed)
+        for n in range(3):
+            for x in (-3.0, -0.4, 0.0, 2.6, 7.0):
+                law, row = query(env, n, x), field_weights(env, lanes, n, np.array([x]))
+                entries = law.weights if isinstance(law, Atomic) else law.mean
+                assert np.asarray(entries).tobytes() == row.tobytes()

@@ -101,6 +101,19 @@ def test_missing_experiment_and_bad_lines():
         # more passing fields than fields could never pass
         ("fclt", "pass_seeds = 11"),
         ("counterexample", "pass_seeds = 11"),
+        # an integer past int64 would overflow numpy's integers
+        ("occupation", f"n_grid = 16, {10**30}"),
+        ("variance-scan", f"n_grid = 16, {10**30}"),
+        ("max-drift", f"n_hi = {10**30}"),
+        ("fclt", f"env_seeds = {10**30}"),
+        ("phi-decay", f"replicas = {2**63}"),
+        ("variance-scan", f"eta_min = {-(2**63) - 1}"),
+        # a time point whose step floor(t / epsilon) is past int64
+        ("fclt", "time_points = 0.5, 1e300"),
+        ("counterexample", "time_points = 1e308"),
+        # a box radius horizon ** box_eps (or n ** box_eps) that overflows a float
+        ("ychain-excursion", "box_eps = 100"),
+        ("occupation", "box_eps = 1000"),
     ],
 )
 def test_bad_value_rejected_by_line_and_key(experiment, line):
@@ -155,6 +168,9 @@ def test_any_text_parses_or_raises_config_error(text):
         if value is not None:
             again = parse_config(f"experiment = {cfg.experiment}\n{key} = {_text(value)}\n").values[key]
             assert repr(again) == repr(value)
+        # every integer but the uint64 seed fits numpy's int64
+        if key != "seed":
+            assert all(-(2**63) <= x < 2**63 for x in np.atleast_1d(value) if isinstance(x, int))
 
 
 SMALL_VARIANCE = "experiment = variance-scan\nn_grid = 16, 32, 64, 128\nenv_replicas = 300\n"
@@ -352,6 +368,32 @@ def test_max_drift_n_hi_not_above_n_lo_rejected(text, line, n_lo, tmp_path, caps
     cfg.write_text(text)
     assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: line {line}: n_hi: must be > n_lo = {n_lo}, got ")
+
+
+# Past int64 or the largest float, a config would end in a traceback or a
+# garbage report (an fclt step floor(t / epsilon) cast to a negative int64);
+# the parser names the later of the two lines a rule reads.
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("experiment = fclt\nepsilon = 1e-300\nwalk_replicas = 50\nenv_seeds = 1\npass_seeds = 1\n",
+         "line 2: time_points: 0.25 falls in step floor(t / epsilon) >= 2**63"),
+        ("experiment = fclt\nepsilon = 1e-17\ntime_points = 1000\nwalk_replicas = 50\nenv_seeds = 1\n"
+         "pass_seeds = 1\n", "line 3: time_points: 1000 falls in step floor(t / epsilon) >= 2**63"),
+        ("experiment = counterexample\nepsilon = 1e-300\nwalk_replicas = 50\nenv_seeds = 1\npass_seeds = 1\n",
+         "line 2: time_points: 0.25 falls in step floor(t / epsilon) >= 2**63"),
+        ("experiment = ychain-excursion\nbox_eps = 100\nhorizon = 1048576\n",
+         "line 3: box_eps: the box radius 1048576 ** 100 overflows a float"),
+        ("experiment = occupation\nn_grid = 16, 1000000000000000000000000000000\nreplicas = 10\n",
+         "line 2: n_grid: must be <= 9223372036854775807, got 1000000000000000000000000000000"),
+    ],
+)
+def test_past_range_configs_end_in_an_input_error(text, error, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}"), err
 
 
 def test_drifting_field_exact_means_end_in_error(tmp_path, capsys):

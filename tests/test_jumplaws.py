@@ -3,7 +3,6 @@ import pytest
 
 from envwalk.jumplaws import (
     Atomic,
-    Dirac,
     Gaussian,
     atomic_index,
     gaussian_factor,
@@ -24,10 +23,8 @@ def draws(law, s, n):
     sequential :func:`law_sample` calls (checked below)."""
     if isinstance(law, Atomic):
         return np.asarray(law.points, dtype=float)[atomic_index(np.cumsum(law.weights), s.take(n))]
-    if isinstance(law, Gaussian):
-        per = sample_uniform_count(law)
-        return gaussian_step(np.asarray(law.mean), gaussian_factor(law), s.take(n * per).reshape(n, per))
-    return np.broadcast_to(np.asarray(law.point, dtype=float), (n, law.d)).copy()
+    per = sample_uniform_count(law)
+    return gaussian_step(np.asarray(law.mean), gaussian_factor(law), s.take(n * per).reshape(n, per))
 
 
 def test_fair_pm1_moments():
@@ -36,7 +33,8 @@ def test_fair_pm1_moments():
 
 
 def test_dirac_moments():
-    law = Dirac((2.5, -1.0))
+    # A pointmass is a one-hot row; its mean is the hot atom, bit for bit.
+    law = Atomic(((1.0, 3.0), (2.5, -1.0), (-4.0, 0.5)), (0.0, 1.0, 0.0))
     assert np.array_equal(law_mean(law), [2.5, -1.0])
 
 
@@ -66,10 +64,14 @@ def test_gaussian_cov_validation():
 
 
 def test_dirac_sampling_is_constant():
-    law = Dirac((3.0,))
+    # Any uniform in [0, 1) picks the hot atom of a one-hot row.
+    law = Atomic(((-1.0,), (3.0,), (5.0,)), (0.0, 1.0, 0.0))
     s = stream()
     for _ in range(5):
         assert law_sample(law, s) == 3.0
+    for hot in range(3):
+        cum = np.cumsum(np.eye(3)[hot])
+        assert np.all(atomic_index(cum, [0.0, 0.5, np.nextafter(1.0, 0.0)]) == hot)
 
 
 def test_pm1_sample_mean_clt():
@@ -92,7 +94,7 @@ def test_batch_matches_sequential_sampling():
         # d >= 2: one draw and a batch share gaussian_step's order of sums
         Gaussian((0.3, -0.2), ((1.5, 0.4), (0.4, 0.8))),
         Gaussian((0.1, 0.0, -0.4), ((1.0, 0.3, 0.1), (0.3, 0.7, 0.2), (0.1, 0.2, 0.9))),
-        Dirac((1.0,)),
+        Atomic(((1.0,), (-1.0,)), (1.0, 0.0)),
     ):
         batch = draws(law, stream(seed=11), 16)
         s = stream(seed=11)
@@ -106,7 +108,7 @@ def test_batch_matches_sequential_sampling():
         Atomic(((1.0,), (-1.0,)), (0.7, 0.3)),
         Atomic(((2.0, 0.0), (0.0, -1.0), (-1.0, 1.0)), (0.2, 0.5, 0.3)),
         Gaussian((0.3, -0.2), ((1.5, 0.4), (0.4, 0.8))),
-        Dirac((4.0,)),
+        Atomic(((-2.0,), (4.0,)), (0.0, 1.0)),
     ],
 )
 def test_moment_consistency_of_sampler(law):
@@ -118,7 +120,7 @@ def test_moment_consistency_of_sampler(law):
         centered_atoms = np.asarray(law.points) - mean
         cov = (centered_atoms * np.asarray(law.weights)[:, None]).T @ centered_atoms
     else:
-        cov = np.asarray(law.cov) if isinstance(law, Gaussian) else np.zeros((law.d, law.d))
+        cov = np.asarray(law.cov)
     se_mean = np.sqrt(np.maximum(np.diag(cov), 1e-30) / n)
     assert np.all(np.abs(x.mean(axis=0) - mean) <= 4 * se_mean + 1e-12)
     if np.any(cov):
