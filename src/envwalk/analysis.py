@@ -32,7 +32,7 @@ import numpy as np
 
 from .diffchain import SAME_ENV, batch_diff_positions
 from .environments import FULLY_CORRELATED, Environment, env_replica, field_weights
-from .families import DiracSteps, lattice_stride, row_drifts
+from .families import DiracSteps, has_fixed_support, lattice_stride, row_drifts
 from .stats import (
     GofTestResult,
     ScanCurve,
@@ -275,7 +275,9 @@ def fclt_check(
         seed_lanes(env.master_seed), 0, TAG_DITHER, np.arange(walk_replicas)[:, None]
     )
     u = uniforms_at((lanes[0][None, :], lanes[1][None, :]), np.arange(len(ks))[:, None])
-    dither = math.sqrt(epsilon) * lattice_stride(env.family) * (u - 0.5)
+    # A law with a density puts B(t) on no lattice: a dither of width 0.
+    width = lattice_stride(env.family) if has_fixed_support(env.family) else 0
+    dither = math.sqrt(epsilon) * width * (u - 0.5)
 
     reports = []
     for centering, (center, dvar) in zip(centerings, centers):

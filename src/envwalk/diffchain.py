@@ -370,17 +370,22 @@ def occupation_time(
     # that index in its pair's histogram column; a cumulative sum over the
     # grid axis then gives the counts.  first_r[v] is the first g with
     # r_g >= v, for v up to twice the largest |Y| seen: it grows with the
-    # walk, not with the radii, which n**eps leaves unbounded.
+    # walk, not with the radii, which n**eps leaves unbounded.  A Y off the
+    # integers (float positions) has no table entry and searches the radii.
     pair = np.arange(replicas)
     hist = np.zeros((len(n_grid) + 1) * replicas, dtype=np.int64)
     first_r = np.zeros(0, dtype=np.int64)
     for k0, y in itertools.chain([(-1, walker.y[None])], walker):
         ay = np.abs(y)
-        top = int(ay.max())
-        if top >= first_r.size:
-            first_r = np.searchsorted(radii, np.arange(2 * top + 1), "left")
+        if ay.dtype.kind == "f":
+            first_ay = np.searchsorted(radii, ay, "left")
+        else:
+            top = int(ay.max())
+            if top >= first_r.size:
+                first_r = np.searchsorted(radii, np.arange(2 * top + 1), "left")
+            first_ay = first_r[ay]
         first_n = np.searchsorted(n_grid, np.arange(k0 + 1, k0 + 1 + len(y)), "right")
-        first = np.maximum(first_n[:, None], first_r[ay])  # (b, pairs)
+        first = np.maximum(first_n[:, None], first_ay, out=first_ay)  # (b, pairs)
         first *= replicas
         first += pair
         hist += np.bincount(first.ravel(), minlength=hist.size)

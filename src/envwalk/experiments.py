@@ -330,10 +330,9 @@ def _run_phi_decay(env: Environment, v: dict, workers: int):
     curve = analysis.estimate_phi(env, grid, v["replicas"])
     rows = _scan_rows("phi", curve)
     verdicts = []
-    fam = env.family
-    if 0.0 in grid.tolist() and getattr(fam, "drift_variance", None) is not None:
+    if 0.0 in grid.tolist():
         j = grid.tolist().index(0.0)
-        dev = _in_se(curve.estimates[j] - fam.drift_variance, curve.standard_errors[j])
+        dev = _in_se(curve.estimates[j] - env.family.drift_variance, curve.standard_errors[j])
         verdicts.append(Verdict("phi0_matches_drift_variance", dev <= 4.0, float(dev), "<= 4 SE"))
     if v["independent_beyond"] is not None:
         far = grid >= v["independent_beyond"]

@@ -34,22 +34,23 @@ Carlo mean over walks, and exact forward propagation of the full quenched
 law over its reachable lattice support (dense vectorized version for d=1
 fixed-support fields; a dictionary version for any lattice field, the
 oracle the tests hold the dense one to).  Exact propagation prunes mass
-below ``PRUNE_MASS`` and renormalizes.  The dense
-version keeps a window centred at the origin, sized by an Azuma tail bound:
-driftless fields drop no mass outside it, and a field whose mass leaves the
-window (one with a drift) ends with a ``ValueError`` rather than a clipped
-curve.  Each dense step (the field read, drift products and their row sum,
-the scatter onto the next support, the mass outside the window, pruning and
+below ``PRUNE_MASS`` and renormalizes.  The dense version is one loop,
+:func:`_propagate`, which yields the law after each step.  It keeps a
+window centred at the origin, sized by an Azuma tail bound: driftless
+fields drop no mass outside it, and a field whose mass leaves the window
+(one with a drift) ends with a ``ValueError`` rather than a clipped curve.
+Each dense step (the field read, drift products and their row sum, the
+scatter onto the next support, the mass outside the window, pruning and
 renormalization) is one call of ``envwalk_propagate`` in the library that
 ``streams`` builds from ``_hash.c``, one pass per replica row: it hashes
 each site's cell and forms its weight row itself
-(:func:`environments.field_read`), so no weight array is built.  The numpy
-steps (:func:`_numpy_steps`: :func:`environments.field_weights`, then
-:func:`_numpy_step`) are the path without that library and the reference
-the compiled step matches bit for bit, numpy's pairwise row sums included.
-On the level-correlated field the exact means are a closed form, the
-running sums of per-level drifts, whose rows one ``envwalk_field_weights``
-call reads.
+(:func:`environments.field_read`), so no weight array is built.  Without
+that library a step is :func:`environments.field_weights`, then
+:func:`_numpy_step`, the reference the compiled step matches bit for bit,
+numpy's pairwise row sums included.  Both write the law into the same
+pair of buffers.  On the level-correlated field the exact means are a
+closed form, the running sums of per-level drifts, whose rows one
+``envwalk_field_weights`` call reads.
 """
 
 from __future__ import annotations
@@ -420,58 +421,24 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
 
     Returns means of shape (n_replicas, n_max + 1) for d=1 fixed-support
     fields starting at 0: the dense-window twin of
-    :func:`quenched_mean_exact`, vectorized across replicas.  Each step
-    scatters the law onto its full next support and keeps the slice inside
-    an Azuma window centred at the origin.  Driftless fields drop no mass
-    there; if the window would drop more than ``PRUNE_MASS`` of a replica's
-    law (a field with a drift), this raises ``ValueError`` naming the step.
-    The level-correlated field (whose field read has no cell word) has one
-    row per level at every site, so each curve is the running sum of its
-    per-level drifts.
+    :func:`quenched_mean_exact`, vectorized across replicas, from the steps
+    of :func:`_propagate`.  If the window would drop more than
+    ``PRUNE_MASS`` of a replica's law (a field with a drift), this raises
+    ``ValueError`` naming the step.  The level-correlated field (whose field
+    read has no cell word) has one row per level at every site, so each
+    curve is the running sum of its per-level drifts.
     """
-    fam = env_template.family
-    st = lattice_stride(fam)
-    support = fam.support[:, 0]
+    integer_support(env_template.family)
     seeds = np.asarray(replica_seeds, dtype=np.uint64)
-    m = seeds.shape[0]
     base = seed_lanes_vec(seeds)
     read = field_read(env_template, base)
-
+    means = np.zeros((len(seeds), n_max + 1))
     if not read.cell_words:
-        drifts = row_drifts(fam, _level_rows(env_template, base, read, n_max))[..., 0]
-        return np.concatenate([np.zeros((m, 1)), np.cumsum(drifts.T, axis=1)], axis=1)
-
-    smax = int(np.abs(support).max())
-    s_lo = int(support.min())
-    offsets = ((support - s_lo) // st).astype(np.intp)
-    span = int(offsets.max())
-
-    def window(k):  # the half-width of the window after step k + 1
-        return min(smax * (k + 1), int(_WINDOW_C * smax * math.sqrt(k + 1)) + smax + 2)
-
-    means = np.zeros((m, n_max + 1))
-    if streams._LIB is None:
-        step = _numpy_steps(env_template, base, st, offsets, span, means)
-    else:
-        # Sites before a step: at most span more than the step before, at most the window's.
-        n_cap = min(1 + span * n_max, 2 * window(n_max - 1) // st + 1)
-        step = _KernelSteps(env_template, read, st, offsets, span, means, n_cap)
-    lo, n_pos = 0, 1
-    for k in range(n_max):
-        # The window [-win, win] on the full next support, lo + s_lo + st * j.
-        win = window(k)
-        full_lo = lo + s_lo
-        # 0 <= i0 <= i1 <= n_full also where the law has left the window whole.
-        n_full = n_pos + span
-        i0 = min(n_full, max(0, -((win + full_lo) // st)))
-        i1 = max(i0, min(n_full, (win - full_lo) // st + 1))
-        dropped = step(k, lo, n_pos, i0, i1)
-        if dropped > PRUNE_MASS:
-            raise ValueError(
-                f"exact propagation: step {k + 1} drops mass {dropped:.3g} outside the window "
-                f"|x| <= {win} centred at the origin; the field's drift carries its law out of it"
-            )
-        lo, n_pos = full_lo + st * i0, i1 - i0
+        drifts = row_drifts(env_template.family, _level_rows(env_template, base, read, n_max))[..., 0]
+        np.cumsum(drifts.T, axis=1, out=means[:, 1:])
+        return means
+    for _ in _propagate(env_template, base, read, means):
+        pass
     return means
 
 
@@ -488,84 +455,100 @@ def _level_rows(env, base, read, n_levels) -> np.ndarray:
     return rows
 
 
-def _numpy_steps(env, base, st, offsets, span, means):
-    """The steps of :func:`exact_mean_curves` without the compiled library, and the
-    reference for :class:`_KernelSteps`: :func:`field_weights` reads the sites
-    lo + st * j of each replica's field, then :func:`_numpy_step` moves the law."""
-    mass = np.ones((len(means), 1))
-    base = _per_row(base)
+def _propagate(env, base, read, means):
+    """Propagate each replica's quenched law from the origin, step by step.
 
-    def step(k, lo, n_pos, i0, i1):
-        nonlocal mass
-        w = field_weights(env, base, k, (lo + st * np.arange(n_pos))[:, None])  # (m, n_pos, n_atoms)
-        mass, dropped = _numpy_step(env.family, mass, w, offsets, span, i0, i1, means[:, k:])
-        return dropped
+    ``base`` holds the m replicas' seed lanes and ``read`` their field read
+    (:func:`environments.field_read`); step k sets ``means[:, k + 1]`` in the
+    C-contiguous (m, n_max + 1) array ``means``.  Each step scatters the law
+    onto its full next support and keeps the slice inside an Azuma window
+    centred at the origin, where a driftless field drops no mass; a step
+    that drops more than ``PRUNE_MASS`` of a replica's law raises
+    ``ValueError``.  After step k this yields (k, lo, law): the (m, n_pos)
+    law on the sites lo + st * j, a view that the next step overwrites.
 
-    return step
+    The law lives in one pair of buffers of ``n_cap + span`` sites a row
+    that take turns.  With the compiled library a step is one
+    ``envwalk_propagate`` call (``_hash.c``), which reads the field and moves
+    the law in one pass per replica row; without it,
+    :func:`environments.field_weights` reads the sites and
+    :func:`_numpy_step`, the reference that call matches bit for bit, moves
+    the law.
+    """
+    fam = env.family
+    st = lattice_stride(fam)
+    support = np.ascontiguousarray(fam.support[:, 0], dtype=np.float64)
+    m, n_max = means.shape[0], means.shape[1] - 1
+    smax = int(np.abs(support).max())
+    s_lo = int(support.min())
+    offsets = ((support - s_lo) // st).astype(np.intp)
+    span = int(offsets.max())
+
+    def window(k):  # the half-width of the window after step k + 1
+        return min(smax * (k + 1), int(_WINDOW_C * smax * math.sqrt(k + 1)) + smax + 2)
+
+    # Sites before a step: at most span more than the step before, at most the window's.
+    n_cap = min(1 + span * n_max, 2 * window(n_max - 1) // st + 1)
+    laws = np.empty((2, m * (n_cap + span)))
+    laws[0, :m] = 1.0  # the point mass at the origin, one site a row
+    lib = streams._LIB
+    if lib is None:
+        base = _per_row(base)
+    else:  # every address the compiled step takes, but the law's, is the same at each step
+        row_weights = np.empty(n_cap * len(offsets))  # one row's weight rows, rewritten per row
+        read_at, support_at, offsets_at = ctypes.addressof(read), support.ctypes.data, offsets.ctypes.data
+        means_at, row_weights_at = means.ctypes.data, row_weights.ctypes.data
+        buffers = (laws[0].ctypes.data, laws[1].ctypes.data)
+    # The law before step k: n_pos sites lo + st * j, at column `at` of rows `ms` apart in laws[k % 2].
+    law, lo, n_pos, at, ms = laws[0, :m, None], 0, 1, 0, 1
+    for k in range(n_max):
+        # The window [-win, win] on the full next support, lo + s_lo + st * j.
+        win = window(k)
+        full_lo = lo + s_lo
+        # 0 <= i0 <= i1 <= n_full also where the law has left the window whole.
+        n_full = n_pos + span
+        i0 = min(n_full, max(0, -((win + full_lo) // st)))
+        i1 = max(i0, min(n_full, (win - full_lo) // st + 1))
+        nxt = (k + 1) % 2
+        full = laws[nxt, : m * n_full].reshape(m, n_full)
+        if lib is None:
+            w = field_weights(env, base, k, (lo + st * np.arange(n_pos))[:, None])  # (m, n_pos, n_atoms)
+            dropped = _numpy_step(fam, law, w, offsets, i0, i1, means[:, k:], full)
+        else:
+            dropped = lib.envwalk_propagate(
+                read_at, k, lo, st, m, n_pos, buffers[1 - nxt] + 8 * at, ms, support_at, offsets_at, n_full, i0, i1,
+                PRUNE_MASS, buffers[nxt], means_at + 8 * k, n_max + 1, row_weights_at,
+            )
+        if dropped > PRUNE_MASS:
+            raise ValueError(
+                f"exact propagation: step {k + 1} drops mass {dropped:.3g} outside the window "
+                f"|x| <= {win} centred at the origin; the field's drift carries its law out of it"
+            )
+        # The next law is columns [i0, i1) of the (m, n_full) array just written.
+        law, lo, n_pos, at, ms = full[:, i0:i1], full_lo + st * i0, i1 - i0, i0, n_full
+        yield k, lo, law
 
 
-def _numpy_step(fam, mass, w, offsets, span, i0, i1, means):
+def _numpy_step(fam, mass, w, offsets, i0, i1, means, full) -> float:
     """One dense propagation step in numpy.
 
     ``mass`` (m, n_pos) is the law on the current sites and ``w`` their weight
     rows.  Sets ``means[:, 1]`` from ``means[:, 0]``, scatters the law onto its
-    full next support, atoms in support order, and keeps columns [i0, i1)
-    pruned and renormalized.  Returns (that law, the largest mass outside it).
+    full next support in ``full`` (m, n_full), atoms in support order, and
+    prunes and renormalizes its columns [i0, i1).  Returns the largest mass
+    outside them.
     """
     # Mean recursion: E[X_{k+1}] = E[X_k] + sum_x mass(x) * drift(x).
     means[:, 1] = means[:, 0] + (mass * row_drifts(fam, w)[..., 0]).sum(axis=1)
-    m, n_pos = mass.shape
-    full = np.zeros((m, n_pos + span))
+    n_pos = mass.shape[1]
+    full.fill(0.0)
     for a, off in enumerate(offsets.tolist()):
         full[:, off : off + n_pos] += mass * w[:, :, a]
     dropped = full[:, :i0].sum(axis=1) + full[:, i1:].sum(axis=1)
-    mass = full[:, i0:i1]
-    mass[mass < PRUNE_MASS] = 0.0
-    mass /= mass.sum(axis=1, keepdims=True)
-    return mass, dropped.max(initial=0.0)
-
-
-class _KernelSteps:
-    """The steps of :func:`_numpy_steps`, one C call each (``envwalk_propagate`` in
-    ``_hash.c``), bit for bit: the field read (:func:`environments.field_read`)
-    and the step run in one pass per replica row, with no weight array.  The
-    law lives in two preallocated buffers of ``n_cap + span`` sites a row that
-    take turns, ``n_cap`` bounding n_pos, and every argument that is the same
-    at each step is converted once, here.
-    """
-
-    def __init__(self, env, read, st, offsets, span, means, n_cap):
-        m = len(means)
-        support = np.ascontiguousarray(env.family.support[:, 0], dtype=np.float64)
-        offsets = np.ascontiguousarray(offsets, dtype=np.intp)
-        row_weights = np.empty(n_cap * len(offsets))  # one row's weight rows, rewritten per row
-        laws = np.empty((2, m * (n_cap + span)))
-        laws[0, :m] = 1.0  # the point mass at the origin, one site a row
-        self.arrays = (read, support, offsets, row_weights, laws, means)  # the memory the addresses point into
-        self.fixed = (ctypes.addressof(read), support.ctypes.data, offsets.ctypes.data, row_weights.ctypes.data)
-        self.buffers = (laws[0].ctypes.data, laws[1].ctypes.data)
-        self.means, self.mstride = means.ctypes.data, means.shape[1]
-        self.st, self.span, self.m = st, span, m
-        self.law = (0, 0, 1)  # the current law: buffer, first element, row stride
-
-    def run(self, k, lo, n_pos, mass, ms, i0, i1, full, means, mstride) -> float:
-        """Step k on the law at address ``mass`` (row stride ``ms``) on the sites
-        lo + st * j: writes the next law into the contiguous (m, n_pos + span)
-        array at ``full`` and each row's next mean after its mean at ``means``
-        (row stride ``mstride``); returns the largest mass outside [i0, i1)."""
-        read, support, offsets, row_weights = self.fixed
-        return streams._LIB.envwalk_propagate(
-            read, k, lo, self.st, self.m, n_pos, mass, ms, support, offsets, n_pos + self.span, i0, i1,
-            PRUNE_MASS, full, means, mstride, row_weights,
-        )
-
-    def __call__(self, k, lo, n_pos, i0, i1) -> float:
-        cur, at, ms = self.law
-        mass, full = self.buffers[cur] + 8 * at, self.buffers[1 - cur]
-        dropped = self.run(k, lo, n_pos, mass, ms, i0, i1, full, self.means + 8 * k, self.mstride)
-        # The next law is columns [i0, i1) of the (m, n_pos + span) array just written.
-        self.law = (1 - cur, i0, n_pos + self.span)
-        return dropped
+    kept = full[:, i0:i1]
+    kept[kept < PRUNE_MASS] = 0.0
+    kept /= kept.sum(axis=1, keepdims=True)
+    return dropped.max(initial=0.0)
 
 
 def _x1_samples(env_template: Environment, n_env: int, n_walk: int) -> np.ndarray:

@@ -179,6 +179,16 @@ def test_fclt_weak_disorder_marginals_pass():
     assert passes >= 3
 
 
+def test_fclt_marginals_pass_off_the_lattice():
+    # Gaussian steps put B(t) on no lattice: no dither, and the check runs.
+    template = make_lattice_product(5150, 1, GaussianDrift(1, 0.05, ((1.0,),)))
+    passes = 0
+    for s in range(4):
+        (rep,) = fclt_check(env_replica(template, s), 2.0**-8, [0.5, 1.0], 2000, ["velocity"])
+        passes += rep.all_marginals_pass()
+    assert passes >= 3
+
+
 def test_fclt_counterexample_dichotomy_small():
     template = make_fully_correlated(5150, 1, UniformPM1())
     b_fail, bt_pass = 0, 0

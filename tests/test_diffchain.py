@@ -20,7 +20,7 @@ from envwalk.environments import (
     make_fully_correlated,
     make_lattice_product,
 )
-from envwalk.families import DiracSteps, FixedAtomic, UniformPM1
+from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1
 from envwalk.stats import InsufficientDataError, ks_two_sample_critical, ks_two_sample_distance
 from envwalk.walks import simulate_quenched_path
 
@@ -323,6 +323,26 @@ def test_blocked_occupation_matches_chains(kind, small_blocks, monkeypatch):
         counts = [inside[j, :n].sum(axis=0) for j, n in enumerate(n_grid)]
         assert np.array_equal(curve.estimates, np.mean(counts, axis=1))
         assert np.array_equal(curve.standard_errors, np.std(counts, axis=1, ddof=1) / np.sqrt(m))
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        make_lattice_product(606, 1, GaussianDrift(1, 0.5, ((1.0,),))),
+        make_lattice_product(606, 1, FixedAtomic(((0.5,), (-0.5,)), (0.5, 0.5))),
+    ],
+    ids=["gaussian", "half-integer-atoms"],
+)
+def test_occupation_with_float_differences_matches_chains(env):
+    # Y off the integers: the scan's counts against the broadcast count.
+    n_grid, m = np.asarray([4, 8, 16, 32]), 20
+    curve = occupation_time(env, n_grid, 0.5, m)
+    _, y = batch_diff_positions(env, int(n_grid.max()), np.arange(m))
+    assert y.dtype == np.float64
+    inside = np.abs(y) <= n_grid[:, None, None] ** 0.5  # (grid, step, replica)
+    counts = [inside[j, :n].sum(axis=0) for j, n in enumerate(n_grid)]
+    assert np.array_equal(curve.estimates, np.mean(counts, axis=1))
+    assert np.array_equal(curve.standard_errors, np.std(counts, axis=1, ddof=1) / np.sqrt(m))
 
 
 def test_occupation_sublinear_exponent():

@@ -176,6 +176,8 @@ def test_exact_paths_reject_non_integer_atoms():
     with pytest.raises(ValueError, match="integer atoms"):
         exact_mean_curves(env, 4, np.arange(2, dtype=np.uint64))
     with pytest.raises(ValueError, match="integer atoms"):
+        exact_mean_curves(GAUSS, 4, np.arange(2, dtype=np.uint64))
+    with pytest.raises(ValueError, match="integer atoms"):
         lattice_stride(env.family)
 
 
@@ -333,6 +335,34 @@ def test_law_leaving_the_window_whole_raises(atom, monkeypatch):
             exact_mean_curves(env, 100, np.arange(3, dtype=np.uint64))
 
 
+@pytest.mark.parametrize(
+    "env",
+    [
+        MIX,
+        make_lattice_product(404, 1, FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.3, 0.2, 0.5))),
+        FR,
+        make_dirac(404, 1, DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.25, 0.625, 0.125))),
+    ],
+    ids=["mixing", "three-atom-drift", "finite-range", "dirac-three"],
+)
+def test_propagated_law_is_a_law_with_the_propagated_mean(env, monkeypatch):
+    # After every step the yielded law sums to 1 on each replica row, and its
+    # mean over the sites lo + st * j is the mean the step wrote, on the
+    # compiled and the numpy step.
+    seeds = np.asarray([3, 2**63 + 5, 17], dtype=np.uint64)
+    base = seed_lanes_vec(seeds)
+    st = lattice_stride(env.family)
+    for _ in each_step_path(monkeypatch):
+        means = np.zeros((3, 121))
+        steps = 0
+        for k, lo, law in walks._propagate(env, base, field_read(env, base), means):
+            assert k == steps and law.shape[0] == 3
+            assert np.allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert np.allclose(law @ (lo + st * np.arange(law.shape[1])), means[:, k + 1], rtol=0, atol=1e-9)
+            steps += 1
+        assert steps == 120
+
+
 def assert_same_bits(got, want):
     got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -487,9 +517,11 @@ def test_compiled_step_matches_numpy_step_on_every_row_length():
     ]
     seeds = np.asarray([3, 2**63 + 5, 17], dtype=np.uint64)
     base = seed_lanes_vec(seeds)
+    row_weights = np.empty(4097 * 3)  # the compiled step's weight rows, room for the longest row
     for env, st, offsets, span in fields:
-        offsets = np.asarray(offsets)
-        kernel = walks._KernelSteps(env, field_read(env, base), st, offsets, span, np.zeros((3, 1)), 4097)
+        read = field_read(env, base)
+        support = np.ascontiguousarray(env.family.support[:, 0], dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.intp)
         for n_pos in [*range(1, 600), 1024, 2000, 4097]:
             mass = (rng.random((3, n_pos + 2)) * 10.0 ** rng.integers(-18, 0, (3, n_pos + 2)))[:, 1:-1]
             k, lo = int(rng.choice([0, 5, 2**40])), int(rng.integers(-3000, 3000))
@@ -497,16 +529,17 @@ def test_compiled_step_matches_numpy_step_on_every_row_length():
             i0, i1 = int(rng.integers(0, span + 1)), n_pos + span - int(rng.integers(0, span + 1))
             start = rng.random((3, 2))
             means = [start.copy(), start.copy()]
-            full = np.empty((3, n_pos + span))
+            full = [np.empty((3, n_pos + span)), np.empty((3, n_pos + span))]
             with np.errstate(invalid="ignore"):  # a short row can be pruned to 0 / 0, on both paths
-                want = walks._numpy_step(env.family, mass, w, offsets, span, i0, i1, means[0])
-                dropped = kernel.run(
-                    k, lo, n_pos, mass.ctypes.data, mass.strides[0] // 8, i0, i1, full.ctypes.data,
-                    means[1].ctypes.data, 2,
+                want = walks._numpy_step(env.family, mass, w, offsets, i0, i1, means[0], full[0])
+                dropped = streams._LIB.envwalk_propagate(
+                    ctypes.addressof(read), k, lo, st, 3, n_pos, mass.ctypes.data, mass.strides[0] // 8,
+                    support.ctypes.data, offsets.ctypes.data, n_pos + span, i0, i1, walks.PRUNE_MASS,
+                    full[1].ctypes.data, means[1].ctypes.data, 2, row_weights.ctypes.data,
                 )
             assert_same_bits(means[1], means[0])
-            assert_same_bits(full[:, i0:i1], want[0])
-            assert dropped == want[1]
+            assert_same_bits(full[1][:, i0:i1], full[0][:, i0:i1])
+            assert dropped == want
 
 
 # Walkers for the compiled walker (envwalk_walk): each family kind of the
