@@ -10,7 +10,15 @@
  * the same wrapping 64-bit arithmetic.  The propagation step is bit for bit
  * the numpy steps of walks.py: environments.field_weights, then the same
  * products and sums in the same order, with numpy's pairwise summation for
- * every row sum.  The walker block (envwalk_walk) is bit for bit
+ * every row sum.  It makes few passes over a row's sites.  Only the live
+ * sites (from the first to the last mass that is not an exact zero; the
+ * others add nothing) are read: a tile of them at a time, one pass hashes
+ * their keys and one forms each site's weight row, its products mass *
+ * weight and its drift product.  The next law is then gathered site by
+ * site, each site summing the products that land on it in support order
+ * (the sums numpy's atom-major scatter forms), and pruned as it is
+ * written; a kept window that sums to exactly 1 is not divided, since
+ * x / 1.0 == x.  The walker block (envwalk_walk) is bit for bit
  * walks._Walker's numpy steps: per walker and step k the walk key's
  * uniform 0, the field's weight row at level k and the walker's position,
  * the inverse CDF in support order and the drift summed atom by atom.  Its
@@ -19,21 +27,23 @@
  * the walk key and for the field key) are hashed once per field, and each
  * walker hashes only its own words, its walk cell words and its field cell,
  * and its two uniforms; a field read with no cell word forms one weight row
- * per field.  All three read the field with one per-site helper (site_rows)
- * that hashes each site's cell (none on the level-correlated field) under
- * its key prefix, takes uniform 0 and forms the site's weight row by one of
- * three family kinds, each the arithmetic of the family's weight_table: affine
- * (UniformPM1), threshold (DiracSteps, a one-hot row) and constant
- * (FixedAtomic, no hash).  Plain C99 with no Python headers; streams.py
- * builds it with `cc -O3 -ffp-contract=off -shared -fPIC ... -lm` on first
- * import and calls it through ctypes.  Floating-point contraction is off
- * because a fused multiply-add (which GCC otherwise forms from `t += x * w`
+ * per field.  All three read the field with one per-site rule: site_key
+ * hashes the site's cell (none on the level-correlated field) under its
+ * key prefix, and key_row takes the key's uniform 0 and forms the site's
+ * weight row by one of three family kinds, each the arithmetic of the
+ * family's weight_table: affine (UniformPM1), threshold (DiracSteps, a
+ * one-hot row) and constant (FixedAtomic, no hash).  Plain C99 with no
+ * Python headers; streams.py builds it with `cc -O3 -ffp-contract=off
+ * -shared -fPIC ... -lm` on first import and calls it through ctypes.  Floating-point contraction is off
+ * because a fused multiply-add (which GCC otherwise forms from `d + w * s`
  * in the AVX-512 clone) rounds once where numpy rounds twice, and moves the
  * propagated curves in their last bits; the hash is integer arithmetic
  * plus one exact scaling, which the flag does not change.
  *
- * The hash loops run over a tile of at most TILE contiguous lane pairs, a
- * word at a time, shaped so that they vectorize.
+ * Each loop over sites or lanes is shaped so that it vectorizes: a loop
+ * that calls the site rule is compiled once per family kind and cell rule
+ * (EACH_READ), and the loops run over a tile of at most TILE sites or
+ * lane pairs, a pass per hash step.
  */
 #include <math.h>
 #include <stddef.h>
@@ -57,11 +67,15 @@ typedef ptrdiff_t stride_t;
 /* One library for every x86-64 host: the loader picks the AVX-512 clone
  * (vector 64-bit multiplies) where the CPU has it and the baseline
  * elsewhere.  -march=native would instead die with SIGILL on an older CPU
- * that loads a cached copy. */
+ * that loads a cached copy.  Building with -DVECTOR_CLONES= gives the
+ * baseline alone, the code that hosts without AVX-512 (or builds without
+ * clones) run; a test builds it so. */
+#ifndef VECTOR_CLONES
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
 #define VECTOR_CLONES __attribute__((target_clones("arch=x86-64-v4", "default")))
 #else
 #define VECTOR_CLONES
+#endif
 #endif
 
 #define INLINE static inline __attribute__((always_inline))
@@ -183,61 +197,109 @@ struct field {
     const double *rows;       /* CONSTANT: the one row */
 };
 
-/* The weight rows of n sites at field-frame positions x, contiguous
- * (n, n_atoms) into w.  (h1, h2) hold each site's key prefix (tag, level
- * and the cell-word count absorbed) and are consumed.  The site's key is
- * that prefix and its cell: x itself on the unit lattice, floor(x / R +
- * 0.5) on finite_range (floored by truncation, so that no libm call is
- * needed), no word on the level-correlated field.  Its uniform 0 is that of
- * uniforms_at(), and its row that of the family's weight_table():
+/* The cell rule of a field read: the one-word cell x on the unit lattice,
+ * floor(x / R + 0.5) on finite_range, no word on the level-correlated field. */
+enum { UNIT_CELL = 0, RANGE_CELL = 1, NO_CELL = 2 };
+
+/* The field read of one site at field-frame position x, in two halves
+ * that every loop over sites calls, a pass each: site_key() hashes the
+ * site's key, and key_row() turns the key into the site's weight row.
+ * Fused into one pass, the two halves' chains of 64-bit multiplies read a
+ * tile about a quarter slower (2.4 against 1.9 ns a site on an AVX-512
+ * Xeon).
+ *
+ * site_key: the lanes of the site's key into (o1, o2).  (h1, h2) is the
+ * site's key prefix (tag, level and the cell-word count absorbed), and the
+ * key is that prefix and the site's cell (floored by truncation on
+ * finite_range, so that no libm call is needed). */
+INLINE void site_key(const struct field *f, int cell, int64_t x, u64 h1, u64 h2, u64 *restrict o1, u64 *restrict o2)
+{
+    if (cell != NO_CELL) {
+        u64 c = (u64)x;
+        if (cell == RANGE_CELL) {
+            const double q = (double)x / f->range + 0.5;
+            const int64_t t = (int64_t)q;
+            c = (u64)(t - ((double)t > q));
+        }
+        h1 = mix1(h1 ^ (c + GAMMA1));
+        h2 = mix2(h2 ^ (c + GAMMA2));
+    }
+    *o1 = h1;
+    *o2 = h2;
+}
+
+/* key_row: the weight row of the site whose key has the lanes (h1, h2),
+ * into w[0], w[ws], w[2 * ws], ...  Its uniform 0 is that of uniforms_at(),
+ * and its row that of the family's weight_table():
  *   - AFFINE (UniformPM1): p = u * slope + intercept, rounded in that order,
  *     and 1 - p;
  *   - THRESHOLD (DiracSteps): the one-hot row of atom k =
  *     searchsorted(thresholds, u, side="right") capped at n_atoms - 1,
  *     1.0 at k and 0.0 elsewhere, np.eye's row;
- *   - CONSTANT (FixedAtomic): the one row, with no hash. */
-INLINE void site_rows(const struct field *f, size_t n, u64 *restrict h1, u64 *restrict h2,
-                      const int64_t *restrict x, double *restrict w)
+ *   - CONSTANT (FixedAtomic): the one row, with no hash.
+ * kind (and site_key's cell) are the field's, passed as constants by
+ * EACH_READ so that each loop compiles without these branches and
+ * vectorizes. */
+INLINE void key_row(const struct field *f, int kind, size_t na, u64 h1, u64 h2, double *restrict w, size_t ws)
 {
-    const size_t na = f->n_atoms;
-    if (f->kind == CONSTANT) {
-        for (size_t i = 0; i < n; i++)
-            for (size_t a = 0; a < na; a++)
-                w[i * na + a] = f->rows[a];
+    if (kind == CONSTANT) {
+        for (size_t a = 0; a < na; a++)
+            w[a * ws] = f->rows[a];
         return;
     }
-    if (f->cell_words) {
-        u64 cell[TILE];
-        if (f->range > 0.0) {
-            for (size_t i = 0; i < n; i++) {
-                const double q = (double)x[i] / f->range + 0.5;
-                const int64_t c = (int64_t)q;
-                cell[i] = (u64)(c - ((double)c > q));
-            }
-        } else {
-            for (size_t i = 0; i < n; i++)
-                cell[i] = (u64)x[i];
-        }
-        absorb_column(n, h1, h2, cell);
-    }
-    double u[TILE];
-    first_uniforms(n, h1, h2, u);
-    if (f->kind == AFFINE) {
-        for (size_t i = 0; i < n; i++) {
-            const double p = u[i] * f->slope + f->intercept;
-            w[2 * i] = p;
-            w[2 * i + 1] = 1.0 - p;
-        }
+    const u64 word = mix1(h1 + GAMMA1) ^ mix2(h2 + GAMMA2);
+    /* word >> 11 < 2**53 converts exactly, as numpy's astype(float64) does. */
+    const double u = (double)(int64_t)(word >> 11) * 0x1p-53;
+    if (kind == AFFINE) {
+        const double p = u * f->slope + f->intercept;
+        w[0] = p;
+        w[ws] = 1.0 - p;
     } else {
-        for (size_t i = 0; i < n; i++) {
-            size_t k = 0;
-            for (size_t b = 0; b < na; b++)
-                k += f->thresholds[b] <= u[i];
-            for (size_t a = 0; a < na; a++)
-                w[i * na + a] = 0.0;
-            w[i * na + (k < na ? k : na - 1)] = 1.0;
-        }
+        size_t k = 0;
+        for (size_t b = 0; b < na; b++)
+            k += f->thresholds[b] <= u;
+        for (size_t a = 0; a < na; a++)
+            w[a * ws] = 0.0;
+        w[(k < na ? k : na - 1) * ws] = 1.0;
     }
+}
+
+/* Runs the statement CALL(kind, cell) with the field read f's family kind
+ * and cell rule as constants, one case each, so that a loop over sites that
+ * calls site_key() and key_row() is compiled once per case. */
+#define EACH_READ(f, CALL)                                                                        \
+    do {                                                                                          \
+        const int cell_ = !(f)->cell_words ? NO_CELL : (f)->range > 0.0 ? RANGE_CELL : UNIT_CELL; \
+        if ((f)->kind == CONSTANT) {                                                              \
+            CALL(CONSTANT, NO_CELL);                                                              \
+        } else if ((f)->kind == AFFINE && cell_ == UNIT_CELL) {                                   \
+            CALL(AFFINE, UNIT_CELL);                                                              \
+        } else if ((f)->kind == AFFINE && cell_ == RANGE_CELL) {                                  \
+            CALL(AFFINE, RANGE_CELL);                                                             \
+        } else if ((f)->kind == AFFINE) {                                                         \
+            CALL(AFFINE, NO_CELL);                                                                \
+        } else if (cell_ == UNIT_CELL) {                                                          \
+            CALL(THRESHOLD, UNIT_CELL);                                                           \
+        } else if (cell_ == RANGE_CELL) {                                                         \
+            CALL(THRESHOLD, RANGE_CELL);                                                          \
+        } else {                                                                                  \
+            CALL(THRESHOLD, NO_CELL);                                                             \
+        }                                                                                         \
+    } while (0)
+
+/* The weight rows of n <= TILE sites at field-frame positions x,
+ * contiguous (n, na) into w: site i's key prefix is (h1, h2)[i]. */
+INLINE void site_rows(const struct field *f, size_t na, size_t n, const u64 *restrict h1, const u64 *restrict h2,
+                      const int64_t *restrict x, double *restrict w)
+{
+    u64 k1[TILE], k2[TILE];
+#define ROWS(kind, cell)                                         \
+    for (size_t i = 0; i < n; i++)                               \
+        site_key(f, cell, x[i], h1[i], h2[i], k1 + i, k2 + i);   \
+    for (size_t i = 0; i < n; i++)                               \
+        key_row(f, kind, na, k1[i], k2[i], w + i * na, 1)
+    EACH_READ(f, ROWS);
+#undef ROWS
 }
 
 /* The key prefixes at `level` of n keys whose cells have `count` words: the
@@ -251,28 +313,6 @@ INLINE void key_prefix(size_t n, const u64 *restrict e1, const u64 *restrict e2,
     }
     absorb_word(n, o1, o2, level);
     absorb_word(n, o1, o2, count);
-}
-
-/* Row r's weight rows at `level` and the n sites x = lo + st * j, into w,
- * contiguous (n, n_atoms), a tile of sites at a time.  The key prefix
- * (tag, level, cell-word count) is hashed once per row. */
-INLINE void field_row(const struct field *f, size_t r, u64 level, int64_t lo, int64_t st, size_t n, double *restrict w)
-{
-    u64 e1, e2, p1, p2;
-    tagged_lanes(1, f->b1 + r, f->b2 + r, f->tag, &e1, &e2);
-    key_prefix(1, &e1, &e2, level, f->cell_words, &p1, &p2);
-    int64_t x[TILE];
-    u64 h1[TILE], h2[TILE];
-    for (size_t t = 0; t < n; t += TILE) {
-        const size_t nt = n - t < TILE ? n - t : TILE;
-        const u64 x0 = (u64)lo + (u64)st * t;
-        for (size_t i = 0; i < nt; i++) {
-            x[i] = (int64_t)(x0 + (u64)st * i);
-            h1[i] = p1;
-            h2[i] = p2;
-        }
-        site_rows(f, nt, h1, h2, x, w + t * f->n_atoms);
-    }
 }
 
 /* The weight rows of m fields, field r at site x[r], at the n_levels levels
@@ -289,46 +329,106 @@ void envwalk_field_weights(const struct field *f, u64 level, size_t n_levels, si
         tagged_lanes(nt, f->b1 + t, f->b2 + t, f->tag, e1, e2);
         for (size_t l = 0; l < n_levels; l++) {
             key_prefix(nt, e1, e2, level + l, f->cell_words, h1, h2);
-            site_rows(f, nt, h1, h2, x + t, out + (l * m + t) * na);
+            site_rows(f, na, nt, h1, h2, x + t, out + (l * m + t) * na);
         }
     }
 }
 
-/* One replica row of envwalk_propagate, with its weight rows w contiguous
- * (n_pos, n_atoms).  Inlined with a constant atom count for pairs, so that
- * the strided loops vectorize. */
-INLINE double propagate_row(size_t n_pos, size_t n_atoms, const double *restrict x, const double *restrict w,
-                            const double *restrict support, const stride_t *restrict offset,
-                            size_t n_full, size_t i0, size_t i1, double prune,
-                            double *restrict f, double *restrict mean)
+/* Site t of a row's next law: 0.0 plus, atom by atom in support order, the
+ * product px[a * ps + j] of each site j = t - offset[a], the sum that the
+ * atom-major scatter forms at t; set to 0 if it is below prune and t lies in
+ * the window [i0, i0 + n_kept).  With `guard`, only the j in [jl, jh) add
+ * (the unsigned compare also skips a j below 0, which wraps); without it,
+ * every j must lie there. */
+INLINE double next_site(size_t na, const double *restrict px, size_t ps, const stride_t *restrict offset, size_t t,
+                        int guard, size_t jl, size_t jh, size_t i0, size_t n_kept, double prune)
 {
-    /* The products mass * drift, in f as scratch; the drift atom by atom. */
-    for (size_t j = 0; j < n_pos; j++)
-        f[j] = w[j * n_atoms] * support[0];
-    for (size_t a = 1; a < n_atoms; a++)
-        for (size_t j = 0; j < n_pos; j++)
-            f[j] = f[j] + w[j * n_atoms + a] * support[a];
-    for (size_t j = 0; j < n_pos; j++)
-        f[j] = x[j] * f[j];
-    mean[1] = mean[0] + row_sum(f, n_pos);
-
-    for (size_t j = 0; j < n_full; j++)
-        f[j] = 0.0;
-    for (size_t a = 0; a < n_atoms; a++) {
-        const double *restrict wa = w + a;
-        double *restrict t = f + offset[a];
-        for (size_t j = 0; j < n_pos; j++)
-            t[j] += x[j] * wa[j * n_atoms];
+    double v = 0.0;
+    for (size_t a = 0; a < na; a++) {
+        const size_t j = t - (size_t)offset[a];
+        if (!guard || j - jl < jh - jl)
+            v += px[a * ps + j];
     }
+    return v < prune && t - i0 < n_kept ? 0.0 : v;
+}
 
-    const double dropped = row_sum(f, i0) + row_sum(f + i1, n_full - i1);
-    double *restrict kept = f + i0;
-    const size_t n_kept = i1 - i0;
-    for (size_t j = 0; j < n_kept; j++)
-        kept[j] = kept[j] < prune ? 0.0 : kept[j];
+/* One replica row of envwalk_propagate: the law x on the n_pos sites lo +
+ * st * j under the key prefix (p1, p2), with px as scratch for the products
+ * mass * weight, (na, n_pos) atom-major.  Inlined with a constant atom
+ * count for pairs, so that the loops vectorize. */
+INLINE double propagate_row(const struct field *f, size_t na, u64 p1, u64 p2, int64_t lo, int64_t st, size_t n_pos,
+                            const double *restrict x, const double *restrict support, const stride_t *restrict offset,
+                            size_t n_full, size_t i0, size_t i1, double prune, double *restrict fl,
+                            double *restrict mean, double *restrict px)
+{
+    /* The live range [jl, jh): outside it every mass is an exact zero, whose
+     * products add nothing to the gather and whose drift products add
+     * nothing to the mean, so those sites are not read. */
+    size_t jl = 0, jh = n_pos;
+    while (jl < jh && x[jl] == 0.0)
+        jl++;
+    while (jh > jl && x[jh - 1] == 0.0)
+        jh--;
+
+    /* Per live site, a tile of sites at a time: its key, then its weight
+     * row, the products mass * weight, and mass * drift (the drift summed
+     * atom by atom in support order, jumplaws.atomic_mean) into fl as
+     * scratch, for the mean.  A pair's weight row is formed in registers, a
+     * longer one in place in px. */
+    for (size_t j = 0; j < jl; j++)
+        fl[j] = 0.0;
+    double pair[2];
+    const size_t ws = na == 2 ? 1 : n_pos;
+#define READ(kind, cell)                                                              \
+    for (size_t j0 = jl; j0 < jh; j0 += TILE) {                                       \
+        const size_t nt = jh - j0 < TILE ? jh - j0 : TILE;                            \
+        u64 k1[TILE], k2[TILE];                                                       \
+        for (size_t i = 0, s = (u64)lo + (u64)st * j0; i < nt; i++, s += (u64)st)     \
+            site_key(f, cell, (int64_t)s, p1, p2, k1 + i, k2 + i);                    \
+        for (size_t i = 0, j = j0; i < nt; i++, j++) {                                \
+            double *wr = na == 2 ? pair : px + j;                                     \
+            key_row(f, kind, na, k1[i], k2[i], wr, ws);                               \
+            double d = wr[0] * support[0];                                            \
+            for (size_t a = 1; a < na; a++)                                           \
+                d = d + wr[a * ws] * support[a];                                      \
+            fl[j] = x[j] * d;                                                         \
+            for (size_t a = 0; a < na; a++)                                           \
+                px[a * n_pos + j] = x[j] * wr[a * ws];                                \
+        }                                                                             \
+    }
+    EACH_READ(f, READ);
+#undef READ
+    for (size_t j = jh; j < n_pos; j++)
+        fl[j] = 0.0;
+    mean[1] = mean[0] + row_sum(fl, n_pos);
+
+    /* The next law on its full support, gathered site by site and pruned
+     * as it is written (next_site()).  Live products reach the sites [jl,
+     * jh + span), span = n_full - n_pos: a site within span of either end
+     * of that range is guarded, a site between is not, and a site outside
+     * is 0. */
+    const size_t n_kept = i1 - i0, t_end = jh + (n_full - n_pos);
+    const size_t t_mid = jl + (n_full - n_pos) < jh ? jl + (n_full - n_pos) : jh;
+    size_t t = 0;
+    for (; t < jl; t++)
+        fl[t] = 0.0;
+    for (; t < t_mid; t++)
+        fl[t] = next_site(na, px, n_pos, offset, t, 1, jl, jh, i0, n_kept, prune);
+    for (; t < jh; t++)
+        fl[t] = next_site(na, px, n_pos, offset, t, 0, jl, jh, i0, n_kept, prune);
+    for (; t < t_end; t++)
+        fl[t] = next_site(na, px, n_pos, offset, t, 1, jl, jh, i0, n_kept, prune);
+    for (; t < n_full; t++)
+        fl[t] = 0.0;
+
+    /* The mass outside the window, and the kept law renormalized: a row
+     * that sums to exactly 1 is left as it is, since x / 1.0 == x. */
+    const double dropped = row_sum(fl, i0) + row_sum(fl + i1, n_full - i1);
+    double *restrict kept = fl + i0;
     const double total = row_sum(kept, n_kept);
-    for (size_t j = 0; j < n_kept; j++)
-        kept[j] /= total;
+    if (total != 1.0)
+        for (size_t j = 0; j < n_kept; j++)
+            kept[j] /= total;
     return dropped;
 }
 
@@ -336,17 +436,22 @@ INLINE double propagate_row(size_t n_pos, size_t n_atoms, const double *restrict
  * read of field_weights()) for m replica rows.
  *
  * Row r holds the law on the n_pos sites lo + st * j at `level` (mass, row
- * stride ms).  The step reads their weight rows with field_row() into w
- * (room for n_pos * n_atoms, rewritten per row) and writes, into the contiguous
- * (m, n_full) array full:
- *   - first, as scratch, the products mass * drift, the drift summed atom by
- *     atom in support order (jumplaws.atomic_mean); their row sum moves the
- *     mean, means[r * mstride + 1] = means[r * mstride] + sum;
- *   - then the law of the next step on its full support, atom a's mass
- *     added at site offset[a] + j in support order;
- *   - then, inside the window [i0, i1), that law with sites below prune set
- *     to 0 and the row divided by its sum.
- * Returns the largest mass that falls outside the window in any row. */
+ * stride ms); atom a moves site j to site j + offset[a] of the next
+ * support, n_full = n_pos + the largest offset sites.  The step hashes the
+ * row's key prefix (tag, level, cell-word count) once.  Then, for the live
+ * sites (from the first to the last mass that is not an exact zero), it
+ * reads each site's weight row (site_key(), key_row(): the read of
+ * field_weights()) and forms the products mass * weight into w (room for
+ * n_pos * n_atoms, rewritten per row) and the products mass * drift, the
+ * drift summed atom by atom in support order (jumplaws.atomic_mean).  Their
+ * row sum moves the mean, means[r * mstride + 1] = means[r * mstride] +
+ * sum.  Into the contiguous (m, n_full) array full it then writes the law
+ * of the next step on its full support: site t is 0.0 plus atom a's
+ * product from site t - offset[a], atom by atom in support order (the sums
+ * of numpy's atom-major scatter), set to 0 below prune inside the window
+ * [i0, i1).  Last it divides that window by its sum, unless the sum is
+ * exactly 1.  Returns the largest mass that falls outside the window in
+ * any row. */
 VECTOR_CLONES
 double envwalk_propagate(const struct field *field, u64 level, int64_t lo, int64_t st,
                          size_t m, size_t n_pos, const double *mass, stride_t ms,
@@ -357,12 +462,16 @@ double envwalk_propagate(const struct field *field, u64 level, int64_t lo, int64
     const size_t n_atoms = field->n_atoms;
     double worst = 0.0;
     for (size_t r = 0; r < m; r++) {
-        field_row(field, r, level, lo, st, n_pos, w);
+        u64 e1, e2, p1, p2;
+        tagged_lanes(1, field->b1 + r, field->b2 + r, field->tag, &e1, &e2);
+        key_prefix(1, &e1, &e2, level, field->cell_words, &p1, &p2);
         const double *x = mass + r * ms;
-        double *f = full + r * n_full, *mean = means + r * mstride;
+        double *fl = full + r * n_full, *mean = means + r * mstride;
         const double dropped =
-            n_atoms == 2 ? propagate_row(n_pos, 2, x, w, support, offset, n_full, i0, i1, prune, f, mean)
-                         : propagate_row(n_pos, n_atoms, x, w, support, offset, n_full, i0, i1, prune, f, mean);
+            n_atoms == 2 ? propagate_row(field, 2, p1, p2, lo, st, n_pos, x, support, offset, n_full, i0, i1, prune,
+                                         fl, mean, w)
+                         : propagate_row(field, n_atoms, p1, p2, lo, st, n_pos, x, support, offset, n_full, i0, i1,
+                                         prune, fl, mean, w);
         if (dropped > worst)
             worst = dropped;
     }
@@ -439,9 +548,9 @@ INLINE void walk_tile(const struct field *f, size_t na, size_t t, size_t nt, siz
         if (f->cell_words) {
             if (g > 1)
                 spread_prefixes(nt, lead, g, q1, q2, h1, h2);
-            site_rows(f, nt, h1, h2, pos, w);
+            site_rows(f, na, nt, h1, h2, pos, w);
         } else {
-            site_rows(f, nf, k1, k2, pos, w);
+            site_rows(f, na, nf, k1, k2, pos, w);
             if (g > 1)
                 spread_rows(nf, nt, lead, g, na, w);
         }

@@ -41,7 +41,7 @@ from .environments import (
     make_lattice_product,
 )
 from .families import DiracSteps, FixedAtomic, UniformPM1
-from .stats import ks_two_sample_critical, ks_two_sample_distance
+from .stats import MIN_FIT_POINTS, fit_points, ks_two_sample_critical, ks_two_sample_distance
 from .walks import velocity_and_covariance
 
 __all__ = [
@@ -315,14 +315,21 @@ def _run_variance_scan(env: Environment, v: dict, workers: int):
     curve = analysis.variance_curve(env, n_grid, np.concatenate(chunks))
     rows = _scan_rows("variance", curve)
     verdicts = []
-    if curve.fit is not None:
-        if v["eta_min"] is not None:
-            verdicts.append(Verdict("eta_at_least", curve.fit.exponent >= v["eta_min"],
-                                    curve.fit.exponent, f">= {v['eta_min']}"))
-        if v["eta_max"] is not None:
-            verdicts.append(Verdict("eta_at_most", curve.fit.exponent <= v["eta_max"],
-                                    curve.fit.exponent, f"<= {v['eta_max']}"))
+    if v["eta_min"] is not None:
+        verdicts.append(_exponent_verdict("eta_at_least", curve, operator.ge, ">=", v["eta_min"]))
+    if v["eta_max"] is not None:
+        verdicts.append(_exponent_verdict("eta_at_most", curve, operator.le, "<=", v["eta_max"]))
     return rows, verdicts
+
+
+def _exponent_verdict(name: str, curve, op, symbol: str, bound: float) -> Verdict:
+    """Whether the curve's fitted exponent is ``symbol`` ``bound``.  With no
+    fit the verdict fails: its observed value is the count of usable grid
+    points, and its threshold names the count a fit needs."""
+    if curve.fit is None:
+        return Verdict(name, False, int(fit_points(curve).sum()),
+                       f"{symbol} {bound}: a fit needs >= {MIN_FIT_POINTS} usable grid points")
+    return Verdict(name, op(curve.fit.exponent, bound), curve.fit.exponent, f"{symbol} {bound}")
 
 
 def _run_phi_decay(env: Environment, v: dict, workers: int):

@@ -26,6 +26,7 @@ __all__ = [
     "ExponentFit",
     "GofTestResult",
     "fit_exponent",
+    "fit_points",
     "with_fit",
     "ks_gaussian_test",
     "ks_two_sample_distance",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 FIT_CONFIDENCE = 0.95  # coverage of every exponent fit's confidence interval
+MIN_FIT_POINTS = 4  # usable grid points an exponent fit needs
 
 # scipy.special.stdtrit(df, 0.5 + FIT_CONFIDENCE / 2) for df = 1 .. 64, as
 # scipy 1.17 computes it.  Its values are not correctly rounded (df = 6 is
@@ -104,21 +106,28 @@ class ScanCurve:
     fit: ExponentFit | None = None
 
 
-def fit_exponent(curve: ScanCurve) -> ExponentFit:
-    """Fit the growth exponent of a scan curve on log-log scale.
-
-    Uses only grid points with a positive, finite estimate exceeding three
-    standard errors; needs at least four such points.  The
-    ``FIT_CONFIDENCE`` interval comes from the residual variance via the
-    Student-t quantile.
-    """
+def fit_points(curve: ScanCurve) -> np.ndarray:
+    """Which grid points an exponent fit uses: those with a positive, finite
+    estimate exceeding three standard errors at a positive grid value."""
     grid = np.asarray(curve.grid, dtype=float)
     est = np.asarray(curve.estimates, dtype=float)
     se = np.asarray(curve.standard_errors, dtype=float)
-    usable = np.isfinite(est) & (est > 3.0 * se) & (est > 0.0) & (grid > 0.0)
-    if usable.sum() < 4:
+    return np.isfinite(est) & (est > 3.0 * se) & (est > 0.0) & (grid > 0.0)
+
+
+def fit_exponent(curve: ScanCurve) -> ExponentFit:
+    """Fit the growth exponent of a scan curve on log-log scale.
+
+    Uses only the :func:`fit_points`; needs at least ``MIN_FIT_POINTS`` of
+    them.  The ``FIT_CONFIDENCE`` interval comes from the residual variance
+    via the Student-t quantile.
+    """
+    grid = np.asarray(curve.grid, dtype=float)
+    est = np.asarray(curve.estimates, dtype=float)
+    usable = fit_points(curve)
+    if usable.sum() < MIN_FIT_POINTS:
         raise InsufficientDataError(
-            f"exponent fit needs >= 4 usable grid points, found {int(usable.sum())}"
+            f"exponent fit needs >= {MIN_FIT_POINTS} usable grid points, found {int(usable.sum())}"
         )
     lx, ly = np.log(grid[usable]), np.log(est[usable])
     n = lx.size

@@ -319,9 +319,13 @@ def _load_kernel():
     if path is None:
         return None
     try:
-        lib = ctypes.CDLL(str(path))
+        return _declare(ctypes.CDLL(str(path)))
     except OSError:
         return None
+
+
+def _declare(lib):
+    """``lib``, a loaded build of ``_hash.c``, with each entry point's ctypes argtypes and restype."""
     size, step, word, ptr = ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_uint64, ctypes.c_void_p
     # field, first level, levels, fields, sites, out
     lib.envwalk_field_weights.argtypes = (ptr, word, size, size, ptr, ptr)

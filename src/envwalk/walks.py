@@ -40,14 +40,18 @@ window centred at the origin, sized by an Azuma tail bound: driftless
 fields drop no mass outside it, and a field whose mass leaves the window
 (one with a drift) ends with a ``ValueError`` rather than a clipped curve.
 Each dense step (the field read, drift products and their row sum, the
-scatter onto the next support, the mass outside the window, pruning and
+law on the next support, the mass outside the window, pruning and
 renormalization) is one call of ``envwalk_propagate`` in the library that
-``streams`` builds from ``_hash.c``, one pass per replica row: it hashes
-each site's cell and forms its weight row itself
-(:func:`environments.field_read`), so no weight array is built.  Without
-that library a step is :func:`environments.field_weights`, then
-:func:`_numpy_step`, the reference the compiled step matches bit for bit,
-numpy's pairwise row sums included.  Both write the law into the same
+``streams`` builds from ``_hash.c``.  Per replica row it reads only the
+live sites (from the first to the last mass that is not an exact zero), a
+tile at a time: one pass hashes their cells, one forms each site's weight
+row itself (:func:`environments.field_read`), its products and its drift
+product, so no weight array is built.  The next law is gathered site by
+site, pruned as it is written, and divided by its sum unless that sum is
+exactly 1.  Without that library a step is
+:func:`environments.field_weights`, then :func:`_numpy_step`, the
+reference the compiled step matches bit for bit, numpy's pairwise row sums
+included.  Both write the law into the same
 pair of buffers.  On the level-correlated field the exact means are a
 closed form, the running sums of per-level drifts, whose rows one
 ``envwalk_field_weights`` call reads.
@@ -470,7 +474,7 @@ def _propagate(env, base, read, means):
     The law lives in one pair of buffers of ``n_cap + span`` sites a row
     that take turns.  With the compiled library a step is one
     ``envwalk_propagate`` call (``_hash.c``), which reads the field and moves
-    the law in one pass per replica row; without it,
+    the law in a few passes per replica row; without it,
     :func:`environments.field_weights` reads the sites and
     :func:`_numpy_step`, the reference that call matches bit for bit, moves
     the law.

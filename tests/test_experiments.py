@@ -339,6 +339,30 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        # V = 0 on the fixed lattice: no grid point is usable, so "eta >= 0.9" cannot hold
+        ("experiment = variance-scan\nmodel = fixed-lattice\nn_grid = 16, 32, 64, 128\neta_min = 0.9\n",
+         {"name": "eta_at_least", "observed": 0.0, "threshold": ">= 0.9: a fit needs >= 4 usable grid points"}),
+        # three grid points, one fewer than a fit needs (the exponent is about 1/2)
+        ("experiment = variance-scan\nmodel = mixing-lattice\nn_grid = 64, 1024, 4096\nenv_replicas = 64\n"
+         "eta_max = 0.1\n",
+         {"name": "eta_at_most", "observed": 3.0, "threshold": "<= 0.1: a fit needs >= 4 usable grid points"}),
+    ],
+    ids=["no-growth", "three-points"],
+)
+def test_exponent_verdict_without_a_fit_fails(text, verdict, tmp_path, capsys):
+    # A set eta_min or eta_max always yields its verdict; with no exponent
+    # fitted it fails, observing the count of usable grid points.
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(text)
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"[FAIL] variance-scan: {verdict['name']}" in capsys.readouterr().out
+    report = json.loads((tmp_path / "variance-scan_report.json").read_text())
+    assert report["verdicts"] == [{**verdict, "passed": False}]
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_p_low_above_p_high_rejected(model, tmp_path, capsys):
     text = f"experiment = moments\nmodel = {model}\np_high = 0.2\np_low = 0.9\n"

@@ -1,4 +1,6 @@
 import ctypes
+import shutil
+import subprocess
 from dataclasses import replace
 
 import numpy as np
@@ -501,13 +503,40 @@ def test_compiled_level_correlated_curves_match_numpy_curves(kind, monkeypatch):
     assert_same_bits(exact_mean_curves(env, 60, seeds), want)
 
 
+def assert_step_bits(lib, env, base, st, offsets, mass, k, lo, i0, i1, start):
+    """One propagation step of the law ``mass`` (m, n_pos) on the sites lo +
+    st * j at level k, atom a landing ``offsets[a]`` sites on, from the means
+    ``start`` (m, 2), on the numpy step and through ``lib.envwalk_propagate``
+    with the weight-row room the call documents: the means, the law in
+    [i0, i1) and the dropped mass agree bit for bit.  The numpy step is
+    handed its weight rows by field_weights; the compiled step reads them
+    from the field."""
+    support = np.ascontiguousarray(env.family.support[:, 0], dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    (m, n_pos), n_full = mass.shape, mass.shape[1] + int(offsets.max())
+    w = field_weights(env, (base[0][:, None], base[1][:, None]), k, (lo + st * np.arange(n_pos))[:, None])
+    read = field_read(env, base)
+    means = [start.copy(), start.copy()]
+    full = [np.empty((m, n_full)), np.empty((m, n_full))]
+    row_weights = np.empty(n_pos * len(support))
+    with np.errstate(invalid="ignore"):  # a row pruned to 0 is 0 / 0, on both paths
+        want = walks._numpy_step(env.family, mass, w, offsets, i0, i1, means[0], full[0])
+        dropped = lib.envwalk_propagate(
+            ctypes.addressof(read), k, lo, st, m, n_pos, mass.ctypes.data, mass.strides[0] // 8, support.ctypes.data,
+            offsets.ctypes.data, n_full, i0, i1, walks.PRUNE_MASS, full[1].ctypes.data, means[1].ctypes.data, 2,
+            row_weights.ctypes.data,
+        )
+    assert_same_bits(means[1], means[0])
+    assert_same_bits(full[1][:, i0:i1], full[0][:, i0:i1])
+    assert dropped == want
+
+
 @needs_kernel
 def test_compiled_step_matches_numpy_step_on_every_row_length():
     # Random laws, some sites below PRUNE_MASS, a window cut on either side,
-    # and a non-contiguous law, on one field of each family kind: the mean,
-    # the next law and the dropped mass agree bit for bit at every row
-    # length.  The compiled step reads its weight rows from the field; the
-    # numpy step is handed them by field_weights.
+    # and a non-contiguous law, on one field of each family kind, at every
+    # row length; the 3-atom field on the unit grid, where its atoms land up
+    # to 3 sites on.
     rng = np.random.default_rng(15)
     fields = [  # (field, grid step, atom offsets, span)
         (make_lattice_product(404, 1, FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.3, 0.2, 0.5))), 1, [3, 0, 0], 3),
@@ -515,31 +544,73 @@ def test_compiled_step_matches_numpy_step_on_every_row_length():
         (make_finite_range(404, 1, 1.5, DiracSteps(((1.0,), (-1.0,)), (0.25, 0.75))), 2, [1, 0], 1),
         (make_dirac(404, 1, DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.25, 0.625, 0.125))), 2, [1, 0, 2], 2),
     ]
-    seeds = np.asarray([3, 2**63 + 5, 17], dtype=np.uint64)
-    base = seed_lanes_vec(seeds)
-    row_weights = np.empty(4097 * 3)  # the compiled step's weight rows, room for the longest row
+    base = seed_lanes_vec(np.asarray([3, 2**63 + 5, 17], dtype=np.uint64))
     for env, st, offsets, span in fields:
-        read = field_read(env, base)
-        support = np.ascontiguousarray(env.family.support[:, 0], dtype=np.float64)
-        offsets = np.asarray(offsets, dtype=np.intp)
         for n_pos in [*range(1, 600), 1024, 2000, 4097]:
             mass = (rng.random((3, n_pos + 2)) * 10.0 ** rng.integers(-18, 0, (3, n_pos + 2)))[:, 1:-1]
             k, lo = int(rng.choice([0, 5, 2**40])), int(rng.integers(-3000, 3000))
-            w = field_weights(env, (base[0][:, None], base[1][:, None]), k, (lo + st * np.arange(n_pos))[:, None])
             i0, i1 = int(rng.integers(0, span + 1)), n_pos + span - int(rng.integers(0, span + 1))
-            start = rng.random((3, 2))
-            means = [start.copy(), start.copy()]
-            full = [np.empty((3, n_pos + span)), np.empty((3, n_pos + span))]
-            with np.errstate(invalid="ignore"):  # a short row can be pruned to 0 / 0, on both paths
-                want = walks._numpy_step(env.family, mass, w, offsets, i0, i1, means[0], full[0])
-                dropped = streams._LIB.envwalk_propagate(
-                    ctypes.addressof(read), k, lo, st, 3, n_pos, mass.ctypes.data, mass.strides[0] // 8,
-                    support.ctypes.data, offsets.ctypes.data, n_pos + span, i0, i1, walks.PRUNE_MASS,
-                    full[1].ctypes.data, means[1].ctypes.data, 2, row_weights.ctypes.data,
-                )
-            assert_same_bits(means[1], means[0])
-            assert_same_bits(full[1][:, i0:i1], full[0][:, i0:i1])
-            assert dropped == want
+            assert_step_bits(streams._LIB, env, base, st, offsets, mass, k, lo, i0, i1, rng.random((3, 2)))
+
+
+# Fields for the edge rows: 2-atom supports in both orders, [1, -1] (atom
+# offsets [1, 0]: UniformPM1, and a FixedAtomic and a DiracSteps pair) and
+# [-1, 1] (offsets [0, 1]), a finite-range field and a 3-atom field.  The
+# constant and threshold rows are dyadic, so a dyadic law's next law sums
+# to exactly 1 when the window keeps all of it.
+_EDGE_FIELDS = {
+    "affine": MIX,
+    "affine-finite-range": FR,
+    "constant": FAIR,
+    "constant-reversed": make_lattice_product(404, 1, FixedAtomic(((-1.0,), (1.0,)), (0.5, 0.5)), uniform_offset=False),
+    "threshold": make_lattice_product(404, 1, DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5)), uniform_offset=False),
+    "threshold-reversed": make_lattice_product(404, 1, DiracSteps(((-1.0,), (1.0,)), (0.5, 0.5)), uniform_offset=False),
+    "three-atom": make_lattice_product(404, 1, FixedAtomic(((2.0,), (-1.0,), (-1.0,)), (0.25, 0.25, 0.5))),
+}
+
+
+def edge_laws(rng, n_pos):
+    """Laws of 6 rows on n_pos sites: random masses between exact-zero runs of
+    random length at either edge; a lone live site first, and last; a dyadic
+    law summing to exactly 1 between zero runs; random masses with some below
+    PRUNE_MASS; and no mass at all."""
+    mass = np.zeros((6, n_pos))
+    a, b = sorted(rng.integers(0, n_pos + 1, 2))
+    mass[0, a:b] = rng.random(b - a)
+    mass[1, 0] = mass[2, -1] = 0.375
+    a = int(rng.integers(0, n_pos))
+    b = int(rng.integers(a + 1, n_pos + 1))
+    mass[3, a:b] = rng.multinomial(2**10, np.full(b - a, 1.0 / (b - a))) / 2**10
+    mass[4] = rng.random(n_pos) * 10.0 ** rng.integers(-18, 0, n_pos)
+    assert mass[3].sum() == 1.0
+    return mass
+
+
+def assert_edge_rows_match(lib):
+    """Every edge law, at row lengths on both sides of the pairwise sum's
+    blocks, with the window whole and cut, at two levels, through ``lib``."""
+    rng = np.random.default_rng(29)
+    base = seed_lanes_vec(np.arange(6, dtype=np.uint64) * np.uint64(2**61 + 3))
+    for env in _EDGE_FIELDS.values():
+        st, support = lattice_stride(env.family), env.family.support[:, 0]
+        offsets = (support - support.min()).astype(np.intp) // st
+        span = int(offsets.max())
+        for n_pos in [1, 2, 3, 5, 8, 17, 127, 130, 300]:
+            mass = edge_laws(rng, n_pos)
+            for k in (0, 2**40):
+                lo = int(rng.integers(-3000, 3000))
+                cut = int(rng.integers(0, span + 1)), n_pos + int(rng.integers(0, span + 1))
+                for i0, i1 in ((0, n_pos + span), cut):
+                    assert_step_bits(lib, env, base, st, offsets, mass, k, lo, i0, i1, rng.random((6, 2)))
+
+
+@needs_kernel
+def test_compiled_step_matches_numpy_step_on_edge_rows():
+    # The compiled step hashes only the live sites (from the first to the
+    # last mass that is not an exact zero), gathers the next law with the
+    # sites within span of either end guarded, and divides only a row that
+    # does not sum to exactly 1: each of these meets its edge here.
+    assert_edge_rows_match(streams._LIB)
 
 
 # Walkers for the compiled walker (envwalk_walk): each family kind of the
@@ -584,6 +655,32 @@ def test_compiled_walker_matches_numpy_walker(name, x0, small_blocks, monkeypatc
     monkeypatch.setattr(walks, "lanes_for_cells", numpy_step)
     for got, expected in zip(every_walker(env, x0), want):
         assert_same_bits(got, expected)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_clone_free_build_matches_numpy(tmp_path, small_blocks, monkeypatch):
+    # -DVECTOR_CLONES= builds the baseline code alone, which hosts without
+    # AVX-512 (and compilers without target clones) run, while the loader
+    # picks the AVX-512 clone wherever the CPU has it.  That build gives the
+    # numpy paths' bits on the step fields' curves, the edge rows and walkers.
+    target = tmp_path / "_hash_baseline.so"
+    subprocess.run(["cc", *streams._CFLAGS, "-DVECTOR_CLONES=", "-o", str(target), str(streams._KERNEL_SOURCE),
+                    *streams._LDLIBS], check=True, capture_output=True, timeout=600)
+    assert b"arch_x86_64_v4" not in target.read_bytes()
+    lib = streams._declare(ctypes.CDLL(str(target)))
+    seeds = np.asarray([3, 2**63 + 5], dtype=np.uint64)
+    walkers = [_WALK_FIELDS[name] for name in ("affine-finite-range-1.5", "threshold-lattice-offset", "constant-level-correlated")]
+    monkeypatch.setattr(streams, "_LIB", None)
+    want = [exact_mean_curves(env, n_max, seeds) for env, n_max in _STEP_FIELDS.values()]
+    want_walks = [every_walker(env, -3) for env in walkers]
+    monkeypatch.setattr(streams, "_LIB", lib)
+    for (env, n_max), expected in zip(_STEP_FIELDS.values(), want):
+        assert_same_bits(exact_mean_curves(env, n_max, seeds), expected)
+    for env, expected in zip(walkers, want_walks):
+        assert walks._Walker(env, seed_lanes(env.master_seed), np.zeros((1, 1, 1), np.int64), 0, 1).compiled
+        for got, exp in zip(every_walker(env, -3), expected):
+            assert_same_bits(got, exp)
+    assert_edge_rows_match(lib)
 
 
 @needs_kernel
