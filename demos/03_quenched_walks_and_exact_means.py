@@ -23,8 +23,8 @@ env = env_replica(make_lattice_product(11, 1, UniformPM1()), 4)
 
 # Single paths replay exactly; different walk seeds are independent walks.
 p0 = simulate_quenched_path(env, 16, walk_seed=0)
-print("one quenched path:", p0.positions[:, 0].astype(int))
-print("replays exactly:  ", np.array_equal(p0.positions, simulate_quenched_path(env, 16, 0).positions))
+print("one quenched path:", p0[:, 0].astype(int))
+print("replays exactly:  ", np.array_equal(p0, simulate_quenched_path(env, 16, 0)))
 
 # Monte Carlo quenched means vs exact propagation of the quenched law.
 grid = np.array([1, 4, 16, 32])

@@ -25,7 +25,7 @@ from envwalk.families import UniformPM1
 env = make_lattice_product(20100308, 1, UniformPM1())
 
 p = simulate_diff_chain(env, 0, 20, SAME_ENV, replica=0)
-print("one difference-chain path:", p.values[:, 0].astype(int))
+print("one difference-chain path:", p[:, 0].astype(int))
 
 # First-step law: same-field pairs stall at 0 more often than free pairs.
 for kind in (SAME_ENV, INDEPENDENT_ENV):

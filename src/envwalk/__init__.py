@@ -16,7 +16,6 @@ counter-based, so results are independent of query order and worker count.
 from .diffchain import (
     INDEPENDENT_ENV,
     SAME_ENV,
-    DiffChainPath,
     ExcursionRecord,
     excursion_record,
     excursion_scan,
@@ -64,7 +63,6 @@ from .stats import (
 from .streams import StreamKey, derive_seed, derive_stream
 from .walks import (
     QuenchedMeanCurve,
-    WalkPath,
     quenched_mean_exact,
     quenched_mean_mc,
     quenched_step,

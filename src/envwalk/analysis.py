@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 BOOTSTRAP_RESAMPLES = 200  # bootstrap draws behind every variance-scan standard error
+MC_WALKS = 1000  # walks per field behind a Monte Carlo quenched mean (mean_method = mc)
 MARGINAL_ALPHA = 0.01  # KS level at which an FCLT marginal counts as Gaussian
 CENTERINGS = ("velocity", "quenched_mean")
 
@@ -105,13 +106,11 @@ def _exact_curves(env_template: Environment, n_max: int, replicas: np.ndarray) -
     return exact_mean_curves(env_template, n_max, derive_seeds_vec(env_template.master_seed, replicas))
 
 
-def squared_deviations(
-    env_template: Environment, n_grid, replicas: np.ndarray, mean_method: str = "exact", mc_walks: int = 1000
-) -> np.ndarray:
+def squared_deviations(env_template: Environment, n_grid, replicas: np.ndarray, mean_method: str = "exact") -> np.ndarray:
     """|E^w_0[X_n] - n v|^2 of each replica field in ``replicas`` at each n of ``n_grid``; d=1.
 
     The exact mean method propagates the full quenched law per replica
-    field (no walk noise); the Monte Carlo method averages ``mc_walks``
+    field (no walk noise); the Monte Carlo method averages ``MC_WALKS``
     walks per field and subtracts the squared standard error of that mean,
     so the estimate stays unbiased.  Each row depends on its replica alone,
     so chunks of replicas can be computed apart and stacked in index order.
@@ -124,7 +123,7 @@ def squared_deviations(
         raise ValueError(f"unknown mean_method {mean_method!r}")
     sq = np.empty((len(replicas), n_grid.size))
     for row, i in enumerate(replicas.tolist()):
-        mc = quenched_mean_mc(env_replica(env_template, i), n_grid, mc_walks)
+        mc = quenched_mean_mc(env_replica(env_template, i), n_grid, MC_WALKS)
         sq[row] = (mc.means[:, 0] - vn) ** 2 - mc.standard_errors[:, 0] ** 2
     return sq
 
@@ -139,16 +138,10 @@ def variance_curve(env_template: Environment, n_grid, sq: np.ndarray) -> ScanCur
     return with_fit(ScanCurve(np.asarray(n_grid).astype(float), est, ses))
 
 
-def variance_scan(
-    env_template: Environment,
-    n_grid,
-    env_replicas: int,
-    mean_method: str = "exact",
-    mc_walks: int = 1000,
-) -> ScanCurve:
+def variance_scan(env_template: Environment, n_grid, env_replicas: int, mean_method: str = "exact") -> ScanCurve:
     """E|E^w_0[X_n] - n v|^2 versus the sorted ``n_grid``, with its fitted growth exponent."""
     n_grid = np.sort(np.asarray(n_grid, dtype=np.int64))
-    sq = squared_deviations(env_template, n_grid, np.arange(env_replicas), mean_method, mc_walks)
+    sq = squared_deviations(env_template, n_grid, np.arange(env_replicas), mean_method)
     return variance_curve(env_template, n_grid, sq)
 
 
@@ -162,14 +155,12 @@ class IdentityReport:
     the same drift-variance estimator).
     """
 
-    n: int
     lhs: float
     lhs_se: float
     rhs: float
     rhs_se: float
     residual: float
     combined_se: float
-    phi_curve: ScanCurve
 
 
 def variance_identity_check(
@@ -200,17 +191,14 @@ def variance_identity_check(
     phi_noise = float(np.sqrt(np.sum((counts * np.asarray(phi.standard_errors)) ** 2)))
     rhs_se = math.hypot(occ_noise, phi_noise)
     combined = math.hypot(lhs_se, rhs_se)
-    return IdentityReport(n, lhs, lhs_se, rhs, rhs_se, lhs - rhs, combined, phi)
+    return IdentityReport(lhs, lhs_se, rhs, rhs_se, lhs - rhs, combined)
 
 
 @dataclass(frozen=True, eq=False)
 class FcltReport:
     """Marginal Gaussianity and increment covariance of a rescaled walk."""
 
-    epsilon: float
     centering: str
-    n_walks: int
-    env_seed: int
     tests: tuple[tuple[float, GofTestResult], ...]
     cov_rows: tuple[tuple[float, float, float, float, float], ...]
 
@@ -292,7 +280,7 @@ def fclt_check(
                 se = float(prods.std(ddof=1) / math.sqrt(walk_replicas))
                 expected = float(min(times[i], times[j]) * dvar)
                 cov_rows.append((float(times[i]), float(times[j]), emp, expected, se))
-        reports.append(FcltReport(float(epsilon), centering, walk_replicas, env.master_seed, tests, tuple(cov_rows)))
+        reports.append(FcltReport(centering, tests, tuple(cov_rows)))
     return tuple(reports)
 
 

@@ -34,7 +34,6 @@ from .walks import _Walker, simulate_quenched_path
 __all__ = [
     "SAME_ENV",
     "INDEPENDENT_ENV",
-    "DiffChainPath",
     "ExcursionRecord",
     "ExitTimeScan",
     "ExcursionScan",
@@ -50,15 +49,6 @@ __all__ = [
 
 SAME_ENV = "same_env"
 INDEPENDENT_ENV = "independent_env"
-
-
-@dataclass(frozen=True, eq=False)
-class DiffChainPath:
-    """Y_0..Y_N of one difference chain, shape (N+1, d)."""
-
-    values: np.ndarray
-    kind: str
-    start: tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +82,18 @@ def _pair_seeds(env_template: Environment, replicas: np.ndarray, kind: str):
 
 def simulate_diff_chain(
     env_template: Environment, x0, n_steps: int, kind: str, replica: int
-) -> DiffChainPath:
-    """One difference-chain path: walk X from the origin, walk X~ from x0.
+) -> np.ndarray:
+    """Y_0..Y_N of one difference chain, shape (N+1, d): walk X from the
+    origin, walk X~ from x0.
 
     Replica ``i`` uses its own fresh field(s); the two walks draw disjoint
     noise streams even when they share the field.
     """
     seed_a, seed_b = _pair_seeds(env_template, np.array([replica]), kind)
     env_a, env_b = (replace(env_template, master_seed=int(s[0])) for s in (seed_a, seed_b))
-    pa = simulate_quenched_path(env_a, n_steps, walk_seed=replica, subcell=(0,))
-    pb = simulate_quenched_path(env_b, n_steps, walk_seed=replica, subcell=(1,), x0=x0)
-    values = pb.positions - pa.positions
-    return DiffChainPath(values, kind, tuple(values[0]))
+    xa = simulate_quenched_path(env_a, n_steps, walk_seed=replica, subcell=(0,))
+    xb = simulate_quenched_path(env_b, n_steps, walk_seed=replica, subcell=(1,), x0=x0)
+    return xb - xa
 
 
 def _pairs(env_template: Environment, replicas: np.ndarray, x0, kind: str):
@@ -193,7 +183,7 @@ def batch_diff_positions(
 class ExitTimeScan:
     """Mean first-exit times versus box radius.
 
-    Capped replicas (no exit within ``step_cap``) are excluded from the
+    Capped replicas (no exit within the step cap) are excluded from the
     means and surfaced in ``capped_fraction``; radii where every replica
     capped report NaN.
     """
@@ -201,7 +191,6 @@ class ExitTimeScan:
     curve: ScanCurve
     capped_fraction: np.ndarray
     exit_steps: np.ndarray
-    step_cap: int
 
 
 def exit_time_scan(
@@ -248,7 +237,7 @@ def exit_time_scan(
             means[j] = completed.mean()
             ses[j] = completed.std(ddof=1) / math.sqrt(completed.size)
     curve = with_fit(ScanCurve(r_grid, means, ses))
-    return ExitTimeScan(curve, capped_fraction, exit_steps, step_cap)
+    return ExitTimeScan(curve, capped_fraction, exit_steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +250,6 @@ class ExcursionScan:
     """
 
     box_radius: float
-    eps: float
-    horizon: int
     lengths: np.ndarray
     n_incomplete: int
     survival_curve: ScanCurve
@@ -341,7 +328,7 @@ def excursion_scan(
         raise InsufficientDataError("excursion tail fit has too few usable points")
     tail = -curve.fit.exponent
     ci = (-curve.fit.ci_high, -curve.fit.ci_low)
-    return ExcursionScan(radius, eps, horizon, all_lengths, n_incomplete, curve, tail, ci)
+    return ExcursionScan(radius, all_lengths, n_incomplete, curve, tail, ci)
 
 
 def occupation_time(
@@ -404,8 +391,6 @@ class EscapeEstimate:
     """
 
     r: float
-    r0: float
-    time_budget: int
     starts: np.ndarray
     probs: np.ndarray
     ses: np.ndarray
@@ -449,7 +434,4 @@ def exit_escape_probability(
         walker.retire(done)
     probs = escaped.reshape(starts.size, per).mean(axis=1)
     ses = np.sqrt(np.maximum(probs * (1.0 - probs), 1.0 / per) / per)
-    return EscapeEstimate(
-        float(r), float(r0), int(time_budget), starts, probs, ses,
-        float(probs.min()), float(probs.mean()),
-    )
+    return EscapeEstimate(float(r), starts, probs, ses, float(probs.min()), float(probs.mean()))

@@ -277,7 +277,7 @@ def _in_se(diff, se):
         return np.where(diff == 0, 0.0, diff / se)
 
 
-def _run_moments(env: Environment, v: dict, workers: int):
+def _run_moments(env: Environment, v: dict):
     fam = env.family
     vel, vel_se, cov, cov_se = velocity_and_covariance(env, v["env_replicas"], v["walks_per_env"])
     rows = [
@@ -308,31 +308,32 @@ def _scan_rows(section: str, curve) -> list[Row]:
     return rows
 
 
-def _run_variance_scan(env: Environment, v: dict, workers: int):
+def _run_variance_scan(env: Environment, v: dict):
     n_grid = np.sort(np.asarray(v["n_grid"], dtype=np.int64))
     chunks = _pmap(lambda idx: analysis.squared_deviations(env, n_grid, idx, v["mean_method"]),
-                   _chunks(v["env_replicas"]), workers)
+                   _chunks(v["env_replicas"]), v["workers"])
     curve = analysis.variance_curve(env, n_grid, np.concatenate(chunks))
     rows = _scan_rows("variance", curve)
     verdicts = []
     if v["eta_min"] is not None:
-        verdicts.append(_exponent_verdict("eta_at_least", curve, operator.ge, ">=", v["eta_min"]))
+        verdicts.append(_exponent_verdict("eta_at_least", curve, lambda e: e >= v["eta_min"], f">= {v['eta_min']}"))
     if v["eta_max"] is not None:
-        verdicts.append(_exponent_verdict("eta_at_most", curve, operator.le, "<=", v["eta_max"]))
+        verdicts.append(_exponent_verdict("eta_at_most", curve, lambda e: e <= v["eta_max"], f"<= {v['eta_max']}"))
     return rows, verdicts
 
 
-def _exponent_verdict(name: str, curve, op, symbol: str, bound: float) -> Verdict:
-    """Whether the curve's fitted exponent is ``symbol`` ``bound``.  With no
-    fit the verdict fails: its observed value is the count of usable grid
-    points, and its threshold names the count a fit needs."""
+def _exponent_verdict(name: str, curve, passes, threshold: str) -> Verdict:
+    """Whether the curve's fitted exponent ``passes``, the rule that
+    ``threshold`` states.  With no fit the verdict fails: its observed value
+    is the count of usable grid points, and its threshold names the count a
+    fit needs."""
     if curve.fit is None:
         return Verdict(name, False, int(fit_points(curve).sum()),
-                       f"{symbol} {bound}: a fit needs >= {MIN_FIT_POINTS} usable grid points")
-    return Verdict(name, op(curve.fit.exponent, bound), curve.fit.exponent, f"{symbol} {bound}")
+                       f"{threshold}: a fit needs >= {MIN_FIT_POINTS} usable grid points")
+    return Verdict(name, passes(curve.fit.exponent), curve.fit.exponent, threshold)
 
 
-def _run_phi_decay(env: Environment, v: dict, workers: int):
+def _run_phi_decay(env: Environment, v: dict):
     grid = np.asarray(v["x_grid"], dtype=float)
     curve = analysis.estimate_phi(env, grid, v["replicas"])
     rows = _scan_rows("phi", curve)
@@ -347,10 +348,13 @@ def _run_phi_decay(env: Environment, v: dict, workers: int):
         if devs.size:
             verdicts.append(Verdict("phi_vanishes_beyond_range", bool((devs <= 4.0).all()),
                                     float(devs.max()), "<= 4 SE beyond range"))
+        else:  # observed: the count of x_grid points beyond range
+            verdicts.append(Verdict("phi_vanishes_beyond_range", False, 0,
+                                    f"<= 4 SE beyond range: needs an x_grid point >= {v['independent_beyond']}"))
     return rows, verdicts
 
 
-def _run_identity(env: Environment, v: dict, workers: int):
+def _run_identity(env: Environment, v: dict):
     rows, verdicts = [], []
     for n in v["n_list"]:
         rep = analysis.variance_identity_check(env, n, v["env_replicas"], v["y_replicas"])
@@ -367,13 +371,13 @@ def _run_identity(env: Environment, v: dict, workers: int):
     return rows, verdicts
 
 
-def _fclt_runs(env: Environment, v: dict, workers: int, expectations, cov_se_factor: float):
+def _fclt_runs(env: Environment, v: dict, expectations, cov_se_factor: float):
     """The FCLT check on ``env_seeds`` fields, one walk batch per field, under
     each (centering, expected marginals) pair of ``expectations``."""
     centerings = tuple(c for c, _ in expectations)
     per_field = _pmap(lambda s: analysis.fclt_check(env_replica(env, s), v["epsilon"], v["time_points"],
                                                     v["walk_replicas"], centerings),
-                      range(v["env_seeds"]), workers)
+                      range(v["env_seeds"]), v["workers"])
     thresh, total = v["pass_seeds"], v["env_seeds"]
     rows, verdicts = [], []
     for k, (centering, expect) in enumerate(expectations):
@@ -400,11 +404,11 @@ def _fclt_runs(env: Environment, v: dict, workers: int, expectations, cov_se_fac
     return rows, verdicts
 
 
-def _run_fclt(env: Environment, v: dict, workers: int):
-    return _fclt_runs(env, v, workers, ((v["centering"], v["expect_marginals"]),), v["cov_se_factor"])
+def _run_fclt(env: Environment, v: dict):
+    return _fclt_runs(env, v, ((v["centering"], v["expect_marginals"]),), v["cov_se_factor"])
 
 
-def _run_max_drift(env: Environment, v: dict, workers: int):
+def _run_max_drift(env: Environment, v: dict):
     n_lo, n_hi = v["n_lo"], v["n_hi"]
     m = v["env_replicas"]
     report = analysis.max_drift_check(env, m, [n_lo, n_hi])
@@ -423,7 +427,7 @@ def _run_max_drift(env: Environment, v: dict, workers: int):
     return rows, verdicts
 
 
-def _run_ychain_exit(env: Environment, v: dict, workers: int):
+def _run_ychain_exit(env: Environment, v: dict):
     scan = diffchain.exit_time_scan(env, v["r_grid"], v["replicas"],
                                     step_cap=v["step_cap"], kind=v["kind"])
     rows = _scan_rows("exit_time", scan.curve)
@@ -439,16 +443,15 @@ def _run_ychain_exit(env: Environment, v: dict, workers: int):
         crit = ks_two_sample_critical(m_sym, m_sym, SYMMETRY_ALPHA)
         rows.append(Row("symmetry", f"ks_distance_{kind}", value=d, note=f"critical={_fmt(crit)}"))
         verdicts.append(Verdict(f"first_step_symmetric_{kind}", d < crit, d, f"< {_fmt(crit)}"))
-    if scan.curve.fit is not None:
-        sl = scan.curve.fit.exponent
-        verdicts.append(Verdict("exit_slope_in_window", v["slope_min"] <= sl <= v["slope_max"],
-                                sl, f"in [{v['slope_min']}, {v['slope_max']}]"))
-        verdicts.append(Verdict("exit_slope_below_envelope", sl <= v["slope_envelope"],
-                                sl, f"<= {v['slope_envelope']}"))
+    verdicts.append(_exponent_verdict("exit_slope_in_window", scan.curve,
+                                      lambda sl: v["slope_min"] <= sl <= v["slope_max"],
+                                      f"in [{v['slope_min']}, {v['slope_max']}]"))
+    verdicts.append(_exponent_verdict("exit_slope_below_envelope", scan.curve,
+                                      lambda sl: sl <= v["slope_envelope"], f"<= {v['slope_envelope']}"))
     return rows, verdicts
 
 
-def _run_ychain_excursion(env: Environment, v: dict, workers: int):
+def _run_ychain_excursion(env: Environment, v: dict):
     scan = diffchain.excursion_scan(env, v["horizon"], v["box_eps"], v["replicas"], kind=v["kind"])
     rows = [
         Row("excursion", "survival", grid=float(a), value=float(sv), se=float(se))
@@ -464,19 +467,16 @@ def _run_ychain_excursion(env: Environment, v: dict, workers: int):
     return rows, verdicts
 
 
-def _run_occupation(env: Environment, v: dict, workers: int):
+def _run_occupation(env: Environment, v: dict):
     curve = diffchain.occupation_time(env, v["n_grid"], v["box_eps"], v["replicas"], kind=v["kind"])
-    rows = _scan_rows("occupation", curve)
-    verdicts = []
-    if curve.fit is not None:
-        verdicts.append(Verdict("occupation_sublinear", curve.fit.exponent < v["eta_prime_max"],
-                                curve.fit.exponent, f"< {v['eta_prime_max']}"))
-    return rows, verdicts
+    verdict = _exponent_verdict("occupation_sublinear", curve, lambda e: e < v["eta_prime_max"],
+                                f"< {v['eta_prime_max']}")
+    return _scan_rows("occupation", curve), [verdict]
 
 
-def _run_counterexample(env: Environment, v: dict, workers: int):
+def _run_counterexample(env: Environment, v: dict):
     """One walk batch per field, centered twice: velocity centering must fail, quenched-mean centering pass."""
-    return _fclt_runs(env, v, workers, (("velocity", "fail"), ("quenched_mean", "pass")), _COV_SE_FACTOR.default)
+    return _fclt_runs(env, v, (("velocity", "fail"), ("quenched_mean", "pass")), _COV_SE_FACTOR.default)
 
 
 # --- the experiment table ---------------------------------------------------
@@ -580,7 +580,7 @@ def run(config: ExperimentConfig, seed: int | None = None, workers: int | None =
         if override is not None:
             values[name] = _COMMON_KEYS[name].parse(name, str(override))
     env = build_model(values, values["seed"])
-    rows, verdicts = _TABLE[config.experiment][0](env, values, values["workers"])
+    rows, verdicts = _TABLE[config.experiment][0](env, values)
     resolved = {k: v for k, v in sorted(values.items()) if k != "workers"}
     return ExperimentReport(config.experiment, config.text, resolved, __version__, tuple(rows), tuple(verdicts))
 

@@ -173,9 +173,6 @@ class GofTestResult:
 
     statistic: float
     p_value: float
-    sample_size: int
-    ref_mean: float
-    ref_variance: float
 
 
 def ks_gaussian_test(samples, mean: float, variance: float) -> GofTestResult:
@@ -193,7 +190,7 @@ def ks_gaussian_test(samples, mean: float, variance: float) -> GofTestResult:
     cdf = _ndtr((x - mean) / math.sqrt(variance))
     i = np.arange(1, n + 1)
     d = float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max()))
-    return GofTestResult(d, _ks_survival(math.sqrt(n) * d), n, float(mean), float(variance))
+    return GofTestResult(d, _ks_survival(math.sqrt(n) * d))
 
 
 def ks_two_sample_distance(a, b) -> float:

@@ -81,7 +81,6 @@ from .streams import (
 )
 
 __all__ = [
-    "WalkPath",
     "QuenchedMeanCurve",
     "quenched_step",
     "simulate_quenched_path",
@@ -107,34 +106,16 @@ _BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
-class WalkPath:
-    """Positions X_0..X_N of one walk, shape (N+1, d)."""
-
-    positions: np.ndarray
-    env_seed: int
-    walk_seed: int
-    start: tuple[float, ...]
-
-    @property
-    def n_steps(self) -> int:
-        return self.positions.shape[0] - 1
-
-
-@dataclass(frozen=True, eq=False)
 class QuenchedMeanCurve:
-    """E^w_0[X_n] on a grid of n, with per-n standard errors.
+    """E^w_0[X_n] on a grid of n, with per-n standard errors (identically
+    zero for the exact propagated law; sample SD / sqrt(M) for a mean over
+    walks)."""
 
-    ``method`` is "exact" (propagated law; SEs identically zero) or "mc"
-    (mean over walks; SEs are sample SD / sqrt(M)).
-    """
-
-    n_grid: np.ndarray
     means: np.ndarray
     standard_errors: np.ndarray
-    method: str
 
 
-def _walk_stream(env_seed: int, step: int, walk_seed: int, subcell: tuple[int, ...] = ()):
+def _walk_stream(env_seed: int, step: int, walk_seed: int, subcell: tuple[int, ...]):
     return derive_stream(StreamKey(env_seed, step, (walk_seed,) + subcell, TAG_WALK))
 
 
@@ -146,8 +127,9 @@ def quenched_step(env: Environment, n: int, x, stream) -> np.ndarray:
 
 def simulate_quenched_path(
     env: Environment, n_steps: int, walk_seed: int, x0=None, subcell: tuple[int, ...] = ()
-) -> WalkPath:
-    """A walk of ``n_steps`` steps in the fixed environment ``env``.
+) -> np.ndarray:
+    """Positions X_0..X_N of a walk of N = ``n_steps`` steps in the fixed
+    environment ``env``, shape (N+1, d).
 
     Step ``k`` draws its noise from the stream keyed by
     (env seed, level=k, cell=(walk_seed, *subcell), walk tag), so paths
@@ -162,7 +144,7 @@ def simulate_quenched_path(
         stream = _walk_stream(env.master_seed, k, walk_seed, subcell)
         x = quenched_step(env, k, x, stream)
         positions[k + 1] = x
-    return WalkPath(positions, env.master_seed, walk_seed, tuple(positions[0]))
+    return positions
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +331,10 @@ def batch_quenched_positions(
     """Vectorized quenched walks, every coordinate starting at ``x0``.
 
     Returns (record_steps, positions, drift_sums): positions has shape
-    (len(record_steps), M, d), the layout of :attr:`WalkPath.positions`
-    (integers on an integer support, floats otherwise); drift_sums is
-    the per-walker sum of local drifts along the path, shape (M, d), or
-    None unless requested.  Draw-for-draw identical to
+    (len(record_steps), M, d), the layout of :func:`simulate_quenched_path`
+    (integers on an integer support, floats otherwise); drift_sums is the
+    per-walker sum of local drifts along the path, shape (M, d), or None
+    unless requested.  Draw-for-draw identical to
     :func:`simulate_quenched_path`.
     """
     walk_seeds = np.asarray(walk_seeds, dtype=np.int64)
@@ -385,7 +367,7 @@ def quenched_mean_mc(env: Environment, n_grid, n_walks: int) -> QuenchedMeanCurv
     n_grid = np.asarray(n_grid, dtype=np.int64)
     _, positions, _ = batch_quenched_positions(env, int(n_grid.max()), np.arange(n_walks), record_steps=n_grid)
     x = positions.astype(float)
-    return QuenchedMeanCurve(n_grid, x.mean(axis=1), x.std(axis=1, ddof=1) / math.sqrt(n_walks), "mc")
+    return QuenchedMeanCurve(x.mean(axis=1), x.std(axis=1, ddof=1) / math.sqrt(n_walks))
 
 
 def quenched_mean_exact(env: Environment, n_max: int, support_cap: int = SUPPORT_CAP) -> QuenchedMeanCurve:
@@ -416,8 +398,7 @@ def quenched_mean_exact(env: Environment, n_max: int, support_cap: int = SUPPORT
             raise ValueError(f"exact propagation support exceeded cap ({support_cap})")
         total = sum(new.values())
         state = {s: v / total for s, v in new.items()}
-    grid = np.arange(n_max + 1)
-    return QuenchedMeanCurve(grid, means, np.zeros_like(means), "exact")
+    return QuenchedMeanCurve(means, np.zeros_like(means))
 
 
 def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.ndarray) -> np.ndarray:

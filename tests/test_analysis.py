@@ -131,7 +131,7 @@ def test_variance_scan_dirac_is_walk_variance():
 def test_variance_scan_mc_method_agrees_with_exact():
     grid = np.array([2, 8])
     exact = variance_scan(MIX, grid, 300)
-    mc = variance_scan(MIX, grid, 300, mean_method="mc", mc_walks=3000)
+    mc = variance_scan(MIX, grid, 300, mean_method="mc")
     dev = np.abs(mc.estimates - exact.estimates) / np.hypot(mc.standard_errors, exact.standard_errors)
     assert dev.max() <= 4.0
 

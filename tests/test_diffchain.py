@@ -54,7 +54,7 @@ def test_scalar_matches_batch(env):
         _, y = batch_diff_positions(env, 12, np.arange(4), x0=2, kind=kind)
         for rep in range(4):
             p = simulate_diff_chain(env, 2, 12, kind, replica=rep)
-            assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
+            assert np.array_equal(p[:, 0], y[:, rep].astype(float))
 
 
 @pytest.mark.parametrize("env", [MIX, FC, DIRAC, FR])
@@ -66,7 +66,7 @@ def test_blocked_pairs_match_scalar(env, small_blocks, monkeypatch):
             _, y = batch_diff_positions(env, 23, np.arange(4), x0=2, kind=kind)
             for rep in range(4):
                 p = simulate_diff_chain(env, 2, 23, kind, replica=rep)
-                assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
+                assert np.array_equal(p[:, 0], y[:, rep].astype(float))
 
 
 # Six pairs take 3-step blocks under ``small_blocks``, so ``retire`` drops
@@ -78,7 +78,7 @@ def test_blocked_exit_scan_matches_scalar(env, kind, small_blocks):
     r_grid = [2.0, 5.0, 12.0]
     scan = exit_time_scan(env, r_grid, 6, step_cap=400, kind=kind, x0=1)
     for rep in range(6):
-        y = np.abs(simulate_diff_chain(env, 1, 400, kind, replica=rep).values[:, 0])
+        y = np.abs(simulate_diff_chain(env, 1, 400, kind, replica=rep)[:, 0])
         for j, r in enumerate(r_grid):
             out = np.flatnonzero(y > r)
             assert scan.exit_steps[j, rep] == (out[0] if out.size else -1)
@@ -90,7 +90,7 @@ def test_blocked_escape_matches_scalar(env, kind, small_blocks):
     # Shell 1 < |y| <= 4: six starts with one pair each.
     est = exit_escape_probability(env, 4, 1, 200, 6, kind=kind)
     for rep, y0 in enumerate(est.starts.tolist()):
-        y = np.abs(simulate_diff_chain(env, y0, 200, kind, replica=rep).values[:, 0])
+        y = np.abs(simulate_diff_chain(env, y0, 200, kind, replica=rep)[:, 0])
         settled = np.flatnonzero((y > 4) | (y <= 1))
         assert est.probs[rep] == float(settled.size > 0 and y[settled[0]] > 4)
 
@@ -174,14 +174,14 @@ def test_pairs_reject_fields_beyond_one_dimension():
 
 def test_dirac_same_env_coincides():
     p = simulate_diff_chain(DIRAC, 0, 30, SAME_ENV, replica=1)
-    assert np.all(p.values == 0.0)
+    assert np.all(p == 0.0)
 
 
 def test_coupling_identity_same_walk_noise():
     env = env_replica(MIX, 9)
     a = simulate_quenched_path(env, 25, walk_seed=4, subcell=(0,))
     b = simulate_quenched_path(env, 25, walk_seed=4, subcell=(0,))
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a, b)
 
 
 def test_fully_correlated_same_env_increments_symmetric():
@@ -255,7 +255,7 @@ def test_exit_records_start_inside():
 def test_excursion_record_interleaving():
     for rep in range(5):
         p = simulate_diff_chain(MIX, 0, 400, SAME_ENV, replica=rep)
-        rec = excursion_record(p.values, 2.0)
+        rec = excursion_record(p, 2.0)
         assert rec.entries[0] == 0
         k = min(len(rec.entries) - 1, len(rec.exits))
         merged = np.empty(2 * k + 1, dtype=np.int64)
@@ -278,7 +278,7 @@ def test_long_scalar_chains_match_batch():
     _, y = batch_diff_positions(MIX, 512, np.arange(2))
     for rep in range(2):
         p = simulate_diff_chain(MIX, 0, 512, SAME_ENV, replica=rep)
-        assert np.array_equal(p.values[:, 0], y[:, rep].astype(float))
+        assert np.array_equal(p[:, 0], y[:, rep].astype(float))
 
 
 def test_excursion_scan_dirac_insufficient():

@@ -68,7 +68,7 @@ def test_dirac_env_every_law_pointmass_and_walks_coincide():
             assert isinstance(law, Atomic) and sorted(law.weights) == [0.0, 1.0]
     p1 = simulate_quenched_path(env, 50, walk_seed=0)
     p2 = simulate_quenched_path(env, 50, walk_seed=1)
-    assert np.array_equal(p1.positions, p2.positions)
+    assert np.array_equal(p1, p2)
 
 
 def test_dirac_family_type_enforced():

@@ -339,28 +339,45 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+_UNFIT = ": a fit needs >= 4 usable grid points"
+
+
 @pytest.mark.parametrize(
-    "text, verdict",
+    "text, verdicts",
     [
         # V = 0 on the fixed lattice: no grid point is usable, so "eta >= 0.9" cannot hold
         ("experiment = variance-scan\nmodel = fixed-lattice\nn_grid = 16, 32, 64, 128\neta_min = 0.9\n",
-         {"name": "eta_at_least", "observed": 0.0, "threshold": ">= 0.9: a fit needs >= 4 usable grid points"}),
+         [{"name": "eta_at_least", "observed": 0.0, "threshold": ">= 0.9" + _UNFIT}]),
         # three grid points, one fewer than a fit needs (the exponent is about 1/2)
         ("experiment = variance-scan\nmodel = mixing-lattice\nn_grid = 64, 1024, 4096\nenv_replicas = 64\n"
          "eta_max = 0.1\n",
-         {"name": "eta_at_most", "observed": 3.0, "threshold": "<= 0.1: a fit needs >= 4 usable grid points"}),
+         [{"name": "eta_at_most", "observed": 3.0, "threshold": "<= 0.1" + _UNFIT}]),
+        # eta_prime_max has a default, so the occupation verdict is always asked for
+        ("experiment = occupation\nn_grid = 16, 32, 64\nreplicas = 200\n",
+         [{"name": "occupation_sublinear", "observed": 3.0, "threshold": "< 1.0" + _UNFIT}]),
+        # every replica caps at one step, so no radius has a mean exit time
+        ("experiment = ychain-exit\nreplicas = 50\nstep_cap = 1\n",
+         [{"name": "exit_slope_in_window", "observed": 0.0, "threshold": "in [1.6, 2.4]" + _UNFIT},
+          {"name": "exit_slope_below_envelope", "observed": 0.0, "threshold": "<= 13.0" + _UNFIT}]),
+        # no default x_grid point lies at or beyond 100; observed is the count of those that do
+        ("experiment = phi-decay\nreplicas = 200\nindependent_beyond = 100\n",
+         [{"name": "phi_vanishes_beyond_range", "observed": 0.0,
+           "threshold": "<= 4 SE beyond range: needs an x_grid point >= 100"}]),
     ],
-    ids=["no-growth", "three-points"],
+    ids=["no-growth", "three-points", "occupation-three-points", "exit-all-capped", "phi-nothing-beyond"],
 )
-def test_exponent_verdict_without_a_fit_fails(text, verdict, tmp_path, capsys):
-    # A set eta_min or eta_max always yields its verdict; with no exponent
-    # fitted it fails, observing the count of usable grid points.
+def test_exponent_verdict_without_a_fit_fails(text, verdicts, tmp_path, capsys):
+    # A verdict whose key is set always appears; when its statistic cannot be
+    # formed it fails with a finite observed value (the usable points).
+    experiment = parse_config(text).experiment
     cfg = tmp_path / "probe.cfg"
     cfg.write_text(text)
     assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert f"[FAIL] variance-scan: {verdict['name']}" in capsys.readouterr().out
-    report = json.loads((tmp_path / "variance-scan_report.json").read_text())
-    assert report["verdicts"] == [{**verdict, "passed": False}]
+    out = capsys.readouterr().out
+    report = json.loads((tmp_path / f"{experiment}_report.json").read_text())
+    for verdict in verdicts:
+        assert f"[FAIL] {experiment}: {verdict['name']}" in out
+    assert [v for v in report["verdicts"] if not v["passed"]] == [{**v, "passed": False} for v in verdicts]
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -53,21 +53,21 @@ def averaged_path(env, n_steps, replica):
 
 def test_zero_step_path():
     p = simulate_quenched_path(MIX, 0, walk_seed=0)
-    assert p.positions.shape == (1, 1)
-    assert p.positions[0, 0] == 0.0
+    assert p.shape == (1, 1)
+    assert p[0, 0] == 0.0
 
 
 def test_path_replays():
     p1 = simulate_quenched_path(MIX, 32, walk_seed=5)
     p2 = simulate_quenched_path(MIX, 32, walk_seed=5)
-    assert np.array_equal(p1.positions, p2.positions)
+    assert np.array_equal(p1, p2)
     p3 = simulate_quenched_path(MIX, 32, walk_seed=6)
-    assert not np.array_equal(p1.positions, p3.positions)
+    assert not np.array_equal(p1, p3)
 
 
 def test_unit_steps_on_pm1_lattice():
     p = simulate_quenched_path(MIX, 100, walk_seed=1)
-    steps = np.diff(p.positions[:, 0])
+    steps = np.diff(p[:, 0])
     assert set(np.abs(steps)) == {1.0}
 
 
@@ -82,7 +82,7 @@ def test_batch_quenched_matches_scalar(env):
     record, pos, _ = batch_quenched_positions(env, 24, np.arange(6))
     for w in range(6):
         p = simulate_quenched_path(env, 24, walk_seed=w)
-        assert np.array_equal(p.positions, pos[:, w].astype(float))
+        assert np.array_equal(p, pos[:, w].astype(float))
 
 
 @pytest.mark.parametrize("env", [MIX, FC, DIRAC, FAIR, FR])
@@ -90,7 +90,7 @@ def test_batch_averaged_matches_scalar(env):
     record, pos = batch_averaged_positions(env, 16, np.arange(5))
     for r in range(5):
         p = averaged_path(env, 16, r)
-        assert np.array_equal(p.positions, pos[:, r].astype(float))
+        assert np.array_equal(p, pos[:, r].astype(float))
 
 
 @pytest.mark.parametrize("env", OTHER)
@@ -99,7 +99,7 @@ def test_x1_samples_match_scalar(env):
     for i in range(20):
         replica = env_replica(env, i)
         for j in range(3):
-            assert fast[3 * i + j, 0] == simulate_quenched_path(replica, 1, walk_seed=j).positions[1, 0]
+            assert fast[3 * i + j, 0] == simulate_quenched_path(replica, 1, walk_seed=j)[1, 0]
 
 
 # Block-boundary parity: with the ``small_blocks`` budget each run below
@@ -112,8 +112,8 @@ def test_blocked_quenched_matches_scalar(env, small_blocks):
     _, pos, drift = batch_quenched_positions(env, 25, np.arange(6), accumulate_drift=True)
     for w in range(6):
         p = simulate_quenched_path(env, 25, walk_seed=w)
-        assert np.array_equal(p.positions, pos[:, w].astype(float))
-        drifts = [law_mean(query(env, k, p.positions[k]))[0] for k in range(25)]
+        assert np.array_equal(p, pos[:, w].astype(float))
+        drifts = [law_mean(query(env, k, p[k]))[0] for k in range(25)]
         assert drift[w, 0] == sum(drifts)
 
 
@@ -122,7 +122,7 @@ def test_blocked_averaged_matches_scalar(env, small_blocks):
     _, pos = batch_averaged_positions(env, 25, np.arange(5))
     for r in range(5):
         p = averaged_path(env, 25, r)
-        assert np.array_equal(p.positions, pos[:, r].astype(float))
+        assert np.array_equal(p, pos[:, r].astype(float))
 
 
 # Every family in any dimension walks through the same batched walker.
@@ -160,17 +160,17 @@ def test_batched_paths_match_scalar_in_any_dimension(env, blocks):
     assert pos.shape == (18, 6, env.d) and drift.shape == (6, env.d)
     for w in range(6):
         p = simulate_quenched_path(env, 17, walk_seed=w)
-        assert np.array_equal(p.positions, pos[:, w])
+        assert np.array_equal(p, pos[:, w])
         total = np.zeros(env.d)
         for k in range(17):
-            total = total + law_mean(query(env, k, p.positions[k]))
+            total = total + law_mean(query(env, k, p[k]))
         assert np.array_equal(drift[w], total)
     for r in range(5):
-        assert np.array_equal(averaged_path(env, 17, r).positions, averaged[:, r])
+        assert np.array_equal(averaged_path(env, 17, r), averaged[:, r])
     for i in range(4):
         replica = env_replica(env, i)
         for j in range(3):
-            assert np.array_equal(one_step[3 * i + j], simulate_quenched_path(replica, 1, walk_seed=j).positions[1])
+            assert np.array_equal(one_step[3 * i + j], simulate_quenched_path(replica, 1, walk_seed=j)[1])
 
 
 def test_exact_paths_reject_non_integer_atoms():
@@ -192,7 +192,7 @@ def test_near_integer_atoms_stay_floats():
     assert support.dtype == np.float64 and np.array_equal(support[:, 0], [2.00001, -1.0])
     _, pos, _ = batch_quenched_positions(NEAR_INTEGER, 6, np.arange(5))
     for w in range(5):
-        assert np.array_equal(pos[:, w], simulate_quenched_path(NEAR_INTEGER, 6, walk_seed=w).positions)
+        assert np.array_equal(pos[:, w], simulate_quenched_path(NEAR_INTEGER, 6, walk_seed=w))
     assert not np.array_equal(pos, np.round(pos))
 
 
@@ -231,7 +231,7 @@ def test_gcd_stride_curves_match_the_dictionary_oracle(monkeypatch):
 def test_quenched_mean_mc_in_two_dimensions():
     env = D_FIELDS["gauss-d2"]
     curve = quenched_mean_mc(env, [1, 5, 9], 40)
-    paths = np.stack([simulate_quenched_path(env, 9, walk_seed=w).positions[[1, 5, 9]] for w in range(40)], axis=1)
+    paths = np.stack([simulate_quenched_path(env, 9, walk_seed=w)[[1, 5, 9]] for w in range(40)], axis=1)
     assert curve.means.shape == curve.standard_errors.shape == (3, 2)
     assert np.allclose(curve.means, paths.mean(axis=1), rtol=0, atol=1e-12)
     assert np.allclose(curve.standard_errors, paths.std(axis=1, ddof=1) / np.sqrt(40), rtol=0, atol=1e-12)
@@ -276,16 +276,16 @@ def test_batched_paths_match_scalar_property(model, p, x0, walkers, steps):
         _, averaged = batch_averaged_positions(env, steps, np.arange(walkers))
         _, y = batch_diff_positions(env, steps, np.arange(walkers), x0=x0, kind=SAME_ENV)
     for w in range(walkers):
-        assert np.array_equal(simulate_quenched_path(env, steps, walk_seed=w, x0=x0).positions, quenched[:, w])
-        assert np.array_equal(averaged_path(env, steps, w).positions, averaged[:, w])
-        assert np.array_equal(simulate_diff_chain(env, x0, steps, SAME_ENV, replica=w).values[:, 0], y[:, w])
+        assert np.array_equal(simulate_quenched_path(env, steps, walk_seed=w, x0=x0), quenched[:, w])
+        assert np.array_equal(averaged_path(env, steps, w), averaged[:, w])
+        assert np.array_equal(simulate_diff_chain(env, x0, steps, SAME_ENV, replica=w)[:, 0], y[:, w])
 
 
 def test_quenched_mean_mc_dirac_zero_se():
     curve = quenched_mean_mc(DIRAC, [1, 4, 8], 200)
     assert np.all(curve.standard_errors == 0.0)
     path = simulate_quenched_path(DIRAC, 8, walk_seed=0)
-    assert np.array_equal(curve.means[:, 0], path.positions[[1, 4, 8], 0])
+    assert np.array_equal(curve.means[:, 0], path[[1, 4, 8], 0])
 
 
 def test_exact_vs_mc_agreement():
@@ -752,10 +752,10 @@ def test_walkers_reject_a_start_their_positions_cannot_hold():
     # A start the positions hold exactly walks as the scalar path does:
     # 2.0 on an integer support, 2.5 on atoms off the lattice.
     _, pos, _ = batch_quenched_positions(MIX, 3, [0], x0=2.0)
-    assert np.array_equal(pos[:, 0].astype(float), simulate_quenched_path(MIX, 3, walk_seed=0, x0=2.0).positions)
+    assert np.array_equal(pos[:, 0].astype(float), simulate_quenched_path(MIX, 3, walk_seed=0, x0=2.0))
     _, y = batch_diff_positions(HALF, 5, np.arange(3), x0=2.5)
     for r in range(3):
-        assert np.array_equal(y[:, r], simulate_diff_chain(HALF, 2.5, 5, SAME_ENV, replica=r).values[:, 0])
+        assert np.array_equal(y[:, r], simulate_diff_chain(HALF, 2.5, 5, SAME_ENV, replica=r)[:, 0])
 
 
 def test_empty_batches_on_both_paths(monkeypatch):
@@ -831,8 +831,8 @@ def test_averaged_walk_increment_independence():
 def test_two_dimensional_gaussian_walk():
     env = make_lattice_product(13, 2, GaussianDrift(2, 0.4, ((1.0, 0.2), (0.2, 0.5))))
     p = simulate_quenched_path(env, 12, walk_seed=0)
-    assert p.positions.shape == (13, 2)
-    assert np.array_equal(p.positions, simulate_quenched_path(env, 12, walk_seed=0).positions)
+    assert p.shape == (13, 2)
+    assert np.array_equal(p, simulate_quenched_path(env, 12, walk_seed=0))
     v, v_se, cov, cov_se = velocity_and_covariance(env, 300, 10)
     d_true = np.asarray(env.family.averaged_cov)
     assert np.all(np.abs(v) <= 4 * v_se)
