@@ -9,25 +9,24 @@ large block of cells.
 
 import numpy as np
 
-from envwalk.streams import StreamKey, derive_stream, lanes_for_cells, seed_lanes, uniforms_at
+from envwalk.streams import StreamKey, lanes_for_cells, seed_lanes, uniforms_at
 
 # Replay: the same key always yields the same stream.
 key = StreamKey(master_seed=2024, level=3, cell=(-5, 7), tag=0)
-print("first four uniforms:", derive_stream(key).take(4))
-print("replayed:           ", derive_stream(key).take(4))
+print("first four uniforms:", key.uniforms(4))
+print("replayed:           ", StreamKey(2024, 3, (-5, 7), 0).uniforms(4))
 
-# Order independence: interleaving two streams changes nothing.
+# Order independence: a draw is addressed by its index, so reading two
+# streams interleaved changes nothing.
 k1, k2 = StreamKey(2024, 0, (1,), 0), StreamKey(2024, 0, (2,), 0)
-s1, s2 = derive_stream(k1), derive_stream(k2)
-mixed = [float(s1.take(1)[0]), float(s2.take(1)[0]), float(s1.take(1)[0])]
+l1, l2 = k1.lanes(), k2.lanes()
+mixed = [float(uniforms_at(l1, 0)), float(uniforms_at(l2, 0)), float(uniforms_at(l1, 1))]
 print("interleaved reads:  ", mixed)
-print("isolated reads:     ", [float(derive_stream(k1).take(2)[0]),
-                               float(derive_stream(k2).take(2)[0]),
-                               float(derive_stream(k1).take(2)[1])])
+print("isolated reads:     ", [float(k1.uniforms(2)[0]), float(k2.uniforms(2)[0]), float(k1.uniforms(2)[1])])
 
 # Any single key-field difference decorrelates the stream completely.
-a = derive_stream(StreamKey(2024, 0, (5,), 0)).take(1000)
-b = derive_stream(StreamKey(2024, 0, (5,), 1)).take(1000)  # tag differs
+a = StreamKey(2024, 0, (5,), 0).uniforms(1000)
+b = StreamKey(2024, 0, (5,), 1).uniforms(1000)  # tag differs
 print(f"corr across tags over 1000 variates: {np.corrcoef(a, b)[0, 1]:+.4f}")
 
 # First variates across 100k cells: flat histogram, mean 1/2, sd 1/sqrt(12).

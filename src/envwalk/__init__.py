@@ -60,7 +60,7 @@ from .stats import (
     ks_two_sample_critical,
     ks_two_sample_distance,
 )
-from .streams import StreamKey, derive_seed, derive_stream
+from .streams import StreamKey
 from .walks import (
     QuenchedMeanCurve,
     quenched_mean_exact,

@@ -45,7 +45,6 @@ from .streams import (
     derive_seeds_vec,
     lanes_for_cells,
     seed_lanes,
-    seed_lanes_vec,
     uniforms_at,
 )
 from .walks import (
@@ -77,7 +76,7 @@ CENTERINGS = ("velocity", "quenched_mean")
 
 def _replica_drift_grid(env: Environment, seeds: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Local drifts at level 0 and ``points`` (shape (G, d)) of each seed's field, shape (m, G, d)."""
-    base = seed_lanes_vec(seeds)
+    base = seed_lanes(seeds)
     rows = field_weights(env, (base[0][:, None], base[1][:, None]), 0, points)
     return row_drifts(env.family, rows)
 

@@ -2,7 +2,8 @@
 
     envwalk --config cfg/variance.cfg --out results --format json
 
-Exit codes: 0 all verdicts pass, 2 some verdict fails, 1 execution error.
+Exit codes: 0 all verdicts pass, 2 some verdict fails or there is none,
+1 execution error.
 Timing goes to stderr so report files stay byte-identical across runs.
 """
 

@@ -8,9 +8,8 @@ genuine symmetric random walk; it is the comparison object for everything Y
 does far from the origin.
 
 The analytics quantify how long Y lingers near coincidence: first exit
-times from centered boxes, lengths of excursions away from a box, total
-occupation time of slowly growing boxes, and the probability of escaping a
-box without first falling into an inner one.  Each is one loop over a batch
+times from centered boxes, lengths of excursions away from a box and total
+occupation time of slowly growing boxes.  Each is one loop over a batch
 of pairs, ``for k0, y in walker``: the pair walker yields Y after each step
 of a block, shape (b, live pairs), the scans read the block vectorized
 along the step axis, and the pairs a scan has settled retire once per
@@ -28,7 +27,7 @@ import numpy as np
 
 from .environments import Environment
 from .stats import InsufficientDataError, ScanCurve, with_fit
-from .streams import derive_seeds_vec, seed_lanes_vec
+from .streams import derive_seeds_vec, seed_lanes
 from .walks import _Walker, simulate_quenched_path
 
 __all__ = [
@@ -37,14 +36,12 @@ __all__ = [
     "ExcursionRecord",
     "ExitTimeScan",
     "ExcursionScan",
-    "EscapeEstimate",
     "simulate_diff_chain",
     "batch_diff_positions",
     "exit_time_scan",
     "excursion_record",
     "excursion_scan",
     "occupation_time",
-    "exit_escape_probability",
 ]
 
 SAME_ENV = "same_env"
@@ -107,7 +104,7 @@ def _pairs(env_template: Environment, replicas: np.ndarray, x0, kind: str):
     if env_template.d != 1:
         raise ValueError(f"difference chains are one-dimensional; the field has d={env_template.d}")
     seeds_a, seeds_b = _pair_seeds(env_template, replicas, kind)
-    la, lb = seed_lanes_vec(seeds_a), seed_lanes_vec(seeds_b)
+    la, lb = seed_lanes(seeds_a), seed_lanes(seeds_b)
     base = (np.stack([la[0], lb[0]], axis=1), np.stack([la[1], lb[1]], axis=1))
     which = np.broadcast_to(np.array([0, 1], dtype=np.int64), (replicas.size, 2))
     wcells = np.stack([np.stack([replicas, replicas], axis=1), which], axis=2)
@@ -175,7 +172,7 @@ def batch_diff_positions(
 
 
 # ---------------------------------------------------------------------------
-# Exit times, excursions, occupation, escape.
+# Exit times, excursions, occupation.
 # ---------------------------------------------------------------------------
 
 
@@ -380,58 +377,3 @@ def occupation_time(
     est = counts.mean(axis=1)
     ses = counts.std(axis=1, ddof=1) / math.sqrt(replicas)
     return with_fit(ScanCurve(n_grid.astype(float), est, ses))
-
-
-@dataclass(frozen=True, eq=False)
-class EscapeEstimate:
-    """P(exit [-r, r] within the budget without entering [-r0, r0]).
-
-    Estimated per deterministic start point on the shell; ``p_min`` is the
-    worst start (the quantity bounded below by the shape alpha/r).
-    """
-
-    r: float
-    starts: np.ndarray
-    probs: np.ndarray
-    ses: np.ndarray
-    p_min: float
-    p_mean: float
-
-
-def exit_escape_probability(
-    env_template: Environment,
-    r: float,
-    r0: float,
-    time_budget: int,
-    replicas: int,
-    kind: str = SAME_ENV,
-) -> EscapeEstimate:
-    """Escape probability from the shell between boxes r0 < r.
-
-    Starts are the integer points y with r0 < |y| <= r in ascending order;
-    ``replicas`` is split evenly across them.  Boxes are closed: escape
-    means |Y| > r, falling back means |Y| <= r0, both checked at integer
-    steps.
-    """
-    if not r0 < r:
-        raise ValueError("need r0 < r")
-    starts = np.array([y for y in range(-int(r), int(r) + 1) if r0 < abs(y) <= r])
-    if starts.size == 0:
-        raise ValueError("no integer start points in the shell")
-    per = replicas // starts.size
-    if per < 1:
-        raise ValueError(f"need at least {starts.size} replicas (one per shell point)")
-    x0 = np.repeat(starts, per)
-    walker = _PairWalker(env_template, np.arange(x0.size), x0, kind, time_budget)
-    escaped = np.zeros(x0.size, dtype=bool)
-    for _, y in walker:
-        # Each live pair's first step within the block out of the shell, if any.
-        ay = np.abs(y)
-        settled = (ay > r) | (ay <= r0)
-        done = settled.any(axis=0)
-        first = np.take_along_axis(ay, settled.argmax(axis=0)[None], axis=0)[0]
-        escaped[walker.alive[done & (first > r)]] = True
-        walker.retire(done)
-    probs = escaped.reshape(starts.size, per).mean(axis=1)
-    ses = np.sqrt(np.maximum(probs * (1.0 - probs), 1.0 / per) / per)
-    return EscapeEstimate(float(r), starts, probs, ses, float(probs.min()), float(probs.mean()))

@@ -45,8 +45,7 @@ from .streams import (
     TAG_OFFSET,
     FieldRead,
     StreamKey,
-    derive_seed,
-    derive_stream,
+    derive_seeds_vec,
     lanes_for_cells,
     uniforms_at,
 )
@@ -117,8 +116,7 @@ def make_dirac(master_seed: int, d: int, family: DiracSteps) -> Environment:
 def offset_vector(env: Environment) -> np.ndarray:
     """The per-field uniform grid offset (zeros when disabled)."""
     if env.kind == LATTICE_PRODUCT and env.uniform_offset:
-        stream = derive_stream(StreamKey(env.master_seed, 0, (), TAG_OFFSET))
-        return stream.take(env.d)
+        return StreamKey(env.master_seed, 0, (), TAG_OFFSET).uniforms(env.d)
     return np.zeros(env.d)
 
 
@@ -140,8 +138,7 @@ def cell_index(env: Environment, x: np.ndarray) -> np.ndarray:
 def query(env: Environment, n: int, x) -> JumpLaw:
     """The jump law at time ``n`` and point ``x``: its cell's table row."""
     cell = cell_index(env, np.atleast_1d(x))
-    key = StreamKey(env.master_seed, n, tuple(int(c) for c in cell), TAG_ENV)
-    u = derive_stream(key).take(env.family.n_uniforms)
+    u = StreamKey(env.master_seed, n, tuple(int(c) for c in cell), TAG_ENV).uniforms(env.family.n_uniforms)
     return cell_law(env.family, u)
 
 
@@ -151,7 +148,7 @@ def env_replica(env: Environment, *index: int) -> Environment:
     The template's parameters are kept; only the seed changes, so replicas
     are i.i.d. draws of the same environment law.
     """
-    return replace(env, master_seed=derive_seed(env.master_seed, *index))
+    return replace(env, master_seed=int(derive_seeds_vec(env.master_seed, *index)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +161,9 @@ _NO_CELL = np.zeros((1, 0), dtype=np.int64)
 def field_weights(env: Environment, base_lanes, level: int, positions) -> np.ndarray:
     """The family's table rows of ``env`` at ``level`` and ``positions``.
 
-    ``positions`` has shape (..., d).  ``base_lanes`` are the seed lanes of
-    one field (``seed_lanes``) or of one field per row (``seed_lanes_vec``);
-    they must broadcast against ``positions[..., 0]``.  Returns rows of
+    ``positions`` has shape (..., d).  ``base_lanes`` are the seed lanes
+    (``seed_lanes``) of one field or of one field per row; they must
+    broadcast against ``positions[..., 0]``.  Returns rows of
     shape broadcast(lanes, positions[..., 0]) + (row length,): atom weights
     (``weight_table``) for fixed-support families, drift vectors
     (``mean_table``) for ``GaussianDrift``; entry by entry the law
@@ -200,9 +197,9 @@ def field_weights(env: Environment, base_lanes, level: int, positions) -> np.nda
 def field_read(env: Environment, base_lanes) -> FieldRead:
     """The compiled twin of :func:`field_weights` on integer d=1 positions.
 
-    ``base_lanes`` are one field per row (``seed_lanes_vec``): a replica
-    row of the propagation step, a field of the walker block (which the
-    walkers read in groups, one group a field).  The struct
+    ``base_lanes`` are one field per row (``seed_lanes`` of a seed array):
+    a replica row of the propagation step, a field of the walker block
+    (which the walkers read in groups, one group a field).  The struct
     carries the cell rule (a lattice field reads the one-word cell
     x, a finite-range field floor(x / R + 0.5), and the level-correlated
     field no cell word, ``cell_words = 0``) and the family's

@@ -162,7 +162,8 @@ class ExperimentReport:
 
     @property
     def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        """True when there is a verdict and every verdict passes."""
+        return bool(self.verdicts) and all(v.passed for v in self.verdicts)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -298,9 +299,17 @@ def _run_moments(env: Environment, v: dict):
     return rows, verdicts
 
 
+def _finite(x) -> float | None:
+    """``x`` as a float, or None where it is NaN or infinite, which strict
+    JSON cannot hold: a mean exit time at a radius with fewer than two exits
+    (its capped_fraction row says why), or a verdict's nonzero difference
+    over a zero SE."""
+    return float(x) if math.isfinite(x) else None
+
+
 def _scan_rows(section: str, curve) -> list[Row]:
     rows = [
-        Row(section, "estimate", grid=float(g), value=float(e), se=float(s))
+        Row(section, "estimate", grid=float(g), value=_finite(e), se=_finite(s))
         for g, e, s in zip(curve.grid, curve.estimates, curve.standard_errors)
     ]
     if curve.fit is not None:
@@ -606,12 +615,12 @@ def report_json(report: ExperimentReport) -> str:
         "resolved": report.resolved,
         "rows": [vars(r) for r in report.rows],  # a Row's fields; asdict would deep-copy each
         "verdicts": [
-            {"name": v.name, "passed": bool(v.passed), "observed": float(v.observed), "threshold": v.threshold}
+            {"name": v.name, "passed": bool(v.passed), "observed": _finite(v.observed), "threshold": v.threshold}
             for v in report.verdicts
         ],
         "passed": bool(report.passed),
     }
-    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False) + "\n"
 
 
 def _csv_cell(x) -> str:

@@ -1,6 +1,7 @@
 """Jump laws: the probability-measure values stored in an environment.
 
-Two variants, each with a closed-form mean and bit-reproducible sampling:
+Two variants, each with a closed-form mean and bit-reproducible sampling
+(:func:`law_sample` reads one draw from the first uniforms of a stream key):
 
 * ``Atomic``   -- finitely many atoms; sampled by inverse CDF over the stored
                   atom order (the order is part of the value).  A pointmass
@@ -21,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .streams import UniformStream
+from .streams import StreamKey
 
 __all__ = [
     "Atomic",
@@ -175,10 +176,9 @@ def gaussian_step(mean, factor: np.ndarray, u: np.ndarray) -> np.ndarray:
     return mean + noise
 
 
-def law_sample(law: JumpLaw, stream: UniformStream) -> np.ndarray:
-    """One draw from the measure, consuming uniforms from ``stream``."""
+def law_sample(law: JumpLaw, key: StreamKey) -> np.ndarray:
+    """One draw from the measure, from the first uniforms of the stream ``key``."""
+    u = key.uniforms(sample_uniform_count(law))
     if isinstance(law, Atomic):
-        u = stream.take(1)[0]
-        idx = int(atomic_index(np.cumsum(law.weights), u))
-        return np.asarray(law.points[idx], dtype=float)
-    return gaussian_step(np.asarray(law.mean), gaussian_factor(law), stream.take(sample_uniform_count(law)))
+        return np.asarray(law.points[int(atomic_index(np.cumsum(law.weights), u[0]))], dtype=float)
+    return gaussian_step(np.asarray(law.mean), gaussian_factor(law), u)

@@ -7,6 +7,15 @@ computed directly, in any order, from any process, and always comes out the
 same.  This is what makes environments re-queryable, walks replayable and
 parallel reductions worker-count independent.
 
+One batched API serves one key and many alike.  :func:`seed_lanes` turns
+one master seed or an array of them into seed lanes;
+:func:`lanes_for_cells` absorbs a key's words (tag, level, cell length,
+cell coordinates) for any batch of cells, and :meth:`StreamKey.lanes` is
+that call on one cell; :func:`derive_seeds_vec` absorbs ``TAG_DERIVE``,
+a word count and the words into child seeds.  Draws are read by index:
+:func:`uniforms_at` at any indices, :meth:`StreamKey.uniforms` the first
+``n`` of one key.
+
 The generator itself is a two-lane keyed hash: the key fields are absorbed
 sponge-style into two independent 64-bit lanes (SplitMix64 finalizer on lane
 one, Murmur3 ``fmix64`` on lane two), and output word ``i`` is the XOR of the
@@ -55,9 +64,6 @@ import numpy as np
 
 __all__ = [
     "StreamKey",
-    "UniformStream",
-    "derive_stream",
-    "derive_seed",
     "TAG_ENV",
     "TAG_OFFSET",
     "TAG_WALK",
@@ -127,9 +133,11 @@ def _mix2(z: np.ndarray) -> np.ndarray:
         return z
 
 
-def seed_lanes(master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Initial lane pair for a 64-bit master seed (0-d uint64 arrays)."""
-    s = _u64(np.asarray(int(master_seed) & _MASK64, dtype=np.uint64))
+def seed_lanes(master_seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Initial lane pair for one master seed (any int, taken mod 2**64) or
+    lane pairs for an array of them."""
+    s = np.asarray(master_seeds)
+    s = _u64(s) if s.ndim else np.uint64(int(master_seeds) & _MASK64)
     return _mix1(s ^ _U64(_IV1)), _mix2(s ^ _U64(_IV2))
 
 
@@ -157,6 +165,44 @@ def uniforms_at(lanes: tuple[np.ndarray, np.ndarray], index) -> np.ndarray:
     return (words_at(lanes, index) >> _U64(11)).astype(np.float64) * _INV_2_53
 
 
+def lanes_for_cells(
+    base_lanes: tuple[np.ndarray, np.ndarray],
+    level: int,
+    tag: int,
+    cells: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lane pairs for cells under shared or per-row base lanes.
+
+    ``cells`` has shape (..., d) with d >= 0: a 1-d array is one cell.
+    ``base_lanes`` must broadcast against ``cells[..., j]``.  The key words
+    are the tag, the level, the cell's length d and its d coordinates;
+    :meth:`StreamKey.lanes` is this call on one cell.
+    """
+    cells = np.asarray(cells)
+    d = cells.shape[-1]
+    lanes = absorb(base_lanes, tag)
+    lanes = absorb(lanes, level)
+    lanes = absorb(lanes, d)
+    for j in range(d):
+        lanes = absorb(lanes, cells[..., j])
+    return lanes
+
+
+def derive_seeds_vec(master_seed: int, *word_arrays) -> np.ndarray:
+    """Child 64-bit seeds from a master seed and index words (ints or
+    broadcastable int arrays); ``int()`` of a 0-d result is one seed.
+
+    Gives replicas (environments, walk pairs) their own master seeds
+    without any sequential generator state.
+    """
+    lanes = seed_lanes(master_seed)
+    lanes = absorb(lanes, TAG_DERIVE)
+    lanes = absorb(lanes, len(word_arrays))
+    for w in word_arrays:
+        lanes = absorb(lanes, np.asarray(w))
+    return words_at(lanes, 0)
+
+
 @dataclass(frozen=True)
 class StreamKey:
     """Address of one uniform stream.
@@ -173,91 +219,12 @@ class StreamKey:
     tag: int
 
     def lanes(self) -> tuple[np.ndarray, np.ndarray]:
-        lanes = seed_lanes(self.master_seed)
-        lanes = absorb(lanes, self.tag)
-        lanes = absorb(lanes, self.level)
-        lanes = absorb(lanes, len(self.cell))
-        for c in self.cell:
-            lanes = absorb(lanes, c)
-        return lanes
+        cell = np.array([int(c) & _MASK64 for c in self.cell], dtype=np.uint64)
+        return lanes_for_cells(seed_lanes(self.master_seed), self.level, self.tag, cell)
 
-
-def seed_lanes_vec(master_seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Initial lane pairs for an array of master seeds."""
-    s = _u64(np.asarray(master_seeds))
-    return _mix1(s ^ _U64(_IV1)), _mix2(s ^ _U64(_IV2))
-
-
-def lanes_for_cells(
-    base_lanes: tuple[np.ndarray, np.ndarray],
-    level: int,
-    tag: int,
-    cells: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lane pairs for cells under shared or per-row base lanes.
-
-    ``cells`` has shape (..., d) with d >= 0: a 1-d array is one cell.
-    ``base_lanes`` must broadcast against ``cells[..., j]``.  Entry by entry
-    the result is bit-identical to ``StreamKey(seed, level, cell, tag).lanes()``.
-    """
-    cells = np.asarray(cells)
-    d = cells.shape[-1]
-    lanes = absorb(base_lanes, tag)
-    lanes = absorb(lanes, level)
-    lanes = absorb(lanes, d)
-    for j in range(d):
-        lanes = absorb(lanes, cells[..., j])
-    return lanes
-
-
-def derive_seeds_vec(master_seed: int, *word_arrays) -> np.ndarray:
-    """Vectorized :func:`derive_seed` over broadcastable index arrays."""
-    lanes = seed_lanes(master_seed)
-    lanes = absorb(lanes, TAG_DERIVE)
-    lanes = absorb(lanes, len(word_arrays))
-    for w in word_arrays:
-        lanes = absorb(lanes, np.asarray(w))
-    return words_at(lanes, 0)
-
-
-class UniformStream:
-    """Replayable uniform [0,1) stream for one key.
-
-    ``take(n)`` consumes the next ``n`` variates.  Output is a pure function
-    of the key and the draw index, so interleaving with other streams
-    changes nothing.
-    """
-
-    __slots__ = ("key", "_lanes", "_pos")
-
-    def __init__(self, key: StreamKey):
-        self.key = key
-        self._lanes = key.lanes()
-        self._pos = 0
-
-    def take(self, n: int) -> np.ndarray:
-        out = uniforms_at(self._lanes, np.arange(self._pos, self._pos + n))
-        self._pos += n
-        return out
-
-
-def derive_stream(key: StreamKey) -> UniformStream:
-    """Stateless-replayable uniform stream determined by ``key`` alone."""
-    return UniformStream(key)
-
-
-def derive_seed(master_seed: int, *words: int) -> int:
-    """Derive a child 64-bit seed from a master seed and index words.
-
-    Used to give replicas (environments, walk pairs) their own master seeds
-    without any sequential generator state.
-    """
-    lanes = seed_lanes(master_seed)
-    lanes = absorb(lanes, TAG_DERIVE)
-    lanes = absorb(lanes, len(words))
-    for w in words:
-        lanes = absorb(lanes, w)
-    return int(words_at(lanes, 0))
+    def uniforms(self, n: int) -> np.ndarray:
+        """The stream's first ``n`` variates: draws 0 .. n-1."""
+        return uniforms_at(self.lanes(), np.arange(n))
 
 
 # ---------------------------------------------------------------------------

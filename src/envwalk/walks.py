@@ -1,11 +1,12 @@
 """Walk simulation and quenched-mean computation.
 
-Scalar reference paths (`simulate_quenched_path`) consume uniforms law by
-law.  Every batched walk (quenched, averaged and one-step walks here, the
-difference-chain pairs in `diffchain`) is one lockstep `_Walker` that draws
-its noise from the same per-(step, walker) stream keys and reads the same
-field cells, so it replays the scalar draws exactly; parity tests pin each
-path to the scalar one.  Iterating a walker is the one stepping loop: it
+The scalar reference path (`simulate_quenched_path`) draws each step from
+the first uniforms of that step's own stream key.  Every batched walk
+(quenched, averaged and one-step walks here, the difference-chain pairs in
+`diffchain`) is one lockstep `_Walker` that draws its noise from the same
+per-(step, walker) stream keys and reads the same field cells, so it
+replays the scalar draws exactly; parity tests pin each path to the scalar
+one.  Iterating a walker is the one stepping loop: it
 yields (k0, the positions after steps k0 + 1 .. k0 + b) one block of b
 steps at a time (``_BLOCK_ELEMENTS`` walker-steps a block) until the last
 step or the last walker; since every variate is a pure function of its
@@ -73,10 +74,8 @@ from .streams import (
     TAG_WALK,
     StreamKey,
     derive_seeds_vec,
-    derive_stream,
     lanes_for_cells,
     seed_lanes,
-    seed_lanes_vec,
     uniforms_at,
 )
 
@@ -115,14 +114,10 @@ class QuenchedMeanCurve:
     standard_errors: np.ndarray
 
 
-def _walk_stream(env_seed: int, step: int, walk_seed: int, subcell: tuple[int, ...]):
-    return derive_stream(StreamKey(env_seed, step, (walk_seed,) + subcell, TAG_WALK))
-
-
-def quenched_step(env: Environment, n: int, x, stream) -> np.ndarray:
-    """One transition of the walk at time ``n`` from ``x`` under ``env``."""
+def quenched_step(env: Environment, n: int, x, key: StreamKey) -> np.ndarray:
+    """One transition of the walk at time ``n`` from ``x`` under ``env``, its noise from ``key``."""
     law = query(env, n, x)
-    return np.atleast_1d(np.asarray(x, dtype=float)) + law_sample(law, stream)
+    return np.atleast_1d(np.asarray(x, dtype=float)) + law_sample(law, key)
 
 
 def simulate_quenched_path(
@@ -141,8 +136,7 @@ def simulate_quenched_path(
     positions = np.empty((n_steps + 1, env.d))
     positions[0] = x
     for k in range(n_steps):
-        stream = _walk_stream(env.master_seed, k, walk_seed, subcell)
-        x = quenched_step(env, k, x, stream)
+        x = quenched_step(env, k, x, StreamKey(env.master_seed, k, (walk_seed, *subcell), TAG_WALK))
         positions[k + 1] = x
     return positions
 
@@ -351,7 +345,7 @@ def batch_averaged_positions(env_template: Environment, n_steps: int, replicas: 
     draw ``simulate_quenched_path(env_replica(env_template, r), n_steps, r)``.
     """
     replicas = np.asarray(replicas, dtype=np.int64)
-    base = seed_lanes_vec(derive_seeds_vec(env_template.master_seed, replicas))
+    base = seed_lanes(derive_seeds_vec(env_template.master_seed, replicas))
     walker = _Walker(env_template, _per_row(base), replicas[:, None, None], 0, n_steps)
     record, pos = walker.record(record_steps)
     return record, pos[:, :, 0]
@@ -415,7 +409,7 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     """
     integer_support(env_template.family)
     seeds = np.asarray(replica_seeds, dtype=np.uint64)
-    base = seed_lanes_vec(seeds)
+    base = seed_lanes(seeds)
     read = field_read(env_template, base)
     means = np.zeros((len(seeds), n_max + 1))
     if not read.cell_words:
@@ -540,7 +534,7 @@ def _x1_samples(env_template: Environment, n_env: int, n_walk: int) -> np.ndarra
     """One-step positions under the averaged law, shape (n_env * n_walk, d)."""
     env_idx = np.repeat(np.arange(n_env), n_walk)
     walk_idx = np.tile(np.arange(n_walk), n_env)
-    base = seed_lanes_vec(derive_seeds_vec(env_template.master_seed, env_idx))
+    base = seed_lanes(derive_seeds_vec(env_template.master_seed, env_idx))
     walker = _Walker(env_template, _per_row(base), walk_idx[:, None, None], 0, 1)
     walker.step()
     return walker.pos[:, 0].astype(float)

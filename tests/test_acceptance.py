@@ -73,7 +73,7 @@ _SMALL_CONFIGS = {
 # moves one of these must name its cause; a bit-preserving refactor must not.
 _GOLDEN_DIGESTS = {
     "moments": "0f5a4ce4feae41db9140af2ad998159cb5f20cb7276794fdea5015263d2d114a",
-    "variance-scan": "98faec216b7a30767eea000fef5d68d3a2bf363ee66da72f9711271499c73157",
+    "variance-scan": "009b05600926a887cf78540e954ee36fc3861001b3656ebc5041bed6e31de687",
     "phi-decay": "070141b32356ee7e63144773fdaa3e7d62fb6b18ef0a285dd1229de6947694bb",
     "identity-check": "b4edf309c244c39f7c8a25ddf808342471c967ec51a08b4e3959730a27f3044e",
     "fclt": "71ecc5da9b55e6c6b626755aef52a5a9553b2d81f6f1ed0e096ee8f22831ef47",

@@ -8,7 +8,6 @@ from envwalk.diffchain import (
     batch_diff_positions,
     excursion_record,
     excursion_scan,
-    exit_escape_probability,
     exit_time_scan,
     occupation_time,
     simulate_diff_chain,
@@ -27,7 +26,6 @@ from envwalk.walks import simulate_quenched_path
 MIX = make_lattice_product(606, 1, UniformPM1())
 FC = make_fully_correlated(606, 1, UniformPM1())
 DIRAC = make_dirac(606, 1, DiracSteps(((1.0,), (-1.0,)), (0.5, 0.5)))
-CONSTANT_DIRAC = make_dirac(606, 1, DiracSteps(((1.0,),), (1.0,)))
 FAIR = make_lattice_product(606, 1, FixedAtomic(((1.0,), (-1.0,)), (0.5, 0.5)), uniform_offset=False)
 FR = make_finite_range(606, 1, 2.0, UniformPM1())
 
@@ -84,17 +82,6 @@ def test_blocked_exit_scan_matches_scalar(env, kind, small_blocks):
             assert scan.exit_steps[j, rep] == (out[0] if out.size else -1)
 
 
-@pytest.mark.parametrize("env", [MIX, FC])
-@pytest.mark.parametrize("kind", [SAME_ENV, INDEPENDENT_ENV])
-def test_blocked_escape_matches_scalar(env, kind, small_blocks):
-    # Shell 1 < |y| <= 4: six starts with one pair each.
-    est = exit_escape_probability(env, 4, 1, 200, 6, kind=kind)
-    for rep, y0 in enumerate(est.starts.tolist()):
-        y = np.abs(simulate_diff_chain(env, y0, 200, kind, replica=rep)[:, 0])
-        settled = np.flatnonzero((y > 4) | (y <= 1))
-        assert est.probs[rep] == float(settled.size > 0 and y[settled[0]] > 4)
-
-
 # Pair fields for the compiled walker: each family kind of the compiled field
 # read (affine, threshold as a 3-point DiracSteps on the lattice and as a
 # Dirac field, constant with 3 atoms), the lattice with and without the
@@ -129,7 +116,6 @@ def every_scan(env, kind):
         *outcome(exit_time_scan, env, [2.0, 5.0, 12.0], 6, step_cap=300, kind=kind, x0=1),
         *outcome(excursion_scan, env, 200, 0.2, 6, kind=kind),
         *outcome(lambda: occupation_time(env, [1, 5, 9, 23], 0.3, 6, kind=kind).estimates),
-        *outcome(exit_escape_probability, env, 4, 1, 200, 6, kind=kind),
     ]
 
 
@@ -138,7 +124,7 @@ def every_scan(env, kind):
 @pytest.mark.parametrize("name", sorted(PAIR_FIELDS))
 def test_compiled_pairs_match_numpy_pairs(name, kind, small_blocks, monkeypatch):
     # Six pairs take 3-step blocks under small_blocks: blocks end inside
-    # every scan, and the exit and escape scans retire pairs mid-block.
+    # every scan, and the exit scan retires pairs mid-block.
     env = PAIR_FIELDS[name]
     assert diffchain._PairWalker(env, np.arange(2), 0, kind, 1).compiled
     compiled = every_scan(env, kind)
@@ -356,24 +342,3 @@ def test_occupation_fully_correlated_near_half_plus_eps():
     # time in the slowly growing box scales like n^(1/2 + eps-correction)
     curve = occupation_time(FC, 2 ** np.arange(4, 13), 0.2, 400)
     assert 0.45 <= curve.fit.exponent < 1.0
-
-
-def test_escape_probability_shape():
-    # the alpha/r shape: worst-start probability times r bounded away from 0
-    # (the worst start sits just outside the inner box, where escape has
-    # probability of order 1/r, so give each start 200 chains)
-    for r, budget, replicas in ((8, 512, 2400), (16, 4096, 5600), (32, 32768, 12000)):
-        est = exit_escape_probability(MIX, r, 2, budget, replicas)
-        assert est.starts.size == est.probs.size == est.ses.size
-        assert 0.0 < est.p_min <= est.p_mean <= 1.0
-        assert est.p_min * est.r > 0.25, (r, est.p_min)
-
-
-def test_escape_probability_constant_dirac_is_zero():
-    est = exit_escape_probability(CONSTANT_DIRAC, 8, 2, 256, 300)
-    assert est.p_min == 0.0 and est.p_mean == 0.0
-
-
-def test_escape_requires_shell():
-    with pytest.raises(ValueError):
-        exit_escape_probability(MIX, 4, 4, 100, 100)

@@ -380,6 +380,42 @@ def test_exponent_verdict_without_a_fit_fails(text, verdicts, tmp_path, capsys):
     assert [v for v in report["verdicts"] if not v["passed"]] == [{**v, "passed": False} for v in verdicts]
 
 
+def _no_constants(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # every replica caps at one step, so no radius has a mean exit time
+        "experiment = ychain-exit\nreplicas = 50\nstep_cap = 1\n",
+        # both fields give one velocity: a zero SE, so the verdicts observe infinitely many
+        "experiment = moments\nenv_replicas = 2\n",
+    ],
+    ids=["exit-all-capped", "moments-zero-se"],
+)
+def test_reports_are_strict_json(text, tmp_path, capsys):
+    # A value strict JSON cannot hold is written as null: a row's estimate
+    # and SE, a verdict's observed value.
+    experiment = parse_config(text).experiment
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(text)
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / f"{experiment}_report.json").read_text(), parse_constant=_no_constants)
+    values = [r[k] for r in report["rows"] for k in ("value", "se")] + [v["observed"] for v in report["verdicts"]]
+    assert None in values
+
+
+def test_report_with_no_verdicts_fails(tmp_path, capsys):
+    # phi-decay forms its one default verdict only when 0 is on x_grid; a
+    # report that checks nothing does not pass.
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("experiment = phi-decay\nx_grid = 1, 2\nreplicas = 200\n")
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "phi-decay_report.json").read_text())
+    assert report["verdicts"] == [] and report["passed"] is False
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_p_low_above_p_high_rejected(model, tmp_path, capsys):
     text = f"experiment = moments\nmodel = {model}\np_high = 0.2\np_low = 0.9\n"

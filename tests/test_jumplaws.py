@@ -11,20 +11,25 @@ from envwalk.jumplaws import (
     law_sample,
     sample_uniform_count,
 )
-from envwalk.streams import StreamKey, derive_stream
+from envwalk.streams import StreamKey
 
 
-def stream(tag=2, seed=1):
-    return derive_stream(StreamKey(seed, 0, (0,), tag))
+def key(seed=1, cell=0):
+    return StreamKey(seed, 0, (cell,), 2)
 
 
-def draws(law, s, n):
-    """``n`` draws, shape (n, d), consuming the same uniforms as ``n``
-    sequential :func:`law_sample` calls (checked below)."""
+def batch(law, u):
+    """One draw per row of ``u`` (draws, uniforms per draw), shape (draws, d):
+    what :func:`law_sample` makes of a key's first uniforms (checked below)."""
     if isinstance(law, Atomic):
-        return np.asarray(law.points, dtype=float)[atomic_index(np.cumsum(law.weights), s.take(n))]
+        return np.asarray(law.points, dtype=float)[atomic_index(np.cumsum(law.weights), u[:, 0])]
+    return gaussian_step(np.asarray(law.mean), gaussian_factor(law), u)
+
+
+def draws(law, seed, n):
+    """``n`` draws from consecutive uniforms of one stream."""
     per = sample_uniform_count(law)
-    return gaussian_step(np.asarray(law.mean), gaussian_factor(law), s.take(n * per).reshape(n, per))
+    return batch(law, key(seed).uniforms(n * per).reshape(n, per))
 
 
 def test_fair_pm1_moments():
@@ -66,9 +71,8 @@ def test_gaussian_cov_validation():
 def test_dirac_sampling_is_constant():
     # Any uniform in [0, 1) picks the hot atom of a one-hot row.
     law = Atomic(((-1.0,), (3.0,), (5.0,)), (0.0, 1.0, 0.0))
-    s = stream()
-    for _ in range(5):
-        assert law_sample(law, s) == 3.0
+    for cell in range(5):
+        assert law_sample(law, key(cell=cell)) == 3.0
     for hot in range(3):
         cum = np.cumsum(np.eye(3)[hot])
         assert np.all(atomic_index(cum, [0.0, 0.5, np.nextafter(1.0, 0.0)]) == hot)
@@ -76,13 +80,13 @@ def test_dirac_sampling_is_constant():
 
 def test_pm1_sample_mean_clt():
     law = Atomic(((1.0,), (-1.0,)), (0.5, 0.5))
-    x = draws(law, stream(), 100000)
+    x = draws(law, 1, 100000)
     assert abs(x.mean()) <= 3.0 / np.sqrt(100000)
 
 
 def test_gaussian_standard_sample_cov():
     law = Gaussian((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
-    cov = np.cov(draws(law, stream(seed=7), 100000).T)
+    cov = np.cov(draws(law, 7, 100000).T)
     assert np.all(np.abs(np.diag(cov) - 1.0) < 0.05)
     assert abs(cov[0, 1]) < 0.05
 
@@ -96,10 +100,10 @@ def test_batch_matches_sequential_sampling():
         Gaussian((0.1, 0.0, -0.4), ((1.0, 0.3, 0.1), (0.3, 0.7, 0.2), (0.1, 0.2, 0.9))),
         Atomic(((1.0,), (-1.0,)), (1.0, 0.0)),
     ):
-        batch = draws(law, stream(seed=11), 16)
-        s = stream(seed=11)
-        seq = np.stack([law_sample(law, s) for _ in range(16)])
-        assert np.array_equal(batch, seq)
+        keys = [key(11, cell) for cell in range(16)]
+        u = np.stack([k.uniforms(sample_uniform_count(law)) for k in keys])
+        one_by_one = np.stack([law_sample(law, k) for k in keys])
+        assert np.array_equal(batch(law, u), one_by_one)
 
 
 @pytest.mark.parametrize(
@@ -114,7 +118,7 @@ def test_batch_matches_sequential_sampling():
 def test_moment_consistency_of_sampler(law):
     # Empirical mean/cov of 1e5 draws within 4 standard errors of closed form.
     n = 100000
-    x = draws(law, stream(seed=5), n)
+    x = draws(law, 5, n)
     mean = law_mean(law)
     if isinstance(law, Atomic):
         centered_atoms = np.asarray(law.points) - mean
@@ -134,7 +138,7 @@ def test_moment_consistency_of_sampler(law):
 
 def test_second_moment_matches_samples():
     law = Gaussian((1.0, 1.0), ((1.0, 0.0), (0.0, 2.0)))
-    x = draws(law, stream(seed=9), 100000)
+    x = draws(law, 9, 100000)
     emp = (x**2).sum(axis=1)
     se = emp.std(ddof=1) / np.sqrt(len(emp))
     # E|x|^2 = |mean|^2 + trace(cov) = 2 + 3

@@ -22,12 +22,9 @@ from envwalk.streams import (
     _mix2,
     _u64,
     absorb,
-    derive_seed,
     derive_seeds_vec,
-    derive_stream,
     lanes_for_cells,
     seed_lanes,
-    seed_lanes_vec,
     uniforms_at,
     words_at,
 )
@@ -35,19 +32,34 @@ from envwalk.streams import (
 
 def test_same_key_replays_identically():
     key = StreamKey(12345, -3, (7, -2), 0)
-    a = derive_stream(key).take(8)
-    b = derive_stream(key).take(8)
+    a = key.uniforms(8)
+    b = StreamKey(12345, -3, (7, -2), 0).uniforms(8)
     assert np.array_equal(a, b)
+    # a longer read starts with the shorter one: draw i depends on i alone
+    assert np.array_equal(key.uniforms(20)[:8], a)
 
 
 def test_order_independence_across_streams():
     k1 = StreamKey(9, 0, (1,), 0)
     k2 = StreamKey(9, 0, (2,), 0)
-    s1, s2 = derive_stream(k1), derive_stream(k2)
-    interleaved = [s1.take(1)[0], s2.take(1)[0], s1.take(1)[0], s2.take(1)[0]]
-    fresh1 = derive_stream(k1).take(2)
-    fresh2 = derive_stream(k2).take(2)
+    l1, l2 = k1.lanes(), k2.lanes()
+    interleaved = [uniforms_at(l1, 0), uniforms_at(l2, 0), uniforms_at(l1, 1), uniforms_at(l2, 1)]
+    fresh1 = k1.uniforms(2)
+    fresh2 = k2.uniforms(2)
     assert interleaved == [fresh1[0], fresh2[0], fresh1[1], fresh2[1]]
+
+
+def test_key_lanes_absorb_the_key_word_by_word():
+    # Any int is a seed (taken mod 2**64), as is a cell word; negative
+    # words are absorbed in two's complement.
+    for seed, level, cell, tag in ((0, 0, (), TAG_ENV), (2**64 + 5, -3, (-1, 2**63 + 1), TAG_WALK),
+                                   (-1, 2**63, (7,), TAG_OFFSET)):
+        lanes = absorb(absorb(absorb(seed_lanes(seed % 2**64), tag), level), len(cell))
+        for c in cell:
+            lanes = absorb(lanes, c)
+        got = StreamKey(seed, level, cell, tag).lanes()
+        assert_same_bits(got[0], lanes[0])
+        assert_same_bits(got[1], lanes[1])
 
 
 def test_any_single_field_change_changes_stream():
@@ -59,9 +71,9 @@ def test_any_single_field_change_changes_stream():
         StreamKey(42, 5, (1, 2), 2),
         StreamKey(42, 5, (1,), 1),
     ]
-    head = derive_stream(base).take(4)
+    head = base.uniforms(4)
     for other in variants:
-        assert not np.array_equal(head, derive_stream(other).take(4))
+        assert not np.array_equal(head, other.uniforms(4))
 
 
 def test_vectorized_lanes_match_scalar_keys():
@@ -69,25 +81,37 @@ def test_vectorized_lanes_match_scalar_keys():
     lanes = lanes_for_cells(seed_lanes(77), 3, 0, cells)
     u = uniforms_at((lanes[0][:, None], lanes[1][:, None]), np.arange(6))
     for i, cell in enumerate(cells):
-        expected = derive_stream(StreamKey(77, 3, tuple(int(c) for c in cell), 0)).take(6)
+        expected = StreamKey(77, 3, tuple(int(c) for c in cell), 0).uniforms(6)
         assert np.array_equal(u[i], expected)
 
 
 def test_per_row_seeds_match_scalar_keys():
     seeds = derive_seeds_vec(5, np.arange(4))
-    base = seed_lanes_vec(seeds)
+    base = seed_lanes(seeds)
     cells = np.array([[10], [11], [12], [13]])
     lanes = lanes_for_cells(base, 2, 0, cells)
     u = uniforms_at(lanes, 0)
     for i in range(4):
-        expected = derive_stream(StreamKey(int(seeds[i]), 2, (10 + i,), 0)).take(1)[0]
+        expected = StreamKey(int(seeds[i]), 2, (10 + i,), 0).uniforms(1)[0]
         assert u[i] == expected
 
 
-def test_derive_seed_scalar_vs_vector():
+def test_seed_lanes_of_one_seed_and_of_an_array_agree():
+    seeds = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    rows = seed_lanes(seeds)
+    for i, seed in enumerate(seeds.tolist()):
+        for one in (seed_lanes(seed), seed_lanes(seed - 2**64), seed_lanes(seed + 2**64), seed_lanes(seeds[i])):
+            assert one[0] == rows[0][i] and one[1] == rows[1][i]
+    # int64 seeds are read in two's complement
+    signed = seed_lanes(np.array([-1, 5], dtype=np.int64))
+    assert signed[0][0] == rows[0][3] and signed[1][1] == seed_lanes(5)[1]
+
+
+def test_derived_seeds_of_scalars_and_of_arrays_agree():
     vec = derive_seeds_vec(99, np.arange(10))
     for i in range(10):
-        assert int(vec[i]) == derive_seed(99, i)
+        assert int(vec[i]) == int(derive_seeds_vec(99, i))
+    assert int(derive_seeds_vec(99, 3, 1)) == int(derive_seeds_vec(99, np.arange(5), 1)[3])
 
 
 def test_first_variates_uniform_chi_square():
@@ -102,14 +126,13 @@ def test_first_variates_uniform_chi_square():
 
 def test_tag_streams_decorrelated():
     # first 10^3 variates of two streams differing only in the tag field
-    a = derive_stream(StreamKey(101, 0, (5,), 0)).take(1000)
-    b = derive_stream(StreamKey(101, 0, (5,), 1)).take(1000)
+    a = StreamKey(101, 0, (5,), 0).uniforms(1000)
+    b = StreamKey(101, 0, (5,), 1).uniforms(1000)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
 def test_uniforms_in_unit_interval():
-    s = derive_stream(StreamKey(0, 0, (), 0))
-    u = s.take(1000)
+    u = StreamKey(0, 0, (), 0).uniforms(1000)
     assert u.min() >= 0.0 and u.max() < 1.0
 
 
@@ -117,9 +140,7 @@ def test_uniforms_in_unit_interval():
 #
 # lanes_for_cells, words_at and uniforms_at broadcast their operands as numpy
 # does; the tests below pin that, shapes, dtypes and 0-d results included,
-# against references that absorb and draw one word at a time.  (The names
-# still say "kernel": these tests checked the general compiled hash kernel
-# against the mixers until that kernel was retired.)
+# against references that absorb and draw one word at a time.
 
 TAGS = (TAG_ENV, TAG_OFFSET, TAG_WALK, TAG_DERIVE, TAG_BOOT, TAG_DITHER)
 
@@ -212,7 +233,7 @@ def test_ctypes_declarations_match_the_c_source():
 
 
 def _per_row(seeds):
-    lanes = seed_lanes_vec(np.asarray(seeds, dtype=np.uint64))
+    lanes = seed_lanes(np.asarray(seeds, dtype=np.uint64))
     return lanes[0][:, None], lanes[1][:, None]
 
 
@@ -221,7 +242,7 @@ CELLS = np.array([[-(10**9), 10**9, -1], [0, 7, -123456789], [10**9, -(10**9), 5
 
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
-def test_kernel_matches_mixers_on_shared_lanes(tag, d):
+def test_mixers_broadcast_on_shared_lanes(tag, d):
     for seed in (0, 2**64 - 1, 0x9E3779B97F4A7C15):
         for level in (0, -5, 2**63 + 11, 2**64 - 1, -(2**63)):
             assert_mixers_match(seed_lanes(seed), level, tag, CELLS[:, :d], np.arange(3)[:, None, None])
@@ -229,14 +250,14 @@ def test_kernel_matches_mixers_on_shared_lanes(tag, d):
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
-def test_kernel_matches_mixers_on_per_row_lanes_and_block_levels(d):
+def test_mixers_broadcast_on_per_row_lanes_and_block_levels(d):
     seeds = [0, 2**64 - 1, 12345, 2**63]
     # Per-row lanes against per-row cells, as exact propagation reads a field.
     rows = _per_row(seeds)
     cells = np.broadcast_to(CELLS[:, :d], (4, 4, d))
     assert_mixers_match(rows, 9, TAG_ENV, cells, np.arange(3)[:, None, None])
     # Pair-walker lanes (m, 2) broadcast against block levels (b, 1, 1) and walk cells (m, 2, d).
-    pairs = tuple(np.stack([lane, lane[::-1]], axis=1) for lane in seed_lanes_vec(np.asarray(seeds, np.uint64)))
+    pairs = tuple(np.stack([lane, lane[::-1]], axis=1) for lane in seed_lanes(np.asarray(seeds, np.uint64)))
     levels = np.array([-3, 0, 2**40, 7])[:, None, None]
     walk_cells = np.stack([CELLS[:, :d], -CELLS[:, :d]], axis=1)
     assert_mixers_match(pairs, levels, TAG_WALK, walk_cells, np.arange(2)[:, None, None, None])
@@ -244,8 +265,8 @@ def test_kernel_matches_mixers_on_per_row_lanes_and_block_levels(d):
     assert_mixers_match(rows, np.arange(5)[:, None, None], TAG_WALK, CELLS[None, :, None, :d], 4)
 
 
-def test_kernel_matches_mixers_on_non_contiguous_inputs():
-    lanes = seed_lanes_vec(np.arange(12, dtype=np.uint64) * np.uint64(2**60 + 3))
+def test_mixers_broadcast_on_non_contiguous_inputs():
+    lanes = seed_lanes(np.arange(12, dtype=np.uint64) * np.uint64(2**60 + 3))
     strided = (lanes[0][::2], lanes[1][::2])  # (6,)
     transposed = (lanes[0].reshape(2, 6).T, lanes[1].reshape(2, 6).T)  # (6, 2)
     cells = np.arange(-36, 36).reshape(6, 4, 3)[:, ::-2, :]  # (6, 2, 3)
@@ -270,7 +291,7 @@ def test_words_match_mixers_on_every_index_shape(index):
         assert_same_bits(uniforms_at(lanes, index), reference_uniforms(lanes, index))
 
 
-def test_kernel_matches_mixers_on_empty_batches():
+def test_mixers_broadcast_on_empty_batches():
     base = seed_lanes(3)
     for cells in (np.empty((0, 1), int), np.empty((0, 3), int), np.empty((2, 0, 2), int)):
         assert_mixers_match(base, 1, TAG_ENV, cells, np.arange(2)[:, None])
@@ -283,10 +304,10 @@ def test_kernel_matches_mixers_on_empty_batches():
     d=st.integers(0, 3),
     tag=st.sampled_from(TAGS),
 )
-def test_kernel_matches_mixers_on_any_broadcast(data, shapes, d, tag):
+def test_mixers_broadcast_on_any_broadcast(data, shapes, d, tag):
     base_shape, level_shape, cell_shape = shapes.input_shapes
     words = st.integers(0, 2**64 - 1)
-    base = seed_lanes_vec(data.draw(hnp.arrays(np.uint64, base_shape, elements=words)))
+    base = seed_lanes(data.draw(hnp.arrays(np.uint64, base_shape, elements=words)))
     level = data.draw(hnp.arrays(np.int64, level_shape, elements=st.integers(-(2**63), 2**63 - 1)))
     cells = data.draw(hnp.arrays(np.int64, cell_shape + (d,), elements=st.integers(-(10**12), 10**12)))
     lanes_shape = np.broadcast_shapes(base_shape, level_shape, *([cell_shape] if d else []))

@@ -22,7 +22,7 @@ from envwalk.environments import (
 )
 from envwalk.families import DiracSteps, FixedAtomic, GaussianDrift, UniformPM1, lattice_stride
 from envwalk.jumplaws import law_mean
-from envwalk.streams import TAG_ENV, TAG_WALK, StreamKey, derive_stream, seed_lanes, seed_lanes_vec
+from envwalk.streams import TAG_ENV, TAG_WALK, StreamKey, seed_lanes
 from envwalk.walks import (
     _x1_samples,
     batch_averaged_positions,
@@ -72,9 +72,8 @@ def test_unit_steps_on_pm1_lattice():
 
 
 def test_quenched_step_dirac_deterministic():
-    s1 = derive_stream(StreamKey(1, 0, (0,), 2))
-    s2 = derive_stream(StreamKey(2, 0, (9,), 2))
-    assert quenched_step(DIRAC, 0, 0.0, s1) == quenched_step(DIRAC, 0, 0.0, s2)
+    k1, k2 = StreamKey(1, 0, (0,), 2), StreamKey(2, 0, (9,), 2)
+    assert quenched_step(DIRAC, 0, 0.0, k1) == quenched_step(DIRAC, 0, 0.0, k2)
 
 
 @pytest.mark.parametrize("env", [MIX, FC, DIRAC, FAIR, FR, *OTHER, HALF])
@@ -352,7 +351,7 @@ def test_propagated_law_is_a_law_with_the_propagated_mean(env, monkeypatch):
     # mean over the sites lo + st * j is the mean the step wrote, on the
     # compiled and the numpy step.
     seeds = np.asarray([3, 2**63 + 5, 17], dtype=np.uint64)
-    base = seed_lanes_vec(seeds)
+    base = seed_lanes(seeds)
     st = lattice_stride(env.family)
     for _ in each_step_path(monkeypatch):
         means = np.zeros((3, 121))
@@ -427,14 +426,14 @@ def test_compiled_propagation_reads_the_field_itself(name, monkeypatch):
 def compiled_field_weights(env, seeds, levels, sites):
     """The compiled field read (``envwalk_field_weights``) of each field in ``seeds`` at
     each of ``sites`` and the consecutive ``levels``, shape (levels, fields, sites, atoms)."""
-    read = field_read(env, seed_lanes_vec(np.repeat(seeds, len(sites))))
+    read = field_read(env, seed_lanes(np.repeat(seeds, len(sites))))
     x = np.tile(np.asarray(sites, dtype=np.int64), len(seeds))
     out = np.empty((len(levels), len(x), len(env.family.support)))
     streams._LIB.envwalk_field_weights(ctypes.addressof(read), levels[0], len(levels), len(x), x.ctypes.data, out.ctypes.data)
     return out.reshape(len(levels), len(seeds), len(sites), -1)
 
 
-_TIE = float(derive_stream(StreamKey(3, 0, (0,), TAG_ENV)).take(1)[0])
+_TIE = float(StreamKey(3, 0, (0,), TAG_ENV).uniforms(1)[0])
 _READ_FAMILIES = {
     "affine": UniformPM1(0.25, 0.75),
     "threshold": DiracSteps(((1.0,), (-1.0,), (3.0,), (-3.0,)), (0.5, 0.2, 0.2, 0.1)),
@@ -472,7 +471,7 @@ _READ_FIELDS = {
 def test_compiled_field_read_matches_field_weights(name):
     env = _READ_FIELDS[name]
     seeds = np.asarray([3, 2**63 + 5], dtype=np.uint64)
-    base = seed_lanes_vec(seeds)
+    base = seed_lanes(seeds)
     for levels in (range(2), range(2**40, 2**40 + 1)):
         # one site, a row of 4 001 sites from cell -3999 on the parity grid, and the step-1 grid
         for lo, st, n in ((-7, 2, 1), (-3999, 2, 4001), (-2500, 1, 4096)):
@@ -544,7 +543,7 @@ def test_compiled_step_matches_numpy_step_on_every_row_length():
         (make_finite_range(404, 1, 1.5, DiracSteps(((1.0,), (-1.0,)), (0.25, 0.75))), 2, [1, 0], 1),
         (make_dirac(404, 1, DiracSteps(((1.0,), (-1.0,), (3.0,)), (0.25, 0.625, 0.125))), 2, [1, 0, 2], 2),
     ]
-    base = seed_lanes_vec(np.asarray([3, 2**63 + 5, 17], dtype=np.uint64))
+    base = seed_lanes(np.asarray([3, 2**63 + 5, 17], dtype=np.uint64))
     for env, st, offsets, span in fields:
         for n_pos in [*range(1, 600), 1024, 2000, 4097]:
             mass = (rng.random((3, n_pos + 2)) * 10.0 ** rng.integers(-18, 0, (3, n_pos + 2)))[:, 1:-1]
@@ -590,7 +589,7 @@ def assert_edge_rows_match(lib):
     """Every edge law, at row lengths on both sides of the pairwise sum's
     blocks, with the window whole and cut, at two levels, through ``lib``."""
     rng = np.random.default_rng(29)
-    base = seed_lanes_vec(np.arange(6, dtype=np.uint64) * np.uint64(2**61 + 3))
+    base = seed_lanes(np.arange(6, dtype=np.uint64) * np.uint64(2**61 + 3))
     for env in _EDGE_FIELDS.values():
         st, support = lattice_stride(env.family), env.family.support[:, 0]
         offsets = (support - support.min()).astype(np.intp) // st
@@ -619,7 +618,7 @@ def test_compiled_step_matches_numpy_step_on_edge_rows():
 # field, and on 2- and 3-point Dirac fields (_READ_FIELDS); a DiracSteps
 # threshold tie at the walkers' first read (seed 3, cell 0, level 0); a step weight equal to walker 0's first
 # walk uniform, which the inverse CDF breaks to the next atom.
-_WALK_TIE = float(derive_stream(StreamKey(3, 0, (0,), TAG_WALK)).take(1)[0])
+_WALK_TIE = float(StreamKey(3, 0, (0,), TAG_WALK).uniforms(1)[0])
 _WALK_FIELDS = {
     **_READ_FIELDS,
     "threshold-tie": replace(_READ_FIELDS["threshold-tie"], master_seed=3),
@@ -719,7 +718,7 @@ def test_fields_of_several_walkers_across_tiles(name, g, monkeypatch):
     # 101 fields of g walkers each (lanes of shape (101, 1) against walkers
     # (101, g)); at g = 3 tiles of 256 walkers start and end inside a field.
     env = _READ_FIELDS[name]
-    lanes = walks._per_row(seed_lanes_vec(np.arange(101, dtype=np.uint64) * np.uint64(2**61 + 3)))
+    lanes = walks._per_row(seed_lanes(np.arange(101, dtype=np.uint64) * np.uint64(2**61 + 3)))
     cells = np.arange(101 * g).reshape(101, g, 1)
     assert walks._field_groups(lanes, (101, g))[1] == g
 
