@@ -406,6 +406,20 @@ def test_reports_are_strict_json(text, tmp_path, capsys):
     assert None in values
 
 
+def test_capped_estimates_leave_csv_cells_empty(tmp_path, capsys):
+    # Every replica caps at one step: each radius's estimate row has an
+    # empty value and se, and its capped_fraction row gives the share, 1.
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("experiment = ychain-exit\nreplicas = 50\nstep_cap = 1\n")
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path), "--format", "csv"]) == 2
+    rows = [line.split(",") for line in (tmp_path / "ychain-exit_rows.csv").read_text().splitlines()[1:]]
+    estimates = [r for r in rows if r[2] == "estimate"]
+    capped = [r for r in rows if r[2] == "capped_fraction"]
+    assert [r[3] for r in estimates] == [r[3] for r in capped] == ["4.0", "8.0", "16.0", "32.0"]
+    assert all(r[5] == r[6] == "" for r in estimates)
+    assert all(float(r[5]) == 1.0 for r in capped)
+
+
 def test_report_with_no_verdicts_fails(tmp_path, capsys):
     # phi-decay forms its one default verdict only when 0 is on x_grid; a
     # report that checks nothing does not pass.

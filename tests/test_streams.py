@@ -62,6 +62,35 @@ def test_key_lanes_absorb_the_key_word_by_word():
         assert_same_bits(got[1], lanes[1])
 
 
+# Known answers: draws 0..2 of three keys and three derived seeds, as words
+# and as uniforms.  The other tests compare the API with itself; these pin
+# the key schema and the mixers, so a change to either shows here.
+KNOWN_KEYS = {
+    "empty-cell": (StreamKey(0, 0, (), TAG_ENV), (0x574F1FF8D84A4FF5, 0xCC8C514BD3771FA9, 0x1BF5A1D66A34223A)),
+    "negative-words": (StreamKey(20100308, -3, (7, -2), TAG_WALK), (0x5936913F1B2781DE, 0xD25BA79ED51F45FE, 0x50F5B1408BE7D32D)),
+    "wide-words": (
+        StreamKey(2**64 - 1, 2**40, (10**9, -(10**9), 5), TAG_OFFSET),
+        (0xD0D91778AE3B7CAE, 0xB363459CD78A1454, 0x398C6B28EB77D5A7),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_KEYS))
+def test_stream_keys_give_known_words(name):
+    key, words = KNOWN_KEYS[name]
+    lanes = key.lanes()
+    assert all(type(lane) is np.uint64 for lane in lanes)
+    assert words_at(lanes, np.arange(3)).tolist() == list(words)
+    assert key.uniforms(3).tolist() == [(w >> 11) * 2.0**-53 for w in words]
+    assert key.uniforms(0).shape == (0,)
+
+
+def test_derived_seeds_give_known_words():
+    assert int(derive_seeds_vec(20100308, 4)) == 0x345720C1D24EBB8D
+    assert int(derive_seeds_vec(20100308, 1, 2)) == 0xFD4DBB5C45708DBF
+    assert int(derive_seeds_vec(0)) == 0x3FE90D47CC52213
+
+
 def test_any_single_field_change_changes_stream():
     base = StreamKey(42, 5, (1, 2), 1)
     variants = [
