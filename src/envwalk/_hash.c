@@ -21,13 +21,17 @@
  * x / 1.0 == x.  The walker block (envwalk_walk) is bit for bit
  * walks._Walker's numpy steps: per walker and step k the walk key's
  * uniform 0, the field's weight row at level k and the walker's position,
- * the inverse CDF in support order and the drift summed atom by atom.  Its
- * walkers read their fields in groups: the words every key of a field
- * shares at a step (its base lanes, tag, level and cell-word count, for
- * the walk key and for the field key) are hashed once per field, and each
- * walker hashes only its own words, its walk cell words and its field cell,
- * and its two uniforms; a field read with no cell word forms one weight row
- * per field.  All three read the field with one per-site rule: site_key
+ * the inverse CDF in support order and the drift summed atom by atom.  It
+ * writes the positions after each step to out, or none where out is NULL
+ * (a recorded walk steps to its recorded steps so).  Its walkers read
+ * their fields in groups: the words every key of a field shares at a step
+ * (its base lanes, tag, level and cell-word count, for the walk key and for
+ * the field key) are hashed once per field, and each walker hashes only its
+ * own words, its walk cell words and its field cell, and its two uniforms;
+ * a field read with no cell word forms one weight row per field.  When
+ * fields have g > 1 walkers each, a tile of walkers never straddles two
+ * fields, so it reads its field's key prefixes and one row in place.  All
+ * three read the field with one per-site rule: site_key
  * hashes the site's cell (none on the level-correlated field) under its
  * key prefix, and key_row takes the key's uniform 0 and forms the site's
  * weight row by one of three family kinds, each the arithmetic of the
@@ -288,15 +292,16 @@ INLINE void key_row(const struct field *f, int kind, size_t na, u64 h1, u64 h2, 
     } while (0)
 
 /* The weight rows of n <= TILE sites at field-frame positions x,
- * contiguous (n, na) into w: site i's key prefix is (h1, h2)[i]. */
+ * contiguous (n, na) into w: site i's key prefix is (h1, h2)[i * hs], so
+ * hs = 0 reads one prefix for every site. */
 INLINE void site_rows(const struct field *f, size_t na, size_t n, const u64 *restrict h1, const u64 *restrict h2,
-                      const int64_t *restrict x, double *restrict w)
+                      size_t hs, const int64_t *restrict x, double *restrict w)
 {
     u64 k1[TILE], k2[TILE];
-#define ROWS(kind, cell)                                         \
-    for (size_t i = 0; i < n; i++)                               \
-        site_key(f, cell, x[i], h1[i], h2[i], k1 + i, k2 + i);   \
-    for (size_t i = 0; i < n; i++)                               \
+#define ROWS(kind, cell)                                                  \
+    for (size_t i = 0; i < n; i++)                                        \
+        site_key(f, cell, x[i], h1[i * hs], h2[i * hs], k1 + i, k2 + i); \
+    for (size_t i = 0; i < n; i++)                                        \
         key_row(f, kind, na, k1[i], k2[i], w + i * na, 1)
     EACH_READ(f, ROWS);
 #undef ROWS
@@ -329,7 +334,7 @@ void envwalk_field_weights(const struct field *f, u64 level, size_t n_levels, si
         tagged_lanes(nt, f->b1 + t, f->b2 + t, f->tag, e1, e2);
         for (size_t l = 0; l < n_levels; l++) {
             key_prefix(nt, e1, e2, level + l, f->cell_words, h1, h2);
-            site_rows(f, na, nt, h1, h2, x + t, out + (l * m + t) * na);
+            site_rows(f, na, nt, h1, h2, 1, x + t, out + (l * m + t) * na);
         }
     }
 }
@@ -478,106 +483,91 @@ double envwalk_propagate(const struct field *field, u64 level, int64_t lo, int64
     return worst;
 }
 
-/* The walkers of a tile read its fields f0, f0 + 1, ... in runs: the first
- * `lead` walkers field f0, the next g field f0 + 1, and so on.  Each of the
- * nt walkers' copy of its field's key prefix, (q1, q2)[j] into (h1, h2)[i]. */
-INLINE void spread_prefixes(size_t nt, size_t lead, size_t g, const u64 *restrict q1, const u64 *restrict q2,
-                            u64 *restrict h1, u64 *restrict h2)
+/* The moves of nt walkers after their walk uniforms u: walker i's weight
+ * row is w[i * ws], w[i * ws + 1], ... (ws = 0 when all read one row).
+ * Each adds its row's drift, atom by atom in support order
+ * (jumplaws.atomic_mean), to drift[i] if drift is not NULL, and moves by
+ * the inverse CDF of walks._row_atomic_index, the weights summed atom by
+ * atom; capped at the last atom, where numpy would raise on a one-atom row
+ * that sums below u.  The new position also goes to o[i] if o is not
+ * NULL. */
+INLINE void move_walkers(size_t na, size_t nt, const double *restrict w, size_t ws, const double *restrict u,
+                         const int64_t *restrict support, int64_t *restrict pos, double *restrict drift,
+                         int64_t *restrict o)
 {
-    for (size_t j = 0, i = 0, e = lead; i < nt; j++, e += g)
-        for (; i < (e < nt ? e : nt); i++) {
-            h1[i] = q1[j];
-            h2[i] = q2[j];
+    if (drift != NULL) {
+        for (size_t i = 0; i < nt; i++) {
+            double m = w[i * ws] * (double)support[0];
+            for (size_t a = 1; a < na; a++)
+                m = m + w[i * ws + a] * (double)support[a];
+            drift[i] += m;
         }
-}
-
-/* The same for weight rows, in place: the nf fields' rows, the first nf of
- * w, become each walker's row.  Runs go from the last down, so that a row
- * is copied before a later run overwrites it (the run of field j starts at
- * or after walker j), and atom by atom, so that a run that starts on its own
- * row rewrites it with the same values. */
-INLINE void spread_rows(size_t nf, size_t nt, size_t lead, size_t g, size_t na, double *restrict w)
-{
-    for (size_t j = nf; j-- > 0;) {
-        const size_t lo = j ? lead + (j - 1) * g : 0, hi = lead + j * g < nt ? lead + j * g : nt;
-        for (size_t a = 0; a < na; a++) {
-            const double v = w[j * na + a];
-            for (size_t i = lo; i < hi; i++)
-                w[i * na + a] = v;
+    }
+    for (size_t i = 0; i < nt; i++) {
+        double cum = w[i * ws];
+        size_t k = cum <= u[i];
+        for (size_t a = 1; a + 1 < na; a++) {
+            cum = cum + w[i * ws + a];
+            k += cum <= u[i];
         }
+        pos[i] += support[k < na ? k : na - 1];
+        if (o != NULL)
+            o[i] = pos[i];
     }
 }
 
-/* One tile of envwalk_walk: the nt walkers t, t + 1, ... of n, walker i
- * reading field i / g, with walk cell words at cells + j * n (j < n_words),
- * positions pos and drift sums drift (or NULL), for b steps; the positions
- * after step s go to out + s * n.  Each step hashes the key prefixes of
- * the tile's fields once (lanes, tag, level, cell-word count; one a walker
- * when g = 1) and, per walker, only the walker's own words: its walk cell
- * words, its field cell and the two uniforms.  A field read with no cell
- * word (level-correlated) forms one row a field.  Inlined with a constant
- * atom count for pairs, so that the loops vectorize. */
-INLINE void walk_tile(const struct field *f, size_t na, size_t t, size_t nt, size_t n, size_t g, size_t b,
+/* One tile of envwalk_walk: the nt walkers t, t + 1, ... of n, with walk
+ * cell words at cells + j * n (j < n_words), positions pos and drift sums
+ * drift (or NULL), for b steps; the positions after step s go to out + s *
+ * n unless out is NULL.  With `shared`, all nt walkers read field r; else
+ * walker i of the tile reads field r + i.  Each step hashes the key
+ * prefixes of the tile's fields once (lanes, tag, level, cell-word count)
+ * and, per walker, only the walker's own words: its walk cell words, its
+ * field cell and the two uniforms.  A shared field's prefix absorbs each
+ * walker's first word straight into the walker's lanes, and its field
+ * read with no cell word (level-correlated) forms its one row, which every
+ * walker reads in place.  Inlined with constant `shared` and, for pairs,
+ * atom count, so that the loops vectorize. */
+INLINE void walk_tile(const struct field *f, size_t na, int shared, size_t r, size_t nt, size_t n, size_t b,
                       u64 level, u64 walk_tag, const u64 *restrict cells, size_t n_words,
                       const int64_t *restrict support, int64_t *restrict pos, double *restrict drift,
                       double *restrict w, int64_t *restrict out)
 {
-    /* The tile's fields, the walkers of the first, and each field's lanes
-     * with the walk tag and with the field's tag absorbed.  With g = 1 the
-     * prefixes are hashed straight into the walkers' lanes. */
-    const size_t f0 = t / g, nf = (t + nt - 1) / g - f0 + 1, lead = (f0 + 1) * g - t;
-    u64 pw1[TILE], pw2[TILE], pe1[TILE], pe2[TILE], q1[TILE], q2[TILE], h1[TILE], h2[TILE];
-    u64 *k1 = g > 1 ? q1 : h1, *k2 = g > 1 ? q2 : h2;
+    /* The tile's fields' lanes with the walk tag and with the field's tag absorbed. */
+    const size_t nf = shared ? 1 : nt;
+    u64 pw1[TILE], pw2[TILE], pe1[TILE], pe2[TILE], h1[TILE], h2[TILE];
     double u[TILE];
-    tagged_lanes(nf, f->b1 + f0, f->b2 + f0, walk_tag, pw1, pw2);
-    tagged_lanes(nf, f->b1 + f0, f->b2 + f0, f->tag, pe1, pe2);
+    tagged_lanes(nf, f->b1 + r, f->b2 + r, walk_tag, pw1, pw2);
+    tagged_lanes(nf, f->b1 + r, f->b2 + r, f->tag, pe1, pe2);
     for (size_t s = 0; s < b; s++) {
         /* The walk uniform: the walk key (its field's prefix at this level
          * with n_words, then the walker's cell words) and its uniform 0. */
-        key_prefix(nf, pw1, pw2, level + s, n_words, k1, k2);
-        if (g > 1)
-            spread_prefixes(nt, lead, g, q1, q2, h1, h2);
-        for (size_t j = 0; j < n_words; j++)
+        if (shared) {
+            u64 p1, p2;
+            key_prefix(1, pw1, pw2, level + s, n_words, &p1, &p2);
+            for (size_t i = 0; i < nt; i++) {
+                h1[i] = mix1(p1 ^ (cells[i] + GAMMA1));
+                h2[i] = mix2(p2 ^ (cells[i] + GAMMA2));
+            }
+        } else {
+            key_prefix(nt, pw1, pw2, level + s, n_words, h1, h2);
+            absorb_column(nt, h1, h2, cells);
+        }
+        for (size_t j = 1; j < n_words; j++)
             absorb_column(nt, h1, h2, cells + j * n);
         first_uniforms(nt, h1, h2, u);
 
         /* The weight rows of the field at the same level and pos: each
-         * walker's cell under its field's prefix, or with no cell word one
-         * row a field, copied to its walkers. */
-        key_prefix(nf, pe1, pe2, level + s, f->cell_words, k1, k2);
-        if (f->cell_words) {
-            if (g > 1)
-                spread_prefixes(nt, lead, g, q1, q2, h1, h2);
-            site_rows(f, na, nt, h1, h2, pos, w);
+         * walker's cell under its field's prefix, or a shared field's one
+         * row when it has no cell word; then the moves. */
+        key_prefix(nf, pe1, pe2, level + s, f->cell_words, h1, h2);
+        int64_t *o = out != NULL ? out + s * n : NULL;
+        if (shared && !f->cell_words) {
+            site_rows(f, na, 1, h1, h2, 0, pos, w);
+            move_walkers(na, nt, w, 0, u, support, pos, drift, o);
         } else {
-            site_rows(f, na, nf, k1, k2, pos, w);
-            if (g > 1)
-                spread_rows(nf, nt, lead, g, na, w);
-        }
-
-        /* The drift, atom by atom in support order (jumplaws.atomic_mean). */
-        if (drift != NULL) {
-            for (size_t i = 0; i < nt; i++) {
-                double m = w[i * na] * (double)support[0];
-                for (size_t a = 1; a < na; a++)
-                    m = m + w[i * na + a] * (double)support[a];
-                drift[i] += m;
-            }
-        }
-
-        /* The step: the inverse CDF of walks._row_atomic_index, the weights
-         * summed atom by atom; capped at the last atom, where numpy would
-         * raise on a one-atom row that sums below u. */
-        int64_t *restrict o = out + s * n;
-        for (size_t i = 0; i < nt; i++) {
-            double cum = w[i * na];
-            size_t k = cum <= u[i];
-            for (size_t a = 1; a + 1 < na; a++) {
-                cum = cum + w[i * na + a];
-                k += cum <= u[i];
-            }
-            pos[i] += support[k < na ? k : na - 1];
-            o[i] = pos[i];
+            site_rows(f, na, nt, h1, h2, !shared, pos, w);
+            move_walkers(na, nt, w, na, u, support, pos, drift, o);
         }
     }
 }
@@ -586,32 +576,44 @@ INLINE void walk_tile(const struct field *f, size_t na, size_t t, size_t nt, siz
  * field that field_read describes, with integer atoms `support`.  The
  * walkers read the fields f->b1[j], f->b2[j] in groups of g: walker i
  * reads field i / g (g = n when all read one field, 1 when each reads its
- * own).  Walker i's cell words are cells[j * n + i] for j < n_words.  Step
- * s, from `level` + s:
+ * own).  Walker i's cell words are cells[j * n + i] for j < n_words, and
+ * n_words >= 1 (the walk seed).  Step s, from `level` + s:
  *   - hashes the walk key (its field's base lanes, walk_tag, the level,
  *     n_words, the cell words) and takes its uniform 0;
  *   - reads the weight row at pos[i] and level + s, the read of
  *     envwalk_field_weights;
  *   - adds the row's drift to drift[i], if drift is not NULL;
  *   - moves pos[i] by the atom the inverse CDF picks, and writes it to
- *     out[s * n + i].
- * The key prefixes (lanes, tag, level, word count) are hashed once per
- * field, tile and step, the rest per walker (walk_tile).  w is scratch
- * with room for n * n_atoms doubles. */
+ *     out[s * n + i] unless out is NULL.
+ * The walkers run a tile of at most TILE at a time; when g > 1 a tile
+ * never straddles two fields, so it reads one field's key prefixes (and,
+ * with no cell word, its one row) in place.  The prefixes (lanes, tag,
+ * level, word count) are hashed once per field, tile and step, the rest
+ * per walker (walk_tile).  w is scratch with room for n * n_atoms
+ * doubles. */
 VECTOR_CLONES
 void envwalk_walk(const struct field *f, size_t n, size_t g, u64 walk_tag, const u64 *cells, size_t n_words,
                   const int64_t *support, int64_t *pos, double *drift, double *w, u64 level, size_t b, int64_t *out)
 {
-    const size_t na = f->n_atoms;
-    for (size_t t = 0; t < n; t += TILE) {
-        const size_t nt = n - t < TILE ? n - t : TILE;
-        double *dt = drift != NULL ? drift + t : NULL;
-        if (na == 2)
-            walk_tile(f, 2, t, nt, n, g, b, level, walk_tag, cells + t, n_words, support, pos + t, dt,
-                      w + t * na, out + t);
-        else
-            walk_tile(f, na, t, nt, n, g, b, level, walk_tag, cells + t, n_words, support, pos + t, dt,
-                      w + t * na, out + t);
+    const size_t na = f->n_atoms, run = g > 1 ? g : n;
+    for (size_t t0 = 0; t0 < n; t0 += run) {
+        for (size_t t = t0; t < t0 + run; t += TILE) {
+            const size_t nt = t0 + run - t < TILE ? t0 + run - t : TILE, r = g > 1 ? t0 / g : t;
+            double *dt = drift != NULL ? drift + t : NULL;
+            int64_t *ot = out != NULL ? out + t : NULL;
+#define TILE_OF(na_, shared_)                                                                       \
+    walk_tile(f, na_, shared_, r, nt, n, b, level, walk_tag, cells + t, n_words, support, pos + t, dt, \
+              w + t * na, ot)
+            if (g > 1 && na == 2)
+                TILE_OF(2, 1);
+            else if (g > 1)
+                TILE_OF(na, 1);
+            else if (na == 2)
+                TILE_OF(2, 0);
+            else
+                TILE_OF(na, 0);
+#undef TILE_OF
+        }
     }
 }
 

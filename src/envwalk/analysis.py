@@ -179,7 +179,11 @@ def variance_identity_check(
     _, y = batch_diff_positions(
         env_template, max(n - 1, 0), np.arange(y_replicas), x0=0, kind=SAME_ENV
     )
-    xs = np.unique(y)
+    # The sorted distinct values; np.unique's first call would import numpy.ma.
+    ys = np.sort(y, axis=None)
+    distinct = np.ones(ys.size, bool)
+    distinct[1:] = ys[1:] != ys[:-1]
+    xs = ys[distinct]
     phi = estimate_phi(env_template, xs.astype(float), env_replicas)
     idx = np.searchsorted(xs, y)
     phi_vals = np.asarray(phi.estimates)

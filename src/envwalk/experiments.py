@@ -452,11 +452,22 @@ def _run_ychain_exit(env: Environment, v: dict):
         crit = ks_two_sample_critical(m_sym, m_sym, SYMMETRY_ALPHA)
         rows.append(Row("symmetry", f"ks_distance_{kind}", value=d, note=f"critical={_fmt(crit)}"))
         verdicts.append(Verdict(f"first_step_symmetric_{kind}", d < crit, d, f"< {_fmt(crit)}"))
-    verdicts.append(_exponent_verdict("exit_slope_in_window", scan.curve,
-                                      lambda sl: v["slope_min"] <= sl <= v["slope_max"],
-                                      f"in [{v['slope_min']}, {v['slope_max']}]"))
-    verdicts.append(_exponent_verdict("exit_slope_below_envelope", scan.curve,
-                                      lambda sl: sl <= v["slope_envelope"], f"<= {v['slope_envelope']}"))
+    # The mean exit time at a radius with capped replicas is censored, so a
+    # slope fitted through it fails, naming the first such radius.
+    capped = [(r, c) for r, c, fitted in zip(scan.curve.grid, (scan.exit_steps < 0).sum(axis=1),
+                                             fit_points(scan.curve)) if fitted and c]
+
+    def slope_verdict(name, passes, threshold):
+        if not capped:
+            return _exponent_verdict(name, scan.curve, passes, threshold)
+        r, c = capped[0]
+        return Verdict(name, False, int(c), f"{threshold}: every replica must exit a fitted radius, "
+                                            f"and {c} capped at r = {_fmt(r)}")
+
+    verdicts.append(slope_verdict("exit_slope_in_window", lambda sl: v["slope_min"] <= sl <= v["slope_max"],
+                                  f"in [{v['slope_min']}, {v['slope_max']}]"))
+    verdicts.append(slope_verdict("exit_slope_below_envelope", lambda sl: sl <= v["slope_envelope"],
+                                  f"<= {v['slope_envelope']}"))
     return rows, verdicts
 
 

@@ -304,7 +304,7 @@ def _declare(lib):
     )
     lib.envwalk_propagate.restype = ctypes.c_double
     # field, walkers, walkers a field, walk tag, cells, cell words, support, positions, drift sums,
-    # scratch, then the block's level, steps and out
+    # scratch, then the block's level, steps and out (NULL to write no positions)
     lib.envwalk_walk.argtypes = (ptr, size, size, word, ptr, size, ptr, ptr, ptr, ptr, word, size, ptr)
     lib.envwalk_walk.restype = None
     # values, in, out

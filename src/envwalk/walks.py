@@ -6,25 +6,29 @@ the first uniforms of that step's own stream key.  Every batched walk
 `diffchain`) is one lockstep `_Walker` that draws its noise from the same
 per-(step, walker) stream keys and reads the same field cells, so it
 replays the scalar draws exactly; parity tests pin each path to the scalar
-one.  Iterating a walker is the one stepping loop: it
-yields (k0, the positions after steps k0 + 1 .. k0 + b) one block of b
-steps at a time (``_BLOCK_ELEMENTS`` walker-steps a block) until the last
-step or the last walker; since every variate is a pure function of its
-address, the blocks change no draw.  The walker serves every law family in
+one.  Iterating a walker, which the difference-chain scans do to read
+every step, yields (k0, the positions after steps k0 + 1 .. k0 + b) one
+block of b steps at a time (``_BLOCK_ELEMENTS`` walker-steps a block)
+until the last step or the last walker.  Recording a walker steps
+straight to each recorded step and keeps only the positions there.
+Since every variate is a pure function of its address, neither the
+blocks nor the stops change a draw.  The walker serves every law family in
 any dimension d, with positions of shape (..., d): steps on a fixed atom
 support (integer positions when the family's atoms are integers), Gaussian
 steps around each cell's drift vector (the difference-chain pairs stay
 d=1).  Walk noise uses its own key tag, so walk randomness never touches
 environment randomness.
 
-A d=1 walker with integer atoms runs each block in one call of
-``envwalk_walk`` in the library that ``streams`` builds from ``_hash.c``:
+A d=1 walker with integer atoms runs each block, or each stretch up to
+a recorded step, in one call of ``envwalk_walk`` in the library that
+``streams`` builds from ``_hash.c``:
 per walker and step it hashes the walk key, reads the field row at (k, its
 position) with the compiled field read (:func:`environments.field_read`,
 whose cell rule covers every field kind), steps by inverse CDF and sums the
 drift.  The key words that all walkers of one field share at a step are
 hashed once per field (:func:`_field_groups`), so a batch in one field
-hashes per walker only its noise cell and its field cell.  Every other
+hashes per walker only its noise cell and its field cell, and on the
+level-correlated field reads one weight row per field and step.  Every other
 walker (Gaussian laws, d >= 2, float positions, or no library) runs the
 numpy steps: the walk noise in one hash call per block, then
 :func:`environments.field_weights` at the walkers' positions step by
@@ -37,9 +41,11 @@ fixed-support fields; a dictionary version for any lattice field, the
 oracle the tests hold the dense one to).  Exact propagation prunes mass
 below ``PRUNE_MASS`` and renormalizes.  The dense version is one loop,
 :func:`_propagate`, which yields the law after each step.  It keeps a
-window centred at the origin, sized by an Azuma tail bound: driftless
-fields drop no mass outside it, and a field whose mass leaves the window
-(one with a drift) ends with a ``ValueError`` rather than a clipped curve.
+window centred at the origin, sized by an Azuma tail bound, which holds
+for a martingale.  A quenched walk has local drifts, so its law can leave
+the window also on a field whose annealed drift is 0; a step that drops
+more than ``PRUNE_MASS`` outside it ends with a ``ValueError`` rather than
+a clipped curve.
 Each dense step (the field read, drift products and their row sum, the
 law on the next support, the mass outside the window, pruning and
 renormalization) is one call of ``envwalk_propagate`` in the library that
@@ -192,19 +198,23 @@ class _Walker:
     family steps by inverse CDF on its support, with positions of the
     support's dtype, a Gaussian family around the cell's drift vector.
     Iterating runs at most ``n_steps`` steps, a block of
-    ``_BLOCK_ELEMENTS`` walker-steps at a time.
+    ``_BLOCK_ELEMENTS`` walker-steps at a time; :meth:`record` iterates no
+    blocks, but steps straight to each recorded step.
 
-    A d=1 walk with integer atoms runs each block in one call of
+    A d=1 walk with integer atoms runs each block (or stretch to a recorded
+    step, writing no positions on the way) in one call of
     ``envwalk_walk`` (``_hash.c``), which reads the field through
     :func:`environments.field_read` with one lane pair a field and g, the
     walkers that read each one (:func:`_field_groups`): g is the batch size
     for one shared field and 1 when every walker has its own.  The call
     hashes the key words a field's walkers share (its lanes, the tag, the
     level and the cell-word count) once per field and step, and per walker
-    only the walker's own words.  Every other walker runs the numpy steps of
+    only the walker's own words; when g > 1 each tile of walkers reads one
+    field, whose prefix and (with no cell word) one weight row it reads in
+    place.  Every other walker runs the numpy steps of
     :meth:`_numpy_block`, which are also that call's reference.
     A start that the positions' dtype cannot hold exactly (1.7 on an integer
-    support) raises ``ValueError``.
+    support), or walk cells without a word, raise ``ValueError``.
     """
 
     def __init__(
@@ -217,6 +227,8 @@ class _Walker:
         else:  # Gaussian laws, one covariance for every cell
             law = Gaussian(np.zeros(fam.d), fam.cov)
             self.factor, dtype, self.n_uniforms = gaussian_factor(law), float, sample_uniform_count(law)
+        if not walk_cells.shape[-1]:
+            raise ValueError("a walk key's cell holds at least the walk seed")
         self.env = env
         self.base = base_lanes
         self.wcells = walk_cells
@@ -261,16 +273,29 @@ class _Walker:
             self.pos.ctypes.data, drift, scratch.ctypes.data,
         )
 
+    def _block_steps(self) -> int:
+        """Steps a block holds: ``_BLOCK_ELEMENTS`` walker-steps, at least one step."""
+        return max(1, _BLOCK_ELEMENTS // max(1, self.wcells[..., 0].size))
+
     def step(self) -> np.ndarray:
         """Take the next block of b steps, k -> k + b; returns the positions
         after each of them, shape (b, m, c, d)."""
-        b = min(max(1, _BLOCK_ELEMENTS // max(1, self.wcells[..., 0].size)), self.n_steps - self.k)
+        b = min(self._block_steps(), self.n_steps - self.k)
         if not self.compiled:
             return self._numpy_block(b)
         out = np.empty((b,) + self.pos.shape, np.int64)
         streams._LIB.envwalk_walk(*self._kernel_args, self.k, b, out.ctypes.data)
         self.k += b
         return out
+
+    def _advance(self, stop: int) -> None:
+        """Step on to step ``stop``, keeping no position on the way: one
+        compiled call that writes none, or numpy blocks."""
+        if self.compiled and stop > self.k:
+            streams._LIB.envwalk_walk(*self._kernel_args, self.k, stop - self.k, None)
+            self.k = stop
+        while self.k < stop:
+            self._numpy_block(min(self._block_steps(), stop - self.k))
 
     def _numpy_block(self, b: int) -> np.ndarray:
         """b steps in numpy: the walk noise for the whole block in one hash
@@ -300,16 +325,19 @@ class _Walker:
             yield k0, self.step()
 
     def record(self, record_steps=None) -> tuple[np.ndarray, np.ndarray]:
-        """Run all ``n_steps`` steps; positions at ``record_steps``, shape (len, m, c, d)."""
+        """Run all ``n_steps`` steps; positions at ``record_steps`` (each in 0
+        .. ``n_steps``; every step by default), shape (len, m, c, d).  The
+        walker steps straight to each distinct recorded step in turn and
+        copies its positions there."""
         record = np.arange(self.n_steps + 1) if record_steps is None else np.asarray(record_steps)
-        order = np.argsort(record, kind="stable")
-        ordered = record[order]
         out = np.empty((len(record),) + self.pos.shape, dtype=self.pos.dtype)
-        out[record == 0] = self.pos
-        for k0, block in self:
-            # The recorded steps k0 + 1 .. k0 + b, picked out of the block.
-            at = order[np.searchsorted(ordered, k0 + 1) : np.searchsorted(ordered, k0 + len(block), side="right")]
-            out[at] = block[record[at] - k0 - 1]
+        # A sorted set, not np.unique, whose first call imports numpy.ma.
+        stops = sorted({*record.tolist(), self.n_steps})
+        if stops[0] < 0 or stops[-1] > self.n_steps:
+            raise ValueError(f"recorded steps lie in 0 .. {self.n_steps}; got {stops[0]} .. {stops[-1]}")
+        for stop in stops:
+            self._advance(stop)
+            out[record == stop] = self.pos
         return record, out
 
 
@@ -402,8 +430,9 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     fields starting at 0: the dense-window twin of
     :func:`quenched_mean_exact`, vectorized across replicas, from the steps
     of :func:`_propagate`.  If the window would drop more than
-    ``PRUNE_MASS`` of a replica's law (a field with a drift), this raises
-    ``ValueError`` naming the step.  The level-correlated field (whose field
+    ``PRUNE_MASS`` of a replica's law (the walk's local drifts carry it
+    past the window's Azuma bound), this raises ``ValueError`` naming the
+    step.  The level-correlated field (whose field
     read has no cell word) has one row per level at every site, so each
     curve is the running sum of its per-level drifts.
     """
@@ -441,8 +470,8 @@ def _propagate(env, base, read, means):
     (:func:`environments.field_read`); step k sets ``means[:, k + 1]`` in the
     C-contiguous (m, n_max + 1) array ``means``.  Each step scatters the law
     onto its full next support and keeps the slice inside an Azuma window
-    centred at the origin, where a driftless field drops no mass; a step
-    that drops more than ``PRUNE_MASS`` of a replica's law raises
+    centred at the origin, which bounds a martingale; a step that drops
+    more than ``PRUNE_MASS`` of a replica's law raises
     ``ValueError``.  After step k this yields (k, lo, law): the (m, n_pos)
     law on the sites lo + st * j, a view that the next step overwrites.
 
@@ -501,7 +530,8 @@ def _propagate(env, base, read, means):
         if dropped > PRUNE_MASS:
             raise ValueError(
                 f"exact propagation: step {k + 1} drops mass {dropped:.3g} outside the window "
-                f"|x| <= {win} centred at the origin; the field's drift carries its law out of it"
+                f"|x| <= {win} centred at the origin; the window's Azuma bound holds for a martingale, "
+                f"and the quenched walk's local drifts carry its law beyond it"
             )
         # The next law is columns [i0, i1) of the (m, n_full) array just written.
         law, lo, n_pos, at, ms = full[:, i0:i1], full_lo + st * i0, i1 - i0, i0, n_full

@@ -8,11 +8,16 @@ for bit.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import envwalk
 from envwalk import streams
 from envwalk.analysis import (
     fclt_check,
@@ -113,6 +118,28 @@ def test_criterion_1_digests_without_compiled_kernel(name, monkeypatch):
     digest = hashlib.sha256(report_json(run(parse_config(_SMALL_CONFIGS[name]), workers=1)).encode()).hexdigest()
     _report("criterion 1: numpy fall-back", digest == _GOLDEN_DIGESTS[name], f"{name} report matches its golden digest")
 
+
+
+# numpy.ma costs about 12 ms to import, and np.unique's first call imports it.
+_RUNS_WITHOUT_NUMPY_MA = """
+import sys
+from envwalk.experiments import parse_config, run
+for text in sys.argv[1:]:
+    run(parse_config(text), workers=1)
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_identity_check_and_fclt_do_not_import_numpy_ma():
+    # The identity check takes the sorted distinct values of Y, and the
+    # walkers their recorded steps, without np.unique.  Without the library
+    # the KS tests of fclt take ndtr from scipy.special, which imports
+    # numpy.ma itself.
+    path = os.pathsep.join(filter(None, [str(Path(envwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    texts = [_SMALL_CONFIGS["identity-check"]] + [_SMALL_CONFIGS["fclt"]] * (streams._LIB is not None)
+    done = subprocess.run([sys.executable, "-c", _RUNS_WITHOUT_NUMPY_MA, *texts],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
 
 # -- 2. moments --------------------------------------------------------------
 

@@ -340,6 +340,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 _UNFIT = ": a fit needs >= 4 usable grid points"
+_CAPPED = ": every replica must exit a fitted radius, and 8 capped at r = 8.0"
 
 
 @pytest.mark.parametrize(
@@ -359,12 +360,19 @@ _UNFIT = ": a fit needs >= 4 usable grid points"
         ("experiment = ychain-exit\nreplicas = 50\nstep_cap = 1\n",
          [{"name": "exit_slope_in_window", "observed": 0.0, "threshold": "in [1.6, 2.4]" + _UNFIT},
           {"name": "exit_slope_below_envelope", "observed": 0.0, "threshold": "<= 13.0" + _UNFIT}]),
+        # step_cap = 300 caps 8 of 4 000 replicas at r = 8 (15 % and 69 % at r = 16 and 32), so
+        # the fit would read censored means; observed is the capped count at the first such radius
+        ("experiment = ychain-exit\nstep_cap = 300\n",
+         [{"name": "exit_slope_in_window", "observed": 8.0,
+           "threshold": "in [1.6, 2.4]" + _CAPPED},
+          {"name": "exit_slope_below_envelope", "observed": 8.0, "threshold": "<= 13.0" + _CAPPED}]),
         # no default x_grid point lies at or beyond 100; observed is the count of those that do
         ("experiment = phi-decay\nreplicas = 200\nindependent_beyond = 100\n",
          [{"name": "phi_vanishes_beyond_range", "observed": 0.0,
            "threshold": "<= 4 SE beyond range: needs an x_grid point >= 100"}]),
     ],
-    ids=["no-growth", "three-points", "occupation-three-points", "exit-all-capped", "phi-nothing-beyond"],
+    ids=["no-growth", "three-points", "occupation-three-points", "exit-all-capped", "exit-capped-radius",
+         "phi-nothing-beyond"],
 )
 def test_exponent_verdict_without_a_fit_fails(text, verdicts, tmp_path, capsys):
     # A verdict whose key is set always appears; when its statistic cannot be

@@ -101,27 +101,44 @@ def test_x1_samples_match_scalar(env):
             assert fast[3 * i + j, 0] == simulate_quenched_path(replica, 1, walk_seed=j)[1, 0]
 
 
-# Block-boundary parity: with the ``small_blocks`` budget each run below
-# crosses several blocks of position-free draws.
+# Block-boundary parity: the walks below record unsorted and repeated steps,
+# 0 and the last step among them, or one early step.  The compiled walker
+# steps to each in one call; under the ``small_blocks`` budget (7 steps a
+# block for 6 walkers, 9 for 5) the numpy steps reach 25 (and 11, for 6
+# walkers) across blocks of position-free draws.  Either walks on to the
+# last step, so the drift sums cover every step.
 BLOCK_FIELDS = [MIX, FC, DIRAC, *OTHER, GAUSS, HALF]
+BLOCK_STOPS = ([11, 0, 25, 3, 11, 25, 0], [3])
 
 
 @pytest.mark.parametrize("env", BLOCK_FIELDS)
-def test_blocked_quenched_matches_scalar(env, small_blocks):
-    _, pos, drift = batch_quenched_positions(env, 25, np.arange(6), accumulate_drift=True)
-    for w in range(6):
-        p = simulate_quenched_path(env, 25, walk_seed=w)
-        assert np.array_equal(p, pos[:, w].astype(float))
-        drifts = [law_mean(query(env, k, p[k]))[0] for k in range(25)]
-        assert drift[w, 0] == sum(drifts)
+def test_blocked_quenched_matches_scalar(env, small_blocks, monkeypatch):
+    paths = [simulate_quenched_path(env, 25, walk_seed=w) for w in range(6)]
+    for _ in each_step_path(monkeypatch):
+        for stops in BLOCK_STOPS:
+            record, pos, drift = batch_quenched_positions(env, 25, np.arange(6), record_steps=stops,
+                                                          accumulate_drift=True)
+            assert record.tolist() == stops
+            for w, p in enumerate(paths):
+                assert np.array_equal(p[stops], pos[:, w].astype(float))
+                assert drift[w, 0] == sum(law_mean(query(env, k, p[k]))[0] for k in range(25))
 
 
 @pytest.mark.parametrize("env", BLOCK_FIELDS)
-def test_blocked_averaged_matches_scalar(env, small_blocks):
-    _, pos = batch_averaged_positions(env, 25, np.arange(5))
-    for r in range(5):
-        p = averaged_path(env, 25, r)
-        assert np.array_equal(p, pos[:, r].astype(float))
+def test_blocked_averaged_matches_scalar(env, small_blocks, monkeypatch):
+    paths = [averaged_path(env, 25, r) for r in range(5)]
+    for _ in each_step_path(monkeypatch):
+        for stops in BLOCK_STOPS:
+            _, pos = batch_averaged_positions(env, 25, np.arange(5), record_steps=stops)
+            for r, p in enumerate(paths):
+                assert np.array_equal(p[stops], pos[:, r].astype(float))
+
+
+def test_recorded_steps_lie_in_the_walk(monkeypatch):
+    for _ in each_step_path(monkeypatch):
+        for bad in ([26], [3, -1]):
+            with pytest.raises(ValueError, match="recorded steps lie in 0 .. 25"):
+                batch_quenched_positions(MIX, 25, np.arange(6), record_steps=bad)
 
 
 # Every family in any dimension walks through the same batched walker.
@@ -264,19 +281,23 @@ _PROPERTY_FIELDS = {
     x0=st.integers(-6, 6),
     walkers=st.integers(1, 9),
     steps=st.integers(1, 20),
+    stops=st.lists(st.integers(0, 20), max_size=5),
 )
-def test_batched_paths_match_scalar_property(model, p, x0, walkers, steps):
+def test_batched_paths_match_scalar_property(model, p, x0, walkers, steps, stops):
     env = _PROPERTY_FIELDS[model](UniformPM1(*p))
+    stops = [min(k, steps) for k in stops]
     with pytest.MonkeyPatch.context() as mp:
-        # 16 walker-steps per block: 1 to 16 steps a block, so the walks
-        # straddle block boundaries at most walker and step counts.
+        # The quenched and averaged walks record a drawn list of steps, so
+        # they step on in stretches of 0 to 20 steps: one compiled call
+        # each, or numpy blocks of 16 walker-steps (1 to 16 steps), which
+        # the stretches straddle at most walker and step counts.
         mp.setattr(walks, "_BLOCK_ELEMENTS", 16)
-        _, quenched, _ = batch_quenched_positions(env, steps, np.arange(walkers), x0=x0)
-        _, averaged = batch_averaged_positions(env, steps, np.arange(walkers))
+        _, quenched, _ = batch_quenched_positions(env, steps, np.arange(walkers), x0=x0, record_steps=stops)
+        _, averaged = batch_averaged_positions(env, steps, np.arange(walkers), record_steps=stops)
         _, y = batch_diff_positions(env, steps, np.arange(walkers), x0=x0, kind=SAME_ENV)
     for w in range(walkers):
-        assert np.array_equal(simulate_quenched_path(env, steps, walk_seed=w, x0=x0), quenched[:, w])
-        assert np.array_equal(averaged_path(env, steps, w), averaged[:, w])
+        assert np.array_equal(simulate_quenched_path(env, steps, walk_seed=w, x0=x0)[stops], quenched[:, w])
+        assert np.array_equal(averaged_path(env, steps, w)[stops], averaged[:, w])
         assert np.array_equal(simulate_diff_chain(env, x0, steps, SAME_ENV, replica=w)[:, 0], y[:, w])
 
 
@@ -633,6 +654,28 @@ def every_walker(env, x0):
     return quenched, drift, averaged, _x1_samples(env, 4, 3)
 
 
+# Fields of g walkers each.  A compiled tile holds at most 256 walkers, all
+# of one field: at g = 2 and 3 a tile a field, at g = 255 and 256 one tile
+# one walker short of full and full, at 257 and 300 a full tile and a tile
+# of 1 and of 44.
+_SHARED_FIELDS = [(101, 2), (101, 3), (3, 255), (3, 256), (3, 257), (3, 300)]
+
+
+def shared_field_walks(env, n_fields, g):
+    """Walkers in ``n_fields`` fields of g walkers each (lanes of shape
+    (n_fields, 1) against walkers (n_fields, g)): the steps, positions and
+    drift sums of a walker recorded at unsorted and repeated steps, then every
+    step's positions and the drift sums of one that iterates its blocks."""
+    lanes = walks._per_row(seed_lanes(np.arange(n_fields, dtype=np.uint64) * np.uint64(2**61 + 3)))
+    cells = np.arange(n_fields * g).reshape(n_fields, g, 1)
+    assert walks._field_groups(lanes, (n_fields, g))[1] == g
+    walker = walks._Walker(env, lanes, cells, 2, 30, accumulate_drift=True)
+    record = walker.record([17, 0, 30, 5, 17])
+    blocks = walks._Walker(env, lanes, cells, 2, 30, accumulate_drift=True)
+    steps = np.concatenate([block for _, block in blocks])
+    return (*record, walker.drift, steps, blocks.drift)
+
+
 @needs_kernel
 @pytest.mark.parametrize("x0", [0, -3])
 @pytest.mark.parametrize("name", sorted(_WALK_FIELDS))
@@ -672,6 +715,7 @@ def test_clone_free_build_matches_numpy(tmp_path, small_blocks, monkeypatch):
     monkeypatch.setattr(streams, "_LIB", None)
     want = [exact_mean_curves(env, n_max, seeds) for env, n_max in _STEP_FIELDS.values()]
     want_walks = [every_walker(env, -3) for env in walkers]
+    want_shared = [[shared_field_walks(env, *case) for case in _SHARED_FIELDS] for env in walkers]
     monkeypatch.setattr(streams, "_LIB", lib)
     for (env, n_max), expected in zip(_STEP_FIELDS.values(), want):
         assert_same_bits(exact_mean_curves(env, n_max, seeds), expected)
@@ -679,6 +723,10 @@ def test_clone_free_build_matches_numpy(tmp_path, small_blocks, monkeypatch):
         assert walks._Walker(env, seed_lanes(env.master_seed), np.zeros((1, 1, 1), np.int64), 0, 1).compiled
         for got, exp in zip(every_walker(env, -3), expected):
             assert_same_bits(got, exp)
+    for env, expected in zip(walkers, want_shared):
+        for case, exp_case in zip(_SHARED_FIELDS, expected):
+            for got, exp in zip(shared_field_walks(env, *case), exp_case):
+                assert_same_bits(got, exp)
     assert_edge_rows_match(lib)
 
 
@@ -712,25 +760,18 @@ def test_shared_field_block_matches_numpy_and_per_walker_copies(name, n, monkeyp
 
 
 @needs_kernel
-@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("n_fields, g", _SHARED_FIELDS, ids=["2", "3", "3x255", "3x256", "3x257", "3x300"])
 @pytest.mark.parametrize("name", sorted(_READ_FIELDS))
-def test_fields_of_several_walkers_across_tiles(name, g, monkeypatch):
-    # 101 fields of g walkers each (lanes of shape (101, 1) against walkers
-    # (101, g)); at g = 3 tiles of 256 walkers start and end inside a field.
+def test_fields_of_several_walkers_across_tiles(name, n_fields, g, monkeypatch):
+    # Each tile reads one field's key prefix, and on the level-correlated
+    # field (no cell word) its one weight row, in place; the compiled walker
+    # gives the numpy steps' bits, recorded and block by block.
     env = _READ_FIELDS[name]
-    lanes = walks._per_row(seed_lanes(np.arange(101, dtype=np.uint64) * np.uint64(2**61 + 3)))
-    cells = np.arange(101 * g).reshape(101, g, 1)
-    assert walks._field_groups(lanes, (101, g))[1] == g
-
-    def walk():
-        walker = walks._Walker(env, lanes, cells, 2, 30, accumulate_drift=True)
-        return (*walker.record(), walker.drift)
-
     lib = streams._LIB
     monkeypatch.setattr(streams, "_LIB", None)
-    want = walk()
+    want = shared_field_walks(env, n_fields, g)
     monkeypatch.setattr(streams, "_LIB", lib)
-    for got, expected in zip(walk(), want):
+    for got, expected in zip(shared_field_walks(env, n_fields, g), want):
         assert_same_bits(got, expected)
 
 
@@ -748,6 +789,9 @@ def test_walkers_reject_a_start_their_positions_cannot_hold():
         batch_quenched_positions(MIX, 3, [0], x0=1.7)
     with pytest.raises(ValueError, match="int64 positions cannot start at 2.5"):
         batch_diff_positions(MIX, 3, np.arange(2), x0=2.5)
+    # A walk key's cell starts with the walk seed, which the compiled walker reads.
+    with pytest.raises(ValueError, match="at least the walk seed"):
+        walks._Walker(MIX, seed_lanes(MIX.master_seed), np.zeros((2, 1, 0), np.int64), 0, 3)
     # A start the positions hold exactly walks as the scalar path does:
     # 2.0 on an integer support, 2.5 on atoms off the lattice.
     _, pos, _ = batch_quenched_positions(MIX, 3, [0], x0=2.0)
