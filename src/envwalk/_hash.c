@@ -523,10 +523,10 @@ INLINE void move_walkers(size_t na, size_t nt, const double *restrict w, size_t 
  * walker i of the tile reads field r + i.  Each step hashes the key
  * prefixes of the tile's fields once (lanes, tag, level, cell-word count)
  * and, per walker, only the walker's own words: its walk cell words, its
- * field cell and the two uniforms.  A shared field's prefix absorbs each
- * walker's first word straight into the walker's lanes, and its field
- * read with no cell word (level-correlated) forms its one row, which every
- * walker reads in place.  Inlined with constant `shared` and, for pairs,
+ * field cell and the two uniforms.  A shared field's prefix goes straight
+ * into each walker's lanes, and its field read with no cell word
+ * (level-correlated) forms its one row, which every walker reads in
+ * place.  Inlined with constant `shared` and, for pairs,
  * atom count, so that the loops vectorize. */
 INLINE void walk_tile(const struct field *f, size_t na, int shared, size_t r, size_t nt, size_t n, size_t b,
                       u64 level, u64 walk_tag, const u64 *restrict cells, size_t n_words,
@@ -546,14 +546,13 @@ INLINE void walk_tile(const struct field *f, size_t na, int shared, size_t r, si
             u64 p1, p2;
             key_prefix(1, pw1, pw2, level + s, n_words, &p1, &p2);
             for (size_t i = 0; i < nt; i++) {
-                h1[i] = mix1(p1 ^ (cells[i] + GAMMA1));
-                h2[i] = mix2(p2 ^ (cells[i] + GAMMA2));
+                h1[i] = p1;
+                h2[i] = p2;
             }
         } else {
             key_prefix(nt, pw1, pw2, level + s, n_words, h1, h2);
-            absorb_column(nt, h1, h2, cells);
         }
-        for (size_t j = 1; j < n_words; j++)
+        for (size_t j = 0; j < n_words; j++)
             absorb_column(nt, h1, h2, cells + j * n);
         first_uniforms(nt, h1, h2, u);
 

@@ -10,7 +10,8 @@ one.  Iterating a walker, which the difference-chain scans do to read
 every step, yields (k0, the positions after steps k0 + 1 .. k0 + b) one
 block of b steps at a time (``_BLOCK_ELEMENTS`` walker-steps a block)
 until the last step or the last walker.  Recording a walker steps
-straight to each recorded step and keeps only the positions there.
+straight to each recorded step and keeps only the positions there (a run
+of consecutive recorded steps, every step by default, a block at a time).
 Since every variate is a pure function of its address, neither the
 blocks nor the stops change a draw.  The walker serves every law family in
 any dimension d, with positions of shape (..., d): steps on a fixed atom
@@ -198,8 +199,9 @@ class _Walker:
     family steps by inverse CDF on its support, with positions of the
     support's dtype, a Gaussian family around the cell's drift vector.
     Iterating runs at most ``n_steps`` steps, a block of
-    ``_BLOCK_ELEMENTS`` walker-steps at a time; :meth:`record` iterates no
-    blocks, but steps straight to each recorded step.
+    ``_BLOCK_ELEMENTS`` walker-steps at a time; :meth:`record` steps
+    straight to each recorded step, and takes blocks only within a run of
+    consecutive recorded steps.
 
     A d=1 walk with integer atoms runs each block (or stretch to a recorded
     step, writing no positions on the way) in one call of
@@ -280,7 +282,10 @@ class _Walker:
     def step(self) -> np.ndarray:
         """Take the next block of b steps, k -> k + b; returns the positions
         after each of them, shape (b, m, c, d)."""
-        b = min(self._block_steps(), self.n_steps - self.k)
+        return self._block(min(self._block_steps(), self.n_steps - self.k))
+
+    def _block(self, b: int) -> np.ndarray:
+        """Take b steps; returns the positions after each of them, shape (b, m, c, d)."""
         if not self.compiled:
             return self._numpy_block(b)
         out = np.empty((b,) + self.pos.shape, np.int64)
@@ -328,17 +333,29 @@ class _Walker:
         """Run all ``n_steps`` steps; positions at ``record_steps`` (each in 0
         .. ``n_steps``; every step by default), shape (len, m, c, d).  The
         walker steps straight to each distinct recorded step in turn and
-        copies its positions there."""
+        copies its positions there; a run of consecutive recorded steps
+        comes a block at a time."""
         record = np.arange(self.n_steps + 1) if record_steps is None else np.asarray(record_steps)
-        out = np.empty((len(record),) + self.pos.shape, dtype=self.pos.dtype)
+        steps = record.tolist()
         # A sorted set, not np.unique, whose first call imports numpy.ma.
-        stops = sorted({*record.tolist(), self.n_steps})
+        stops = sorted({*steps, self.n_steps})
         if stops[0] < 0 or stops[-1] > self.n_steps:
             raise ValueError(f"recorded steps lie in 0 .. {self.n_steps}; got {stops[0]} .. {stops[-1]}")
-        for stop in stops:
-            self._advance(stop)
-            out[record == stop] = self.pos
-        return record, out
+        kept = np.empty((len(stops),) + self.pos.shape, dtype=self.pos.dtype)
+        i = 0
+        while i < len(stops):
+            self._advance(stops[i])
+            kept[i] = self.pos
+            i += 1
+            # The consecutive stops after it, a block at a time.
+            end = i
+            while end < len(stops) and stops[end] == stops[end - 1] + 1:
+                end += 1
+            while i < end:
+                block = self._block(min(self._block_steps(), stops[end - 1] - self.k))
+                kept[i : i + len(block)] = block
+                i += len(block)
+        return record, kept if steps == stops else kept[np.searchsorted(stops, record)]
 
 
 def batch_quenched_positions(

@@ -101,27 +101,36 @@ def test_x1_samples_match_scalar(env):
             assert fast[3 * i + j, 0] == simulate_quenched_path(replica, 1, walk_seed=j)[1, 0]
 
 
-# Block-boundary parity: the walks below record unsorted and repeated steps,
-# 0 and the last step among them, or one early step.  The compiled walker
-# steps to each in one call; under the ``small_blocks`` budget (7 steps a
-# block for 6 walkers, 9 for 5) the numpy steps reach 25 (and 11, for 6
-# walkers) across blocks of position-free draws.  Either walks on to the
-# last step, so the drift sums cover every step.
+# Block-boundary parity: with the ``small_blocks`` budget (7 steps a block
+# for 6 walkers, 9 for 5) each walk below records every step across several
+# blocks of position-free draws, on the compiled and on the numpy path.
+# The same walks also record unsorted and repeated steps, 0 and the last
+# step among them, or one early step, or runs of consecutive steps
+# (9 .. 24, longer than a block, and 3 .. 5) that end before the last: the
+# walker steps to each stop in one call (numpy: across blocks), writes each
+# run a block at a time and walks on to the last step, so the drift sums
+# cover every step.
 BLOCK_FIELDS = [MIX, FC, DIRAC, *OTHER, GAUSS, HALF]
-BLOCK_STOPS = ([11, 0, 25, 3, 11, 25, 0], [3])
+BLOCK_STOPS = (None, [11, 0, 25, 3, 11, 25, 0], [3], [*range(24, 8, -1), 5, 3, 4, 3])
+
+
+def recorded(steps, n_steps):
+    """The steps a walk records: every step by default."""
+    return list(range(n_steps + 1)) if steps is None else steps
 
 
 @pytest.mark.parametrize("env", BLOCK_FIELDS)
 def test_blocked_quenched_matches_scalar(env, small_blocks, monkeypatch):
     paths = [simulate_quenched_path(env, 25, walk_seed=w) for w in range(6)]
+    drifts = [sum(law_mean(query(env, k, p[k]))[0] for k in range(25)) for p in paths]
     for _ in each_step_path(monkeypatch):
         for stops in BLOCK_STOPS:
             record, pos, drift = batch_quenched_positions(env, 25, np.arange(6), record_steps=stops,
                                                           accumulate_drift=True)
-            assert record.tolist() == stops
+            assert record.tolist() == recorded(stops, 25)
             for w, p in enumerate(paths):
-                assert np.array_equal(p[stops], pos[:, w].astype(float))
-                assert drift[w, 0] == sum(law_mean(query(env, k, p[k]))[0] for k in range(25))
+                assert np.array_equal(p[record], pos[:, w].astype(float))
+                assert drift[w, 0] == drifts[w]
 
 
 @pytest.mark.parametrize("env", BLOCK_FIELDS)
@@ -129,9 +138,10 @@ def test_blocked_averaged_matches_scalar(env, small_blocks, monkeypatch):
     paths = [averaged_path(env, 25, r) for r in range(5)]
     for _ in each_step_path(monkeypatch):
         for stops in BLOCK_STOPS:
-            _, pos = batch_averaged_positions(env, 25, np.arange(5), record_steps=stops)
+            record, pos = batch_averaged_positions(env, 25, np.arange(5), record_steps=stops)
+            assert record.tolist() == recorded(stops, 25)
             for r, p in enumerate(paths):
-                assert np.array_equal(p[stops], pos[:, r].astype(float))
+                assert np.array_equal(p[record], pos[:, r].astype(float))
 
 
 def test_recorded_steps_lie_in_the_walk(monkeypatch):
@@ -287,17 +297,23 @@ def test_batched_paths_match_scalar_property(model, p, x0, walkers, steps, stops
     env = _PROPERTY_FIELDS[model](UniformPM1(*p))
     stops = [min(k, steps) for k in stops]
     with pytest.MonkeyPatch.context() as mp:
-        # The quenched and averaged walks record a drawn list of steps, so
+        # 16 walker-steps per block: 1 to 16 steps a block, so the walks
+        # straddle block boundaries at most walker and step counts.  The
+        # quenched and averaged walks also record a drawn list of steps, so
         # they step on in stretches of 0 to 20 steps: one compiled call
-        # each, or numpy blocks of 16 walker-steps (1 to 16 steps), which
-        # the stretches straddle at most walker and step counts.
+        # each, or numpy blocks, which the stretches straddle too.
         mp.setattr(walks, "_BLOCK_ELEMENTS", 16)
-        _, quenched, _ = batch_quenched_positions(env, steps, np.arange(walkers), x0=x0, record_steps=stops)
-        _, averaged = batch_averaged_positions(env, steps, np.arange(walkers), record_steps=stops)
+        _, quenched, _ = batch_quenched_positions(env, steps, np.arange(walkers), x0=x0)
+        _, averaged = batch_averaged_positions(env, steps, np.arange(walkers))
+        _, quenched_at, _ = batch_quenched_positions(env, steps, np.arange(walkers), x0=x0, record_steps=stops)
+        _, averaged_at = batch_averaged_positions(env, steps, np.arange(walkers), record_steps=stops)
         _, y = batch_diff_positions(env, steps, np.arange(walkers), x0=x0, kind=SAME_ENV)
     for w in range(walkers):
-        assert np.array_equal(simulate_quenched_path(env, steps, walk_seed=w, x0=x0)[stops], quenched[:, w])
-        assert np.array_equal(averaged_path(env, steps, w)[stops], averaged[:, w])
+        path, averaged_w = simulate_quenched_path(env, steps, walk_seed=w, x0=x0), averaged_path(env, steps, w)
+        assert np.array_equal(path, quenched[:, w])
+        assert np.array_equal(averaged_w, averaged[:, w])
+        assert np.array_equal(path[stops], quenched_at[:, w])
+        assert np.array_equal(averaged_w[stops], averaged_at[:, w])
         assert np.array_equal(simulate_diff_chain(env, x0, steps, SAME_ENV, replica=w)[:, 0], y[:, w])
 
 
