@@ -23,20 +23,23 @@
  * uniform 0, the field's weight row at level k and the walker's position,
  * the inverse CDF in support order and the drift summed atom by atom.  It
  * writes the positions after each step to out, or none where out is NULL
- * (a recorded walk steps to its recorded steps so).  Its walkers read
- * their fields in groups: the words every key of a field shares at a step
- * (its base lanes, tag, level and cell-word count, for the walk key and for
- * the field key) are hashed once per field, and each walker hashes only its
+ * (a recorded walk steps to its recorded steps so).  Walker i reads field
+ * i / g of F fields, g = n / F: the words every key of a field shares at a
+ * step (its base lanes, tag, level and cell-word count, for the walk key and
+ * for the field key) are hashed once per field, and each walker hashes only its
  * own words, its walk cell words and its field cell, and its two uniforms;
  * a field read with no cell word forms one weight row per field.  When
  * fields have g > 1 walkers each, a tile of walkers never straddles two
  * fields, so it reads its field's key prefixes and one row in place.  All
- * three read the field with one per-site rule: site_key
- * hashes the site's cell (none on the level-correlated field) under its
- * key prefix, and key_row takes the key's uniform 0 and forms the site's
+ * three read the field with one per-site rule in two passes: site_key
+ * hashes the site's cell by one of three cell rules (the unit lattice,
+ * finite_range's grid, none on the level-correlated field) under its key
+ * prefix, and key_row takes the key's uniform 0 and forms the site's
  * weight row by one of three family kinds, each the arithmetic of the
  * family's weight_table: affine (UniformPM1), threshold (DiracSteps, a
- * one-hot row) and constant (FixedAtomic, no hash).  Plain C99 with no
+ * one-hot row) and constant (FixedAtomic, no hash).  Every key word goes
+ * through absorb1, every first uniform through uniform0, and every key
+ * prefix through key_prefix.  Plain C99 with no
  * Python headers; streams.py builds it with `cc -O3 -ffp-contract=off
  * -shared -fPIC ... -lm` on first import and calls it through ctypes.  Floating-point contraction is off
  * because a fused multiply-add (which GCC otherwise forms from `d + w * s`
@@ -44,10 +47,11 @@
  * propagated curves in their last bits; the hash is integer arithmetic
  * plus one exact scaling, which the flag does not change.
  *
- * Each loop over sites or lanes is shaped so that it vectorizes: a loop
- * that calls the site rule is compiled once per family kind and cell rule
- * (EACH_READ), and the loops run over a tile of at most TILE sites or
- * lane pairs, a pass per hash step.
+ * Each loop over sites or lanes is shaped so that it vectorizes: each
+ * pass of the site rule is compiled once per rule it depends on, the
+ * site_key pass once per cell rule (EACH_CELL) and the key_row pass once
+ * per family kind (EACH_KIND), and the loops run over a tile of at most
+ * TILE sites or lane pairs, a pass per hash step.
  */
 #include <math.h>
 #include <stddef.h>
@@ -102,45 +106,36 @@ INLINE u64 mix2(u64 z)
     return z ^ (z >> 33);
 }
 
-/* absorb() of the word w into n lane pairs. */
-INLINE void absorb_word(size_t n, u64 *restrict h1, u64 *restrict h2, u64 w)
+/* absorb() of the word w into the lane pair (*h1, *h2): the one spelling
+ * of the absorb rule, which every key word of every entry point takes. */
+INLINE void absorb1(u64 *h1, u64 *h2, u64 w)
 {
-    const u64 a1 = w + GAMMA1, a2 = w + GAMMA2;
-    for (size_t i = 0; i < n; i++) {
-        h1[i] = mix1(h1[i] ^ a1);
-        h2[i] = mix2(h2[i] ^ a2);
-    }
+    *h1 = mix1(*h1 ^ (w + GAMMA1));
+    *h2 = mix2(*h2 ^ (w + GAMMA2));
 }
 
-/* absorb() of the contiguous word column w into n lane pairs, word i into pair i. */
-INLINE void absorb_column(size_t n, u64 *restrict h1, u64 *restrict h2, const u64 *restrict w)
+/* uniforms_at((h1, h2), 0): counter 0, so each lane moves by one Weyl
+ * increment.  w >> 11 < 2**53 converts exactly, as numpy's astype(float64)
+ * does.  The one spelling of a key's first uniform. */
+INLINE double uniform0(u64 h1, u64 h2)
 {
-    for (size_t i = 0; i < n; i++) {
-        h1[i] = mix1(h1[i] ^ (w[i] + GAMMA1));
-        h2[i] = mix2(h2[i] ^ (w[i] + GAMMA2));
-    }
+    const u64 w = mix1(h1 + GAMMA1) ^ mix2(h2 + GAMMA2);
+    return (double)(int64_t)(w >> 11) * 0x1p-53;
 }
 
-/* uniforms_at(lanes, 0) of n lane pairs: counter 0, so each lane moves by
- * one Weyl increment. */
-INLINE void first_uniforms(size_t n, const u64 *restrict h1, const u64 *restrict h2, double *restrict u)
+/* The lanes (b1, b2) of n keys with the k words w absorbed in order, into
+ * (o1, o2): the key prefixes that a field's sites or walkers share, for
+ * example a field's tag, then the level and the cell-word count. */
+INLINE void key_prefix(size_t n, const u64 *restrict b1, const u64 *restrict b2, const u64 *restrict w, size_t k,
+                       u64 *restrict o1, u64 *restrict o2)
 {
     for (size_t i = 0; i < n; i++) {
-        const u64 w = mix1(h1[i] + GAMMA1) ^ mix2(h2[i] + GAMMA2);
-        /* w >> 11 < 2**53 converts exactly, as numpy's astype(float64) does. */
-        u[i] = (double)(int64_t)(w >> 11) * 0x1p-53;
+        u64 h1 = b1[i], h2 = b2[i];
+        for (size_t j = 0; j < k; j++)
+            absorb1(&h1, &h2, w[j]);
+        o1[i] = h1;
+        o2[i] = h2;
     }
-}
-
-/* The lanes (b1, b2) of n keys with the word `tag` absorbed, into (o1, o2). */
-INLINE void tagged_lanes(size_t n, const u64 *restrict b1, const u64 *restrict b2, u64 tag,
-                         u64 *restrict o1, u64 *restrict o2)
-{
-    for (size_t i = 0; i < n; i++) {
-        o1[i] = b1[i];
-        o2[i] = b2[i];
-    }
-    absorb_word(n, o1, o2, tag);
 }
 
 /* numpy's pairwise summation of n contiguous doubles (DOUBLE_pairwise_sum):
@@ -225,8 +220,7 @@ INLINE void site_key(const struct field *f, int cell, int64_t x, u64 h1, u64 h2,
             const int64_t t = (int64_t)q;
             c = (u64)(t - ((double)t > q));
         }
-        h1 = mix1(h1 ^ (c + GAMMA1));
-        h2 = mix2(h2 ^ (c + GAMMA2));
+        absorb1(&h1, &h2, c);
     }
     *o1 = h1;
     *o2 = h2;
@@ -241,8 +235,8 @@ INLINE void site_key(const struct field *f, int cell, int64_t x, u64 h1, u64 h2,
  *     searchsorted(thresholds, u, side="right") capped at n_atoms - 1,
  *     1.0 at k and 0.0 elsewhere, np.eye's row;
  *   - CONSTANT (FixedAtomic): the one row, with no hash.
- * kind (and site_key's cell) are the field's, passed as constants by
- * EACH_READ so that each loop compiles without these branches and
+ * kind is the field's, passed as a constant by EACH_KIND (site_key's cell
+ * by EACH_CELL), so that each pass compiles without these branches and
  * vectorizes. */
 INLINE void key_row(const struct field *f, int kind, size_t na, u64 h1, u64 h2, double *restrict w, size_t ws)
 {
@@ -251,9 +245,7 @@ INLINE void key_row(const struct field *f, int kind, size_t na, u64 h1, u64 h2, 
             w[a * ws] = f->rows[a];
         return;
     }
-    const u64 word = mix1(h1 + GAMMA1) ^ mix2(h2 + GAMMA2);
-    /* word >> 11 < 2**53 converts exactly, as numpy's astype(float64) does. */
-    const double u = (double)(int64_t)(word >> 11) * 0x1p-53;
+    const double u = uniform0(h1, h2);
     if (kind == AFFINE) {
         const double p = u * f->slope + f->intercept;
         w[0] = p;
@@ -268,56 +260,51 @@ INLINE void key_row(const struct field *f, int kind, size_t na, u64 h1, u64 h2, 
     }
 }
 
-/* Runs the statement CALL(kind, cell) with the field read f's family kind
- * and cell rule as constants, one case each, so that a loop over sites that
- * calls site_key() and key_row() is compiled once per case. */
-#define EACH_READ(f, CALL)                                                                        \
-    do {                                                                                          \
-        const int cell_ = !(f)->cell_words ? NO_CELL : (f)->range > 0.0 ? RANGE_CELL : UNIT_CELL; \
-        if ((f)->kind == CONSTANT) {                                                              \
-            CALL(CONSTANT, NO_CELL);                                                              \
-        } else if ((f)->kind == AFFINE && cell_ == UNIT_CELL) {                                   \
-            CALL(AFFINE, UNIT_CELL);                                                              \
-        } else if ((f)->kind == AFFINE && cell_ == RANGE_CELL) {                                  \
-            CALL(AFFINE, RANGE_CELL);                                                             \
-        } else if ((f)->kind == AFFINE) {                                                         \
-            CALL(AFFINE, NO_CELL);                                                                \
-        } else if (cell_ == UNIT_CELL) {                                                          \
-            CALL(THRESHOLD, UNIT_CELL);                                                           \
-        } else if (cell_ == RANGE_CELL) {                                                         \
-            CALL(THRESHOLD, RANGE_CELL);                                                          \
-        } else {                                                                                  \
-            CALL(THRESHOLD, NO_CELL);                                                             \
-        }                                                                                         \
+/* Runs the statement CALL(cell) with the field read f's cell rule as a
+ * constant, one case each, so that a pass that calls site_key() compiles
+ * once per rule; a constant field hashes no key, so it takes NO_CELL. */
+#define EACH_CELL(f, CALL)                               \
+    do {                                                 \
+        if (!(f)->cell_words || (f)->kind == CONSTANT) { \
+            CALL(NO_CELL);                               \
+        } else if ((f)->range > 0.0) {                   \
+            CALL(RANGE_CELL);                            \
+        } else {                                         \
+            CALL(UNIT_CELL);                             \
+        }                                                \
+    } while (0)
+
+/* Runs the statement CALL(kind) with the field read f's family kind as a
+ * constant, so that a pass that calls key_row() compiles once per kind. */
+#define EACH_KIND(f, CALL)                   \
+    do {                                     \
+        if ((f)->kind == AFFINE) {           \
+            CALL(AFFINE);                    \
+        } else if ((f)->kind == THRESHOLD) { \
+            CALL(THRESHOLD);                 \
+        } else {                             \
+            CALL(CONSTANT);                  \
+        }                                    \
     } while (0)
 
 /* The weight rows of n <= TILE sites at field-frame positions x,
  * contiguous (n, na) into w: site i's key prefix is (h1, h2)[i * hs], so
- * hs = 0 reads one prefix for every site. */
+ * hs = 0 reads one prefix for every site.  Two passes, each compiled once
+ * per rule it depends on: the keys by cell rule, the rows by family kind. */
 INLINE void site_rows(const struct field *f, size_t na, size_t n, const u64 *restrict h1, const u64 *restrict h2,
                       size_t hs, const int64_t *restrict x, double *restrict w)
 {
     u64 k1[TILE], k2[TILE];
-#define ROWS(kind, cell)                                                  \
-    for (size_t i = 0; i < n; i++)                                        \
-        site_key(f, cell, x[i], h1[i * hs], h2[i * hs], k1 + i, k2 + i); \
-    for (size_t i = 0; i < n; i++)                                        \
+#define KEYS(cell)                 \
+    for (size_t i = 0; i < n; i++) \
+        site_key(f, cell, x[i], h1[i * hs], h2[i * hs], k1 + i, k2 + i)
+    EACH_CELL(f, KEYS);
+#undef KEYS
+#define ROWS(kind)                 \
+    for (size_t i = 0; i < n; i++) \
         key_row(f, kind, na, k1[i], k2[i], w + i * na, 1)
-    EACH_READ(f, ROWS);
+    EACH_KIND(f, ROWS);
 #undef ROWS
-}
-
-/* The key prefixes at `level` of n keys whose cells have `count` words: the
- * tagged lanes (e1, e2) with the level and the count absorbed, into (o1, o2). */
-INLINE void key_prefix(size_t n, const u64 *restrict e1, const u64 *restrict e2, u64 level, u64 count,
-                       u64 *restrict o1, u64 *restrict o2)
-{
-    for (size_t i = 0; i < n; i++) {
-        o1[i] = e1[i];
-        o2[i] = e2[i];
-    }
-    absorb_word(n, o1, o2, level);
-    absorb_word(n, o1, o2, count);
 }
 
 /* The weight rows of m fields, field r at site x[r], at the n_levels levels
@@ -331,9 +318,9 @@ void envwalk_field_weights(const struct field *f, u64 level, size_t n_levels, si
     u64 e1[TILE], e2[TILE], h1[TILE], h2[TILE];
     for (size_t t = 0; t < m; t += TILE) {
         const size_t nt = m - t < TILE ? m - t : TILE;
-        tagged_lanes(nt, f->b1 + t, f->b2 + t, f->tag, e1, e2);
+        key_prefix(nt, f->b1 + t, f->b2 + t, &f->tag, 1, e1, e2);
         for (size_t l = 0; l < n_levels; l++) {
-            key_prefix(nt, e1, e2, level + l, f->cell_words, h1, h2);
+            key_prefix(nt, e1, e2, (const u64[]){level + l, f->cell_words}, 2, h1, h2);
             site_rows(f, na, nt, h1, h2, 1, x + t, out + (l * m + t) * na);
         }
     }
@@ -384,25 +371,28 @@ INLINE double propagate_row(const struct field *f, size_t na, u64 p1, u64 p2, in
         fl[j] = 0.0;
     double pair[2];
     const size_t ws = na == 2 ? 1 : n_pos;
-#define READ(kind, cell)                                                              \
-    for (size_t j0 = jl; j0 < jh; j0 += TILE) {                                       \
-        const size_t nt = jh - j0 < TILE ? jh - j0 : TILE;                            \
-        u64 k1[TILE], k2[TILE];                                                       \
-        for (size_t i = 0, s = (u64)lo + (u64)st * j0; i < nt; i++, s += (u64)st)     \
-            site_key(f, cell, (int64_t)s, p1, p2, k1 + i, k2 + i);                    \
-        for (size_t i = 0, j = j0; i < nt; i++, j++) {                                \
-            double *wr = na == 2 ? pair : px + j;                                     \
-            key_row(f, kind, na, k1[i], k2[i], wr, ws);                               \
-            double d = wr[0] * support[0];                                            \
-            for (size_t a = 1; a < na; a++)                                           \
-                d = d + wr[a * ws] * support[a];                                      \
-            fl[j] = x[j] * d;                                                         \
-            for (size_t a = 0; a < na; a++)                                           \
-                px[a * n_pos + j] = x[j] * wr[a * ws];                                \
-        }                                                                             \
+    for (size_t j0 = jl; j0 < jh; j0 += TILE) {
+        const size_t nt = jh - j0 < TILE ? jh - j0 : TILE;
+        u64 k1[TILE], k2[TILE];
+#define KEYS(cell)                                                                \
+        for (size_t i = 0, s = (u64)lo + (u64)st * j0; i < nt; i++, s += (u64)st) \
+            site_key(f, cell, (int64_t)s, p1, p2, k1 + i, k2 + i)
+        EACH_CELL(f, KEYS);
+#undef KEYS
+#define ROWS(kind)                                            \
+        for (size_t i = 0, j = j0; i < nt; i++, j++) {        \
+            double *wr = na == 2 ? pair : px + j;             \
+            key_row(f, kind, na, k1[i], k2[i], wr, ws);       \
+            double d = wr[0] * support[0];                    \
+            for (size_t a = 1; a < na; a++)                   \
+                d = d + wr[a * ws] * support[a];              \
+            fl[j] = x[j] * d;                                 \
+            for (size_t a = 0; a < na; a++)                   \
+                px[a * n_pos + j] = x[j] * wr[a * ws];        \
+        }
+        EACH_KIND(f, ROWS);
+#undef ROWS
     }
-    EACH_READ(f, READ);
-#undef READ
     for (size_t j = jh; j < n_pos; j++)
         fl[j] = 0.0;
     mean[1] = mean[0] + row_sum(fl, n_pos);
@@ -467,9 +457,8 @@ double envwalk_propagate(const struct field *field, u64 level, int64_t lo, int64
     const size_t n_atoms = field->n_atoms;
     double worst = 0.0;
     for (size_t r = 0; r < m; r++) {
-        u64 e1, e2, p1, p2;
-        tagged_lanes(1, field->b1 + r, field->b2 + r, field->tag, &e1, &e2);
-        key_prefix(1, &e1, &e2, level, field->cell_words, &p1, &p2);
+        u64 p1, p2;
+        key_prefix(1, field->b1 + r, field->b2 + r, (const u64[]){field->tag, level, field->cell_words}, 3, &p1, &p2);
         const double *x = mass + r * ms;
         double *fl = full + r * n_full, *mean = means + r * mstride;
         const double dropped =
@@ -537,29 +526,29 @@ INLINE void walk_tile(const struct field *f, size_t na, int shared, size_t r, si
     const size_t nf = shared ? 1 : nt;
     u64 pw1[TILE], pw2[TILE], pe1[TILE], pe2[TILE], h1[TILE], h2[TILE];
     double u[TILE];
-    tagged_lanes(nf, f->b1 + r, f->b2 + r, walk_tag, pw1, pw2);
-    tagged_lanes(nf, f->b1 + r, f->b2 + r, f->tag, pe1, pe2);
+    key_prefix(nf, f->b1 + r, f->b2 + r, &walk_tag, 1, pw1, pw2);
+    key_prefix(nf, f->b1 + r, f->b2 + r, &f->tag, 1, pe1, pe2);
     for (size_t s = 0; s < b; s++) {
         /* The walk uniform: the walk key (its field's prefix at this level
          * with n_words, then the walker's cell words) and its uniform 0. */
+        key_prefix(nf, pw1, pw2, (const u64[]){level + s, n_words}, 2, h1, h2);
         if (shared) {
-            u64 p1, p2;
-            key_prefix(1, pw1, pw2, level + s, n_words, &p1, &p2);
+            const u64 p1 = h1[0], p2 = h2[0];
             for (size_t i = 0; i < nt; i++) {
                 h1[i] = p1;
                 h2[i] = p2;
             }
-        } else {
-            key_prefix(nt, pw1, pw2, level + s, n_words, h1, h2);
         }
         for (size_t j = 0; j < n_words; j++)
-            absorb_column(nt, h1, h2, cells + j * n);
-        first_uniforms(nt, h1, h2, u);
+            for (size_t i = 0; i < nt; i++)
+                absorb1(h1 + i, h2 + i, cells[j * n + i]);
+        for (size_t i = 0; i < nt; i++)
+            u[i] = uniform0(h1[i], h2[i]);
 
         /* The weight rows of the field at the same level and pos: each
          * walker's cell under its field's prefix, or a shared field's one
          * row when it has no cell word; then the moves. */
-        key_prefix(nf, pe1, pe2, level + s, f->cell_words, h1, h2);
+        key_prefix(nf, pe1, pe2, (const u64[]){level + s, f->cell_words}, 2, h1, h2);
         int64_t *o = out != NULL ? out + s * n : NULL;
         if (shared && !f->cell_words) {
             site_rows(f, na, 1, h1, h2, 0, pos, w);
@@ -572,10 +561,11 @@ INLINE void walk_tile(const struct field *f, size_t na, int shared, size_t r, si
 }
 
 /* b steps of n walkers in one call: walks._Walker's numpy steps for a d = 1
- * field that field_read describes, with integer atoms `support`.  The
- * walkers read the fields f->b1[j], f->b2[j] in groups of g: walker i
- * reads field i / g (g = n when all read one field, 1 when each reads its
- * own).  Walker i's cell words are cells[j * n + i] for j < n_words, and
+ * field that field_read describes, with integer atoms `support`.  Walker i
+ * reads field i / g, whose lanes are f->b1[i / g], f->b2[i / g] (g = n
+ * when all read one field, 1 when each reads its own); walks._Walker._bind
+ * checks that g walkers a field use up the fields' lanes exactly, which
+ * the call does not.  Walker i's cell words are cells[j * n + i] for j < n_words, and
  * n_words >= 1 (the walk seed).  Step s, from `level` + s:
  *   - hashes the walk key (its field's base lanes, walk_tag, the level,
  *     n_words, the cell words) and takes its uniform 0;

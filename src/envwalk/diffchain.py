@@ -95,31 +95,32 @@ def simulate_diff_chain(
 
 def _pairs(env_template: Environment, replicas: np.ndarray, x0, kind: str):
     """The (X, X~) pairs of a difference chain as walker arguments: base lanes,
-    walk cells (replica, walk) and starts, each of shape (replicas, 2, .).
+    walk cells (replica, walk) and starts, one field and one walker each.
 
-    Column 0 is the X walk (from 0), column 1 the X~ walk (from x0); all
-    stream keys match the scalar :func:`simulate_diff_chain` draw for draw.
-    The scans read Y = X~ - X as a scalar, so the pairs are one-dimensional.
+    Pair i is walkers 2i, the X walk (from 0), and 2i + 1, the X~ walk (from
+    x0), each reading its own field (g = 1): both walkers' lanes are the
+    replica's field under ``same_env``.  All stream keys match the scalar
+    :func:`simulate_diff_chain` draw for draw.  The scans read Y = X~ - X
+    as a scalar, so positions are (2 * replicas, 1).
     """
     if env_template.d != 1:
         raise ValueError(f"difference chains are one-dimensional; the field has d={env_template.d}")
     seeds_a, seeds_b = _pair_seeds(env_template, replicas, kind)
-    la, lb = seed_lanes(seeds_a), seed_lanes(seeds_b)
-    base = (np.stack([la[0], lb[0]], axis=1), np.stack([la[1], lb[1]], axis=1))
-    which = np.broadcast_to(np.array([0, 1], dtype=np.int64), (replicas.size, 2))
-    wcells = np.stack([np.stack([replicas, replicas], axis=1), which], axis=2)
+    base = seed_lanes(np.stack([seeds_a, seeds_b], axis=1).reshape(-1))
+    wcells = np.stack([np.repeat(replicas, 2), np.tile(np.array([0, 1], np.int64), replicas.size)], axis=1)
     x0 = np.broadcast_to(np.asarray(x0), replicas.shape)
-    return base, wcells, np.stack([np.zeros_like(x0), x0], axis=1)[..., None]
+    return base, wcells, np.stack([np.zeros_like(x0), x0], axis=1).reshape(-1, 1)
 
 
 class _PairWalker(_Walker):
     """Lockstep batch of (X, X~) pairs (:func:`_pairs`) for d=1 fields that
     retires the pairs a scan has settled.
 
-    Stepping yields Y of the live pairs a block at a time; ``alive`` holds
-    their row numbers in the batch, and :meth:`retire` drops settled pairs
-    between blocks.  Every draw is keyed by its address, so a settled pair
-    stepped on to the end of its block changes no other draw.
+    Pair i is walkers 2i and 2i + 1.  Stepping yields Y of the live pairs a
+    block at a time; ``alive`` holds their row numbers in the batch, and
+    :meth:`retire` drops settled pairs between blocks.  Every draw is keyed
+    by its address, so a settled pair stepped on to the end of its block
+    changes no other draw.
     """
 
     def __init__(self, env_template: Environment, replicas: np.ndarray, x0, kind: str, n_steps: int):
@@ -129,7 +130,7 @@ class _PairWalker(_Walker):
 
     @property
     def y(self) -> np.ndarray:
-        return self.pos[:, 1, 0] - self.pos[:, 0, 0]
+        return self.pos[1::2, 0] - self.pos[::2, 0]
 
     def retire(self, done: np.ndarray) -> None:
         """Drop the live pairs flagged in ``done``."""
@@ -137,14 +138,16 @@ class _PairWalker(_Walker):
             return
         # ``np.take``: indexing by a mask or an index array copies these arrays several times slower.
         keep = np.flatnonzero(~done)
-        self.alive, self.pos, self.wcells = (np.take(a, keep, axis=0) for a in (self.alive, self.pos, self.wcells))
-        self.base = tuple(np.take(lane, keep, axis=0) for lane in self.base)
+        walkers = (2 * keep[:, None] + np.arange(2)).reshape(-1)
+        self.alive = np.take(self.alive, keep)
+        self.pos, self.wcells = (np.take(a, walkers, axis=0) for a in (self.pos, self.wcells))
+        self.base = tuple(np.take(lane, walkers) for lane in self.base)
         self._bind()
 
     def step(self) -> np.ndarray:
         """Take the next block of b steps; returns Y of the live pairs after each, (b, live)."""
         block = super().step()
-        return block[:, :, 1, 0] - block[:, :, 0, 0]
+        return block[:, 1::2, 0] - block[:, ::2, 0]
 
 
 def batch_diff_positions(
@@ -162,9 +165,8 @@ def batch_diff_positions(
     (len, M, 2).
     """
     replicas = np.asarray(replicas, dtype=np.int64)
-    walker = _Walker(env_template, *_pairs(env_template, replicas, x0, kind), n_steps)
-    record, comps = walker.record(record_steps)
-    comps = comps[..., 0]
+    record, pos = _PairWalker(env_template, replicas, x0, kind, n_steps).record(record_steps)
+    comps = pos.reshape(len(pos), replicas.size, 2)
     y = comps[..., 1] - comps[..., 0]
     if return_components:
         return record, y, comps

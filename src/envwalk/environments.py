@@ -199,7 +199,7 @@ def field_read(env: Environment, base_lanes) -> FieldRead:
 
     ``base_lanes`` are one field per row (``seed_lanes`` of a seed array):
     a replica row of the propagation step, a field of the walker block
-    (which the walkers read in groups, one group a field).  The struct
+    (walker i reads field i // g, g walkers a field).  The struct
     carries the cell rule (a lattice field reads the one-word cell
     x, a finite-range field floor(x / R + 0.5), and the level-correlated
     field no cell word, ``cell_words = 0``) and the family's

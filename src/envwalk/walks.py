@@ -14,7 +14,8 @@ straight to each recorded step and keeps only the positions there (a run
 of consecutive recorded steps, every step by default, a block at a time).
 Since every variate is a pure function of its address, neither the
 blocks nor the stops change a draw.  The walker serves every law family in
-any dimension d, with positions of shape (..., d): steps on a fixed atom
+any dimension d, with positions of shape (n, d), and walker i reads field
+i // g of the F fields it is given, g = n / F: steps on a fixed atom
 support (integer positions when the family's atoms are integers), Gaussian
 steps around each cell's drift vector (the difference-chain pairs stay
 d=1).  Walk noise uses its own key tag, so walk randomness never touches
@@ -27,7 +28,7 @@ per walker and step it hashes the walk key, reads the field row at (k, its
 position) with the compiled field read (:func:`environments.field_read`,
 whose cell rule covers every field kind), steps by inverse CDF and sums the
 drift.  The key words that all walkers of one field share at a step are
-hashed once per field (:func:`_field_groups`), so a batch in one field
+hashed once per field, so a batch in one field
 hashes per walker only its noise cell and its field cell, and on the
 level-correlated field reads one weight row per field and step.  Every other
 walker (Gaussian laws, d >= 2, float positions, or no library) runs the
@@ -44,9 +45,9 @@ below ``PRUNE_MASS`` and renormalizes.  The dense version is one loop,
 :func:`_propagate`, which yields the law after each step.  It keeps a
 window centred at the origin, sized by an Azuma tail bound, which holds
 for a martingale.  A quenched walk has local drifts, so its law can leave
-the window also on a field whose annealed drift is 0; a step that drops
-more than ``PRUNE_MASS`` outside it ends with a ``ValueError`` rather than
-a clipped curve.
+the window also on a field whose annealed drift is 0; a step that would
+drop more than ``PRUNE_MASS`` outside it is taken again on the whole next
+support, which the law keeps from then on, rather than clipping the curve.
 Each dense step (the field read, drift products and their row sum, the
 law on the next support, the mass outside the window, pruning and
 renormalization) is one call of ``envwalk_propagate`` in the library that
@@ -164,37 +165,16 @@ def _row_atomic_index(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _per_row(lanes):
-    """Per-row seed lanes as a column, to broadcast against (m, c) positions."""
-    return lanes[0][:, None], lanes[1][:, None]
-
-
-def _field_groups(base_lanes, shape) -> tuple[tuple[np.ndarray, np.ndarray], int]:
-    """The fields that walkers of ``shape`` read through ``base_lanes``, one
-    lane pair a field, and g, the walkers that read each one.
-
-    Walkers that differ only along the lanes' trailing axes of length 1 read
-    one field and lie next to each other, so g is the product of those axes'
-    lengths in ``shape``: the number of walkers for one shared field, 1 for
-    lanes of the walkers' own shape.
-    """
-    lanes = np.shape(base_lanes[0])
-    lead = (1,) * (len(shape) - len(lanes)) + lanes
-    j = len(lead)
-    while j and lead[j - 1] == 1:
-        j -= 1
-    fields = tuple(np.broadcast_to(np.reshape(h, lead[:j]), shape[:j]).reshape(-1) for h in base_lanes)
-    return fields, math.prod(shape[j:])
-
-
 class _Walker:
-    """Lockstep batch of quenched walks, for every law family and dimension.
+    """Lockstep batch of n quenched walks, for every law family and dimension.
 
-    Positions have shape (m, c, d): row i holds c walks, column j reading
-    the field through ``base_lanes`` (one shared field, or lanes
-    broadcasting to (m, c)) and drawing its step-k noise from the walk key
-    (field seed, level=k, cell=``walk_cells[i, j]``).  That is the key of
-    :func:`simulate_quenched_path`, so every column replays a scalar path
+    Positions have shape (n, d).  ``base_lanes`` are the seed lanes of one
+    field or of F fields (``seed_lanes`` of a seed or of F seeds), and
+    walker i reads field i // g, g = n / F: every walker reads the one field,
+    or each run of g walkers its own.  Walker i draws its step-k noise from
+    the walk key (its field's seed, level=k, cell=``walk_cells[i]``), walk
+    cells of shape (n, words).  That is the key of
+    :func:`simulate_quenched_path`, so every walker replays a scalar path
     draw for draw.  The step rule is chosen once per walker: a fixed-support
     family steps by inverse CDF on its support, with positions of the
     support's dtype, a Gaussian family around the cell's drift vector.
@@ -205,18 +185,16 @@ class _Walker:
 
     A d=1 walk with integer atoms runs each block (or stretch to a recorded
     step, writing no positions on the way) in one call of
-    ``envwalk_walk`` (``_hash.c``), which reads the field through
-    :func:`environments.field_read` with one lane pair a field and g, the
-    walkers that read each one (:func:`_field_groups`): g is the batch size
-    for one shared field and 1 when every walker has its own.  The call
-    hashes the key words a field's walkers share (its lanes, the tag, the
-    level and the cell-word count) once per field and step, and per walker
-    only the walker's own words; when g > 1 each tile of walkers reads one
-    field, whose prefix and (with no cell word) one weight row it reads in
-    place.  Every other walker runs the numpy steps of
-    :meth:`_numpy_block`, which are also that call's reference.
-    A start that the positions' dtype cannot hold exactly (1.7 on an integer
-    support), or walk cells without a word, raise ``ValueError``.
+    ``envwalk_walk`` (``_hash.c``), which reads the F fields through
+    :func:`environments.field_read` and g.  The call hashes the key words a
+    field's walkers share (its lanes, the tag, the level and the cell-word
+    count) once per field and step, and per walker only the walker's own
+    words; when g > 1 each tile of walkers reads one field, whose prefix and
+    (with no cell word) one weight row it reads in place.  Every other
+    walker runs the numpy steps of :meth:`_numpy_block`, which are also that
+    call's reference.  A walker count that F does not divide, a start that
+    the positions' dtype cannot hold exactly (1.7 on an integer support), or
+    walk cells without a word, raise ``ValueError``.
     """
 
     def __init__(
@@ -239,53 +217,52 @@ class _Walker:
         inexact = start[pos != start]
         if inexact.size:
             raise ValueError(f"a walker with {np.dtype(dtype)} positions cannot start at {inexact[0]}")
-        self.pos = np.array(np.broadcast_to(pos, walk_cells.shape[:-1] + (env.d,)))
-        # Each walker's sum of local drifts; column 0's are the drift sums.
+        self.pos = np.array(np.broadcast_to(pos, (len(walk_cells), env.d)))
+        # Each walker's sum of local drifts.
         self.drift = np.zeros(self.pos.shape) if accumulate_drift else None
         self.n_steps = n_steps
         self.k = 0
         self.compiled = streams._LIB is not None and dtype == np.int64 and env.d == 1
         self._bind()
 
-    @property
-    def drift_sums(self) -> np.ndarray | None:
-        """Column 0's sums of local drifts along the path, (m, d), or None unless accumulated."""
-        return None if self.drift is None else self.drift[:, 0]
-
     def _bind(self) -> None:
-        """For the compiled block: the walkers' field read (one base lane pair
-        a field, and g, the walkers that read each field), walk cells (one
-        contiguous array per cell word), positions and drift sums as
-        addresses, made here once and again whenever the set of walkers
-        changes."""
+        """Walker i reads field i // g, g = n / F for the F fields of the
+        base lanes.  The numpy steps read per-walker lanes (each field's
+        repeated g times, or the one field's broadcast); the compiled block
+        takes the field read, g, the walk cells (one contiguous array per
+        cell word), positions and drift sums as addresses.  Made here once
+        and again whenever the set of walkers changes."""
+        fields = tuple(np.reshape(h, -1) for h in self.base)
+        n, n_fields = len(self.pos), len(fields[0])
+        g = n // n_fields if n_fields else 1
+        if g * n_fields != n:
+            raise ValueError(f"{n} walkers do not split evenly over {n_fields} fields")
         if not self.compiled:
+            self.lanes = fields if n_fields == 1 or g == 1 else tuple(np.repeat(h, g) for h in fields)
             return
-        shape = self.pos.shape[:-1]
-        n, n_words = self.pos[..., 0].size, self.wcells.shape[-1]
-        fields, g = _field_groups(self.base, shape)
         read = field_read(self.env, fields)
-        cells = np.ascontiguousarray(self.wcells.reshape(n, n_words).T, dtype=np.int64)
+        cells = np.ascontiguousarray(self.wcells.T, dtype=np.int64)
         support = np.ascontiguousarray(self.support[:, 0])
         scratch = np.empty(n * len(support))
         self.pos = np.ascontiguousarray(self.pos)
         drift = None if self.drift is None else self.drift.ctypes.data
         self._kernel_arrays = (read, cells, support, scratch)  # the memory the addresses point into
         self._kernel_args = (
-            ctypes.addressof(read), n, g, TAG_WALK, cells.ctypes.data, n_words, support.ctypes.data,
+            ctypes.addressof(read), n, g, TAG_WALK, cells.ctypes.data, len(cells), support.ctypes.data,
             self.pos.ctypes.data, drift, scratch.ctypes.data,
         )
 
     def _block_steps(self) -> int:
         """Steps a block holds: ``_BLOCK_ELEMENTS`` walker-steps, at least one step."""
-        return max(1, _BLOCK_ELEMENTS // max(1, self.wcells[..., 0].size))
+        return max(1, _BLOCK_ELEMENTS // max(1, len(self.pos)))
 
     def step(self) -> np.ndarray:
         """Take the next block of b steps, k -> k + b; returns the positions
-        after each of them, shape (b, m, c, d)."""
+        after each of them, shape (b, n, d)."""
         return self._block(min(self._block_steps(), self.n_steps - self.k))
 
     def _block(self, b: int) -> np.ndarray:
-        """Take b steps; returns the positions after each of them, shape (b, m, c, d)."""
+        """Take b steps; returns the positions after each of them, shape (b, n, d)."""
         if not self.compiled:
             return self._numpy_block(b)
         out = np.empty((b,) + self.pos.shape, np.int64)
@@ -305,12 +282,12 @@ class _Walker:
     def _numpy_block(self, b: int) -> np.ndarray:
         """b steps in numpy: the walk noise for the whole block in one hash
         call, then the field read at the walkers' positions step by step."""
-        levels = np.arange(self.k, self.k + b)[:, None, None]
-        lanes = lanes_for_cells(self.base, levels, TAG_WALK, self.wcells)
+        levels = np.arange(self.k, self.k + b)[:, None]
+        lanes = lanes_for_cells(self.lanes, levels, TAG_WALK, self.wcells)
         noise = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(self.n_uniforms))
         out = np.empty((b,) + self.pos.shape, self.pos.dtype)
         for s in range(b):
-            rows = field_weights(self.env, self.base, self.k, self.pos)
+            rows = field_weights(self.env, self.lanes, self.k, self.pos)
             if self.drift is not None:
                 self.drift += row_drifts(self.env.family, rows)
             if self.factor is None:
@@ -331,7 +308,7 @@ class _Walker:
 
     def record(self, record_steps=None) -> tuple[np.ndarray, np.ndarray]:
         """Run all ``n_steps`` steps; positions at ``record_steps`` (each in 0
-        .. ``n_steps``; every step by default), shape (len, m, c, d).  The
+        .. ``n_steps``; every step by default), shape (len, n, d).  The
         walker steps straight to each distinct recorded step in turn and
         copies its positions there; a run of consecutive recorded steps
         comes a block at a time."""
@@ -378,9 +355,8 @@ def batch_quenched_positions(
     """
     walk_seeds = np.asarray(walk_seeds, dtype=np.int64)
     cells = np.column_stack([walk_seeds] + [np.full(walk_seeds.shape[0], s, dtype=np.int64) for s in subcell])
-    walker = _Walker(env, seed_lanes(env.master_seed), cells[:, None, :], x0, n_steps, accumulate_drift)
-    record, pos = walker.record(record_steps)
-    return record, pos[:, :, 0], walker.drift_sums
+    walker = _Walker(env, seed_lanes(env.master_seed), cells, x0, n_steps, accumulate_drift)
+    return (*walker.record(record_steps), walker.drift)
 
 
 def batch_averaged_positions(env_template: Environment, n_steps: int, replicas: np.ndarray, record_steps=None):
@@ -391,9 +367,7 @@ def batch_averaged_positions(env_template: Environment, n_steps: int, replicas: 
     """
     replicas = np.asarray(replicas, dtype=np.int64)
     base = seed_lanes(derive_seeds_vec(env_template.master_seed, replicas))
-    walker = _Walker(env_template, _per_row(base), replicas[:, None, None], 0, n_steps)
-    record, pos = walker.record(record_steps)
-    return record, pos[:, :, 0]
+    return _Walker(env_template, base, replicas[:, None], 0, n_steps).record(record_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +420,9 @@ def exact_mean_curves(env_template: Environment, n_max: int, replica_seeds: np.n
     Returns means of shape (n_replicas, n_max + 1) for d=1 fixed-support
     fields starting at 0: the dense-window twin of
     :func:`quenched_mean_exact`, vectorized across replicas, from the steps
-    of :func:`_propagate`.  If the window would drop more than
-    ``PRUNE_MASS`` of a replica's law (the walk's local drifts carry it
-    past the window's Azuma bound), this raises ``ValueError`` naming the
-    step.  The level-correlated field (whose field
+    of :func:`_propagate`, which keeps the whole support once the walk's
+    local drifts carry a replica's law past its window's Azuma bound.  The
+    level-correlated field (whose field
     read has no cell word) has one row per level at every site, so each
     curve is the running sum of its per-level drifts.
     """
@@ -487,13 +460,17 @@ def _propagate(env, base, read, means):
     (:func:`environments.field_read`); step k sets ``means[:, k + 1]`` in the
     C-contiguous (m, n_max + 1) array ``means``.  Each step scatters the law
     onto its full next support and keeps the slice inside an Azuma window
-    centred at the origin, which bounds a martingale; a step that drops
-    more than ``PRUNE_MASS`` of a replica's law raises
-    ``ValueError``.  After step k this yields (k, lo, law): the (m, n_pos)
-    law on the sites lo + st * j, a view that the next step overwrites.
+    centred at the origin, which bounds a martingale.  A quenched walk has
+    local drifts, so its law can cross the window: a step that would drop
+    more than ``PRUNE_MASS`` of a replica's law outside it is taken again on
+    the whole next support, which the law keeps from then on.  After step k
+    this yields (k, lo, law): the (m, n_pos) law on the sites lo + st * j,
+    a view that the next step overwrites.
 
-    The law lives in one pair of buffers of ``n_cap + span`` sites a row
-    that take turns.  With the compiled library a step is one
+    The law lives in one pair of buffers that take turns, of ``n_cap +
+    span`` sites a row; they grow to hold the whole support only when the
+    law first crosses the window, so a run that never does keeps its
+    windows and its bytes.  With the compiled library a step is one
     ``envwalk_propagate`` call (``_hash.c``), which reads the field and moves
     the law in a few passes per replica row; without it,
     :func:`environments.field_weights` reads the sites and
@@ -512,44 +489,54 @@ def _propagate(env, base, read, means):
     def window(k):  # the half-width of the window after step k + 1
         return min(smax * (k + 1), int(_WINDOW_C * smax * math.sqrt(k + 1)) + smax + 2)
 
-    # Sites before a step: at most span more than the step before, at most the window's.
-    n_cap = min(1 + span * n_max, 2 * window(n_max - 1) // st + 1)
-    laws = np.empty((2, m * (n_cap + span)))
+    def allocate(n_cap):
+        """The law buffers for n_cap sites before a step, the compiled step's
+        weight rows of one replica row, and the addresses of all three."""
+        laws = np.empty((2, m * (n_cap + span)))
+        row_weights = np.empty(n_cap * len(offsets))
+        return laws, row_weights, (laws[0].ctypes.data, laws[1].ctypes.data, row_weights.ctypes.data)
+
+    # Sites before a step: at most span more than the step before, at most
+    # the window's.  row_weights is the memory buffers[2] points into.
+    laws, row_weights, buffers = allocate(min(1 + span * n_max, 2 * window(n_max - 1) // st + 1))
     laws[0, :m] = 1.0  # the point mass at the origin, one site a row
     lib = streams._LIB
     if lib is None:
-        base = _per_row(base)
-    else:  # every address the compiled step takes, but the law's, is the same at each step
-        row_weights = np.empty(n_cap * len(offsets))  # one row's weight rows, rewritten per row
-        read_at, support_at, offsets_at = ctypes.addressof(read), support.ctypes.data, offsets.ctypes.data
-        means_at, row_weights_at = means.ctypes.data, row_weights.ctypes.data
-        buffers = (laws[0].ctypes.data, laws[1].ctypes.data)
+        base = (base[0][:, None], base[1][:, None])  # each replica's lanes against its row of sites
+    else:  # the addresses the compiled step takes besides the buffers'
+        read_at, support_at, offsets_at, means_at = (
+            ctypes.addressof(read), support.ctypes.data, offsets.ctypes.data, means.ctypes.data
+        )
     # The law before step k: n_pos sites lo + st * j, at column `at` of rows `ms` apart in laws[k % 2].
     law, lo, n_pos, at, ms = laws[0, :m, None], 0, 1, 0, 1
+    whole = False  # whether the law has crossed the window and keeps its whole support
     for k in range(n_max):
-        # The window [-win, win] on the full next support, lo + s_lo + st * j.
-        win = window(k)
-        full_lo = lo + s_lo
-        # 0 <= i0 <= i1 <= n_full also where the law has left the window whole.
-        n_full = n_pos + span
-        i0 = min(n_full, max(0, -((win + full_lo) // st)))
-        i1 = max(i0, min(n_full, (win - full_lo) // st + 1))
-        nxt = (k + 1) % 2
-        full = laws[nxt, : m * n_full].reshape(m, n_full)
-        if lib is None:
-            w = field_weights(env, base, k, (lo + st * np.arange(n_pos))[:, None])  # (m, n_pos, n_atoms)
-            dropped = _numpy_step(fam, law, w, offsets, i0, i1, means[:, k:], full)
-        else:
-            dropped = lib.envwalk_propagate(
-                read_at, k, lo, st, m, n_pos, buffers[1 - nxt] + 8 * at, ms, support_at, offsets_at, n_full, i0, i1,
-                PRUNE_MASS, buffers[nxt], means_at + 8 * k, n_max + 1, row_weights_at,
-            )
-        if dropped > PRUNE_MASS:
-            raise ValueError(
-                f"exact propagation: step {k + 1} drops mass {dropped:.3g} outside the window "
-                f"|x| <= {win} centred at the origin; the window's Azuma bound holds for a martingale, "
-                f"and the quenched walk's local drifts carry its law beyond it"
-            )
+        full_lo, n_full, nxt = lo + s_lo, n_pos + span, (k + 1) % 2
+        if whole:
+            i0, i1 = 0, n_full
+        else:  # the window [-win, win] on the full next support, lo + s_lo + st * j
+            win = window(k)
+            # 0 <= i0 <= i1 <= n_full also where the law has left the window whole.
+            i0 = min(n_full, max(0, -((win + full_lo) // st)))
+            i1 = max(i0, min(n_full, (win - full_lo) // st + 1))
+        while True:
+            full = laws[nxt, : m * n_full].reshape(m, n_full)
+            if lib is None:
+                w = field_weights(env, base, k, (lo + st * np.arange(n_pos))[:, None])  # (m, n_pos, n_atoms)
+                dropped = _numpy_step(fam, law, w, offsets, i0, i1, means[:, k:], full)
+            else:
+                dropped = lib.envwalk_propagate(
+                    read_at, k, lo, st, m, n_pos, buffers[1 - nxt] + 8 * at, ms, support_at, offsets_at, n_full,
+                    i0, i1, PRUNE_MASS, buffers[nxt], means_at + 8 * k, n_max + 1, buffers[2],
+                )
+            if dropped <= PRUNE_MASS:
+                break
+            # The law crosses the window: take this step again on the whole
+            # next support, in buffers that hold the whole support to the end.
+            grown, row_weights, buffers = allocate(1 + span * n_max)
+            moved = grown[1 - nxt, : m * ms].reshape(m, ms)[:, at : at + n_pos]
+            moved[...] = law
+            laws, law, whole, i0, i1 = grown, moved, True, 0, n_full
         # The next law is columns [i0, i1) of the (m, n_full) array just written.
         law, lo, n_pos, at, ms = full[:, i0:i1], full_lo + st * i0, i1 - i0, i0, n_full
         yield k, lo, law
@@ -578,13 +565,12 @@ def _numpy_step(fam, mass, w, offsets, i0, i1, means, full) -> float:
 
 
 def _x1_samples(env_template: Environment, n_env: int, n_walk: int) -> np.ndarray:
-    """One-step positions under the averaged law, shape (n_env * n_walk, d)."""
-    env_idx = np.repeat(np.arange(n_env), n_walk)
-    walk_idx = np.tile(np.arange(n_walk), n_env)
-    base = seed_lanes(derive_seeds_vec(env_template.master_seed, env_idx))
-    walker = _Walker(env_template, _per_row(base), walk_idx[:, None, None], 0, 1)
+    """One-step positions under the averaged law, shape (n_env * n_walk, d):
+    walks 0 .. n_walk - 1 in each of n_env fresh fields."""
+    base = seed_lanes(derive_seeds_vec(env_template.master_seed, np.arange(n_env)))
+    walker = _Walker(env_template, base, np.tile(np.arange(n_walk), n_env)[:, None], 0, 1)
     walker.step()
-    return walker.pos[:, 0].astype(float)
+    return walker.pos.astype(float)
 
 
 def velocity_and_covariance(env_template: Environment, n_env: int, n_walk: int = 1):

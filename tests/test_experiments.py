@@ -495,15 +495,26 @@ def test_past_range_configs_end_in_an_input_error(text, error, tmp_path, capsys)
     assert err.startswith(f"error: {error}"), err
 
 
-def test_drifting_field_exact_means_end_in_error(tmp_path, capsys):
-    # The dense window is centred at the origin; a drift carries the law out of it.
-    cfg = tmp_path / "drift.cfg"
-    cfg.write_text(
-        "experiment = variance-scan\np_low = 0.6\np_high = 0.9\nn_grid = 16, 32, 64, 128\nenv_replicas = 4\n"
-    )
-    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: exact propagation: step ")
-    assert not (tmp_path / "variance-scan_report.json").exists()
+# Exact means whose law crosses the dense window: a drifting field, and the
+# driftless mixing lattice, where a replica's local drifts carry the law past
+# the window's Azuma bound at step 298.  Each run keeps the whole support from
+# that step on and writes its report.  The drifting config asks for no
+# verdict, so it exits 2; the other passes its one verdict.
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("experiment = variance-scan\np_low = 0.6\np_high = 0.9\nn_grid = 16, 32, 64, 128\nenv_replicas = 4\n", 2),
+        ("experiment = variance-scan\nmodel = mixing-lattice\nmean_method = exact\n"
+         "n_grid = 16, 32, 64, 128, 256, 512, 1024\nenv_replicas = 512\neta_max = 0.9\nseed = 0\n", 0),
+    ],
+    ids=["drifting", "driftless"],
+)
+def test_exact_means_past_the_window_write_a_report(text, code, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == code
+    assert "error" not in capsys.readouterr().err
+    assert json.loads((tmp_path / "variance-scan_report.json").read_text())["rows"]
 
 
 def test_out_of_memory_ends_in_error(tmp_path, capsys, monkeypatch):
@@ -516,6 +527,35 @@ def test_out_of_memory_ends_in_error(tmp_path, capsys, monkeypatch):
     cfg.write_text("experiment = variance-scan\nn_grid = 16, 1125899906842624\n")
     assert cli_main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: Unable to allocate 8.00 PiB")
+
+
+# With walks_per_env = 3 the one-step samples are 3 walkers in each of
+# 2 000 fields, so one compiled block walks tiles of g = 3 walkers a field.
+# The digest is the report's from when each sample walker hashed its own copy
+# of its field's lanes.
+MOMENTS_SHARED = "experiment = moments\nenv_replicas = 2000\nwalks_per_env = 3\n"
+MOMENTS_SHARED_DIGEST = "5a06896510e178b3d4b918eb841fcd6626202fac23c5d2e5e99c8813271f15f6"
+
+
+def test_moments_with_several_walks_a_field_share_tiles_and_hold_their_digest(monkeypatch):
+    lib = streams._LIB
+    groups = []
+
+    class Spy:
+        """The library, recording the walkers a field of each walker block."""
+
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def envwalk_walk(self, *args):
+            groups.append(args[2])
+            return lib.envwalk_walk(*args)
+
+    for path in [Spy(), None] if lib is not None else [None]:
+        monkeypatch.setattr(streams, "_LIB", path)
+        report = report_json(run(parse_config(MOMENTS_SHARED), workers=1))
+        assert hashlib.sha256(report.encode()).hexdigest() == MOMENTS_SHARED_DIGEST
+    assert groups == ([3] if lib is not None else [])
 
 
 # Below a spacing of 2**-20 the finite-range cell floor(x / R + 0.5) of a

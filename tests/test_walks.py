@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from envwalk import streams, walks
-from envwalk.diffchain import SAME_ENV, batch_diff_positions, simulate_diff_chain
+from envwalk.diffchain import SAME_ENV, _PairWalker, batch_diff_positions, simulate_diff_chain
 from envwalk.environments import (
     env_replica,
     field_read,
@@ -351,26 +351,30 @@ def each_step_path(monkeypatch):
         yield
 
 
-def test_drifting_field_window_drop_raises(monkeypatch):
-    # v = 0.5: the law leaves the window at step 80, where the window first
-    # binds (|x| <= 79), while the dictionary propagator keeps all of it.
-    # Both steps raise with the same message.
+def test_drifting_field_propagates_past_the_window(monkeypatch):
+    # v = 0.5: the law crosses the window at step 80, where the window first
+    # binds (|x| <= 79); that step is taken again on the whole support, which
+    # the law keeps.  The curve is the dictionary propagator's, which keeps
+    # all of the law, with the same bits on both steps.
     env = make_lattice_product(404, 1, UniformPM1(0.6, 0.9))
     seeds = np.asarray([env.master_seed], dtype=np.uint64)
+    exact = quenched_mean_exact(env, 150).means[:, 0]
+    curves = []
     for _ in each_step_path(monkeypatch):
-        assert np.allclose(exact_mean_curves(env, 79, seeds)[0], quenched_mean_exact(env, 79).means[:, 0], atol=1e-10)
-        with pytest.raises(ValueError, match=r"^exact propagation: step 80 drops mass 2\.08e-11 outside the window \|x\| <= 79"):
-            exact_mean_curves(env, 80, seeds)
+        curves.append(exact_mean_curves(env, 150, seeds)[0])
+        assert np.allclose(curves[-1], exact, rtol=0, atol=1e-13)
+    assert_same_bits(curves[-1], curves[0])
 
 
 @pytest.mark.parametrize("atom", [-10.0, 10.0])
-def test_law_leaving_the_window_whole_raises(atom, monkeypatch):
+def test_law_leaving_the_window_whole_keeps_its_mass(atom, monkeypatch):
     # A pointmass moving 10 sites a step leaves the window in one step at
-    # step 77; the window then lies wholly on one side of the support.
+    # step 77, where the window lies wholly on one side of the support; the
+    # law keeps its whole support from then on.
     env = make_lattice_product(404, 1, FixedAtomic(((atom,),), (1.0,)), uniform_offset=False)
     for _ in each_step_path(monkeypatch):
-        with pytest.raises(ValueError, match=r"^exact propagation: step 77 drops mass 1 outside the window \|x\| <= 766"):
-            exact_mean_curves(env, 100, np.arange(3, dtype=np.uint64))
+        curves = exact_mean_curves(env, 100, np.arange(3, dtype=np.uint64))
+        assert np.array_equal(curves, np.broadcast_to(atom * np.arange(101), (3, 101)))
 
 
 @pytest.mark.parametrize(
@@ -678,13 +682,12 @@ _SHARED_FIELDS = [(101, 2), (101, 3), (3, 255), (3, 256), (3, 257), (3, 300)]
 
 
 def shared_field_walks(env, n_fields, g):
-    """Walkers in ``n_fields`` fields of g walkers each (lanes of shape
-    (n_fields, 1) against walkers (n_fields, g)): the steps, positions and
-    drift sums of a walker recorded at unsorted and repeated steps, then every
-    step's positions and the drift sums of one that iterates its blocks."""
-    lanes = walks._per_row(seed_lanes(np.arange(n_fields, dtype=np.uint64) * np.uint64(2**61 + 3)))
-    cells = np.arange(n_fields * g).reshape(n_fields, g, 1)
-    assert walks._field_groups(lanes, (n_fields, g))[1] == g
+    """Walkers in ``n_fields`` fields of g walkers each (walker i reads
+    field i // g): the steps, positions and drift sums of a walker recorded
+    at unsorted and repeated steps, then every step's positions and the
+    drift sums of one that iterates its blocks."""
+    lanes = seed_lanes(np.arange(n_fields, dtype=np.uint64) * np.uint64(2**61 + 3))
+    cells = np.arange(n_fields * g)[:, None]
     walker = walks._Walker(env, lanes, cells, 2, 30, accumulate_drift=True)
     record = walker.record([17, 0, 30, 5, 17])
     blocks = walks._Walker(env, lanes, cells, 2, 30, accumulate_drift=True)
@@ -700,7 +703,7 @@ def test_compiled_walker_matches_numpy_walker(name, x0, small_blocks, monkeypatc
     # walker hashes in C: a silent fall-back to the numpy steps would call
     # field_weights or lanes_for_cells and fail here.
     env = _WALK_FIELDS[name]
-    assert walks._Walker(env, seed_lanes(env.master_seed), np.zeros((1, 1, 1), np.int64), x0, 1).compiled
+    assert walks._Walker(env, seed_lanes(env.master_seed), np.zeros((1, 1), np.int64), x0, 1).compiled
     lib = streams._LIB
     monkeypatch.setattr(streams, "_LIB", None)
     want = every_walker(env, x0)
@@ -720,14 +723,18 @@ def test_clone_free_build_matches_numpy(tmp_path, small_blocks, monkeypatch):
     # -DVECTOR_CLONES= builds the baseline code alone, which hosts without
     # AVX-512 (and compilers without target clones) run, while the loader
     # picks the AVX-512 clone wherever the CPU has it.  That build gives the
-    # numpy paths' bits on the step fields' curves, the edge rows and walkers.
+    # numpy paths' bits on the step fields' curves, the edge rows, and every
+    # compiled field read: each _READ_FIELDS field read through
+    # envwalk_field_weights and walked, one walker a field and many.
     target = tmp_path / "_hash_baseline.so"
     subprocess.run(["cc", *streams._CFLAGS, "-DVECTOR_CLONES=", "-o", str(target), str(streams._KERNEL_SOURCE),
                     *streams._LDLIBS], check=True, capture_output=True, timeout=600)
     assert b"arch_x86_64_v4" not in target.read_bytes()
     lib = streams._declare(ctypes.CDLL(str(target)))
     seeds = np.asarray([3, 2**63 + 5], dtype=np.uint64)
-    walkers = [_WALK_FIELDS[name] for name in ("affine-finite-range-1.5", "threshold-lattice-offset", "constant-level-correlated")]
+    walkers = list(_READ_FIELDS.values())
+    base, sites = seed_lanes(seeds), np.arange(-2500, 1596)
+    per_row = (base[0][:, None], base[1][:, None])
     monkeypatch.setattr(streams, "_LIB", None)
     want = [exact_mean_curves(env, n_max, seeds) for env, n_max in _STEP_FIELDS.values()]
     want_walks = [every_walker(env, -3) for env in walkers]
@@ -736,7 +743,10 @@ def test_clone_free_build_matches_numpy(tmp_path, small_blocks, monkeypatch):
     for (env, n_max), expected in zip(_STEP_FIELDS.values(), want):
         assert_same_bits(exact_mean_curves(env, n_max, seeds), expected)
     for env, expected in zip(walkers, want_walks):
-        assert walks._Walker(env, seed_lanes(env.master_seed), np.zeros((1, 1, 1), np.int64), 0, 1).compiled
+        assert walks._Walker(env, seed_lanes(env.master_seed), np.zeros((1, 1), np.int64), 0, 1).compiled
+        got = compiled_field_weights(env, seeds, range(2), sites)
+        for level in range(2):
+            assert_same_bits(got[level], field_weights(env, per_row, level, sites[:, None]))
         for got, exp in zip(every_walker(env, -3), expected):
             assert_same_bits(got, exp)
     for env, expected in zip(walkers, want_shared):
@@ -757,9 +767,8 @@ def test_shared_field_block_matches_numpy_and_per_walker_copies(name, n, monkeyp
     # 257, and 4 tiles of which the last is partial at 1 000.
     env = _READ_FIELDS[name]
     shared = seed_lanes(env.master_seed)
-    copies = tuple(np.full((n, 1), h) for h in shared)
-    cells = np.stack([np.arange(n) * 3 - 7, np.ones(n, np.int64)], axis=-1)[:, None, :]
-    assert walks._field_groups(shared, (n, 1))[1] == n and walks._field_groups(copies, (n, 1))[1] == 1
+    copies = tuple(np.full(n, h) for h in shared)
+    cells = np.stack([np.arange(n) * 3 - 7, np.ones(n, np.int64)], axis=-1)
 
     def walk(lanes):
         walker = walks._Walker(env, lanes, cells, -3, 40, accumulate_drift=True)
@@ -794,7 +803,7 @@ def test_fields_of_several_walkers_across_tiles(name, n_fields, g, monkeypatch):
 def test_walkers_that_stay_on_the_numpy_steps():
     # Gaussian laws, d >= 2 and float positions (atoms off the lattice).
     for env in [*D_FIELDS.values(), GAUSS, HALF]:
-        cells = np.zeros((1, 1, 1), np.int64)
+        cells = np.zeros((1, 1), np.int64)
         assert not walks._Walker(env, seed_lanes(env.master_seed), cells, 0, 1).compiled
 
 
@@ -807,7 +816,7 @@ def test_walkers_reject_a_start_their_positions_cannot_hold():
         batch_diff_positions(MIX, 3, np.arange(2), x0=2.5)
     # A walk key's cell starts with the walk seed, which the compiled walker reads.
     with pytest.raises(ValueError, match="at least the walk seed"):
-        walks._Walker(MIX, seed_lanes(MIX.master_seed), np.zeros((2, 1, 0), np.int64), 0, 3)
+        walks._Walker(MIX, seed_lanes(MIX.master_seed), np.zeros((2, 0), np.int64), 0, 3)
     # A start the positions hold exactly walks as the scalar path does:
     # 2.0 on an integer support, 2.5 on atoms off the lattice.
     _, pos, _ = batch_quenched_positions(MIX, 3, [0], x0=2.0)
@@ -823,12 +832,45 @@ def test_empty_batches_on_both_paths(monkeypatch):
     for _ in each_step_path(monkeypatch):
         curves = exact_mean_curves(MIX, 10, np.arange(0, dtype=np.uint64))
         assert curves.shape == (0, 11) and curves.dtype == np.float64
-        walker = walks._Walker(MIX, seed_lanes(MIX.master_seed), np.zeros((0, 1, 1), np.int64), 0, 10, True)
+        walker = walks._Walker(MIX, seed_lanes(MIX.master_seed), np.zeros((0, 1), np.int64), 0, 10, True)
         assert walker.compiled == (streams._LIB is not None)
         assert list(walker) == []
         _, pos, drift = batch_quenched_positions(MIX, 10, np.arange(0), accumulate_drift=True)
         assert pos.shape == (11, 0, 1) and pos.dtype == np.int64
         assert drift.shape == (0, 1)
+
+
+def test_empty_batches_and_retired_pairs_stay_valid(small_blocks, monkeypatch):
+    # No walkers in one field, in three (g = 0) or in none, and a pair walker
+    # after its last pair retired: nothing to step or record, on both paths.
+    for _ in each_step_path(monkeypatch):
+        for n_fields in (0, 1, 3):
+            lanes = seed_lanes(np.arange(n_fields, dtype=np.uint64))
+            walker = walks._Walker(MIX, lanes, np.zeros((0, 1), np.int64), 0, 10, True)
+            _, pos = walker.record([10, 0])
+            assert pos.shape == (2, 0, 1) and walker.drift.shape == (0, 1)
+        pairs = _PairWalker(MIX, np.arange(3), 2, SAME_ENV, 100)
+        k0, y = next(iter(pairs))
+        assert k0 == 0 and y.shape[1] == 3 and pairs.k < 100
+        pairs.retire(np.ones(3, bool))
+        assert pairs.pos.shape == (0, 1) and pairs.y.shape == (0,) and list(pairs) == []
+
+
+class _NoLibrary:
+    """A stand-in compiled library whose every entry point fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the walker called {name}")
+
+
+@pytest.mark.parametrize("n_fields, n", [(2, 3), (4, 6), (3, 1), (0, 2)])
+def test_walkers_that_the_fields_do_not_divide_raise_before_any_compiled_call(n_fields, n, monkeypatch):
+    # Walker i reads field i // g, g = n / F; were F not to divide n, the
+    # compiled block would read past the lane arrays.
+    monkeypatch.setattr(streams, "_LIB", _NoLibrary())
+    lanes = seed_lanes(np.arange(n_fields, dtype=np.uint64))
+    with pytest.raises(ValueError, match=f"^{n} walkers do not split evenly over {n_fields} fields$"):
+        walks._Walker(MIX, lanes, np.zeros((n, 1), np.int64), 0, 5)
 
 
 def test_nonrandom_fair_env_has_zero_quenched_mean():
