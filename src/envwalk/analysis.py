@@ -190,7 +190,7 @@ def variance_identity_check(
     counts = np.bincount(idx.ravel(), minlength=xs.size) / y_replicas
     rhs = float(counts @ phi_vals)
     per_replica = phi_vals[idx].sum(axis=0)
-    occ_noise = float(per_replica.std(ddof=1) / math.sqrt(y_replicas)) if y_replicas > 1 else 0.0
+    occ_noise = float(per_replica.std(ddof=1) / math.sqrt(y_replicas))
     phi_noise = float(np.sqrt(np.sum((counts * np.asarray(phi.standard_errors)) ** 2)))
     rhs_se = math.hypot(occ_noise, phi_noise)
     combined = math.hypot(lhs_se, rhs_se)

@@ -41,7 +41,7 @@ from .environments import (
     make_lattice_product,
 )
 from .families import DiracSteps, FixedAtomic, UniformPM1
-from .stats import MIN_FIT_POINTS, fit_points, ks_two_sample_critical, ks_two_sample_distance
+from .stats import MIN_FIT_POINTS, InsufficientDataError, fit_points, ks_two_sample_critical, ks_two_sample_distance
 from .walks import velocity_and_covariance
 
 __all__ = [
@@ -271,11 +271,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _in_se(diff, se):
-    """|diff| in standard errors: 0 when diff and se are both 0, inf when only se is."""
-    diff = np.abs(diff)
+def _se_verdict(name: str, diffs, ses, k: float, threshold: str, needs: str | None = None) -> Verdict:
+    """Whether every difference ``diffs`` lies within ``k`` standard errors ``ses``.
+    The observed value is the largest |diff| / se: 0 where diff and se are
+    both 0, inf where only se is.  With no difference to compare the verdict
+    fails, observed 0, and its threshold names what it ``needs``."""
+    diffs = np.abs(np.asarray(diffs, dtype=float))
+    if not diffs.size:
+        return Verdict(name, False, 0, f"{threshold}: needs {needs}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(diff == 0, 0.0, diff / se)
+        dev = float(np.where(diffs == 0, 0.0, diffs / np.asarray(ses, dtype=float)).max())
+    return Verdict(name, dev <= k, dev, threshold)
 
 
 def _run_moments(env: Environment, v: dict):
@@ -285,18 +291,12 @@ def _run_moments(env: Environment, v: dict):
         Row("moments", "velocity", value=float(vel[0]), se=float(vel_se[0]), count=v["env_replicas"]),
         Row("moments", "covariance", value=float(cov[0, 0]), se=float(cov_se[0, 0]), count=v["env_replicas"]),
     ]
-    verdicts = []
     v_true = float(fam.averaged_mean[0])
     d_true = analysis.limit_variance(env, "velocity")  # the annealed step variance
-    verdicts.append(
-        Verdict("velocity_within_4se", abs(vel[0] - v_true) <= 4 * vel_se[0],
-                float(_in_se(vel[0] - v_true, vel_se[0])), f"|v - {v_true}| <= 4 SE")
-    )
-    verdicts.append(
-        Verdict("covariance_within_4se", abs(cov[0, 0] - d_true) <= 4 * cov_se[0, 0],
-                float(_in_se(cov[0, 0] - d_true, cov_se[0, 0])), f"|D - {d_true}| <= 4 SE")
-    )
-    return rows, verdicts
+    return rows, [
+        _se_verdict("velocity_within_4se", vel[0] - v_true, vel_se[0], 4, f"|v - {v_true}| <= 4 SE"),
+        _se_verdict("covariance_within_4se", cov[0, 0] - d_true, cov_se[0, 0], 4, f"|D - {d_true}| <= 4 SE"),
+    ]
 
 
 def _finite(x) -> float | None:
@@ -349,17 +349,12 @@ def _run_phi_decay(env: Environment, v: dict):
     verdicts = []
     if 0.0 in grid.tolist():
         j = grid.tolist().index(0.0)
-        dev = _in_se(curve.estimates[j] - env.family.drift_variance, curve.standard_errors[j])
-        verdicts.append(Verdict("phi0_matches_drift_variance", dev <= 4.0, float(dev), "<= 4 SE"))
+        verdicts.append(_se_verdict("phi0_matches_drift_variance", curve.estimates[j] - env.family.drift_variance,
+                                    curve.standard_errors[j], 4, "<= 4 SE"))
     if v["independent_beyond"] is not None:
         far = grid >= v["independent_beyond"]
-        devs = _in_se(curve.estimates[far], curve.standard_errors[far])
-        if devs.size:
-            verdicts.append(Verdict("phi_vanishes_beyond_range", bool((devs <= 4.0).all()),
-                                    float(devs.max()), "<= 4 SE beyond range"))
-        else:  # observed: the count of x_grid points beyond range
-            verdicts.append(Verdict("phi_vanishes_beyond_range", False, 0,
-                                    f"<= 4 SE beyond range: needs an x_grid point >= {v['independent_beyond']}"))
+        verdicts.append(_se_verdict("phi_vanishes_beyond_range", curve.estimates[far], curve.standard_errors[far],
+                                    4, "<= 4 SE beyond range", f"an x_grid point >= {v['independent_beyond']}"))
     return rows, verdicts
 
 
@@ -375,8 +370,8 @@ def _run_identity(env: Environment, v: dict):
         if n == 1:
             verdicts.append(Verdict("identity_exact_n1", rep.residual == 0.0, rep.residual, "== 0"))
         else:
-            dev = _in_se(rep.residual, rep.combined_se)
-            verdicts.append(Verdict(f"identity_within_4se_n{n}", dev <= 4.0, float(dev), "<= 4 combined SE"))
+            verdicts.append(_se_verdict(f"identity_within_4se_n{n}", rep.residual, rep.combined_se, 4,
+                                        "<= 4 combined SE"))
     return rows, verdicts
 
 
@@ -390,7 +385,7 @@ def _fclt_runs(env: Environment, v: dict, expectations, cov_se_factor: float):
     thresh, total = v["pass_seeds"], v["env_seeds"]
     rows, verdicts = [], []
     for k, (centering, expect) in enumerate(expectations):
-        n_pass, max_cov_dev = 0, 0.0
+        n_pass, cov = 0, []  # cov: (difference, SE) of each covariance row
         for s, reports in enumerate(per_field):
             rep = reports[k]
             n_pass += rep.all_marginals_pass()
@@ -398,14 +393,14 @@ def _fclt_runs(env: Environment, v: dict, expectations, cov_se_factor: float):
                 rows.append(Row(f"fclt_{centering}", "ks_p", grid=t, replica=s, value=res.p_value,
                                 note=f"stat={_fmt(res.statistic)}"))
             for s_t, t_t, emp, expd, se in rep.cov_rows:
-                max_cov_dev = max(max_cov_dev, float(_in_se(emp - expd, se)))
+                cov.append((emp - expd, se))
                 rows.append(Row(f"fclt_{centering}", "cov", grid=s_t, replica=s, value=emp, se=se,
                                 note=f"t={_fmt(t_t)} expected={_fmt(expd)}"))
         if expect == "pass":
             verdicts.append(Verdict(f"{centering}_marginals_gaussian", n_pass >= thresh, n_pass,
                                     f">= {thresh} of {total} seeds"))
-            verdicts.append(Verdict(f"{centering}_cov_within_se", max_cov_dev <= cov_se_factor,
-                                    max_cov_dev, f"<= {cov_se_factor} SE"))
+            verdicts.append(_se_verdict(f"{centering}_cov_within_se", *np.reshape(cov, (-1, 2)).T, cov_se_factor,
+                                        f"<= {cov_se_factor} SE", "two time_points"))
         else:
             n_fail = total - n_pass
             verdicts.append(Verdict(f"{centering}_marginals_rejected", n_fail >= thresh, n_fail,
@@ -472,7 +467,11 @@ def _run_ychain_exit(env: Environment, v: dict):
 
 
 def _run_ychain_excursion(env: Environment, v: dict):
-    scan = diffchain.excursion_scan(env, v["horizon"], v["box_eps"], v["replicas"], kind=v["kind"])
+    threshold = f"in [{v['tail_min']}, {v['tail_max']}]"
+    try:
+        scan = diffchain.excursion_scan(env, v["horizon"], v["box_eps"], v["replicas"], kind=v["kind"])
+    except InsufficientDataError as exc:  # too few excursions, or usable points, for a tail fit
+        return [], [Verdict("excursion_tail_exponent", False, 0, f"{threshold}: {exc}")]
     rows = [
         Row("excursion", "survival", grid=float(a), value=float(sv), se=float(se))
         for a, sv, se in zip(scan.survival_curve.grid, scan.survival_curve.estimates,
@@ -483,7 +482,7 @@ def _run_ychain_excursion(env: Environment, v: dict):
     rows.append(Row("excursion", "complete_count", value=float(scan.lengths.size),
                     count=scan.n_incomplete, note="count column = incomplete"))
     verdicts = [Verdict("excursion_tail_exponent", v["tail_min"] <= scan.tail_exponent <= v["tail_max"],
-                        scan.tail_exponent, f"in [{v['tail_min']}, {v['tail_max']}]")]
+                        scan.tail_exponent, threshold)]
     return rows, verdicts
 
 
@@ -542,7 +541,7 @@ _TABLE = {
     "identity-check": (_run_identity, {
         "n_list": Key([1, 4, 8], int, many=True, lo=1),
         "env_replicas": Key(4000, int, lo=2),
-        "y_replicas": Key(4000, int, lo=1),
+        "y_replicas": Key(4000, int, lo=2),
     }),
     "fclt": (_run_fclt, {
         **_WALK_KEYS,

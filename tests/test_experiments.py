@@ -98,6 +98,8 @@ def test_missing_experiment_and_bad_lines():
         # below 6 replicas the first-step symmetry test cannot reject
         ("ychain-exit", "symmetry_replicas = 5"),
         ("ychain-exit", "symmetry_replicas = 1"),
+        # one occupation sample has no spread, so the identity's RHS would have no SE
+        ("identity-check", "y_replicas = 1"),
         # more passing fields than fields could never pass
         ("fclt", "pass_seeds = 11"),
         ("counterexample", "pass_seeds = 11"),
@@ -341,6 +343,8 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 _UNFIT = ": a fit needs >= 4 usable grid points"
 _CAPPED = ": every replica must exit a fitted radius, and 8 capped at r = 8.0"
+_NO_PAIR = ": needs two time_points"
+_ONE_TIME_POINT = "experiment = {}\nwalk_replicas = 50\nenv_seeds = 1\npass_seeds = 1\ntime_points = 0.5\n"
 
 
 @pytest.mark.parametrize(
@@ -370,9 +374,18 @@ _CAPPED = ": every replica must exit a fitted radius, and 8 capped at r = 8.0"
         ("experiment = phi-decay\nreplicas = 200\nindependent_beyond = 100\n",
          [{"name": "phi_vanishes_beyond_range", "observed": 0.0,
            "threshold": "<= 4 SE beyond range: needs an x_grid point >= 100"}]),
+        # one time point has no pair (s, t), so no covariance to compare with min(s, t) * sigma^2
+        (_ONE_TIME_POINT.format("fclt"),
+         [{"name": "velocity_cov_within_se", "observed": 0.0, "threshold": "<= 5.0 SE" + _NO_PAIR}]),
+        (_ONE_TIME_POINT.format("counterexample"),
+         [{"name": "quenched_mean_cov_within_se", "observed": 0.0, "threshold": "<= 5.0 SE" + _NO_PAIR}]),
+        # both walks of a pair follow the one path of a Dirac field, so Y never leaves 0
+        ("experiment = ychain-excursion\nmodel = dirac-field\nhorizon = 64\nreplicas = 4\n",
+         [{"name": "excursion_tail_exponent", "observed": 0.0,
+           "threshold": "in [0.35, 0.65]: only 0 complete excursions (need >= 10); radius=2.3, horizon=64"}]),
     ],
     ids=["no-growth", "three-points", "occupation-three-points", "exit-all-capped", "exit-capped-radius",
-         "phi-nothing-beyond"],
+         "phi-nothing-beyond", "fclt-one-time-point", "counterexample-one-time-point", "excursion-none"],
 )
 def test_exponent_verdict_without_a_fit_fails(text, verdicts, tmp_path, capsys):
     # A verdict whose key is set always appears; when its statistic cannot be
@@ -412,6 +425,46 @@ def test_reports_are_strict_json(text, tmp_path, capsys):
     report = json.loads((tmp_path / f"{experiment}_report.json").read_text(), parse_constant=_no_constants)
     values = [r[k] for r in report["rows"] for k in ("value", "se")] + [v["observed"] for v in report["verdicts"]]
     assert None in values
+
+
+# One tiny config per runner, with every optional verdict key set, and the
+# verdicts it must yield.  fclt appears once per centering.
+_WALKS = "epsilon = 0.015625\ntime_points = 0.25, 0.5\nwalk_replicas = 50\nenv_seeds = 2\npass_seeds = 1\n"
+_EVERY_VERDICT = {
+    "moments": ("env_replicas = 20\n", ["velocity_within_4se", "covariance_within_4se"]),
+    "variance-scan": ("n_grid = 2, 4, 8, 16\nenv_replicas = 8\neta_min = 0\neta_max = 1\n",
+                      ["eta_at_least", "eta_at_most"]),
+    "phi-decay": ("x_grid = 0, 1, 4\nreplicas = 20\nindependent_beyond = 2\n",
+                  ["phi0_matches_drift_variance", "phi_vanishes_beyond_range"]),
+    "identity-check": ("n_list = 1, 3\nenv_replicas = 8\ny_replicas = 8\n",
+                       ["identity_exact_n1", "identity_within_4se_n3"]),
+    "fclt": (_WALKS + "expect_marginals = pass\n", ["velocity_marginals_gaussian", "velocity_cov_within_se"]),
+    "fclt quenched_mean": (_WALKS + "centering = quenched_mean\nexpect_marginals = pass\n",
+                           ["quenched_mean_marginals_gaussian", "quenched_mean_cov_within_se"]),
+    "max-drift": ("n_lo = 4\nn_hi = 16\nenv_replicas = 2\nexpect_decay = 1\n", ["scaled_max_halves"]),
+    "ychain-exit": ("r_grid = 2, 4\nreplicas = 8\nstep_cap = 200\nsymmetry_replicas = 6\n",
+                    ["first_step_symmetric_same_env", "first_step_symmetric_independent_env",
+                     "exit_slope_in_window", "exit_slope_below_envelope"]),
+    "ychain-excursion": ("horizon = 64\nreplicas = 4\n", ["excursion_tail_exponent"]),
+    "occupation": ("n_grid = 4, 8, 16, 32\nreplicas = 4\n", ["occupation_sublinear"]),
+    "counterexample": (_WALKS, ["velocity_marginals_rejected", "quenched_mean_marginals_gaussian",
+                                "quenched_mean_cov_within_se"]),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("runner", _EVERY_VERDICT)
+def test_every_accepted_model_writes_strict_json_with_its_verdicts(runner, model):
+    # Every (experiment, model) pair the parser accepts runs to a strict JSON
+    # report holding each verdict its keys ask for; the others are refused.
+    lines, names = _EVERY_VERDICT[runner]
+    text = f"experiment = {runner.split()[0]}\nmodel = {model}\n{lines}"
+    if model == "dirac-field" and runner in ("fclt quenched_mean", "counterexample"):
+        with pytest.raises(ConfigError, match="model: dirac-field"):
+            parse_config(text)
+        return
+    report = json.loads(report_json(run(parse_config(text))), parse_constant=_no_constants)
+    assert [v["name"] for v in report["verdicts"]] == names
 
 
 def test_capped_estimates_leave_csv_cells_empty(tmp_path, capsys):
