@@ -112,6 +112,12 @@ def _pairs(env_template: Environment, replicas: np.ndarray, x0, kind: str):
     return base, wcells, np.stack([np.zeros_like(x0), x0], axis=1).reshape(-1, 1)
 
 
+def _y(pos: np.ndarray) -> np.ndarray:
+    """Y = X~ - X of each pair from walker positions (..., 2 * pairs, 1):
+    walker 2i + 1 less walker 2i."""
+    return pos[..., 1::2, 0] - pos[..., ::2, 0]
+
+
 class _PairWalker(_Walker):
     """Lockstep batch of (X, X~) pairs (:func:`_pairs`) for d=1 fields that
     retires the pairs a scan has settled.
@@ -130,7 +136,7 @@ class _PairWalker(_Walker):
 
     @property
     def y(self) -> np.ndarray:
-        return self.pos[1::2, 0] - self.pos[::2, 0]
+        return _y(self.pos)
 
     def retire(self, done: np.ndarray) -> None:
         """Drop the live pairs flagged in ``done``."""
@@ -146,8 +152,7 @@ class _PairWalker(_Walker):
 
     def step(self) -> np.ndarray:
         """Take the next block of b steps; returns Y of the live pairs after each, (b, live)."""
-        block = super().step()
-        return block[:, 1::2, 0] - block[:, ::2, 0]
+        return _y(super().step())
 
 
 def batch_diff_positions(
@@ -157,20 +162,10 @@ def batch_diff_positions(
     x0=0,
     kind: str = SAME_ENV,
     record_steps=None,
-    return_components: bool = False,
 ):
-    """Vectorized difference chains; Y values at the recorded steps, (len, M).
-
-    With ``return_components`` also returns the (X, X~) positions of shape
-    (len, M, 2).
-    """
-    replicas = np.asarray(replicas, dtype=np.int64)
+    """Vectorized difference chains; Y values at the recorded steps, (len, M)."""
     record, pos = _PairWalker(env_template, replicas, x0, kind, n_steps).record(record_steps)
-    comps = pos.reshape(len(pos), replicas.size, 2)
-    y = comps[..., 1] - comps[..., 0]
-    if return_components:
-        return record, y, comps
-    return record, y
+    return record, _y(pos)
 
 
 # ---------------------------------------------------------------------------

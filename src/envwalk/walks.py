@@ -6,12 +6,14 @@ the first uniforms of that step's own stream key.  Every batched walk
 `diffchain`) is one lockstep `_Walker` that draws its noise from the same
 per-(step, walker) stream keys and reads the same field cells, so it
 replays the scalar draws exactly; parity tests pin each path to the scalar
-one.  Iterating a walker, which the difference-chain scans do to read
-every step, yields (k0, the positions after steps k0 + 1 .. k0 + b) one
-block of b steps at a time (``_BLOCK_ELEMENTS`` walker-steps a block)
-until the last step or the last walker.  Recording a walker steps
-straight to each recorded step and keeps only the positions there (a run
-of consecutive recorded steps, every step by default, a block at a time).
+one.  A walker takes its steps in one place, ``_Walker._run``, which
+writes the positions after each step into the caller's array or nowhere.
+Iterating a walker, which the difference-chain scans do to read every
+step, yields (k0, the positions after steps k0 + 1 .. k0 + b) one block of
+b steps at a time (``_BLOCK_ELEMENTS`` walker-steps a block) until the last
+step or the last walker.  Recording a walker steps straight to each
+recorded step and keeps only the positions there; a run of consecutive
+recorded steps (every step by default) is written in place in one go.
 Since every variate is a pure function of its address, neither the
 blocks nor the stops change a draw.  The walker serves every law family in
 any dimension d, with positions of shape (n, d), and walker i reads field
@@ -21,9 +23,8 @@ steps around each cell's drift vector (the difference-chain pairs stay
 d=1).  Walk noise uses its own key tag, so walk randomness never touches
 environment randomness.
 
-A d=1 walker with integer atoms runs each block, or each stretch up to
-a recorded step, in one call of ``envwalk_walk`` in the library that
-``streams`` builds from ``_hash.c``:
+A d=1 walker with integer atoms takes each run of steps in one call of
+``envwalk_walk`` in the library that ``streams`` builds from ``_hash.c``:
 per walker and step it hashes the walk key, reads the field row at (k, its
 position) with the compiled field read (:func:`environments.field_read`,
 whose cell rule covers every field kind), steps by inverse CDF and sums the
@@ -34,7 +35,7 @@ level-correlated field reads one weight row per field and step.  Every other
 walker (Gaussian laws, d >= 2, float positions, or no library) runs the
 numpy steps: the walk noise in one hash call per block, then
 :func:`environments.field_weights` at the walkers' positions step by
-step.  They are the reference the compiled block matches bit for bit.
+step.  They are the reference the compiled call matches bit for bit.
 
 Quenched means come in two dual forms that cross-check each other: a Monte
 Carlo mean over walks, and exact forward propagation of the full quenched
@@ -106,9 +107,10 @@ SUPPORT_CAP = 10**7
 # for c = sqrt(2*ln(2e15)) ~ 8.4; pad a little.
 _WINDOW_C = 8.6
 
-# Walker-steps per block: a batch of w walkers steps max(1, this // w) steps
-# at a time, one compiled call or one hash call for the walk noise.  Larger
-# blocks save little call overhead and cost memory.
+# Walker-steps per block: an iterated batch of w walkers steps max(1, this //
+# w) steps at a time, one compiled call, and the numpy steps draw the walk
+# noise of that many steps in one hash call.  Larger blocks save little call
+# overhead and cost memory.
 _BLOCK_ELEMENTS = 2**14
 
 
@@ -178,21 +180,21 @@ class _Walker:
     draw for draw.  The step rule is chosen once per walker: a fixed-support
     family steps by inverse CDF on its support, with positions of the
     support's dtype, a Gaussian family around the cell's drift vector.
-    Iterating runs at most ``n_steps`` steps, a block of
-    ``_BLOCK_ELEMENTS`` walker-steps at a time; :meth:`record` steps
-    straight to each recorded step, and takes blocks only within a run of
-    consecutive recorded steps.
+    Every step is taken in :meth:`_run`.  Iterating runs at most
+    ``n_steps`` steps, a block of ``_BLOCK_ELEMENTS`` walker-steps at a
+    time; :meth:`record` steps straight to each recorded step and writes a
+    run of consecutive recorded steps into its result in place.
 
-    A d=1 walk with integer atoms runs each block (or stretch to a recorded
-    step, writing no positions on the way) in one call of
-    ``envwalk_walk`` (``_hash.c``), which reads the F fields through
+    A d=1 walk with integer atoms takes each run of steps (writing the
+    positions after each, or none on the way to a recorded step) in one
+    call of ``envwalk_walk`` (``_hash.c``), which reads the F fields through
     :func:`environments.field_read` and g.  The call hashes the key words a
     field's walkers share (its lanes, the tag, the level and the cell-word
     count) once per field and step, and per walker only the walker's own
     words; when g > 1 each tile of walkers reads one field, whose prefix and
     (with no cell word) one weight row it reads in place.  Every other
-    walker runs the numpy steps of :meth:`_numpy_block`, which are also that
-    call's reference.  A walker count that F does not divide, a start that
+    walker runs the numpy steps of :meth:`_run`, which are also that call's
+    reference.  A walker count that F does not divide, a start that
     the positions' dtype cannot hold exactly (1.7 on an integer support), or
     walk cells without a word, raise ``ValueError``.
     """
@@ -259,49 +261,40 @@ class _Walker:
     def step(self) -> np.ndarray:
         """Take the next block of b steps, k -> k + b; returns the positions
         after each of them, shape (b, n, d)."""
-        return self._block(min(self._block_steps(), self.n_steps - self.k))
-
-    def _block(self, b: int) -> np.ndarray:
-        """Take b steps; returns the positions after each of them, shape (b, n, d)."""
-        if not self.compiled:
-            return self._numpy_block(b)
-        out = np.empty((b,) + self.pos.shape, np.int64)
-        streams._LIB.envwalk_walk(*self._kernel_args, self.k, b, out.ctypes.data)
-        self.k += b
+        out = np.empty((min(self._block_steps(), self.n_steps - self.k),) + self.pos.shape, self.pos.dtype)
+        self._run(len(out), out)
         return out
 
-    def _advance(self, stop: int) -> None:
-        """Step on to step ``stop``, keeping no position on the way: one
-        compiled call that writes none, or numpy blocks."""
-        if self.compiled and stop > self.k:
-            streams._LIB.envwalk_walk(*self._kernel_args, self.k, stop - self.k, None)
-            self.k = stop
+    def _run(self, b: int, out: np.ndarray | None = None) -> None:
+        """Take b steps, k -> k + b, writing the positions after each into
+        ``out``, a C-contiguous (b, n, d) array of the positions' dtype, or
+        nowhere.  A compiled walker takes them in one
+        ``envwalk_walk`` call, none for b = 0.  The numpy steps draw the walk
+        noise of a block of steps in one hash call, then read the field at
+        the walkers' positions step by step."""
+        if self.compiled:
+            if b:
+                streams._LIB.envwalk_walk(*self._kernel_args, self.k, b, None if out is None else out.ctypes.data)
+                self.k += b
+            return
+        k0, stop = self.k, self.k + b
         while self.k < stop:
-            self._numpy_block(min(self._block_steps(), stop - self.k))
-
-    def _numpy_block(self, b: int) -> np.ndarray:
-        """b steps in numpy: the walk noise for the whole block in one hash
-        call, then the field read at the walkers' positions step by step."""
-        levels = np.arange(self.k, self.k + b)[:, None]
-        lanes = lanes_for_cells(self.lanes, levels, TAG_WALK, self.wcells)
-        noise = uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(self.n_uniforms))
-        out = np.empty((b,) + self.pos.shape, self.pos.dtype)
-        for s in range(b):
-            rows = field_weights(self.env, self.lanes, self.k, self.pos)
-            if self.drift is not None:
-                self.drift += row_drifts(self.env.family, rows)
-            if self.factor is None:
-                move = np.take(self.support, _row_atomic_index(rows, noise[s, ..., 0]), axis=0)
-            else:
-                move = gaussian_step(rows, self.factor, noise[s])
-            self.pos = np.add(self.pos, move, out=out[s])
-            self.k += 1
-        return out
+            levels = np.arange(self.k, min(stop, self.k + self._block_steps()))[:, None]
+            lanes = lanes_for_cells(self.lanes, levels, TAG_WALK, self.wcells)
+            for u in uniforms_at((lanes[0][..., None], lanes[1][..., None]), np.arange(self.n_uniforms)):
+                rows = field_weights(self.env, self.lanes, self.k, self.pos)
+                if self.drift is not None:
+                    self.drift += row_drifts(self.env.family, rows)
+                if self.factor is None:
+                    move = np.take(self.support, _row_atomic_index(rows, u[..., 0]), axis=0)
+                else:
+                    move = gaussian_step(rows, self.factor, u)
+                self.pos = np.add(self.pos, move, out=None if out is None else out[self.k - k0])
+                self.k += 1
 
     def __iter__(self):
-        """The one stepping loop: yields (k0, the positions after steps k0 + 1
-        .. k0 + b), one block of b steps at a time, until ``n_steps`` or the
-        last walker."""
+        """Yields (k0, the positions after steps k0 + 1 .. k0 + b), one block
+        of b steps at a time, until ``n_steps`` or the last walker."""
         while self.k < self.n_steps and len(self.pos):
             k0 = self.k
             yield k0, self.step()
@@ -309,9 +302,10 @@ class _Walker:
     def record(self, record_steps=None) -> tuple[np.ndarray, np.ndarray]:
         """Run all ``n_steps`` steps; positions at ``record_steps`` (each in 0
         .. ``n_steps``; every step by default), shape (len, n, d).  The
-        walker steps straight to each distinct recorded step in turn and
-        copies its positions there; a run of consecutive recorded steps
-        comes a block at a time."""
+        walker steps straight to each distinct recorded step in turn, the
+        last step included, writing no positions on the way, and copies its
+        positions there; the consecutive recorded steps after it are written
+        into the result in place, in one run of steps."""
         record = np.arange(self.n_steps + 1) if record_steps is None else np.asarray(record_steps)
         steps = record.tolist()
         # A sorted set, not np.unique, whose first call imports numpy.ma.
@@ -321,17 +315,14 @@ class _Walker:
         kept = np.empty((len(stops),) + self.pos.shape, dtype=self.pos.dtype)
         i = 0
         while i < len(stops):
-            self._advance(stops[i])
+            self._run(stops[i] - self.k)
             kept[i] = self.pos
-            i += 1
-            # The consecutive stops after it, a block at a time.
-            end = i
+            # The consecutive stops after it, written in place.
+            end = i + 1
             while end < len(stops) and stops[end] == stops[end - 1] + 1:
                 end += 1
-            while i < end:
-                block = self._block(min(self._block_steps(), stops[end - 1] - self.k))
-                kept[i : i + len(block)] = block
-                i += len(block)
+            self._run(end - i - 1, kept[i + 1 : end])
+            i = end
         return record, kept if steps == stops else kept[np.searchsorted(stops, record)]
 
 
@@ -569,7 +560,7 @@ def _x1_samples(env_template: Environment, n_env: int, n_walk: int) -> np.ndarra
     walks 0 .. n_walk - 1 in each of n_env fresh fields."""
     base = seed_lanes(derive_seeds_vec(env_template.master_seed, np.arange(n_env)))
     walker = _Walker(env_template, base, np.tile(np.arange(n_walk), n_env)[:, None], 0, 1)
-    walker.step()
+    walker._run(1)
     return walker.pos.astype(float)
 
 

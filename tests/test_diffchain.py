@@ -112,7 +112,7 @@ def outcome(scan, *args, **kwargs):
 
 def every_scan(env, kind):
     return [
-        *outcome(batch_diff_positions, env, 40, np.arange(5), x0=3, kind=kind, return_components=True),
+        *outcome(diffchain._PairWalker(env, np.arange(5), 3, kind, 40).record),
         *outcome(exit_time_scan, env, [2.0, 5.0, 12.0], 6, step_cap=300, kind=kind, x0=1),
         *outcome(excursion_scan, env, 200, 0.2, 6, kind=kind),
         *outcome(lambda: occupation_time(env, [1, 5, 9, 23], 0.3, 6, kind=kind).estimates),
@@ -202,8 +202,8 @@ def test_same_env_walks_share_level_law_when_fully_correlated():
     # negative control: the two walks' simultaneous increments correlate
     # through the shared level law at every distance.
     m, n = 8000, 10
-    _, y, comps = batch_diff_positions(FC, n, np.arange(m), 5, SAME_ENV, return_components=True)
-    inc = np.diff(comps.astype(float), axis=0)  # (n, m, 2)
+    _, pos = diffchain._PairWalker(FC, np.arange(m), 5, SAME_ENV, n).record()
+    inc = np.diff(pos.reshape(n + 1, m, 2).astype(float), axis=0)  # (n, m, 2)
     a, b = inc[:, :, 0].ravel(), inc[:, :, 1].ravel()
     corr = np.corrcoef(a, b)[0, 1]
     assert corr > 4.0 / np.sqrt(a.size)

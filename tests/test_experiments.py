@@ -467,6 +467,88 @@ def test_every_accepted_model_writes_strict_json_with_its_verdicts(runner, model
     assert [v["name"] for v in report["verdicts"]] == names
 
 
+# Random accepted configs: an experiment, a model and its parameters, the
+# optional verdict keys, and every size key from a small range (at most 64
+# replicas, grid points up to 64, epsilon = 2**-6 with walks of at most 64
+# steps, horizons and step caps up to 256).
+def _maybe(*values):
+    return st.one_of(st.none(), st.sampled_from(values))
+
+
+_POINTS = st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True)
+_REPLICAS = st.integers(2, 64)
+_KINDS = st.sampled_from(["same_env", "independent_env"])
+_BOX = st.sampled_from([0.1, 0.2, 0.5, 1])
+_SMALL_WALKS = {
+    "epsilon": st.just(2**-6),
+    "time_points": _POINTS.map(lambda ks: [k / 64 for k in ks]),
+    "walk_replicas": st.integers(50, 64),
+    "env_seeds": st.integers(1, 3),
+    "pass_seeds": st.integers(0, 1),
+}
+_SMALL_KEYS = {
+    "moments": {"env_replicas": _REPLICAS, "walks_per_env": st.integers(1, 3)},
+    "variance-scan": {"n_grid": _POINTS, "env_replicas": _REPLICAS, "mean_method": st.sampled_from(["exact", "mc"]),
+                      "eta_min": _maybe(0, 0.5), "eta_max": _maybe(0.5, 1)},
+    "phi-decay": {"x_grid": st.lists(st.integers(-8, 8), min_size=1, max_size=4, unique=True),
+                  "replicas": _REPLICAS, "independent_beyond": _maybe(0, 1.5, 4)},
+    "identity-check": {"n_list": _POINTS, "env_replicas": _REPLICAS, "y_replicas": _REPLICAS},
+    "fclt": {**_SMALL_WALKS, "centering": st.sampled_from(["velocity", "quenched_mean"]),
+             "expect_marginals": st.sampled_from(["pass", "fail"]), "cov_se_factor": _maybe(1, 5)},
+    "max-drift": {"n_lo": st.integers(1, 32), "n_hi": st.integers(33, 64), "env_replicas": st.integers(1, 8),
+                  "expect_decay": st.integers(0, 1)},
+    "ychain-exit": {"r_grid": st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True),
+                    "replicas": _REPLICAS, "step_cap": st.integers(1, 256), "kind": _KINDS,
+                    "symmetry_replicas": st.integers(6, 64)},
+    "ychain-excursion": {"horizon": st.integers(1, 256), "box_eps": _BOX, "replicas": st.integers(1, 64),
+                         "kind": _KINDS},
+    "occupation": {"n_grid": _POINTS, "box_eps": _BOX, "replicas": _REPLICAS, "kind": _KINDS},
+    "counterexample": _SMALL_WALKS,
+}
+_MODEL_KEYS = {
+    "model": st.sampled_from(MODELS),
+    "seed": st.integers(0, 2**64 - 1),
+    "p_low": st.sampled_from([0, 0.2, 0.5]),
+    "p_high": st.sampled_from([0.5, 0.9, 1]),
+    "dependence_range": st.sampled_from([0.5, 1, 2.5]),
+    "uniform_offset": st.integers(0, 1),
+}
+_SMALL_CONFIGS = st.sampled_from(EXPERIMENTS).flatmap(
+    lambda e: st.fixed_dictionaries({**_MODEL_KEYS, **_SMALL_KEYS[e]}).map(lambda keys: (e, keys)))
+
+
+def _asked_verdicts(experiment: str, v: dict) -> list[str]:
+    """The verdicts a config's keys ask for, in report order."""
+    if experiment == "variance-scan":
+        return [name for name, key in (("eta_at_least", "eta_min"), ("eta_at_most", "eta_max")) if v[key] is not None]
+    if experiment == "phi-decay":
+        return (["phi0_matches_drift_variance"] * (0 in v["x_grid"])
+                + ["phi_vanishes_beyond_range"] * (v["independent_beyond"] is not None))
+    if experiment == "identity-check":
+        return ["identity_exact_n1" if n == 1 else f"identity_within_4se_n{n}" for n in v["n_list"]]
+    if experiment == "fclt":
+        c = v["centering"]
+        return [f"{c}_marginals_gaussian", f"{c}_cov_within_se"] if v["expect_marginals"] == "pass" else [
+            f"{c}_marginals_rejected"]
+    if experiment == "max-drift":
+        return ["scaled_max_halves" if v["expect_decay"] else "scaled_max_does_not_halve"]
+    return _EVERY_VERDICT[experiment][1]
+
+
+@settings(max_examples=200)
+@given(_SMALL_CONFIGS)
+def test_random_accepted_configs_write_strict_json_with_their_verdicts(config):
+    experiment, keys = config
+    text = "\n".join([f"experiment = {experiment}"] + [f"{k} = {_text(v)}" for k, v in keys.items() if v is not None])
+    if keys["model"] == "dirac-field" and (experiment == "counterexample" or keys.get("centering") == "quenched_mean"):
+        with pytest.raises(ConfigError, match="model: dirac-field"):
+            parse_config(text)
+        return
+    cfg = parse_config(text)
+    report = json.loads(report_json(run(cfg, workers=1)), parse_constant=_no_constants)
+    assert [v["name"] for v in report["verdicts"]] == _asked_verdicts(experiment, cfg.values)
+
+
 def test_capped_estimates_leave_csv_cells_empty(tmp_path, capsys):
     # Every replica caps at one step: each radius's estimate row has an
     # empty value and se, and its capped_fraction row gives the share, 1.

@@ -107,9 +107,9 @@ def test_x1_samples_match_scalar(env):
 # The same walks also record unsorted and repeated steps, 0 and the last
 # step among them, or one early step, or runs of consecutive steps
 # (9 .. 24, longer than a block, and 3 .. 5) that end before the last: the
-# walker steps to each stop in one call (numpy: across blocks), writes each
-# run a block at a time and walks on to the last step, so the drift sums
-# cover every step.
+# walker steps to each stop in one call (numpy: across blocks), writes the
+# rest of each run in place in one more and walks on to the last step, so
+# the drift sums cover every step.
 BLOCK_FIELDS = [MIX, FC, DIRAC, *OTHER, GAUSS, HALF]
 BLOCK_STOPS = (None, [11, 0, 25, 3, 11, 25, 0], [3], [*range(24, 8, -1), 5, 3, 4, 3])
 
@@ -798,6 +798,45 @@ def test_fields_of_several_walkers_across_tiles(name, n_fields, g, monkeypatch):
     monkeypatch.setattr(streams, "_LIB", lib)
     for got, expected in zip(shared_field_walks(env, n_fields, g), want):
         assert_same_bits(got, expected)
+
+
+# The envwalk_walk calls of a recorded walk of 21 steps, three blocks of
+# 7 steps for 6 walkers under ``small_blocks``: (first step, steps, whether
+# the call writes positions).  A run of consecutive recorded steps is one
+# call that writes them; the walker reaches its first step, and each other
+# stop, the last step included, with a call that writes none; a stop at
+# step 0 or a repeated stop makes no call.
+@needs_kernel
+@pytest.mark.parametrize(
+    "stops, calls",
+    [
+        (None, [(0, 21, True)]),
+        ([5, 12], [(0, 5, False), (5, 7, False), (12, 9, False)]),
+        ([12, 0, 5, 5, 0, 12], [(0, 5, False), (5, 7, False), (12, 9, False)]),
+        ([0, 0], [(0, 21, False)]),
+        ([3, 4, 5, 21], [(0, 3, False), (3, 2, True), (5, 16, False)]),
+    ],
+    ids=["every-step", "sparse", "zero-and-repeats", "zero", "run"],
+)
+def test_recorded_walk_calls(stops, calls, small_blocks, monkeypatch):
+    lib, seen = streams._LIB, []
+
+    class Spy:
+        """The library, recording each walker call's steps and output."""
+
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def envwalk_walk(self, *args):
+            seen.append((args[-3], args[-2], args[-1] is not None))
+            return lib.envwalk_walk(*args)
+
+    monkeypatch.setattr(streams, "_LIB", Spy())
+    got = batch_quenched_positions(MIX, 21, np.arange(6), record_steps=stops, accumulate_drift=True)
+    assert seen == calls
+    monkeypatch.setattr(streams, "_LIB", None)
+    for a, b in zip(got, batch_quenched_positions(MIX, 21, np.arange(6), record_steps=stops, accumulate_drift=True)):
+        assert_same_bits(a, b)
 
 
 def test_walkers_that_stay_on_the_numpy_steps():
